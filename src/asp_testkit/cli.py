@@ -251,6 +251,9 @@ def main(argv=None) -> int:
         for e in exc.errors:
             print(e.render(exc.path))
         return EXIT_FAILURE
+    except Exception as exc:  # a crash is a tool error, reported in one line
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -1,25 +1,14 @@
 """Test execution: scope resolution, tester programs, verdicts, reports.
 
-Each assertion is decided by running one tester program and inspecting the
-solver outcome:
-
-    noAnswerSet            P                          cap 1   pass iff incoherent
-    trueInAll(A)           P + miss :- not a  (a in A)
-                             + :- not miss            cap 1   pass iff incoherent
-    trueInAtLeast(A,k)     P + :- not a  (a in A)     cap k   pass iff >= k models
-    trueInAtMost(A,k)      same                       cap k+1 pass iff <= k models
-    trueInExactly(A,k)     same                       cap k+1 pass iff exactly k
-    constraintForAll(C)    P + fail :- body(C)
-                             + :- not fail            cap 1   pass iff incoherent
-    constraintIn*(C,k)     P + C                      k/k+1   count verdicts
-    bestModelCost(c,l)     P                          none    optimum cost c at l
+Each assertion is decided by running one tester program, the scoped program
+P plus the rules its encoding adds, and handing the solver outcome to one of
+five verdict functions. `KINDS` maps each assertion class to its encoding
+and verdict function; `MODEL_CAP` gives each verdict function's model cap,
+so a counting assertion never asks the solver for more than k+1 models.
 
 `miss` and `fail` are fresh predicates. The trueInAll encoding derives `miss`
 from any missing atom, so incoherence of the tester is exactly "every answer
 set contains all of A", for sets of atoms as well as singletons.
-
-The model caps mean a counting assertion never asks the solver for more than
-k+1 models; verdicts are unchanged from unbounded enumeration.
 """
 
 from __future__ import annotations
@@ -132,79 +121,6 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
 
 
 # ---------------------------------------------------------------------------
-# Tester programs
-# ---------------------------------------------------------------------------
-
-@dataclass
-class TesterProgram:
-    text: str
-    base: Program
-    added: tuple[Rule, ...]
-    model_cap: Optional[int]
-    verdict_rule: tuple  # ("incoherent",) | ("count_ge"|"count_le"|"count_eq", k) | ("optimum", c, l)
-    program: Program = field(repr=False, default=None)
-
-
-def build_tester(program: Program, assertion: Assertion,
-                 taken_names: Optional[set[str]] = None) -> TesterProgram:
-    """Encode one assertion over the scoped program."""
-    names = set(taken_names or ())
-    names |= predicate_names(program)
-    names |= assertion_predicates(assertion)
-
-    added: list[Rule] = []
-    cap: Optional[int] = 1
-    verdict: tuple
-
-    if isinstance(assertion, NoAnswerSet):
-        verdict = ("incoherent",)
-    elif isinstance(assertion, TrueInAll):
-        miss = Atom(fresh_predicate(names, "miss"))
-        for a in assertion.atoms:
-            added.append(Rule((miss,), (Literal(a, negated=True),)))
-        added.append(Rule((), (Literal(miss, negated=True),)))
-        verdict = ("incoherent",)
-    elif isinstance(assertion, (TrueInAtLeast, TrueInAtMost, TrueInExactly)):
-        k = assertion.count
-        if isinstance(assertion, TrueInAtLeast) and k < 1:
-            raise AssertionValidationError("trueInAtLeast needs a count >= 1")
-        for a in assertion.atoms:
-            added.append(Rule((), (Literal(a, negated=True),)))
-        if isinstance(assertion, TrueInAtLeast):
-            cap, verdict = k, ("count_ge", k)
-        elif isinstance(assertion, TrueInAtMost):
-            cap, verdict = k + 1, ("count_le", k)
-        else:
-            cap, verdict = k + 1, ("count_eq", k)
-    elif isinstance(assertion, ConstraintForAll):
-        fail = Atom(fresh_predicate(names, "fail"))
-        added.append(Rule((fail,), assertion.constraint.body))
-        added.append(Rule((), (Literal(fail, negated=True),)))
-        verdict = ("incoherent",)
-    elif isinstance(assertion, (ConstraintInAtLeast, ConstraintInAtMost, ConstraintInExactly)):
-        k = assertion.count
-        if isinstance(assertion, ConstraintInAtLeast) and k < 1:
-            raise AssertionValidationError("constraintInAtLeast needs a count >= 1")
-        added.append(assertion.constraint)
-        if isinstance(assertion, ConstraintInAtLeast):
-            cap, verdict = k, ("count_ge", k)
-        elif isinstance(assertion, ConstraintInAtMost):
-            cap, verdict = k + 1, ("count_le", k)
-        else:
-            cap, verdict = k + 1, ("count_eq", k)
-    elif isinstance(assertion, BestModelCost):
-        cap = None
-        verdict = ("optimum", assertion.cost, assertion.level)
-    else:  # pragma: no cover
-        raise TypeError(f"unknown assertion {assertion!r}")
-
-    combined = Program(program.rules + tuple(added), program.weak_constraints)
-    return TesterProgram(text=serialize_program(combined), base=program,
-                         added=tuple(added), model_cap=cap,
-                         verdict_rule=verdict, program=combined)
-
-
-# ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------
 
@@ -235,86 +151,167 @@ def _project_witness(tp: TesterProgram, answer_set: AnswerSet) -> frozenset[Atom
     return kept
 
 
+# A verdict function maps the solver outcome on a tester program to
+# (verdict, index of the answer set shown as witness or None, diagnostics).
+
+def incoherent(tp: TesterProgram, result: SolveResult) -> tuple:
+    """Pass iff the tester has no answer set."""
+    if result.incoherent:
+        return PASS, None, ""
+    if result.answer_sets:
+        return FAIL, 0, ""
+    return INCONCLUSIVE, None, "solver stopped before finding a model or proving incoherence"
+
+
+def _stopped(n: int) -> tuple:
+    return INCONCLUSIVE, None, f"search stopped after {n} matching answer set(s)"
+
+
+def at_least(tp: TesterProgram, result: SolveResult) -> tuple:
+    """Pass iff the tester has >= k answer sets."""
+    k, n = tp.assertion.count, len(result.answer_sets)
+    if n >= k:
+        return PASS, None, ""
+    if result.exhausted:
+        return FAIL, None, f"only {n} matching answer set(s) exist, expected at least {k}"
+    return _stopped(n)
+
+
+def at_most(tp: TesterProgram, result: SolveResult) -> tuple:
+    """Pass iff the tester has <= k answer sets."""
+    k, n = tp.assertion.count, len(result.answer_sets)
+    if n > k:
+        return FAIL, -1, f"more than {k} matching answer set(s) exist"
+    return (PASS, None, "") if result.exhausted else _stopped(n)
+
+
+def exactly(tp: TesterProgram, result: SolveResult) -> tuple:
+    """Pass iff the tester has at most k answer sets, and no fewer."""
+    k, n = tp.assertion.count, len(result.answer_sets)
+    outcome = at_most(tp, result)
+    if outcome[0] == PASS and n != k:
+        return FAIL, None, f"exactly {n} matching answer set(s) exist, expected {k}"
+    return outcome
+
+
+def optimum(tp: TesterProgram, result: SolveResult) -> tuple:
+    """Pass iff the optimal answer set costs c at level l."""
+    cost, level = tp.assertion.cost, tp.assertion.level
+    if result.incoherent:
+        return FAIL, None, "the program has no answer set, hence no best model"
+    if not result.exhausted or not result.answer_sets:
+        return INCONCLUSIVE, None, "optimality was not established"
+    if result.costs is None and tp.base.weak_constraints:
+        return ERROR, None, "backend reported no COST information for an optimization program"
+    best_cost = (result.costs or {}).get((len(result.answer_sets) - 1, level), 0)
+    if best_cost == cost:
+        return PASS, None, ""
+    return FAIL, -1, f"best model costs {best_cost} at level {level}, expected {cost}"
+
+
+# Verdict function -> the most models it needs to see (None: all of them,
+# under optimisation); verdicts are unchanged from unbounded enumeration.
+MODEL_CAP = {
+    incoherent: lambda a: 1,
+    at_least: lambda a: a.count,
+    at_most: lambda a: a.count + 1,
+    exactly: lambda a: a.count + 1,
+    optimum: lambda a: None,
+}
+
+
+# ---------------------------------------------------------------------------
+# Tester programs: one table of assertion kinds
+# ---------------------------------------------------------------------------
+
+# An encoding returns the rules a tester adds to the scoped program P;
+# `names` holds every predicate name its fresh helpers must avoid.
+
+def _nothing(assertion, names: set[str]) -> tuple[Rule, ...]:
+    return ()
+
+
+def _miss_any(assertion, names: set[str]) -> tuple[Rule, ...]:
+    """miss :- not a (a in A), :- not miss."""
+    miss = Atom(fresh_predicate(names, "miss"))
+    return (*(Rule((miss,), (Literal(a, negated=True),)) for a in assertion.atoms),
+            Rule((), (Literal(miss, negated=True),)))
+
+
+def _require_atoms(assertion, names: set[str]) -> tuple[Rule, ...]:
+    """:- not a (a in A)."""
+    return tuple(Rule((), (Literal(a, negated=True),)) for a in assertion.atoms)
+
+
+def _fail_on_body(assertion, names: set[str]) -> tuple[Rule, ...]:
+    """fail :- body(C), :- not fail."""
+    fail = Atom(fresh_predicate(names, "fail"))
+    return (Rule((fail,), assertion.constraint.body),
+            Rule((), (Literal(fail, negated=True),)))
+
+
+def _add_constraint(assertion, names: set[str]) -> tuple[Rule, ...]:
+    return (assertion.constraint,)
+
+
+# Assertion class -> (encoding, verdict function).
+KINDS = {
+    NoAnswerSet: (_nothing, incoherent),
+    TrueInAll: (_miss_any, incoherent),
+    TrueInAtLeast: (_require_atoms, at_least),
+    TrueInAtMost: (_require_atoms, at_most),
+    TrueInExactly: (_require_atoms, exactly),
+    ConstraintForAll: (_fail_on_body, incoherent),
+    ConstraintInAtLeast: (_add_constraint, at_least),
+    ConstraintInAtMost: (_add_constraint, at_most),
+    ConstraintInExactly: (_add_constraint, exactly),
+    BestModelCost: (_nothing, optimum),
+}
+
+
+@dataclass
+class TesterProgram:
+    text: str
+    base: Program
+    added: tuple[Rule, ...]
+    model_cap: Optional[int]
+    assertion: Assertion
+    program: Program = field(repr=False, default=None)
+
+    @property
+    def verdict(self) -> Callable[[TesterProgram, SolveResult], tuple]:
+        return KINDS[type(self.assertion)][1]
+
+    @property
+    def optimize(self) -> bool:
+        return self.verdict is optimum
+
+
+def build_tester(program: Program, assertion: Assertion,
+                 taken_names: Optional[set[str]] = None) -> TesterProgram:
+    """Encode one assertion over the scoped program."""
+    encode, verdict = KINDS[type(assertion)]
+    if getattr(assertion, "count", 1) < getattr(assertion, "min_count", 0):
+        raise AssertionValidationError(
+            f"{assertion.kind} needs a count >= {assertion.min_count}")
+    names = set(taken_names or ())
+    names |= predicate_names(program)
+    names |= assertion_predicates(assertion)
+    added = encode(assertion, names)
+    combined = Program(program.rules + added, program.weak_constraints)
+    return TesterProgram(text=serialize_program(combined), base=program,
+                         added=added, model_cap=MODEL_CAP[verdict](assertion),
+                         assertion=assertion, program=combined)
+
+
 def evaluate(tp: TesterProgram, result: SolveResult,
              assertion: Assertion) -> AssertionResult:
     """Map a solver outcome on the tester program to pass/fail."""
-    out = AssertionResult(assertion=assertion, kind=assertion.kind,
-                          executed_code=tp.text, verdict=ERROR,
-                          requested_models=tp.model_cap)
-    rule = tp.verdict_rule
-    n = len(result.answer_sets)
-
-    if rule[0] == "incoherent":
-        if result.incoherent:
-            out.verdict = PASS
-        elif n:
-            out.verdict = FAIL
-            out.witness = _project_witness(tp, result.answer_sets[0])
-        else:
-            out.verdict = INCONCLUSIVE
-            out.diagnostics = "solver stopped before finding a model or proving incoherence"
-        return out
-
-    if rule[0] in ("count_ge", "count_le", "count_eq"):
-        k = rule[1]
-        if rule[0] == "count_ge":
-            if n >= k:
-                out.verdict = PASS
-            elif result.exhausted:
-                out.verdict = FAIL
-                out.diagnostics = f"only {n} matching answer set(s) exist, expected at least {k}"
-            else:
-                out.verdict = INCONCLUSIVE
-                out.diagnostics = f"search stopped after {n} matching answer set(s)"
-        elif rule[0] == "count_le":
-            if n > k:
-                out.verdict = FAIL
-                out.witness = _project_witness(tp, result.answer_sets[-1])
-                out.diagnostics = f"more than {k} matching answer set(s) exist"
-            elif result.exhausted:
-                out.verdict = PASS
-            else:
-                out.verdict = INCONCLUSIVE
-                out.diagnostics = f"search stopped after {n} matching answer set(s)"
-        else:
-            if n > k:
-                out.verdict = FAIL
-                out.witness = _project_witness(tp, result.answer_sets[-1])
-                out.diagnostics = f"more than {k} matching answer set(s) exist"
-            elif result.exhausted:
-                if n == k:
-                    out.verdict = PASS
-                else:
-                    out.verdict = FAIL
-                    out.diagnostics = f"exactly {n} matching answer set(s) exist, expected {k}"
-            else:
-                out.verdict = INCONCLUSIVE
-                out.diagnostics = f"search stopped after {n} matching answer set(s)"
-        return out
-
-    # optimum-cost verdict
-    _, cost, level = rule
-    if result.incoherent:
-        out.verdict = FAIL
-        out.diagnostics = "the program has no answer set, hence no best model"
-        return out
-    if not result.exhausted or not result.answer_sets:
-        out.verdict = INCONCLUSIVE
-        out.diagnostics = "optimality was not established"
-        return out
-    if result.costs is None and tp.base.weak_constraints:
-        out.verdict = ERROR
-        out.diagnostics = "backend reported no COST information for an optimization program"
-        return out
-    idx = len(result.answer_sets) - 1
-    best_cost = (result.costs or {}).get((idx, level), 0)
-    if best_cost == cost:
-        out.verdict = PASS
-    else:
-        out.verdict = FAIL
-        out.witness = _project_witness(tp, result.answer_sets[idx])
-        out.diagnostics = f"best model costs {best_cost} at level {level}, expected {cost}"
-    return out
+    verdict, shown, diagnostics = tp.verdict(tp, result)
+    witness = None if shown is None else _project_witness(tp, result.answer_sets[shown])
+    return AssertionResult(assertion=assertion, kind=assertion.kind,
+                           executed_code=tp.text, verdict=verdict, witness=witness,
+                           diagnostics=diagnostics, requested_models=tp.model_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -441,9 +438,8 @@ def run_test(suite: TestSuite, spec: TestSpec, backend,
         t0 = time.monotonic()
         try:
             tp = build_tester(program, assertion)
-            optimize = tp.verdict_rule[0] == "optimum"
             solve_result, raw = backend.run(tp.program, tp.text, tp.model_cap,
-                                            optimize=optimize)
+                                            optimize=tp.optimize)
             res = evaluate(tp, solve_result, assertion)
             res.requested_models = raw.requested_models
         except Exception as exc:
@@ -453,6 +449,15 @@ def run_test(suite: TestSuite, spec: TestSpec, backend,
     verdict = TestResult.aggregate(results) if results else PASS
     return TestResult(spec.name, results, verdict,
                       int((time.monotonic() - start) * 1000))
+
+
+def map_in_order(fn: Callable, items: list, jobs: int) -> list:
+    """`fn` over `items`, results in declaration order; threaded when
+    jobs > 1 and there are at least two items."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(item) for item in items]
 
 
 def run_suite(unit: SourceUnit, backend,
@@ -465,12 +470,7 @@ def run_suite(unit: SourceUnit, backend,
     if file_loader is None:
         base = str(Path(unit.path).parent) if unit.path else "."
         file_loader = default_file_loader(base)
-    if jobs > 1 and len(specs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run_test, unit.suite, s, backend, file_loader)
-                       for s in specs]
-            tests = [f.result() for f in futures]
-    else:
-        tests = [run_test(unit.suite, s, backend, file_loader) for s in specs]
+    tests = map_in_order(lambda s: run_test(unit.suite, s, backend, file_loader),
+                         specs, jobs)
     return SuiteReport(source=unit.path, tests=tests,
                        total_wall_ms=int((time.monotonic() - start) * 1000))

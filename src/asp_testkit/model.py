@@ -13,7 +13,7 @@ That total order is what the comparison builtins (`<`, `<=`, ...) use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional, Union, get_args
 
 # Comparison operators in canonical spelling. `<>` is accepted by the parser
 # as an alias of `!=`.
@@ -277,10 +277,6 @@ def is_safe(rule: Rule) -> bool:
     return not unbound_variables(rule.head, rule.body)
 
 
-def is_safe_weak(wc: WeakConstraint) -> bool:
-    return not unbound_variables((), wc.body)
-
-
 @dataclass(frozen=True)
 class Program:
     rules: tuple[Rule, ...] = ()
@@ -384,6 +380,7 @@ class TrueInAtLeast:
     count: int
     atoms: tuple[Atom, ...]
     kind = "trueInAtLeast"
+    min_count = 1  # number = 0 would be vacuously true
 
 
 @dataclass(frozen=True)
@@ -411,6 +408,7 @@ class ConstraintInAtLeast:
     count: int
     constraint: Rule
     kind = "constraintInAtLeast"
+    min_count = 1
 
 
 @dataclass(frozen=True)
@@ -447,18 +445,9 @@ Assertion = Union[
     BestModelCost,
 ]
 
-ASSERTION_KINDS = (
-    "noAnswerSet",
-    "trueInAll",
-    "trueInAtLeast",
-    "trueInAtMost",
-    "trueInExactly",
-    "constraintForAll",
-    "constraintInAtLeast",
-    "constraintInAtMost",
-    "constraintInExactly",
-    "bestModelCost",
-)
+# Annotation name (`@trueInAll`, ...) -> assertion class, in declaration order.
+ASSERTION_CLASSES = {cls.kind: cls for cls in get_args(Assertion)}
+ASSERTION_KINDS = tuple(ASSERTION_CLASSES)
 
 
 def assertion_predicates(assertion: Assertion) -> set[str]:

@@ -27,7 +27,7 @@ from .model import (
     Rule,
     unbound_variables,
 )
-from .engine import FAIL, PASS, SuiteReport, TestResult, run_suite, run_test
+from .engine import FAIL, PASS, SuiteReport, TestResult, map_in_order, run_suite, run_test
 from .parser import SourceUnit
 from .serialize import serialize_program
 
@@ -416,7 +416,6 @@ def _origin_key(rule: Rule):
 def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], Program]:
     """Map resolved scope programs onto the mutant: rules are matched by
     source origin, edits and deletions replayed positionally."""
-    names = [name for name, _ in named_rules_in_order(unit)]
     originals = [rule for _, rule in named_rules_in_order(unit)]
     survivors = list(range(len(originals)))
     for op in mutant.ops:
@@ -428,7 +427,6 @@ def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], P
         mapping[_origin_key(originals[old_idx])] = mutant.program.rules[new_idx]
     for old_idx in deleted:
         mapping[_origin_key(originals[old_idx])] = None
-    del names
 
     def transform(program: Program) -> Program:
         rules = []
@@ -474,12 +472,7 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
             outcome.status = "inconclusive"
         return outcome
 
-    if jobs > 1 and len(mutants) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            report.outcomes = list(pool.map(evaluate_mutant, mutants))
-    else:
-        report.outcomes = [evaluate_mutant(m) for m in mutants]
+    report.outcomes = map_in_order(evaluate_mutant, mutants, jobs)
     for outcome in report.outcomes:
         for label in outcome.killed_by:
             report.assertion_failures[label] = report.assertion_failures.get(label, 0) + 1

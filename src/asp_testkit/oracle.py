@@ -107,7 +107,6 @@ def _substitute_atom(atom: Atom, subst: dict[str, Term]) -> Atom:
 def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list[str]:
     """Variables to instantiate: everything except aggregate-local names."""
     seen: list[str] = []
-    locals_: set[str] = set()
     outside: set[str] = set()
 
     def add(name: str):
@@ -127,12 +126,10 @@ def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list
             for v in p.variables():
                 add(v)
         else:
-            locals_ |= p.inner_variables()
             for v in p.guard_variables():
                 add(v)
     # a brace-local name that also occurs outside its aggregate is global and
     # was already collected through that other occurrence
-    del locals_
     return seen
 
 
@@ -141,8 +138,6 @@ def _instantiate_statement(head, body, universe: Sequence[Term], budget: list[in
     comparisons are evaluated (false drops the instance, true drops the
     literal). Aggregate-local variables survive untouched."""
     variables = _global_variables(head, body)
-    # aggregate-local names that also occur outside are global; recompute the
-    # genuinely local ones per aggregate at substitution time
     for assignment in itertools.product(universe, repeat=len(variables)):
         budget[0] -= 1
         if budget[0] < 0:

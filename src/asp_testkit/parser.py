@@ -20,33 +20,23 @@ recovers at statement boundaries so several errors can be reported at once.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .model import (
-    ASSERTION_KINDS,
+    ASSERTION_CLASSES,
     Assertion,
     Atom,
-    BestModelCost,
     Comparison,
     Constant,
-    ConstraintForAll,
-    ConstraintInAtLeast,
-    ConstraintInAtMost,
-    ConstraintInExactly,
     CountAggregate,
     Integer,
     Literal,
-    NoAnswerSet,
     Program,
     Rule,
     Span,
     TestSpec,
     TestSuite,
-    TrueInAll,
-    TrueInAtLeast,
-    TrueInAtMost,
-    TrueInExactly,
     Variable,
     WeakConstraint,
     unbound_variables,
@@ -146,6 +136,12 @@ _CANONICAL_OP = {"<>": "!=", "=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">
 _CMP_TOKENS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
 
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: `str.isdigit` also accepts digits such as '²' that
+    `int()` rejects."""
+    return "0" <= ch <= "9"
+
+
 def _is_ident_char(ch: str) -> bool:
     return ch.isalnum() or ch == "_"
 
@@ -190,9 +186,9 @@ def _scan_program(text: str, collect_annotations: bool = True) -> list[_Token]:
             nl = text.find("\n", i)
             i = n if nl < 0 else nl + 1
             continue
-        if ch.isdigit():
+        if _is_digit(ch):
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), i))
             i = j
@@ -489,9 +485,9 @@ def _scan_annotation(text: str, base: int) -> list[_Token]:
             tokens.append(_Token("str", ("".join(out), offsets), base + i))
             i = j + 1
             continue
-        if ch.isdigit() or (ch == "-" and i + 1 < n and text[i + 1].isdigit()):
+        if _is_digit(ch) or (ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and _is_digit(text[j]):
                 j += 1
             tokens.append(_Token("int", int(text[i:j]), base + i))
             i = j
@@ -510,13 +506,6 @@ def _scan_annotation(text: str, base: int) -> list[_Token]:
         raise _Issue(f"unexpected character {ch!r} in annotation", base + i, "annotation")
     tokens.append(_Token("eof", None, base + n))
     return tokens
-
-
-_NUMBERED = {"trueInAtLeast", "trueInAtMost", "trueInExactly",
-             "constraintInAtLeast", "constraintInAtMost", "constraintInExactly"}
-_ATOM_KINDS = {"trueInAll", "trueInAtLeast", "trueInAtMost", "trueInExactly"}
-_CONSTRAINT_KINDS = {"constraintForAll", "constraintInAtLeast",
-                     "constraintInAtMost", "constraintInExactly"}
 
 
 class _AnnotationParser:
@@ -651,8 +640,9 @@ class _AnnotationParser:
         return self._assertion(name_tok.value, name_tok.offset), at.offset
 
     def _assertion(self, name: str, offset: int) -> Assertion:
-        if name not in ASSERTION_KINDS:
+        if name not in ASSERTION_CLASSES:
             raise _Issue(f"unknown assertion @{name}", offset, "annotation")
+        field_names = [f.name for f in fields(ASSERTION_CLASSES[name])]
         attrs: dict[str, tuple] = {}
         positional: Optional[tuple] = None
         if self.ts.take_punct("("):
@@ -660,7 +650,7 @@ class _AnnotationParser:
                 tok = self.ts.peek()
                 if tok.kind == "str":
                     # bare string: shorthand for the constraint attribute
-                    if name not in _CONSTRAINT_KINDS:
+                    if "constraint" not in field_names:
                         raise _Issue(f"@{name} does not take a positional string",
                                      tok.offset, "annotation")
                     if positional is not None or "constraint" in attrs:
@@ -689,68 +679,38 @@ class _AnnotationParser:
             self.ts.next()
         if positional is not None:
             attrs["constraint"] = (positional[0], positional[1], "str")
-        return self._build_assertion(name, attrs, offset)
+        return self._build_assertion(name, field_names, attrs, offset)
 
-    def _attr_int(self, attrs, name: str, key: str, offset: int) -> int:
+    def _attr(self, attrs, name: str, key: str, offset: int, kind: str) -> tuple:
         if key not in attrs:
             raise _Issue(f"@{name} is missing the mandatory {key!r} attribute", offset, "annotation")
-        value, off, kind = attrs.pop(key)
-        if kind != "int":
-            raise _Issue(f"attribute {key!r} of @{name} must be an integer", off, "annotation")
-        if value < 0:
+        value, off, got = attrs.pop(key)
+        if got != kind:
+            what = "an integer" if kind == "int" else "a string"
+            raise _Issue(f"attribute {key!r} of @{name} must be {what}", off, "annotation")
+        if kind == "int" and value < 0:
             raise _Issue(f"attribute {key!r} of @{name} must be nonnegative", off, "annotation")
-        return value
-
-    def _attr_str(self, attrs, name: str, key: str, offset: int):
-        if key not in attrs:
-            raise _Issue(f"@{name} is missing the mandatory {key!r} attribute", offset, "annotation")
-        value, off, kind = attrs.pop(key)
-        if kind != "str":
-            raise _Issue(f"attribute {key!r} of @{name} must be a string", off, "annotation")
         return value, off
 
-    def _build_assertion(self, name: str, attrs: dict, offset: int) -> Assertion:
-        result: Assertion
-        if name == "noAnswerSet":
-            result = NoAnswerSet()
-        elif name in _ATOM_KINDS:
-            count = self._attr_int(attrs, name, "number", offset) if name in _NUMBERED else None
-            raw, off = self._attr_str(attrs, name, "atoms", offset)
-            atoms = _parse_ground_atoms_nested(raw, off)
-            if name == "trueInAll":
-                result = TrueInAll(atoms)
-            elif name == "trueInAtLeast":
-                if count == 0:
-                    raise _Issue("@trueInAtLeast needs number >= 1 "
-                                 "(number = 0 would be vacuously true)", offset, "annotation")
-                result = TrueInAtLeast(count, atoms)
-            elif name == "trueInAtMost":
-                result = TrueInAtMost(count, atoms)
-            else:
-                result = TrueInExactly(count, atoms)
-        elif name in _CONSTRAINT_KINDS:
-            count = self._attr_int(attrs, name, "number", offset) if name in _NUMBERED else None
-            raw, off = self._attr_str(attrs, name, "constraint", offset)
-            constraint = _parse_constraint_nested(raw, off)
-            if name == "constraintForAll":
-                result = ConstraintForAll(constraint)
-            elif name == "constraintInAtLeast":
-                if count == 0:
-                    raise _Issue("@constraintInAtLeast needs number >= 1 "
-                                 "(number = 0 would be vacuously true)", offset, "annotation")
-                result = ConstraintInAtLeast(count, constraint)
-            elif name == "constraintInAtMost":
-                result = ConstraintInAtMost(count, constraint)
-            else:
-                result = ConstraintInExactly(count, constraint)
-        else:  # bestModelCost
-            cost = self._attr_int(attrs, name, "cost", offset)
-            level = self._attr_int(attrs, name, "level", offset)
-            result = BestModelCost(cost, level)
+    def _build_assertion(self, name: str, field_names: list[str], attrs: dict,
+                         offset: int) -> Assertion:
+        """Read the class's fields in declaration order: `count` from the
+        `number` attribute, `atoms` and `constraint` from string payloads,
+        `cost` and `level` from integers."""
+        cls = ASSERTION_CLASSES[name]
+        values = {}
+        for fname in field_names:
+            payload = _PAYLOAD_PARSERS.get(fname)
+            key = "number" if fname == "count" else fname
+            value, off = self._attr(attrs, name, key, offset, "str" if payload else "int")
+            values[fname] = payload(value, off) if payload else value
+        if values.get("count", 1) < getattr(cls, "min_count", 0):
+            raise _Issue(f"@{name} needs number >= {cls.min_count} "
+                         "(number = 0 would be vacuously true)", offset, "annotation")
         if attrs:
             key = next(iter(attrs))
             raise _Issue(f"unknown attribute {key!r} for @{name}", attrs[key][1], "annotation")
-        return result
+        return cls(**values)
 
 
 def _parse_ground_atoms_nested(raw, fallback_offset: int) -> tuple[Atom, ...]:
@@ -802,6 +762,10 @@ def _parse_constraint_nested(raw, fallback_offset: int) -> Rule:
     except _Issue as exc:
         raise _map_nested(exc, offsets, fallback_offset)
     return stmt
+
+
+_PAYLOAD_PARSERS = {"atoms": _parse_ground_atoms_nested,
+                    "constraint": _parse_constraint_nested}
 
 
 def _map_nested(exc: _Issue, offsets: Optional[list[int]], fallback: int) -> _Issue:

@@ -66,7 +66,6 @@ class FormatError(Exception):
 class BackendConfig:
     executable: str
     extra_args: tuple[str, ...] = ()
-    dialect: str = "competition-output"
     timeout: int = 30
     model_cap_template: str = "-n {n}"
     pass_via: str = "stdin"  # or "tempfile"

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from asp_testkit.engine import build_tester, evaluate, run_suite
-from asp_testkit.model import BestModelCost
+from asp_testkit.model import ASSERTION_KINDS, BestModelCost
 from asp_testkit.mutate import (
     OPERATOR_KINDS,
     generate_mutants,
@@ -48,13 +48,6 @@ from helpers import (
 )
 
 BACKEND = InternalBackend()
-
-ASSERTION_KINDS = (
-    "noAnswerSet", "trueInAll", "trueInAtLeast", "trueInAtMost",
-    "trueInExactly", "constraintForAll", "constraintInAtLeast",
-    "constraintInAtMost", "constraintInExactly", "bestModelCost",
-)
-
 
 def report(criterion: str, ok: bool, elapsed: float, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -146,7 +139,7 @@ class _SoundnessRun:
                 draw += 1
                 assertion = random_assertion(rng, program, kind)
                 tp = build_tester(program, assertion)
-                optimize = tp.verdict_rule[0] == "optimum"
+                optimize = tp.optimize
                 capped, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
                                           optimize=optimize)
                 got = evaluate(tp, capped, assertion).verdict

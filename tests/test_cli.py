@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import asp_testkit
+from asp_testkit import cli
 from asp_testkit.parser import parse_unit
 from asp_testkit.oracle import enumerate_answer_sets, ground
 from asp_testkit.solver import parse_competition_output
@@ -49,6 +50,23 @@ def test_check_reports_line_and_column(tmp_path):
     proc = run_cli("check", str(bad))
     assert proc.returncode == 1
     assert ":2:" in proc.stdout
+
+
+def test_check_non_ascii_digit_is_a_lexical_error(tmp_path):
+    bad = tmp_path / "bad.lp"
+    bad.write_text("p(\u00b2).\n", encoding="utf-8")
+    proc = run_cli("check", str(bad))
+    assert proc.returncode == 1, proc.stderr
+    assert "bad.lp:1:3: lexical:" in proc.stdout
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_unexpected_exception_exits_two_in_one_line(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "cmd_check", crash)
+    assert cli.main(["check", "any.lp"]) == 2
+    assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
 # ---------------------------------------------------------------------------

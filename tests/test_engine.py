@@ -1,4 +1,6 @@
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,13 +10,18 @@ from asp_testkit.engine import (
     PASS,
     AssertionValidationError,
     DanglingReference,
+    at_most,
     build_tester,
     evaluate,
+    incoherent,
+    optimum,
     resolve_scope,
     run_suite,
     run_test,
 )
 from asp_testkit.model import (
+    ASSERTION_CLASSES,
+    ASSERTION_KINDS,
     Atom,
     BestModelCost,
     ConstraintForAll,
@@ -26,7 +33,7 @@ from asp_testkit.model import (
     TrueInExactly,
 )
 from asp_testkit.oracle import SolveResult, AnswerSet
-from asp_testkit.parser import parse_unit
+from asp_testkit.parser import parse_assertion_list, parse_unit
 from asp_testkit.solver import InternalBackend
 from helpers import (
     atom,
@@ -38,6 +45,7 @@ from helpers import (
 )
 
 BACKEND = InternalBackend()
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def coloring_unit():
@@ -125,7 +133,7 @@ def test_build_no_answer_set():
     tp = build_tester(simple_program(), NoAnswerSet())
     assert tp.added == ()
     assert tp.model_cap == 1
-    assert tp.verdict_rule == ("incoherent",)
+    assert tp.verdict is incoherent and not tp.optimize
 
 
 def test_build_true_in_at_least_adds_constraints():
@@ -138,7 +146,8 @@ def test_build_true_in_at_least_adds_constraints():
 def test_build_true_in_at_most_requests_k_plus_one():
     tp = build_tester(simple_program(), TrueInAtMost(2, (Atom("a"),)))
     assert tp.model_cap == 3
-    assert tp.verdict_rule == ("count_le", 2)
+    assert tp.verdict is at_most and not tp.optimize
+    assert tp.assertion.count == 2
 
 
 def test_build_true_in_all_miss_encoding():
@@ -171,7 +180,27 @@ def test_build_fresh_names_avoid_collisions():
 def test_build_best_model_cost_has_no_cap():
     tp = build_tester(simple_program(), BestModelCost(0, 1))
     assert tp.model_cap is None
-    assert tp.verdict_rule == ("optimum", 0, 1)
+    assert tp.verdict is optimum and tp.optimize
+    assert (tp.assertion.cost, tp.assertion.level) == (0, 1)
+
+
+def readme_assertion_forms() -> dict[str, str]:
+    """The README's assertion table, placeholders filled in: kind -> form."""
+    forms = {}
+    for form in re.findall(r"^\| `(@\w+[^`]*)` \|", README.read_text(encoding="utf-8"), re.M):
+        form = re.sub(r'(constraint = )"[^"]*"', r'\1":- a."', form)
+        form = re.sub(r"= [ncl]\b", "= 1", form.replace('"..."', '"a"'))
+        forms[re.match(r"@(\w+)", form).group(1)] = form
+    return forms
+
+
+@pytest.mark.parametrize("kind", ASSERTION_KINDS)
+def test_every_kind_parses_from_its_readme_form_and_builds(kind):
+    (assertion,) = parse_assertion_list(readme_assertion_forms()[kind])
+    assert type(assertion) is ASSERTION_CLASSES[kind]
+    assert assertion.kind == kind
+    tp = build_tester(simple_program(), assertion)
+    assert tp.assertion is assertion
 
 
 def test_build_at_least_zero_rejected():
@@ -187,7 +216,7 @@ def run_assertion(program_text: str, assertion):
     program = parse_unit("t.lp", program_text).program
     tp = build_tester(program, assertion)
     res, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
-                           optimize=tp.verdict_rule[0] == "optimum")
+                           optimize=tp.optimize)
     return evaluate(tp, res, assertion)
 
 
@@ -319,19 +348,15 @@ def test_parallel_suite_matches_serial():
 # Encoding soundness: tester verdicts match direct semantics
 # ---------------------------------------------------------------------------
 
-KINDS = ("noAnswerSet", "trueInAll", "trueInAtLeast", "trueInAtMost",
-         "trueInExactly", "constraintForAll", "constraintInAtLeast",
-         "constraintInAtMost", "constraintInExactly", "bestModelCost")
-
-
 def test_tester_encodings_agree_with_direct_semantics():
     rng = random.Random(1234)
     for i in range(120):
         program = random_program(rng)
-        assertion = random_assertion(rng, program, KINDS[i % len(KINDS)])
+        kind = ASSERTION_KINDS[i % len(ASSERTION_KINDS)]
+        assertion = random_assertion(rng, program, kind)
         tp = build_tester(program, assertion)
         res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap,
-                             optimize=tp.verdict_rule[0] == "optimum")
+                             optimize=tp.optimize)
         got = evaluate(tp, res, assertion).verdict
         want = direct_verdict(program, assertion)
         assert got == want, (program, assertion)

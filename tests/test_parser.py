@@ -1,6 +1,7 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asp_testkit.model import (
     Atom,
@@ -272,3 +273,23 @@ def test_round_trip_random_programs():
         program = random_program(rng)
         text = serialize_program(program)
         assert parse_unit("<rt>", text).program == program
+
+
+# Grammar characters plus '²', which `str.isdigit` accepts but `int` rejects.
+FUZZ_TEXT = st.text(alphabet='pX_1\u00b2-().,:|#{}=<@" \n%*', max_size=40)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FUZZ_TEXT)
+def test_parse_unit_diagnostics_never_raises(text):
+    unit, errors = parse_unit_diagnostics("fuzz.lp", text)
+    assert (unit is None) == bool(errors)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FUZZ_TEXT)
+def test_parse_assertion_list_raises_only_parse_failure(text):
+    try:
+        parse_assertion_list(text)
+    except ParseFailure:
+        pass
