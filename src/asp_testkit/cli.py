@@ -22,7 +22,6 @@ from pathlib import Path
 
 from . import __version__
 from .engine import run_suite
-from .model import Program
 from .mutate import (
     ExhaustedLoci,
     OPERATOR_KINDS,
@@ -33,12 +32,7 @@ from .mutate import (
 from .oracle import CapacityExceeded, UnsupportedAggregate
 from .parser import ParseFailure, merge_units, parse_unit_diagnostics
 from .serialize import atom_to_text
-from .solver import (
-    AutoBackend,
-    SpawnFailure,
-    default_backend_config,
-    select_backend,
-)
+from .solver import SpawnFailure, default_backend_config, select_backend
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -128,11 +122,9 @@ class _ParseErrors(Exception):
         super().__init__("\n".join(rendered))
 
 
-def _make_backend(args, program: Program):
-    cfg = default_backend_config(args.solver_path, tuple(args.solver_arg), args.timeout)
-    if args.backend:
-        return select_backend(args.backend, cfg, program)
-    return AutoBackend(cfg)
+def _make_backend(args):
+    return select_backend(args.backend, default_backend_config(
+        args.solver_path, tuple(args.solver_arg), args.timeout))
 
 
 def cmd_check(args) -> int:
@@ -150,7 +142,7 @@ def cmd_check(args) -> int:
 def cmd_solve(args) -> int:
     unit = _parse_all(args.files)
     program = unit.program
-    backend = _make_backend(args, program)
+    backend = _make_backend(args)
     from .serialize import serialize_program
     cap = args.cap if args.cap else None  # -n 0 requests every model
     optimize = bool(program.weak_constraints) and cap is None
@@ -176,7 +168,7 @@ def cmd_solve(args) -> int:
 
 def cmd_test(args) -> int:
     unit = _parse_all(args.files)
-    backend = _make_backend(args, unit.program)
+    backend = _make_backend(args)
     report = run_suite(unit, backend, jobs=args.jobs)
     if args.format == "json":
         print(report.to_json())
@@ -190,7 +182,7 @@ def cmd_test(args) -> int:
 
 def cmd_mutate(args) -> int:
     unit = _parse_all(args.files)
-    backend = _make_backend(args, unit.program)
+    backend = _make_backend(args)
     base = mutation_base_program(unit)
     if not base.rules:
         print("no named rules to mutate (only @rule-annotated rules are mutation targets)")
@@ -209,7 +201,7 @@ def cmd_mutate(args) -> int:
               "test suite; fix the tests before measuring them")
         for line in report.baseline.human_lines():
             print("  " + line)
-        return EXIT_FAILURE
+        return EXIT_ERROR if report.baseline.has_errors() else EXIT_FAILURE
     if args.format == "json":
         import json as _json
         doc = report.to_json_dict()

@@ -304,12 +304,11 @@ def build_tester(program: Program, assertion: Assertion,
                          assertion=assertion, program=combined)
 
 
-def evaluate(tp: TesterProgram, result: SolveResult,
-             assertion: Assertion) -> AssertionResult:
+def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
     """Map a solver outcome on the tester program to pass/fail."""
     verdict, shown, diagnostics = tp.verdict(tp, result)
     witness = None if shown is None else _project_witness(tp, result.answer_sets[shown])
-    return AssertionResult(assertion=assertion, kind=assertion.kind,
+    return AssertionResult(assertion=tp.assertion, kind=tp.assertion.kind,
                            executed_code=tp.text, verdict=verdict, witness=witness,
                            diagnostics=diagnostics, requested_models=tp.model_cap)
 
@@ -440,7 +439,7 @@ def run_test(suite: TestSuite, spec: TestSpec, backend,
             tp = build_tester(program, assertion)
             solve_result, raw = backend.run(tp.program, tp.text, tp.model_cap,
                                             optimize=tp.optimize)
-            res = evaluate(tp, solve_result, assertion)
+            res = evaluate(tp, solve_result)
             res.requested_models = raw.requested_models
         except Exception as exc:
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")

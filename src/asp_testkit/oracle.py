@@ -302,7 +302,7 @@ def _statement_parts(ghead, gbody):
     return frozenset(ghead), pos, neg, aggs
 
 
-def ground(program: Program, enforce_capacity: bool = True) -> GroundProgram:
+def ground(program: Program) -> GroundProgram:
     universe = sorted(herbrand_universe(program), key=term_key)
     budget = [MAX_INSTANTIATIONS]
     rule_insts: list[tuple] = []   # (head fset, pos fset, neg fset, aggs, source-ish)
@@ -315,7 +315,7 @@ def ground(program: Program, enforce_capacity: bool = True) -> GroundProgram:
             _, pos, neg, aggs = _statement_parts((), gbody)
             weak_insts.append((pos, neg, aggs, wc.cost, wc.level))
     return _build_ground(universe, rule_insts, weak_insts,
-                         bool(program.weak_constraints), enforce_capacity)
+                         bool(program.weak_constraints))
 
 
 def _simplify(universe, rule_insts, weak_insts):
@@ -408,8 +408,7 @@ def _check_aggregate_stratification(rules):
                     "rules with heads")
 
 
-def _build_ground(universe, rule_insts, weak_insts, has_weaks,
-                  enforce_capacity: bool) -> GroundProgram:
+def _build_ground(universe, rule_insts, weak_insts, has_weaks) -> GroundProgram:
     rules, weaks, possible, certain, trivially_incoherent = _simplify(
         universe, rule_insts, weak_insts)
     _check_aggregate_stratification(rules)
@@ -424,7 +423,7 @@ def _build_ground(universe, rule_insts, weak_insts, has_weaks,
     certain_ids = {ids[a] for a in certain}
     n_unknown = len(atoms) - len(certain_ids)
     n_rules = len(rules) + len(weaks)
-    if enforce_capacity and (n_unknown > MAX_ENUM_ATOMS or n_rules > MAX_GROUND_RULES):
+    if n_unknown > MAX_ENUM_ATOMS or n_rules > MAX_GROUND_RULES:
         raise CapacityExceeded(
             f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
             f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
@@ -480,15 +479,6 @@ def _build_ground(universe, rule_insts, weak_insts, has_weaks,
     ]
     return GroundProgram(universe, atoms, certain_ids, grules, gconstraints,
                          gweaks, trivially_incoherent, has_weaks)
-
-
-def ground_from_rules(rules: Iterable[Rule], universe: Optional[Iterable[Term]] = None,
-                      enforce_capacity: bool = True) -> GroundProgram:
-    """Build a ground program directly from already-ground rules."""
-    rule_insts = [_statement_parts(r.head, r.body) for r in rules]
-    uni = sorted(universe, key=term_key) if universe is not None else \
-        sorted(herbrand_universe(Program(tuple(rules))), key=term_key)
-    return _build_ground(uni, rule_insts, [], False, enforce_capacity)
 
 
 # ---------------------------------------------------------------------------
@@ -564,59 +554,47 @@ def _passes(g: GroundProgram, interp: int) -> bool:
     return _is_minimal_model(active, interp, g.certain_mask)
 
 
+def _interpretation(g: GroundProgram, interpretation) -> Optional[int]:
+    """Mask of `interpretation` (an AnswerSet or iterable of atoms); None
+    when it holds an atom outside `g` or misses one of `g`'s facts, since
+    such a set is never an answer set of `g`."""
+    atoms = interpretation.atoms if isinstance(interpretation, AnswerSet) else frozenset(interpretation)
+    mask = g.interpretation_mask(atoms)
+    if mask is None or (g.certain_mask & ~mask) != 0:
+        return None
+    return mask
+
+
 def is_answer_set(g: GroundProgram, interpretation) -> bool:
     """Textbook check: `interpretation` (an AnswerSet or iterable of atoms)
     is a minimal model of the reduct and satisfies every constraint."""
-    atoms = interpretation.atoms if isinstance(interpretation, AnswerSet) else frozenset(interpretation)
-    mask = g.interpretation_mask(atoms)
-    if mask is None:
-        return False
-    if (g.certain_mask & ~mask) != 0:   # misses a fact
-        return False
-    return _passes(g, mask)
+    mask = _interpretation(g, interpretation)
+    return mask is not None and _passes(g, mask)
 
 
 def reduct(g: GroundProgram, interpretation) -> GroundProgram:
     """Gelfond-Lifschitz reduct as a new ground program: rules whose negative
     body intersects the interpretation are dropped, the remaining ones keep
     only their positive part. Aggregates in headed rules are evaluated against
-    the interpretation the same way."""
-    atoms = interpretation.atoms if isinstance(interpretation, AnswerSet) else frozenset(interpretation)
-    out: list[Rule] = []
-    for rule in g.rules:
-        if any(a in atoms for a in rule.negative_atoms()):
+    the interpretation the same way; constraints keep theirs. Raises
+    ValueError when the interpretation holds an atom outside `g` or misses
+    one of its facts."""
+    mask = _interpretation(g, interpretation)
+    if mask is None:
+        raise ValueError("the interpretation must contain every fact of the "
+                         "ground program and no atom outside it")
+    insts = [(frozenset({g.atoms[i]}), frozenset(), frozenset(), ())
+             for i in sorted(g.certain_ids)]
+    for r in g._rules + g._constraints:
+        if r.neg & mask:
             continue
-        body: list[Literal] = []
-        dropped = False
-        for lit in rule.body:
-            if lit.is_atom():
-                if not lit.negated:
-                    body.append(lit)
-            elif lit.is_aggregate():
-                if rule.head:
-                    if not _aggregate_holds_in(lit.payload, g.universe, atoms):
-                        dropped = True
-                        break
-                    # satisfied: stripped like a negative literal
-                else:
-                    body.append(lit)
-            else:
-                body.append(lit)
-        if dropped:
-            continue
-        out.append(Rule(rule.head, tuple(body)))
-    return ground_from_rules(out, universe=g.universe, enforce_capacity=False)
-
-
-def _aggregate_holds_in(agg: CountAggregate, universe, atoms: frozenset[Atom]) -> bool:
-    """Evaluate a symbolic-ground #count literal against an atom set."""
-    locals_ = sorted(agg.inner_variables())
-    values = set()
-    for assignment in itertools.product(universe, repeat=len(locals_)):
-        subst = dict(zip(locals_, assignment))
-        if _substitute_atom(agg.condition, subst) in atoms:
-            values.add(tuple(term_key(_substitute_term(t, subst)) for t in agg.terms))
-    return compare_terms(agg.guard_op, Integer(len(values)), agg.guard)
+        head, pos, _, aggs = _statement_parts(r.source.head, r.source.body)
+        if head:
+            if not all(a.holds(mask) for a in r.aggregates):
+                continue
+            aggs = ()
+        insts.append((head, pos, frozenset(), aggs))
+    return _build_ground(g.universe, insts, [], False)
 
 
 def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:

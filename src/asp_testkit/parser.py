@@ -155,8 +155,6 @@ def _classify_word(word: str) -> str:
         return "var"
     if stripped[0].isupper():
         return "var"
-    if stripped[0].isdigit() and stripped == word:
-        return "int"
     return "ident"
 
 
@@ -509,9 +507,8 @@ def _scan_annotation(text: str, base: int) -> list[_Token]:
 
 
 class _AnnotationParser:
-    def __init__(self, text: str, base: int, path: str):
+    def __init__(self, text: str, base: int):
         self.ts = _TokenStream(_scan_annotation(text, base))
-        self.path = path
 
     def parse_all(self) -> list:
         anns = []
@@ -598,13 +595,6 @@ class _AnnotationParser:
                 raise _Issue(f"attribute {key!r} expects a string value", tok.offset, "annotation")
             self.ts.next()
             return tok.value[0]
-        if value_type == "int":
-            if tok.kind != "int":
-                raise _Issue(f"attribute {key!r} expects an integer value", tok.offset, "annotation")
-            self.ts.next()
-            if tok.value < 0:
-                raise _Issue(f"attribute {key!r} must be nonnegative", tok.offset, "annotation")
-            return tok.value
         if value_type == "strlist":
             return [s for s, _ in self._list(key, self._string_element)]
         if value_type == "assertlist":
@@ -812,7 +802,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
             ts.next()
             block_text, base = tok.value
             try:
-                anns = _AnnotationParser(block_text, base, path).parse_all()
+                anns = _AnnotationParser(block_text, base).parse_all()
             except _Issue as exc:
                 errors.append(index.error(exc))
                 continue
@@ -925,7 +915,7 @@ def parse_assertion_list(text: str) -> list[Assertion]:
         src, base = "{" + text + "}", -1
     index = _LineIndex(text)
     try:
-        parser = _AnnotationParser(src, base, "<assert>")
+        parser = _AnnotationParser(src, base)
         items = parser._list("assert", parser._assertion_element)
         tok = parser.ts.peek()
         if tok.kind != "eof":
@@ -938,15 +928,18 @@ def parse_assertion_list(text: str) -> list[Assertion]:
 
 
 def parse_ground_atom(text: str) -> Atom:
-    """Parse a single ground atom (used for solver output normalization)."""
-    tokens = _scan_program(text, collect_annotations=False)
-    ts = _TokenStream(tokens)
-    atom = _parse_atom(ts)
-    ts.take_punct(".")
-    if ts.peek().kind != "eof":
-        raise _Issue(f"trailing input after atom: {_show(ts.peek())}", ts.peek().offset)
-    if not atom.is_ground():
-        raise _Issue("atom is not ground", 0)
+    """Parse a single ground atom (used for solver output normalization).
+    Raises ParseFailure on malformed input."""
+    try:
+        ts = _TokenStream(_scan_program(text, collect_annotations=False))
+        atom = _parse_atom(ts)
+        ts.take_punct(".")
+        if ts.peek().kind != "eof":
+            raise _Issue(f"trailing input after atom: {_show(ts.peek())}", ts.peek().offset)
+        if not atom.is_ground():
+            raise _Issue("atom is not ground", 0)
+    except _Issue as exc:
+        raise ParseFailure("<atom>", [_LineIndex(text).error(exc)])
     return atom
 
 

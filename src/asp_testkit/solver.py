@@ -40,7 +40,7 @@ from .oracle import (
     ground,
     optimal_answer_sets,
 )
-from .parser import parse_ground_atom, _Issue
+from .parser import ParseFailure, parse_ground_atom
 
 SOLVER_ENV_VAR = "ASP_TESTKIT_SOLVER"
 
@@ -134,9 +134,9 @@ def _parse_output(text: str) -> tuple[SolveResult, bool]:
                     continue
                 try:
                     atoms.append(parse_ground_atom(token))
-                except _Issue as exc:
+                except ParseFailure as exc:
                     raise FormatError(
-                        f"unparseable atom {token!r} after ANSWER: {exc.message}")
+                        f"unparseable atom {token!r} after ANSWER: {exc.errors[0].message}")
             result.answer_sets.append(AnswerSet(frozenset(atoms)))
             continue
         if line == "COST" or line.startswith("COST "):
@@ -337,11 +337,13 @@ def default_backend_config(executable: Optional[str] = None,
     return BackendConfig(executable=path, extra_args=args, timeout=timeout)
 
 
-def select_backend(name: str, cfg: Optional[BackendConfig], program: Program):
-    """Pick a backend for a program. `internal` validates capacity and the
-    aggregate restrictions up front; `external` checks the executable."""
+def select_backend(name: Optional[str], cfg: Optional[BackendConfig]):
+    """Pick a backend: None is auto, `internal` checks capacity and the
+    aggregate restrictions on each call, `external` checks the executable
+    up front."""
+    if name is None:
+        return AutoBackend(cfg)
     if name == INTERNAL_BACKEND:
-        ground(program)  # raises CapacityExceeded / UnsupportedAggregate
         return InternalBackend()
     if name == EXTERNAL_BACKEND:
         if cfg is None:

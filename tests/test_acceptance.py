@@ -105,7 +105,7 @@ def test_criterion_3_weak_constraint_preference():
         assertion = BestModelCost(expected_cost, 1)
         tp = build_tester(program, assertion)
         res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap, optimize=True)
-        return evaluate(tp, res, assertion).verdict
+        return evaluate(tp, res).verdict
 
     v0, v1 = best_cost_verdict(0), best_cost_verdict(1)
     elapsed = time.monotonic() - start
@@ -142,7 +142,7 @@ class _SoundnessRun:
                 optimize = tp.optimize
                 capped, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
                                           optimize=optimize)
-                got = evaluate(tp, capped, assertion).verdict
+                got = evaluate(tp, capped).verdict
                 want = direct_verdict(program, assertion)
                 cls.checked += 1
                 cls.per_kind[kind] = cls.per_kind.get(kind, 0) + 1
@@ -163,7 +163,7 @@ class _SoundnessRun:
                 # capped verdict must equal the unbounded one
                 uncapped, _ = BACKEND.run(tp.program, tp.text, None,
                                           optimize=optimize)
-                if evaluate(tp, uncapped, assertion).verdict != got:
+                if evaluate(tp, uncapped).verdict != got:
                     cls.cap_mismatches.append((program, assertion))
         cls.elapsed = time.monotonic() - start
         cls.done = True

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import asp_testkit
 from asp_testkit import cli
+from asp_testkit.engine import run_suite
 from asp_testkit.parser import parse_unit
 from asp_testkit.oracle import enumerate_answer_sets, ground
-from asp_testkit.solver import parse_competition_output
+from asp_testkit.solver import InternalBackend, parse_competition_output
 from helpers import FIXTURES, fixture_text
 
 
@@ -225,6 +226,63 @@ def test_mutate_delete_rule_example_kills_both():
                    "--ops", "deleteRule", "--count", "2", "--seed", "7")
     assert proc.returncode == 0
     assert "2 killed" in proc.stdout
+
+
+def coloring_suite(path: Path, file_nodes: int, scope_nodes: int) -> str:
+    """3-coloring with `file_nodes` node facts outside the tested block and a
+    test whose scope colors a path of `scope_nodes` nodes: 3 unknown atoms
+    per node, so the file and the scope fit the oracle independently."""
+    nodes = " ".join(f"node({i})." for i in range(1, scope_nodes + 1))
+    edges = " ".join(f"edge({i},{i + 1})." for i in range(1, scope_nodes))
+    path.write_text(
+        " ".join(f"node({i})." for i in range(1, file_nodes + 1)) + "\n"
+        '%** @block(name = "ToTest") **%\n'
+        '%** @rule(name = "r1", block = "ToTest") **%\n'
+        "col(X,red) | col(X,green) | col(X,blue) :- node(X).\n"
+        '%** @rule(name = "r2", block = "ToTest") **%\n'
+        ":- edge(X,Y), col(X,C), col(Y,C).\n"
+        f'%** @test(name = "path", scope = {{"ToTest"}}, input = "{nodes} {edges}",\n'
+        f'  assert = {{ @trueInExactly(number = {3 * 2 ** (scope_nodes - 1)}, atoms = "") }}) **%\n',
+        encoding="utf-8")
+    return str(path)
+
+
+def test_internal_backend_grounds_each_scope_not_the_file(tmp_path):
+    # the file is 24 unknown atoms, over the oracle's 22; the scope is 9
+    f = coloring_suite(tmp_path / "wide.lp", file_nodes=8, scope_nodes=3)
+    proc = run_cli("test", "--backend", "internal", f)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    proc = run_cli("mutate", "--backend", "internal", f,
+                   "--ops", "deleteRule", "--count", "2")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "2 killed" in proc.stdout
+
+
+def test_internal_backend_over_capacity_scope_is_an_error(tmp_path):
+    f = coloring_suite(tmp_path / "wide.lp", file_nodes=8, scope_nodes=8)
+    unit = parse_unit(f, Path(f).read_text(encoding="utf-8"))
+    [result] = run_suite(unit, InternalBackend()).tests[0].assertions
+    assert result.verdict == "error"
+    assert result.diagnostics.startswith("CapacityExceeded"), result.diagnostics
+    for command in ("test", "mutate"):
+        proc = run_cli(command, "--backend", "internal", f)
+        assert proc.returncode == 2, (command, proc.stdout, proc.stderr)
+
+
+def test_mutate_undecided_baseline_exits_two(tmp_path, monkeypatch):
+    # no solver to fall back to, so the oracle's refusal stays an error
+    monkeypatch.delenv("ASP_TESTKIT_SOLVER", raising=False)
+    monkeypatch.setenv("PATH", str(tmp_path))
+    f = tmp_path / "recursive.lp"
+    f.write_text('%** @rule(name = "r") **%\n'
+                 "q(X) :- p(X), #count{Y : q(Y)} = 0.\n"
+                 '%** @test(name = "t", scope = {"r"}, input = "p(1).",'
+                 ' assert = { @trueInAll(atoms = "q(1)") }) **%\n',
+                 encoding="utf-8")
+    assert run_cli("test", str(f)).returncode == 2
+    proc = run_cli("mutate", str(f), "--ops", "deleteRule", "--count", "1")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "baseline run failed" in proc.stdout
 
 
 def test_solve_external_without_solver_exits_two(tmp_path):

@@ -217,7 +217,7 @@ def run_assertion(program_text: str, assertion):
     tp = build_tester(program, assertion)
     res, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
                            optimize=tp.optimize)
-    return evaluate(tp, res, assertion)
+    return evaluate(tp, res)
 
 
 def test_no_answer_set_fail_has_witness():
@@ -245,7 +245,7 @@ def test_count_verdicts_on_disjunction():
 
 def test_inconclusive_on_unexhausted_incoherence_check():
     tp = build_tester(simple_program(), NoAnswerSet())
-    result = evaluate(tp, SolveResult(answer_sets=[], exhausted=False), NoAnswerSet())
+    result = evaluate(tp, SolveResult(answer_sets=[], exhausted=False))
     assert result.verdict == INCONCLUSIVE
 
 
@@ -254,7 +254,7 @@ def test_witnesses_hide_fresh_atoms():
     constraint = Rule((), (lit("p"), lit("q")))
     tp = build_tester(program, ConstraintForAll(constraint))
     res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap)
-    result = evaluate(tp, res, ConstraintForAll(constraint))
+    result = evaluate(tp, res)
     assert result.verdict == FAIL
     assert result.witness == frozenset({Atom("p"), Atom("q")})
     assert all(not a.predicate.startswith("__tk_") for a in result.witness)
@@ -273,7 +273,7 @@ def test_best_model_cost_errors_without_cost_report():
     tp = build_tester(program, BestModelCost(1, 1))
     stale = SolveResult(answer_sets=[AnswerSet(frozenset({Atom("a")}))],
                         exhausted=True, costs=None)
-    result = evaluate(tp, stale, BestModelCost(1, 1))
+    result = evaluate(tp, stale)
     assert result.verdict == "error"
 
 
@@ -357,6 +357,6 @@ def test_tester_encodings_agree_with_direct_semantics():
         tp = build_tester(program, assertion)
         res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap,
                              optimize=tp.optimize)
-        got = evaluate(tp, res, assertion).verdict
+        got = evaluate(tp, res).verdict
         want = direct_verdict(program, assertion)
         assert got == want, (program, assertion)

@@ -98,6 +98,28 @@ def test_reduct_drops_all_when_everything_blocked():
     assert red.rules == ()
 
 
+def test_reduct_evaluates_head_rule_aggregates_and_keeps_constraint_ones():
+    g = ground(program("p(1). p(2) :- not x. x :- not p(2). "
+                       "r :- #count{X : p(X)} >= 2. :- #count{X : p(X)} > 5."))
+    constraint = next(rule for rule in g.rules if not rule.head)
+    held = reduct(g, [atom("p", 1), atom("p", 2), Atom("r")])
+    assert Rule((Atom("r"),), ()) in held.rules
+    assert constraint in held.rules
+    failed = reduct(g, [atom("p", 1), Atom("x")])
+    assert all(Atom("r") not in rule.head for rule in failed.rules)
+    assert constraint in failed.rules
+
+
+@pytest.mark.parametrize("interpretation", [
+    [Atom("b")],                          # misses the fact a
+    [Atom("a"), Atom("b"), Atom("zzz")],  # holds an atom outside the program
+])
+def test_reduct_rejects_interpretations_outside_its_domain(interpretation):
+    g = ground(program("a. b :- a, not c. c :- not b."))
+    with pytest.raises(ValueError):
+        reduct(g, interpretation)
+
+
 def test_recursive_aggregate_rejected():
     with pytest.raises(UnsupportedAggregate):
         ground(program("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0."))

@@ -265,6 +265,12 @@ def test_parse_ground_atom_for_solver_output():
     assert parse_ground_atom("flag") == Atom("flag")
 
 
+@pytest.mark.parametrize("text", ["p(1) q", "p(X)", "p(\u00b2)"])
+def test_parse_ground_atom_raises_parse_failure(text):
+    with pytest.raises(ParseFailure):
+        parse_ground_atom(text)
+
+
 def test_round_trip_random_programs():
     import random
     from helpers import random_program

@@ -184,7 +184,7 @@ def tiny_program() -> Program:
 
 
 def test_select_internal_for_tiny_program():
-    backend = select_backend("internal", None, tiny_program())
+    backend = select_backend("internal", None)
     assert isinstance(backend, InternalBackend)
 
 
@@ -192,19 +192,19 @@ def test_select_internal_rejects_recursive_aggregates():
     from asp_testkit.oracle import UnsupportedAggregate
     program = parse_unit("t.lp", "p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.").program
     with pytest.raises(UnsupportedAggregate):
-        select_backend("internal", None, program)
+        select_backend("internal", None).run(program, serialize_program(program), None)
 
 
 def test_select_external_requires_config():
     with pytest.raises(SpawnFailure):
-        select_backend("external", None, tiny_program())
+        select_backend("external", None)
 
 
 def test_select_external_checks_executable():
     cfg = BackendConfig(executable="/no/such/solver-binary")
     with pytest.raises(SpawnFailure):
-        select_backend("external", cfg, tiny_program())
-    backend = select_backend("external", stub_config("basic"), tiny_program())
+        select_backend("external", cfg)
+    backend = select_backend("external", stub_config("basic"))
     assert isinstance(backend, ExternalBackend)
 
 
