@@ -17,6 +17,7 @@ tool's own output parser accepts back.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .mutate import (
 )
 from .oracle import CapacityExceeded, UnsupportedAggregate
 from .parser import ParseFailure, merge_units, parse_unit_diagnostics
-from .serialize import atom_to_text
+from .serialize import atom_to_text, serialize_program
 from .solver import SpawnFailure, default_backend_config, select_backend
 
 EXIT_OK = 0
@@ -143,7 +144,6 @@ def cmd_solve(args) -> int:
     unit = _parse_all(args.files)
     program = unit.program
     backend = _make_backend(args)
-    from .serialize import serialize_program
     cap = args.cap if args.cap else None  # -n 0 requests every model
     optimize = bool(program.weak_constraints) and cap is None
     result, _ = backend.run(program, serialize_program(program), cap,
@@ -203,11 +203,10 @@ def cmd_mutate(args) -> int:
             print("  " + line)
         return EXIT_ERROR if report.baseline.has_errors() else EXIT_FAILURE
     if args.format == "json":
-        import json as _json
         doc = report.to_json_dict()
         if exhausted is not None:
             doc["exhausted_loci"] = str(exhausted)
-        print(_json.dumps(doc, indent=2))
+        print(json.dumps(doc, indent=2))
     else:
         for line in report.human_lines():
             print(line)

@@ -46,7 +46,7 @@ from .model import (
     signatures,
 )
 from .oracle import AnswerSet, SolveResult
-from .parser import SourceUnit, parse_program_text
+from .parser import SourceUnit, merge_units, parse_program_text, parse_unit
 from .serialize import atom_to_text, serialize_program
 
 PASS = "pass"
@@ -83,7 +83,6 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
     if spec.program_files:
         if file_loader is None:
             raise DanglingReference("programFiles given but no file loader available")
-        from .parser import merge_units, parse_unit  # local to avoid cycle at import
         units = [parse_unit(path, file_loader(path)) for path in spec.program_files]
         merged = merge_units(units) if len(units) > 1 else units[0]
         named = merged.suite.named_rules

@@ -207,16 +207,6 @@ class Rule:
     def is_constraint(self) -> bool:
         return not self.head
 
-    def positive_atoms(self) -> Iterator[Atom]:
-        for lit in self.body:
-            if lit.is_atom() and not lit.negated:
-                yield lit.atom
-
-    def negative_atoms(self) -> Iterator[Atom]:
-        for lit in self.body:
-            if lit.is_atom() and lit.negated:
-                yield lit.atom
-
 
 @dataclass(frozen=True)
 class WeakConstraint:

@@ -1,13 +1,22 @@
 """Exhaustive answer-set oracle for desk-scale programs.
 
-The pipeline is: instantiate every rule over the Herbrand universe and
-evaluate ground comparisons away, then simplify to a fixpoint by propagating
-which atoms are possible (occur in the head of a surviving rule) and which
-are certain (derived unconditionally). Candidate interpretations are then the
-subsets of the remaining unknown atoms, scanned in binary-counter order and
-checked with the textbook reduct/minimal-model test; constraints are enforced
-directly against the candidate, which is equivalent because a violated
-positive constraint body can only shrink when atoms are removed.
+The pipeline is: instantiate every rule and weak constraint over the
+Herbrand universe and evaluate ground comparisons away, then simplify to a
+fixpoint by propagating which atoms are possible (occur in the head of a
+surviving rule) and which are certain (derived unconditionally).
+
+Every ground statement has one form from instantiation to search: a head,
+a positive and a negative body (sets of ground atoms, later bit masks over
+atom ids), the body's #count aggregates, and a weight. As in ASP-Core-2, a
+weak constraint is a constraint with a weight, (cost, level); rules and
+constraints have none. `GroundProgram.rules` and `weak_constraints` are AST
+views rebuilt from that form on demand.
+
+Candidate interpretations are then the subsets of the remaining unknown
+atoms, scanned in binary-counter order and checked with the textbook
+reduct/minimal-model test; constraints are enforced directly against the
+candidate, which is equivalent because a violated positive constraint body
+can only shrink when atoms are removed.
 
 Capacity is deliberately tiny (22 unknown atoms, ~4M candidates): the oracle
 exists to be obviously correct, not fast. Anything larger belongs to an
@@ -41,6 +50,7 @@ from .model import (
     herbrand_universe,
     term_key,
 )
+from .serialize import rule_to_text, weak_constraint_to_text
 
 MAX_ENUM_ATOMS = 22
 MAX_GROUND_RULES = 5000
@@ -133,54 +143,47 @@ def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list
     return seen
 
 
-def _instantiate_statement(head, body, universe: Sequence[Term], budget: list[int]):
-    """Yield (ground head tuple, ground literal list) instances; ground
-    comparisons are evaluated (false drops the instance, true drops the
-    literal). Aggregate-local variables survive untouched."""
-    variables = _global_variables(head, body)
+def _instantiate_statement(statement: Rule | WeakConstraint,
+                           universe: Sequence[Term], budget: list[int]):
+    """Yield (head, pos, neg, aggregates) for every ground instance of a rule
+    or weak constraint: frozensets of ground atoms, and the body's #count
+    aggregates with global variables substituted (brace-local names survive).
+    A false ground comparison drops the instance, a true one its literal."""
+    weak = isinstance(statement, WeakConstraint)
+    head = () if weak else statement.head
+    variables = _global_variables(head, statement.body)
     for assignment in itertools.product(universe, repeat=len(variables)):
         budget[0] -= 1
         if budget[0] < 0:
+            text = (weak_constraint_to_text if weak else rule_to_text)(statement)
+            where = f" at {statement.origin}" if statement.origin else ""
             raise CapacityExceeded(
-                "instantiation budget exceeded "
-                f"({MAX_INSTANTIATIONS} ground instances)", rules=MAX_INSTANTIATIONS)
+                f"instantiation budget exceeded ({MAX_INSTANTIATIONS} ground "
+                f"instances) grounding `{text}`{where} over a universe of "
+                f"{len(universe)} constants", rules=MAX_INSTANTIATIONS)
         subst = dict(zip(variables, assignment))
-        ghead = tuple(_substitute_atom(a, subst) for a in head)
-        glits: list[Literal] = []
-        ok = True
-        for lit in body:
+        pos: list[Atom] = []
+        neg: list[Atom] = []
+        aggs: list[CountAggregate] = []
+        for lit in statement.body:
             p = lit.payload
             if isinstance(p, Atom):
-                glits.append(Literal(_substitute_atom(p, subst), lit.negated))
+                (neg if lit.negated else pos).append(_substitute_atom(p, subst))
             elif isinstance(p, Comparison):
                 left = _substitute_term(p.left, subst)
                 right = _substitute_term(p.right, subst)
                 if not compare_terms(p.op, left, right):
-                    ok = False
                     break
             else:
-                # globals are substituted, brace-local names survive
-                agg = CountAggregate(
+                aggs.append(CountAggregate(
                     tuple(_substitute_term(t, subst) for t in p.terms),
                     _substitute_atom(p.condition, subst),
                     p.guard_op,
                     _substitute_term(p.guard, subst),
-                )
-                glits.append(Literal(agg, lit.negated))
-        if ok:
-            yield ghead, tuple(glits)
-
-
-def instantiate_rules(rules: Iterable[Rule], universe: Iterable[Term]) -> list[Rule]:
-    """The plain instantiation step, exposed for inspection: every rule is
-    grounded over `universe` and comparison literals are evaluated away."""
-    ordered = sorted(universe, key=term_key)
-    budget = [MAX_INSTANTIATIONS]
-    out: list[Rule] = []
-    for rule in rules:
-        for ghead, gbody in _instantiate_statement(rule.head, rule.body, ordered, budget):
-            out.append(Rule(ghead, gbody, origin=rule.origin))
-    return out
+                ))
+        else:
+            yield (frozenset(_substitute_atom(a, subst) for a in head),
+                   frozenset(pos), frozenset(neg), tuple(aggs))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +192,7 @@ def instantiate_rules(rules: Iterable[Rule], universe: Iterable[Term]) -> list[R
 
 @dataclass
 class _GroundAggregate:
-    guard_op: str
-    guard: Term
+    aggregate: CountAggregate   # ground apart from brace-local names
     # tuples contributed unconditionally (condition atom is certain)
     always: frozenset[tuple]
     # tuple value -> mask of unknown condition-atom ids that make it true
@@ -204,26 +206,20 @@ class _GroundAggregate:
         return n
 
     def holds(self, interp_mask: int) -> bool:
-        return compare_terms(self.guard_op, Integer(self.count(interp_mask)), self.guard)
+        agg = self.aggregate
+        return compare_terms(agg.guard_op, Integer(self.count(interp_mask)), agg.guard)
 
 
 @dataclass
-class _GroundRule:
-    head: int          # mask
-    pos: int           # mask over unknown atoms
-    neg: int
-    aggregates: tuple[_GroundAggregate, ...]
-    source: Rule       # simplified AST form, for display
+class _GroundStatement:
+    """A simplified ground rule, constraint or weak constraint as masks over
+    atom ids; `weight` is (cost, level) for a weak constraint, else None."""
 
-
-@dataclass
-class _GroundWeak:
+    head: int
     pos: int
     neg: int
     aggregates: tuple[_GroundAggregate, ...]
-    cost: int
-    level: int
-    source: WeakConstraint
+    weight: Optional[tuple[int, int]]
 
 
 class GroundProgram:
@@ -231,37 +227,45 @@ class GroundProgram:
 
     `atoms` lists every ground atom of the simplified program in canonical
     order; `certain` are the ids true in every answer set, everything else is
-    decided by the scan. `rules` reconstructs an AST view (certain facts
-    first, then the simplified rules).
+    decided by the scan. `rules` and `weak_constraints` are AST views built
+    on demand from the masks (certain facts first, then the simplified rules).
     """
 
     def __init__(self, universe: list[Term], atoms: list[Atom],
-                 certain_ids: set[int],
-                 rules: list[_GroundRule], constraints: list[_GroundRule],
-                 weaks: list[_GroundWeak], trivially_incoherent: bool,
-                 has_weak_constraints: bool):
+                 certain_ids: set[int], statements: list[_GroundStatement],
+                 trivially_incoherent: bool, has_weak_constraints: bool):
         self.universe = universe
         self.atoms = atoms
         self.atom_ids = {a: i for i, a in enumerate(atoms)}
         self.certain_ids = certain_ids
         self.unknown_ids = [i for i in range(len(atoms)) if i not in certain_ids]
         self.certain_mask = _mask(certain_ids)
-        self._rules = rules
-        self._constraints = constraints
-        self._weaks = weaks
+        self._rules = [s for s in statements if s.head]
+        self._constraints = [s for s in statements if not s.head and s.weight is None]
+        self._weaks = [s for s in statements if s.weight is not None]
         self.trivially_incoherent = trivially_incoherent
         self.has_weak_constraints = has_weak_constraints
+
+    def _sorted_atoms(self, mask: int) -> tuple[Atom, ...]:
+        """The atoms of `mask` in id order, which is the canonical order."""
+        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+
+    def _body(self, s: _GroundStatement) -> tuple[Literal, ...]:
+        return (tuple(Literal(a) for a in self._sorted_atoms(s.pos))
+                + tuple(Literal(a, negated=True) for a in self._sorted_atoms(s.neg))
+                + tuple(Literal(agg.aggregate) for agg in s.aggregates))
 
     @property
     def rules(self) -> tuple[Rule, ...]:
         facts = tuple(Rule((self.atoms[i],), ())
                       for i in sorted(self.certain_ids))
-        rest = tuple(r.source for r in self._rules + self._constraints)
+        rest = tuple(Rule(self._sorted_atoms(s.head), self._body(s))
+                     for s in self._rules + self._constraints)
         return facts + rest
 
     @property
     def weak_constraints(self) -> tuple[WeakConstraint, ...]:
-        return tuple(w.source for w in self._weaks)
+        return tuple(WeakConstraint(self._body(s), *s.weight) for s in self._weaks)
 
     def certain_atoms(self) -> frozenset[Atom]:
         return frozenset(self.atoms[i] for i in sorted(self.certain_ids))
@@ -278,14 +282,7 @@ class GroundProgram:
         return mask
 
     def mask_atoms(self, mask: int) -> frozenset[Atom]:
-        out = []
-        i = 0
-        while mask:
-            if mask & 1:
-                out.append(self.atoms[i])
-            mask >>= 1
-            i += 1
-        return frozenset(out)
+        return frozenset(self._sorted_atoms(mask))
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -295,34 +292,23 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def _statement_parts(ghead, gbody):
-    pos = frozenset(l.atom for l in gbody if l.is_atom() and not l.negated)
-    neg = frozenset(l.atom for l in gbody if l.is_atom() and l.negated)
-    aggs = tuple(l.payload for l in gbody if l.is_aggregate())
-    return frozenset(ghead), pos, neg, aggs
-
-
 def ground(program: Program) -> GroundProgram:
     universe = sorted(herbrand_universe(program), key=term_key)
     budget = [MAX_INSTANTIATIONS]
-    rule_insts: list[tuple] = []   # (head fset, pos fset, neg fset, aggs, source-ish)
-    weak_insts: list[tuple] = []
-    for rule in program.rules:
-        for ghead, gbody in _instantiate_statement(rule.head, rule.body, universe, budget):
-            rule_insts.append(_statement_parts(ghead, gbody))
-    for wc in program.weak_constraints:
-        for _, gbody in _instantiate_statement((), wc.body, universe, budget):
-            _, pos, neg, aggs = _statement_parts((), gbody)
-            weak_insts.append((pos, neg, aggs, wc.cost, wc.level))
-    return _build_ground(universe, rule_insts, weak_insts,
-                         bool(program.weak_constraints))
+    instances: list[tuple] = []   # (head, pos, neg, aggregates, weight)
+    for statement in program.rules + program.weak_constraints:
+        weight = ((statement.cost, statement.level)
+                  if isinstance(statement, WeakConstraint) else None)
+        for head, pos, neg, aggs in _instantiate_statement(statement, universe, budget):
+            instances.append((head, pos, neg, aggs, weight))
+    return _build_ground(universe, instances, bool(program.weak_constraints))
 
 
-def _simplify(universe, rule_insts, weak_insts):
-    """Possible/certain fixpoint; returns simplified instances plus the two
-    atom sets and whether an always-violated constraint was found."""
-    rules = list(dict.fromkeys(rule_insts))
-    weaks = list(dict.fromkeys(weak_insts))
+def _simplify(instances):
+    """Possible/certain fixpoint; returns the simplified instances plus the
+    two atom sets and whether an always-violated constraint was found.
+    Weighted instances have no head, so they derive nothing."""
+    stmts = list(dict.fromkeys(instances))
     trivially_incoherent = False
     # accumulated across iterations: once an atom is certain its deriving
     # rule is dropped, so the knowledge must not be recomputed from scratch
@@ -333,7 +319,7 @@ def _simplify(universe, rule_insts, weak_insts):
         changed = True
         while changed:
             changed = False
-            for head, pos, neg, aggs in rules:
+            for head, pos, neg, aggs, weight in stmts:
                 if head and pos <= possible and not (head <= possible):
                     possible |= head
                     changed = True
@@ -341,14 +327,14 @@ def _simplify(universe, rule_insts, weak_insts):
         changed = True
         while changed:
             changed = False
-            for head, pos, neg, aggs in rules:
+            for head, pos, neg, aggs, weight in stmts:
                 if (len(head) == 1 and not aggs and pos <= certain
                         and not (neg & possible) and not (head <= certain)):
                     certain |= head
                     changed = True
 
-        new_rules = []
-        for head, pos, neg, aggs in rules:
+        new_stmts = []
+        for head, pos, neg, aggs, weight in stmts:
             if not (pos <= possible):       # unsatisfiable positive body
                 continue
             if neg & certain:               # negated atom always true
@@ -357,28 +343,21 @@ def _simplify(universe, rule_insts, weak_insts):
                 continue
             pos2 = pos - certain
             neg2 = neg & possible
-            if not head and not pos2 and not neg2 and not aggs:
+            if weight is None and not head and not pos2 and not neg2 and not aggs:
                 trivially_incoherent = True
-            new_rules.append((head, pos2, neg2, aggs))
-        new_rules = list(dict.fromkeys(new_rules))
+            new_stmts.append((head, pos2, neg2, aggs, weight))
+        new_stmts = list(dict.fromkeys(new_stmts))
 
-        new_weaks = []
-        for pos, neg, aggs, cost, level in weaks:
-            if not (pos <= possible) or (neg & certain):
-                continue
-            new_weaks.append((pos - certain, neg & possible, aggs, cost, level))
-        new_weaks = list(dict.fromkeys(new_weaks))
-
-        if new_rules == rules and new_weaks == weaks:
-            return rules, weaks, possible, certain, trivially_incoherent
-        rules, weaks = new_rules, new_weaks
+        if new_stmts == stmts:
+            return stmts, possible, certain, trivially_incoherent
+        stmts = new_stmts
 
 
-def _check_aggregate_stratification(rules):
+def _check_aggregate_stratification(stmts):
     """Reject recursion through an aggregate: the counted predicate must not
     depend on the head of the rule the aggregate sits in."""
     depends: dict[str, set[str]] = {}
-    for head, pos, neg, aggs in rules:
+    for head, pos, neg, aggs, _ in stmts:
         for h in head:
             deps = depends.setdefault(h.predicate, set())
             deps.update(a.predicate for a in pos)
@@ -395,7 +374,7 @@ def _check_aggregate_stratification(rules):
                     stack.append(q)
         return seen
 
-    for head, pos, neg, aggs in rules:
+    for head, pos, neg, aggs, _ in stmts:
         if not head or not aggs:
             continue
         head_preds = {h.predicate for h in head}
@@ -408,21 +387,18 @@ def _check_aggregate_stratification(rules):
                     "rules with heads")
 
 
-def _build_ground(universe, rule_insts, weak_insts, has_weaks) -> GroundProgram:
-    rules, weaks, possible, certain, trivially_incoherent = _simplify(
-        universe, rule_insts, weak_insts)
-    _check_aggregate_stratification(rules)
+def _build_ground(universe, instances, has_weaks) -> GroundProgram:
+    stmts, possible, certain, trivially_incoherent = _simplify(instances)
+    _check_aggregate_stratification(stmts)
 
     atom_set: set[Atom] = set(certain)
-    for head, pos, neg, aggs in rules:
+    for head, pos, neg, _, _ in stmts:
         atom_set |= head | pos | neg
-    for pos, neg, aggs, _, _ in weaks:
-        atom_set |= pos | neg
     atoms = sorted(atom_set, key=Atom.sort_key)
     ids = {a: i for i, a in enumerate(atoms)}
     certain_ids = {ids[a] for a in certain}
     n_unknown = len(atoms) - len(certain_ids)
-    n_rules = len(rules) + len(weaks)
+    n_rules = len(stmts)
     if n_unknown > MAX_ENUM_ATOMS or n_rules > MAX_GROUND_RULES:
         raise CapacityExceeded(
             f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
@@ -442,43 +418,20 @@ def _build_ground(universe, rule_insts, weak_insts, has_weaks) -> GroundProgram:
             elif cond in possible:
                 conditional[value] = conditional.get(value, 0) | (1 << ids[cond])
             # otherwise the condition can never hold
-        return _GroundAggregate(agg.guard_op, agg.guard, frozenset(always), conditional)
+        return _GroundAggregate(agg, frozenset(always), conditional)
 
-    def to_source(head, pos, neg, aggs) -> Rule:
-        body = tuple(Literal(a) for a in sorted(pos, key=Atom.sort_key))
-        body += tuple(Literal(a, negated=True) for a in sorted(neg, key=Atom.sort_key))
-        body += tuple(Literal(agg) for agg in aggs)
-        return Rule(tuple(sorted(head, key=Atom.sort_key)), body)
-
-    grules: list[_GroundRule] = []
-    gconstraints: list[_GroundRule] = []
-    for head, pos, neg, aggs in rules:
-        gr = _GroundRule(
+    statements = [
+        _GroundStatement(
             head=_mask(ids[a] for a in head),
             pos=_mask(ids[a] for a in pos),
             neg=_mask(ids[a] for a in neg),
             aggregates=tuple(build_aggregate(a) for a in aggs),
-            source=to_source(head, pos, neg, aggs),
+            weight=weight,
         )
-        (gconstraints if not head else grules).append(gr)
-
-    gweaks = [
-        _GroundWeak(
-            pos=_mask(ids[a] for a in pos),
-            neg=_mask(ids[a] for a in neg),
-            aggregates=tuple(build_aggregate(a) for a in aggs),
-            cost=cost,
-            level=level,
-            source=WeakConstraint(
-                tuple(Literal(a) for a in sorted(pos, key=Atom.sort_key))
-                + tuple(Literal(a, negated=True) for a in sorted(neg, key=Atom.sort_key))
-                + tuple(Literal(agg) for agg in aggs),
-                cost, level),
-        )
-        for pos, neg, aggs, cost, level in weaks
+        for head, pos, neg, aggs, weight in stmts
     ]
-    return GroundProgram(universe, atoms, certain_ids, grules, gconstraints,
-                         gweaks, trivially_incoherent, has_weaks)
+    return GroundProgram(universe, atoms, certain_ids, statements,
+                         trivially_incoherent, has_weaks)
 
 
 # ---------------------------------------------------------------------------
@@ -554,22 +507,26 @@ def _passes(g: GroundProgram, interp: int) -> bool:
     return _is_minimal_model(active, interp, g.certain_mask)
 
 
-def _interpretation(g: GroundProgram, interpretation) -> Optional[int]:
-    """Mask of `interpretation` (an AnswerSet or iterable of atoms); None
-    when it holds an atom outside `g` or misses one of `g`'s facts, since
-    such a set is never an answer set of `g`."""
+def _interpretation(g: GroundProgram, interpretation) -> int:
+    """Mask of `interpretation` (an AnswerSet or iterable of atoms). Raises
+    ValueError when it holds an atom outside `g` or misses one of `g`'s
+    facts: such a set is never an answer set of `g`."""
     atoms = interpretation.atoms if isinstance(interpretation, AnswerSet) else frozenset(interpretation)
     mask = g.interpretation_mask(atoms)
     if mask is None or (g.certain_mask & ~mask) != 0:
-        return None
+        raise ValueError("the interpretation must contain every fact of the "
+                         "ground program and no atom outside it")
     return mask
 
 
 def is_answer_set(g: GroundProgram, interpretation) -> bool:
     """Textbook check: `interpretation` (an AnswerSet or iterable of atoms)
     is a minimal model of the reduct and satisfies every constraint."""
-    mask = _interpretation(g, interpretation)
-    return mask is not None and _passes(g, mask)
+    try:
+        mask = _interpretation(g, interpretation)
+    except ValueError:
+        return False
+    return _passes(g, mask)
 
 
 def reduct(g: GroundProgram, interpretation) -> GroundProgram:
@@ -580,21 +537,16 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
     ValueError when the interpretation holds an atom outside `g` or misses
     one of its facts."""
     mask = _interpretation(g, interpretation)
-    if mask is None:
-        raise ValueError("the interpretation must contain every fact of the "
-                         "ground program and no atom outside it")
-    insts = [(frozenset({g.atoms[i]}), frozenset(), frozenset(), ())
-             for i in sorted(g.certain_ids)]
+    instances = [(frozenset({g.atoms[i]}), frozenset(), frozenset(), (), None)
+                 for i in sorted(g.certain_ids)]
     for r in g._rules + g._constraints:
         if r.neg & mask:
             continue
-        head, pos, _, aggs = _statement_parts(r.source.head, r.source.body)
-        if head:
-            if not all(a.holds(mask) for a in r.aggregates):
-                continue
-            aggs = ()
-        insts.append((head, pos, frozenset(), aggs))
-    return _build_ground(g.universe, insts, [], False)
+        if r.head and not all(a.holds(mask) for a in r.aggregates):
+            continue
+        aggs = () if r.head else tuple(a.aggregate for a in r.aggregates)
+        instances.append((g.mask_atoms(r.head), g.mask_atoms(r.pos), frozenset(), aggs, None))
+    return _build_ground(g.universe, instances, False)
 
 
 def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
@@ -642,24 +594,24 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
 def _penalty_mask(g: GroundProgram, interp: int, level: int) -> int:
     total = 0
     for w in g._weaks:
-        if w.level != level:
+        cost, w_level = w.weight
+        if w_level != level:
             continue
         if (w.pos & ~interp) == 0 and (w.neg & interp) == 0 \
                 and all(a.holds(interp) for a in w.aggregates):
-            total += w.cost
+            total += cost
     return total
 
 
 def penalty(g: GroundProgram, answer_set, level: int) -> int:
     """Sum of the costs of the level's weak constraints whose body the
-    answer set satisfies."""
-    atoms = answer_set.atoms if isinstance(answer_set, AnswerSet) else frozenset(answer_set)
-    mask = _mask(g.atom_ids[a] for a in atoms if a in g.atom_ids)
-    return _penalty_mask(g, mask, level)
+    answer set satisfies. Raises ValueError when the set holds an atom
+    outside `g` or misses one of its facts."""
+    return _penalty_mask(g, _interpretation(g, answer_set), level)
 
 
 def penalty_levels(g: GroundProgram) -> list[int]:
-    return sorted({w.level for w in g._weaks})
+    return sorted({w.weight[1] for w in g._weaks})
 
 
 def optimal_answer_sets(g: GroundProgram) -> SolveResult:

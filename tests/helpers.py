@@ -1,14 +1,16 @@
 """Shared test utilities: an independent brute-force reference for answer
 sets and assertion semantics, plus random program generators.
 
-The brute enumerator implements the definitions literally (reduct over every
-ground rule, minimality by scanning all proper subsets) with none of the
+The brute enumerator and the naive grounder implement the definitions
+literally (every variable takes every constant, reduct over every ground
+rule, minimality by scanning all proper subsets) with none of the
 simplification machinery of the production oracle, so the two can check each
 other.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
@@ -16,6 +18,7 @@ from asp_testkit.model import (
     Atom,
     BestModelCost,
     Comparison,
+    Constant,
     ConstraintForAll,
     ConstraintInAtLeast,
     ConstraintInAtMost,
@@ -29,7 +32,9 @@ from asp_testkit.model import (
     TrueInAtLeast,
     TrueInAtMost,
     TrueInExactly,
+    Variable,
     WeakConstraint,
+    compare_terms,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -40,8 +45,6 @@ def fixture_text(name: str) -> str:
 
 
 def atom(pred: str, *args) -> Atom:
-    from asp_testkit.model import Constant, Variable
-
     def term(a):
         if isinstance(a, int):
             return Integer(a)
@@ -54,6 +57,36 @@ def atom(pred: str, *args) -> Atom:
 
 def lit(pred: str, *args, neg: bool = False) -> Literal:
     return Literal(atom(pred, *args), negated=neg)
+
+
+# ---------------------------------------------------------------------------
+# Naive grounder (aggregate-free programs)
+# ---------------------------------------------------------------------------
+
+def naive_ground(rules, universe) -> list[Rule]:
+    """Every instance of every rule over `universe`: each variable of a rule
+    takes each constant in turn, an instance with a false comparison is
+    dropped and true comparisons are removed. No simplification."""
+    out = []
+    for rule in rules:
+        if any(l.is_aggregate() for l in rule.body):
+            raise NotImplementedError("the naive grounder has no aggregates")
+        atoms = [l.atom for l in rule.body if l.is_atom()]
+        comparisons = [l.payload for l in rule.body if l.is_comparison()]
+        terms = [t for a in rule.head + tuple(atoms) for t in a.args]
+        terms += [t for c in comparisons for t in (c.left, c.right)]
+        variables = sorted({t for t in terms if isinstance(t, Variable)}, key=lambda v: v.name)
+        for values in itertools.product(universe, repeat=len(variables)):
+            subst = dict(zip(variables, values))
+
+            def inst(a: Atom) -> Atom:
+                return Atom(a.predicate, tuple(subst.get(t, t) for t in a.args))
+
+            if all(compare_terms(c.op, subst.get(c.left, c.left), subst.get(c.right, c.right))
+                   for c in comparisons):
+                body = tuple(Literal(inst(l.atom), l.negated) for l in rule.body if l.is_atom())
+                out.append(Rule(tuple(inst(a) for a in rule.head), body))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +112,6 @@ def _models(interp: frozenset[Atom], reduct_rules) -> bool:
 
 def brute_answer_sets(rules) -> list[frozenset[Atom]]:
     """Every answer set of a ground aggregate-free program, by definition."""
-    from asp_testkit.model import compare_terms
-
     # evaluate ground comparison literals up front
     kept = []
     for r in rules:
@@ -115,8 +146,6 @@ def brute_answer_sets(rules) -> list[frozenset[Atom]]:
 
 
 def _body_satisfied(body, interp: frozenset[Atom]) -> bool:
-    from asp_testkit.model import compare_terms
-
     for l in body:
         if l.is_atom():
             if l.negated == (l.atom in interp):
@@ -223,6 +252,38 @@ def random_program(rng: random.Random, max_atoms: int = 6,
             weaks.append(WeakConstraint(body, cost=rng.randint(0, 3),
                                         level=rng.randint(0, 2)))
     return Program(tuple(rules), tuple(weaks))
+
+
+def random_nonground_program(rng: random.Random) -> tuple[Program, list]:
+    """A safe program with variables and comparisons over 2-3 constants, and
+    its Herbrand universe: `d/1` holds every constant, `p/1`, `q/1` and `r`
+    are defined by random rules whose variables `d` binds."""
+    constants = [Integer(i) for i in range(1, rng.randint(2, 3) + 1)]
+    if rng.random() < 0.3:
+        constants[-1] = Constant("c")  # every integer precedes every symbol
+    rules = [Rule((Atom("d", (c,)),), ()) for c in constants]
+    for _ in range(rng.randint(2, 5)):
+        names = rng.sample(["X", "Y"], rng.randint(0, 2))
+        body = [Literal(Atom("d", (Variable(n),))) for n in names]
+        for _ in range(rng.randint(0 if names else 1, 2)):
+            arg = Variable(rng.choice(names)) if names else rng.choice(constants)
+            body.append(Literal(Atom(rng.choice("pq"), (arg,)), negated=rng.random() < 0.5))
+        if rng.random() < 0.3:
+            body.append(Literal(Atom("r"), negated=rng.random() < 0.5))
+        if names and rng.random() < 0.5:
+            right = Variable(rng.choice(names)) if rng.random() < 0.5 else rng.choice(constants)
+            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+            body.append(Literal(Comparison(op, Variable(names[0]), right)))
+        shape = rng.random()
+        if names and shape < 0.75:
+            head = tuple(Atom(pred, (Variable(names[0]),))
+                         for pred in rng.sample("pq", rng.randint(1, 2)))
+        elif shape < 0.9:
+            head = (Atom("r"),)
+        else:
+            head = ()
+        rules.append(Rule(head, tuple(body)))
+    return Program(tuple(rules)), constants
 
 
 def random_assertion(rng: random.Random, program: Program, kind: str):

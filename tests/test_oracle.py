@@ -2,20 +2,28 @@ import random
 
 import pytest
 
+from asp_testkit import oracle
 from asp_testkit.model import Atom, Integer, Program, Rule
 from asp_testkit.oracle import (
     CapacityExceeded,
     UnsupportedAggregate,
     enumerate_answer_sets,
     ground,
-    instantiate_rules,
     is_answer_set,
     optimal_answer_sets,
     penalty,
     reduct,
 )
 from asp_testkit.parser import parse_unit
-from helpers import atom, brute_answer_sets, fixture_text, lit, random_program
+from helpers import (
+    atom,
+    brute_answer_sets,
+    fixture_text,
+    lit,
+    naive_ground,
+    random_nonground_program,
+    random_program,
+)
 
 COLORING = """node(1). node(2). node(3). edge(1,2). edge(1,3). edge(2,3).
 col(X,red) | col(X,blue) | col(X,green) :- node(X).
@@ -39,21 +47,33 @@ def col_facts():
 # Instantiation
 # ---------------------------------------------------------------------------
 
+# The disjunctive facts keep every p atom unknown, so simplification leaves
+# each instance in `g.rules` as it was instantiated.
+
 def test_instantiate_over_explicit_universe():
-    rule = Rule((atom("q", "X"),), (lit("p", "X"),))
-    out = instantiate_rules([rule], [Integer(1), Integer(2)])
-    assert out == [Rule((atom("q", 1),), (lit("p", 1),)),
-                   Rule((atom("q", 2),), (lit("p", 2),))]
+    g = ground(program("p(1) | p(2). q(X) :- p(X)."))
+    assert g.universe == [Integer(1), Integer(2)]
+    assert [r for r in g.rules if r.head[0].predicate == "q"] == [
+        Rule((atom("q", 1),), (lit("p", 1),)),
+        Rule((atom("q", 2),), (lit("p", 2),))]
 
 
 def test_instantiate_evaluates_comparisons():
-    from asp_testkit.model import Comparison, Literal, Variable
-    rule = Rule((), (lit("p", "X", "Y"),
-                     Literal(Comparison("!=", Variable("X"), Variable("Y")))))
-    out = instantiate_rules([rule], [Integer(1), Integer(2)])
-    bodies = {tuple(l.atom.args for l in r.body) for r in out}
+    g = ground(program("p(1,1) | p(1,2) | p(2,1) | p(2,2). :- p(X,Y), X != Y."))
+    constraints = [r for r in g.rules if r.is_constraint()]
+    bodies = {tuple(l.atom.args for l in r.body) for r in constraints}
     assert bodies == {((Integer(1), Integer(2)),), ((Integer(2), Integer(1)),)}
-    assert all(len(r.body) == 1 for r in out)  # comparison evaluated away
+    assert all(len(r.body) == 1 for r in constraints)  # comparison evaluated away
+
+
+def test_instantiation_budget_names_the_statement_and_universe(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 10)
+    with pytest.raises(CapacityExceeded) as exc:
+        ground(parse_unit("big.lp", "d(1). d(2). d(3).\np(X,Y) :- d(X), d(Y).").program)
+    message = str(exc.value)
+    assert "instantiation budget exceeded (10 ground instances)" in message
+    assert "`p(X,Y) :- d(X), d(Y).` at big.lp:2:1" in message
+    assert "universe of 3 constants" in message
 
 
 def test_ground_coloring_counts():
@@ -227,9 +247,18 @@ def test_pipeline_matches_brute_force_with_variables():
     """
     p = program(text)
     got = enumerate_answer_sets(ground(p)).atom_sets()
-    naive = instantiate_rules(p.rules, [Integer(1), Integer(2), Integer(3)])
+    naive = naive_ground(p.rules, [Integer(1), Integer(2), Integer(3)])
     want = set(brute_answer_sets(naive))
     assert got == want
+
+
+def test_pipeline_matches_brute_force_on_random_nonground_programs():
+    rng = random.Random(5)
+    for _ in range(40):
+        p, universe = random_nonground_program(rng)
+        got = enumerate_answer_sets(ground(p)).atom_sets()
+        want = set(brute_answer_sets(naive_ground(p.rules, universe)))
+        assert got == want, p
 
 
 def test_reduct_of_answer_set_reproduces_it():
@@ -250,6 +279,31 @@ def test_penalty_without_weak_constraints_is_zero():
     for answer in enumerate_answer_sets(g).answer_sets:
         assert penalty(g, answer, 0) == 0
         assert penalty(g, answer, 7) == 0
+
+
+@pytest.mark.parametrize("interpretation", [
+    [Atom("a"), Atom("zzz")],  # misses the fact b and holds an atom outside
+    [Atom("a")],               # misses the fact b, whose weak constraint fires
+])
+def test_penalty_rejects_interpretations_outside_its_domain(interpretation):
+    g = ground(program("b. a :- not c. c :- not a. :~ a. [2@1] :~ b. [1@1]"))
+    assert penalty(g, [Atom("a"), Atom("b")], 1) == 3
+    with pytest.raises(ValueError):
+        penalty(g, interpretation, 1)
+
+
+def test_weak_constraint_with_count_aggregate():
+    # the weak constraint fires exactly when a holds and both d atoms do
+    g = ground(program("d(1). d(2) | e. a | b. :~ a, #count{X : d(X)} >= 2. [4@1]"))
+    assert penalty(g, {atom("d", 1), atom("d", 2), Atom("a")}, 1) == 4
+    assert penalty(g, {atom("d", 1), Atom("e"), Atom("a")}, 1) == 0
+    res = optimal_answer_sets(g)
+    assert res.atom_sets() == {
+        frozenset({atom("d", 1), atom("d", 2), Atom("b")}),
+        frozenset({atom("d", 1), Atom("e"), Atom("a")}),
+        frozenset({atom("d", 1), Atom("e"), Atom("b")}),
+    }
+    assert all(cost == 0 for cost in res.costs.values())
 
 
 def test_penalty_coloring_preference():
