@@ -40,6 +40,28 @@ EXIT_FAILURE = 1
 EXIT_ERROR = 2
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
+def _operator_list(text: str) -> list[str]:
+    """argparse type: comma separated mutation operator kinds."""
+    kinds = [k.strip() for k in text.split(",") if k.strip()]
+    if not kinds or any(k not in OPERATOR_KINDS for k in kinds):
+        raise argparse.ArgumentTypeError(
+            f"expected operators from {', '.join(OPERATOR_KINDS)}, got {text!r}")
+    return kinds
+
+
 def _add_backend_options(p: argparse.ArgumentParser):
     p.add_argument("--backend", choices=["internal", "external"],
                    help="force a backend (default: internal when the program "
@@ -49,7 +71,7 @@ def _add_backend_options(p: argparse.ArgumentParser):
                         "or clingo/dlv2 on PATH)")
     p.add_argument("--solver-arg", action="append", default=[], metavar="ARG",
                    help="extra argument for the external solver (repeatable)")
-    p.add_argument("--timeout", type=int, default=30, metavar="SECS",
+    p.add_argument("--timeout", type=_int_at_least(1), default=30, metavar="SECS",
                    help="per-call solver timeout (default 30)")
 
 
@@ -63,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the program and print its answer sets")
     p.add_argument("files", nargs="+")
-    p.add_argument("-n", dest="cap", type=int, default=None, metavar="CAP",
-                   help="stop after CAP answer sets (default: all)")
+    p.add_argument("-n", dest="cap", type=_int_at_least(0), default=None, metavar="CAP",
+                   help="stop after CAP answer sets (default, or 0: all)")
     _add_backend_options(p)
 
     p = sub.add_parser("test", help="run the inline unit tests")
@@ -76,12 +98,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutation analysis of the test suites")
     p.add_argument("files", nargs="+")
-    p.add_argument("--ops", default=",".join(OPERATOR_KINDS), metavar="LIST",
+    p.add_argument("--ops", type=_operator_list, default=list(OPERATOR_KINDS), metavar="LIST",
                    help="comma separated operator kinds (default: all)")
-    p.add_argument("--count", type=int, default=10, metavar="K",
+    p.add_argument("--count", type=_int_at_least(1), default=10, metavar="K",
                    help="number of mutants to generate (default 10)")
     p.add_argument("--seed", type=int, default=1, metavar="S")
-    p.add_argument("--ops-per-mutant", type=int, default=1, metavar="N")
+    p.add_argument("--ops-per-mutant", type=_int_at_least(1), default=1, metavar="N")
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--jobs", type=int, default=1, metavar="N")
     _add_backend_options(p)
@@ -187,10 +209,9 @@ def cmd_mutate(args) -> int:
     if not base.rules:
         print("no named rules to mutate (only @rule-annotated rules are mutation targets)")
         return EXIT_FAILURE
-    kinds = [k.strip() for k in args.ops.split(",") if k.strip()]
     exhausted = None
     try:
-        mutants = generate_mutants(base, kinds, args.count, args.seed,
+        mutants = generate_mutants(base, args.ops, args.count, args.seed,
                                    ops_per_mutant=args.ops_per_mutant)
     except ExhaustedLoci as exc:
         exhausted = exc

@@ -436,10 +436,9 @@ def run_test(suite: TestSuite, spec: TestSpec, backend,
         t0 = time.monotonic()
         try:
             tp = build_tester(program, assertion)
-            solve_result, raw = backend.run(tp.program, tp.text, tp.model_cap,
-                                            optimize=tp.optimize)
+            solve_result, _ = backend.run(tp.program, tp.text, tp.model_cap,
+                                          optimize=tp.optimize)
             res = evaluate(tp, solve_result)
-            res.requested_models = raw.requested_models
         except Exception as exc:
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")
         res.wall_ms = int((time.monotonic() - t0) * 1000)

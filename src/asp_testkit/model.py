@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union, get_args
 
-# Comparison operators in canonical spelling. `<>` is accepted by the parser
-# as an alias of `!=`.
-COMPARISON_OPS = ("=", "!=", "<", "<=", ">", ">=")
-
 FRESH_PREFIX = "__tk_"
 
 
@@ -287,6 +283,10 @@ class Program:
             unbound = unbound_variables((), w.body)
             if unbound:
                 raise UnsafeRuleError(w, unbound)
+        for body in self.all_bodies():
+            if any(lit.negated and not lit.is_atom() for lit in body):
+                # the grammar has `not` on atoms only
+                raise ValueError("only atoms can be negated, not comparisons or #count")
 
     def all_bodies(self) -> Iterator[tuple[Literal, ...]]:
         for r in self.rules:

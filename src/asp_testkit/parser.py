@@ -13,6 +13,9 @@ blocks and carry `@rule`, `@block` and `@test` entries; see the repo docs for
 the full attribute grammar. Annotations are inert for plain execution:
 stripping every `%** ... **%` block leaves the same program.
 
+One scanner, `_scan`, tokenizes program text, annotation blocks and the
+`atoms`/`constraint` payloads; its `annotation` flag picks the mode.
+
 Errors carry 1-based line/column positions inside the offending text. Parsing
 recovers at statement boundaries so several errors can be reported at once.
 """
@@ -41,16 +44,6 @@ from .model import (
     WeakConstraint,
     unbound_variables,
 )
-
-ERROR_KINDS = (
-    "lexical",
-    "syntactic",
-    "annotation",
-    "safety",
-    "duplicate-name",
-    "dangling-reference",
-)
-
 
 @dataclass(frozen=True)
 class ParseError:
@@ -129,8 +122,9 @@ class _Token:
     offset: int
 
 
-_PUNCT = (":-", ":~", "<=", ">=", "<>", "!=", "<", ">", "=", ".", ",",
-          "(", ")", "{", "}", "[", "]", "|", ":", "-", "@")
+_PROGRAM_PUNCT = (":-", ":~", "<=", ">=", "<>", "!=", "<", ">", "=", ".", ",",
+                  "(", ")", "{", "}", "[", "]", "|", ":", "-", "@")
+_ANNOTATION_PUNCT = ("@", "=", "(", ")", "{", "}", ",")
 
 _CANONICAL_OP = {"<>": "!=", "=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _CMP_TOKENS = ("=", "<>", "!=", "<", "<=", ">", ">=")
@@ -158,7 +152,19 @@ def _classify_word(word: str) -> str:
     return "ident"
 
 
-def _scan_program(text: str, collect_annotations: bool = True) -> list[_Token]:
+def _scan(text: str, base: int = 0, annotation: bool = False,
+          collect_annotations: bool = True) -> list[_Token]:
+    """Tokenize program text or, with `annotation`, the body of a
+    `%** ... **%` block. Token offsets are `base` plus the index in `text`.
+
+    Both modes skip whitespace and `%` comments to end of line and read
+    integers, words and punctuation. Program text also has `%* ... *%`
+    comments, `%** ... **%` blocks (an `annot` token when
+    `collect_annotations`), `not`, `#count` and variables. Annotation text
+    has strings, in which a backslash escapes `"` and itself, and negative
+    integers; every word is an `ident` there."""
+    punct = _ANNOTATION_PUNCT if annotation else _PROGRAM_PUNCT
+    error_kind, where = ("annotation", " in annotation") if annotation else ("lexical", "")
     tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
@@ -166,29 +172,48 @@ def _scan_program(text: str, collect_annotations: bool = True) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
+        if ch == "%" and not annotation and text.startswith("%*", i):
+            block = text.startswith("%**", i)
+            close = "**%" if block else "*%"
+            end = text.find(close, i + len(close))
+            if end < 0:
+                what = "annotation block" if block else "comment"
+                raise _Issue(f"unterminated {what} (missing {close!r})", base + i, error_kind)
+            if block and collect_annotations:
+                tokens.append(_Token("annot", (text[i + 3:end], base + i + 3), base + i))
+            i = end + len(close)
+            continue
         if ch == "%":
-            if text.startswith("%**", i):
-                end = text.find("**%", i + 3)
-                if end < 0:
-                    raise _Issue("unterminated annotation block (missing '**%')", i, "lexical")
-                if collect_annotations:
-                    tokens.append(_Token("annot", (text[i + 3:end], i + 3), i))
-                i = end + 3
-                continue
-            if text.startswith("%*", i):
-                end = text.find("*%", i + 2)
-                if end < 0:
-                    raise _Issue("unterminated comment (missing '*%')", i, "lexical")
-                i = end + 2
-                continue
             nl = text.find("\n", i)
             i = n if nl < 0 else nl + 1
             continue
-        if _is_digit(ch):
-            j = i
+        if annotation and ch == '"':
+            j = i + 1
+            out: list[str] = []
+            offsets: list[int] = []
+            while j < n:
+                c = text[j]
+                if c == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
+                    out.append(text[j + 1])
+                    offsets.append(base + j + 1)
+                    j += 2
+                    continue
+                if c == '"':
+                    break
+                out.append(c)
+                offsets.append(base + j)
+                j += 1
+            else:
+                raise _Issue("unterminated string in annotation", base + i, error_kind)
+            offsets.append(base + j)
+            tokens.append(_Token("str", ("".join(out), offsets), base + i))
+            i = j + 1
+            continue
+        if _is_digit(ch) or (annotation and ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
+            j = i + 1
             while j < n and _is_digit(text[j]):
                 j += 1
-            tokens.append(_Token("int", int(text[i:j]), i))
+            tokens.append(_Token("int", int(text[i:j]), base + i))
             i = j
             continue
         if ch.isalpha() or ch == "_":
@@ -196,30 +221,32 @@ def _scan_program(text: str, collect_annotations: bool = True) -> list[_Token]:
             while j < n and _is_ident_char(text[j]):
                 j += 1
             word = text[i:j]
-            if word == "not":
-                tokens.append(_Token("not", word, i))
+            if annotation:
+                kind = "ident"
             else:
-                tokens.append(_Token(_classify_word(word), word, i))
+                kind = "not" if word == "not" else _classify_word(word)
+            tokens.append(_Token(kind, word, base + i))
             i = j
             continue
-        if ch == "#":
+        if ch == "#" and not annotation:
             j = i + 1
             while j < n and _is_ident_char(text[j]):
                 j += 1
             word = text[i:j]
             if word != "#count":
-                raise _Issue(f"unsupported directive {word!r} (only #count is accepted)", i, "lexical")
-            tokens.append(_Token("count", word, i))
+                raise _Issue(f"unsupported directive {word!r} (only #count is accepted)",
+                             base + i, error_kind)
+            tokens.append(_Token("count", word, base + i))
             i = j
             continue
-        for sym in _PUNCT:
+        for sym in punct:
             if text.startswith(sym, i):
-                tokens.append(_Token("punct", sym, i))
+                tokens.append(_Token("punct", sym, base + i))
                 i += len(sym)
                 break
         else:
-            raise _Issue(f"unexpected character {ch!r}", i, "lexical")
-    tokens.append(_Token("eof", None, n))
+            raise _Issue(f"unexpected character {ch!r}{where}", base + i, error_kind)
+    tokens.append(_Token("eof", None, base + n))
     return tokens
 
 
@@ -247,12 +274,18 @@ class _TokenStream:
             return self.next()
         return None
 
-    def expect_punct(self, symbol: str, what: str = "") -> _Token:
+    def expect(self, kind: str, message: str, issue_kind: str = "syntactic",
+               value: object = None) -> _Token:
+        """Take the next token if it has `kind` (and `value`, when given);
+        otherwise raise `message` with `{found}` replaced by that token."""
         tok = self.peek()
-        if tok.kind == "punct" and tok.value == symbol:
+        if tok.kind == kind and (value is None or tok.value == value):
             return self.next()
+        raise _Issue(message.replace("{found}", _show(tok)), tok.offset, issue_kind)
+
+    def expect_punct(self, symbol: str, what: str = "") -> _Token:
         detail = f" {what}" if what else ""
-        raise _Issue(f"expected {symbol!r}{detail}, found {_show(tok)}", tok.offset)
+        return self.expect("punct", f"expected {symbol!r}{detail}, found {{found}}", value=symbol)
 
 
 def _show(tok: _Token) -> str:
@@ -267,32 +300,21 @@ def _show(tok: _Token) -> str:
 # Program statements
 # ---------------------------------------------------------------------------
 
+_TERM_CLASSES = {"int": Integer, "ident": Constant, "var": Variable}
+
+
 def _parse_term(ts: _TokenStream):
+    if ts.take_punct("-"):
+        return Integer(-ts.expect("int", "expected integer after '-', found {found}").value)
     tok = ts.peek()
-    if tok.kind == "int":
-        ts.next()
-        return Integer(tok.value)
-    if tok.kind == "punct" and tok.value == "-":
-        ts.next()
-        num = ts.peek()
-        if num.kind != "int":
-            raise _Issue(f"expected integer after '-', found {_show(num)}", num.offset)
-        ts.next()
-        return Integer(-num.value)
-    if tok.kind == "ident":
-        ts.next()
-        return Constant(tok.value)
-    if tok.kind == "var":
-        ts.next()
-        return Variable(tok.value)
-    raise _Issue(f"expected a term, found {_show(tok)}", tok.offset)
+    if tok.kind not in _TERM_CLASSES:
+        raise _Issue(f"expected a term, found {_show(tok)}", tok.offset)
+    ts.next()
+    return _TERM_CLASSES[tok.kind](tok.value)
 
 
 def _parse_atom(ts: _TokenStream) -> Atom:
-    tok = ts.peek()
-    if tok.kind != "ident":
-        raise _Issue(f"expected an atom, found {_show(tok)}", tok.offset)
-    ts.next()
+    tok = ts.expect("ident", "expected an atom, found {found}")
     args: list = []
     if ts.take_punct("("):
         args.append(_parse_term(ts))
@@ -365,9 +387,9 @@ def _parse_rule_or_weak(ts: _TokenStream, span: Span):
         body = _parse_body(ts)
         ts.expect_punct(".", "to terminate the weak constraint")
         ts.expect_punct("[", "to open the [cost@level] annotation")
-        cost = _expect_nonneg_int(ts, "cost")
+        cost = ts.expect("int", "expected a nonnegative cost, found {found}").value
         ts.expect_punct("@", "between cost and level")
-        level = _expect_nonneg_int(ts, "level")
+        level = ts.expect("int", "expected a nonnegative level, found {found}").value
         ts.expect_punct("]", "to close the [cost@level] annotation")
         return WeakConstraint(body, cost, level, origin=span)
     if ts.at_punct(":-"):
@@ -384,14 +406,6 @@ def _parse_rule_or_weak(ts: _TokenStream, span: Span):
         body = ()
     ts.expect_punct(".", "to terminate the rule")
     return Rule(tuple(head), body, origin=span)
-
-
-def _expect_nonneg_int(ts: _TokenStream, what: str) -> int:
-    tok = ts.peek()
-    if tok.kind != "int":
-        raise _Issue(f"expected a nonnegative {what}, found {_show(tok)}", tok.offset)
-    ts.next()
-    return tok.value
 
 
 def _check_safety(stmt, index: _LineIndex, errors: list[ParseError]) -> bool:
@@ -448,67 +462,9 @@ class _TestAnn:
     offset: int
 
 
-def _scan_annotation(text: str, base: int) -> list[_Token]:
-    """Tokenize the body of a `%** ... **%` block. Offsets are absolute."""
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "%":  # decorative comment line inside the block
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if ch == '"':
-            j = i + 1
-            out: list[str] = []
-            offsets: list[int] = []
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    offsets.append(base + j + 1)
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                out.append(c)
-                offsets.append(base + j)
-                j += 1
-            else:
-                raise _Issue("unterminated string in annotation", base + i, "annotation")
-            offsets.append(base + j)
-            tokens.append(_Token("str", ("".join(out), offsets), base + i))
-            i = j + 1
-            continue
-        if _is_digit(ch) or (ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
-            j = i + 1
-            while j < n and _is_digit(text[j]):
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), base + i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], base + i))
-            i = j
-            continue
-        if ch in "@=(){},":
-            tokens.append(_Token("punct", ch, base + i))
-            i += 1
-            continue
-        raise _Issue(f"unexpected character {ch!r} in annotation", base + i, "annotation")
-    tokens.append(_Token("eof", None, base + n))
-    return tokens
-
-
 class _AnnotationParser:
     def __init__(self, text: str, base: int):
-        self.ts = _TokenStream(_scan_annotation(text, base))
+        self.ts = _TokenStream(_scan(text, base, annotation=True))
 
     def parse_all(self) -> list:
         anns = []
@@ -516,17 +472,14 @@ class _AnnotationParser:
             anns.append(self._annotation())
         return anns
 
+    def _at_name(self, at_message: str, name_message: str) -> tuple[_Token, _Token]:
+        """Read `@name`; returns the '@' and the name tokens."""
+        at = self.ts.expect("punct", at_message, "annotation", "@")
+        return at, self.ts.expect("ident", name_message, "annotation")
+
     def _annotation(self):
-        at = self.ts.peek()
-        if not (at.kind == "punct" and at.value == "@"):
-            raise _Issue(f"expected '@' to start an annotation, found {_show(at)}",
-                         at.offset, "annotation")
-        self.ts.next()
-        name_tok = self.ts.peek()
-        if name_tok.kind != "ident":
-            raise _Issue(f"expected an annotation name after '@', found {_show(name_tok)}",
-                         name_tok.offset, "annotation")
-        self.ts.next()
+        at, name_tok = self._at_name("expected '@' to start an annotation, found {found}",
+                                     "expected an annotation name after '@', found {found}")
         name = name_tok.value
         if name == "rule":
             attrs = self._attributes(name, allowed={"name": "str", "block": "str"},
@@ -565,20 +518,14 @@ class _AnnotationParser:
         self.ts.expect_punct("(", f"after @{owner}")
         attrs: dict[str, tuple] = {}
         while not self.ts.at_punct(")"):
-            key_tok = self.ts.peek()
-            if key_tok.kind != "ident":
-                raise _Issue(f"expected an attribute name in @{owner}, found {_show(key_tok)}",
-                             key_tok.offset, "annotation")
-            self.ts.next()
+            key_tok = self.ts.expect(
+                "ident", f"expected an attribute name in @{owner}, found {{found}}", "annotation")
             key = key_tok.value
             if key not in allowed:
                 raise _Issue(f"unknown attribute {key!r} for @{owner}", key_tok.offset, "annotation")
             if key in attrs:
                 raise _Issue(f"duplicate attribute {key!r} for @{owner}", key_tok.offset, "annotation")
-            eq = self.ts.peek()
-            if not (eq.kind == "punct" and eq.value == "="):
-                raise _Issue(f"expected '=' after {key!r}, found {_show(eq)}", eq.offset, "annotation")
-            self.ts.next()
+            self.ts.expect("punct", f"expected '=' after {key!r}, found {{found}}", "annotation", "=")
             attrs[key] = (self._value(allowed[key], key), key_tok.offset)
             self.ts.take_punct(",")
         self.ts.next()  # closing paren
@@ -589,12 +536,9 @@ class _AnnotationParser:
         return attrs
 
     def _value(self, value_type: str, key: str):
-        tok = self.ts.peek()
         if value_type == "str":
-            if tok.kind != "str":
-                raise _Issue(f"attribute {key!r} expects a string value", tok.offset, "annotation")
-            self.ts.next()
-            return tok.value[0]
+            return self.ts.expect("str", f"attribute {key!r} expects a string value",
+                                  "annotation").value[0]
         if value_type == "strlist":
             return [s for s, _ in self._list(key, self._string_element)]
         if value_type == "assertlist":
@@ -612,21 +556,12 @@ class _AnnotationParser:
         return items
 
     def _string_element(self, key: str):
-        tok = self.ts.peek()
-        if tok.kind != "str":
-            raise _Issue(f"the {key!r} list may only contain strings", tok.offset, "annotation")
-        self.ts.next()
+        tok = self.ts.expect("str", f"the {key!r} list may only contain strings", "annotation")
         return tok.value[0], tok.offset
 
     def _assertion_element(self, key: str):
-        at = self.ts.peek()
-        if not (at.kind == "punct" and at.value == "@"):
-            raise _Issue(f"the {key!r} list may only contain @assertions", at.offset, "annotation")
-        self.ts.next()
-        name_tok = self.ts.peek()
-        if name_tok.kind != "ident":
-            raise _Issue("expected an assertion name after '@'", name_tok.offset, "annotation")
-        self.ts.next()
+        at, name_tok = self._at_name(f"the {key!r} list may only contain @assertions",
+                                     "expected an assertion name after '@'")
         return self._assertion(name_tok.value, name_tok.offset), at.offset
 
     def _assertion(self, name: str, offset: int) -> Assertion:
@@ -650,10 +585,7 @@ class _AnnotationParser:
                 elif tok.kind == "ident":
                     self.ts.next()
                     key = tok.value
-                    eq = self.ts.peek()
-                    if not (eq.kind == "punct" and eq.value == "="):
-                        raise _Issue(f"expected '=' after {key!r}", eq.offset, "annotation")
-                    self.ts.next()
+                    self.ts.expect("punct", f"expected '=' after {key!r}", "annotation", "=")
                     val = self.ts.peek()
                     if val.kind not in ("str", "int"):
                         raise _Issue(f"attribute {key!r} expects a string or integer",
@@ -671,7 +603,7 @@ class _AnnotationParser:
             attrs["constraint"] = (positional[0], positional[1], "str")
         return self._build_assertion(name, field_names, attrs, offset)
 
-    def _attr(self, attrs, name: str, key: str, offset: int, kind: str) -> tuple:
+    def _attr(self, attrs, name: str, key: str, offset: int, kind: str):
         if key not in attrs:
             raise _Issue(f"@{name} is missing the mandatory {key!r} attribute", offset, "annotation")
         value, off, got = attrs.pop(key)
@@ -680,7 +612,7 @@ class _AnnotationParser:
             raise _Issue(f"attribute {key!r} of @{name} must be {what}", off, "annotation")
         if kind == "int" and value < 0:
             raise _Issue(f"attribute {key!r} of @{name} must be nonnegative", off, "annotation")
-        return value, off
+        return value
 
     def _build_assertion(self, name: str, field_names: list[str], attrs: dict,
                          offset: int) -> Assertion:
@@ -692,8 +624,17 @@ class _AnnotationParser:
         for fname in field_names:
             payload = _PAYLOAD_PARSERS.get(fname)
             key = "number" if fname == "count" else fname
-            value, off = self._attr(attrs, name, key, offset, "str" if payload else "int")
-            values[fname] = payload(value, off) if payload else value
+            value = self._attr(attrs, name, key, offset, "str" if payload else "int")
+            if payload is None:
+                values[fname] = value
+                continue
+            text, offsets = value
+            try:
+                values[fname] = payload(text)
+            except _Issue as exc:
+                # payload offsets index `text`; map them back into the file
+                kind = exc.kind if exc.kind == "safety" else "annotation"
+                raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
         if values.get("count", 1) < getattr(cls, "min_count", 0):
             raise _Issue(f"@{name} needs number >= {cls.min_count} "
                          "(number = 0 would be vacuously true)", offset, "annotation")
@@ -703,67 +644,47 @@ class _AnnotationParser:
         return cls(**values)
 
 
-def _parse_ground_atoms_nested(raw, fallback_offset: int) -> tuple[Atom, ...]:
+def _parse_ground_atoms_nested(text: str) -> tuple[Atom, ...]:
     """Parse an `atoms = "..."` payload: period-separated ground atoms with
     the trailing period optional."""
-    text, offsets = raw if isinstance(raw, tuple) else (raw, None)
-    try:
-        tokens = _scan_program(text, collect_annotations=False)
-    except _Issue as exc:
-        raise _map_nested(exc, offsets, fallback_offset)
-    ts = _TokenStream(tokens)
+    ts = _TokenStream(_scan(text, collect_annotations=False))
     atoms: list[Atom] = []
-    try:
-        while ts.peek().kind != "eof":
-            atom = _parse_atom(ts)
-            if not atom.is_ground():
-                raise _Issue(f"atom {atom.predicate}/{atom.arity} in the assertion "
-                             "payload is not ground", ts.peek().offset)
-            atoms.append(atom)
-            if ts.peek().kind == "eof":
-                break
-            ts.expect_punct(".", "between atoms")
-    except _Issue as exc:
-        raise _map_nested(exc, offsets, fallback_offset)
+    while ts.peek().kind != "eof":
+        atom = _parse_atom(ts)
+        if not atom.is_ground():
+            raise _Issue(f"atom {atom.predicate}/{atom.arity} in the assertion "
+                         "payload is not ground", ts.peek().offset)
+        atoms.append(atom)
+        if ts.peek().kind == "eof":
+            break
+        ts.expect_punct(".", "between atoms")
     return tuple(atoms)
 
 
-def _parse_constraint_nested(raw, fallback_offset: int) -> Rule:
+def _parse_constraint_nested(text: str) -> Rule:
     """Parse a `constraint = "..."` payload: exactly one safe constraint;
-    the trailing period is optional."""
-    text, offsets = raw if isinstance(raw, tuple) else (raw, None)
-    body_text = text.strip()
+    the trailing period is optional. Leading text is kept so that offsets
+    stay indices into `text`."""
+    body_text = text.rstrip()
     if not body_text.endswith("."):
         body_text += "."
-    try:
-        tokens = _scan_program(body_text, collect_annotations=False)
-        ts = _TokenStream(tokens)
-        stmt = _parse_rule_or_weak(ts, Span("<constraint>", 1, 1))
-        if ts.peek().kind != "eof":
-            raise _Issue("a constraint payload must contain exactly one statement",
-                         ts.peek().offset)
-        if not isinstance(stmt, Rule) or not stmt.is_constraint():
-            raise _Issue("the payload must be a constraint (':- body.')", 0)
-        unbound = unbound_variables((), stmt.body)
-        if unbound:
-            raise _Issue("unsafe constraint payload: variable(s) "
-                         f"{', '.join(sorted(unbound))} not bound by a positive body atom",
-                         0, "safety")
-    except _Issue as exc:
-        raise _map_nested(exc, offsets, fallback_offset)
+    ts = _TokenStream(_scan(body_text, collect_annotations=False))
+    stmt = _parse_rule_or_weak(ts, Span("<constraint>", 1, 1))
+    if ts.peek().kind != "eof":
+        raise _Issue("a constraint payload must contain exactly one statement",
+                     ts.peek().offset)
+    if not isinstance(stmt, Rule) or not stmt.is_constraint():
+        raise _Issue("the payload must be a constraint (':- body.')", 0)
+    unbound = unbound_variables((), stmt.body)
+    if unbound:
+        raise _Issue("unsafe constraint payload: variable(s) "
+                     f"{', '.join(sorted(unbound))} not bound by a positive body atom",
+                     0, "safety")
     return stmt
 
 
 _PAYLOAD_PARSERS = {"atoms": _parse_ground_atoms_nested,
                     "constraint": _parse_constraint_nested}
-
-
-def _map_nested(exc: _Issue, offsets: Optional[list[int]], fallback: int) -> _Issue:
-    kind = exc.kind if exc.kind == "safety" else "annotation"
-    if offsets:
-        idx = min(exc.offset, len(offsets) - 1)
-        return _Issue(exc.message, offsets[idx], kind)
-    return _Issue(exc.message, fallback, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -776,7 +697,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
     index = _LineIndex(text)
     errors: list[ParseError] = []
     try:
-        tokens = _scan_program(text)
+        tokens = _scan(text)
     except _Issue as exc:
         return None, [index.error(exc)]
 
@@ -931,7 +852,7 @@ def parse_ground_atom(text: str) -> Atom:
     """Parse a single ground atom (used for solver output normalization).
     Raises ParseFailure on malformed input."""
     try:
-        ts = _TokenStream(_scan_program(text, collect_annotations=False))
+        ts = _TokenStream(_scan(text, collect_annotations=False))
         atom = _parse_atom(ts)
         ts.take_punct(".")
         if ts.peek().kind != "eof":

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import asp_testkit
 from asp_testkit import cli
 from asp_testkit.engine import run_suite
@@ -70,9 +72,36 @@ def test_unexpected_exception_exits_two_in_one_line(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: internal error: RuntimeError: boom\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "-n", "-1"],
+    ["solve", "-n", "x"],
+    ["solve", "--timeout", "0"],
+    ["test", "--timeout", "0", "--solver-path", sys.executable],
+    ["mutate", "--count", "0"],
+    ["mutate", "--ops", "deleteRule,bogus"],
+    ["mutate", "--ops", ","],
+    ["mutate", "--ops-per-mutant", "0"],
+], ids=" ".join)
+def test_out_of_range_options_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*args, fixture("coloring_mutation.lp")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: asp-testkit"), err
+    assert "internal error" not in err
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
+
+def test_solve_n_zero_prints_every_model(capsys):
+    assert cli.main(["solve", fixture("coloring.lp")]) == 0
+    every = capsys.readouterr().out
+    assert cli.main(["solve", "-n", "0", fixture("coloring.lp")]) == 0
+    assert capsys.readouterr().out == every
+    assert every.count("ANSWER") == 6
+
 
 def test_solve_coloring_prints_six_answers():
     proc = run_cli("solve", fixture("coloring.lp"))

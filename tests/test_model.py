@@ -4,13 +4,16 @@ from hypothesis import given, strategies as st
 
 from asp_testkit.model import (
     Atom,
+    Comparison,
     Constant,
+    CountAggregate,
     Integer,
     Literal,
     Program,
     Rule,
     UnsafeRuleError,
     Variable,
+    WeakConstraint,
     compare_terms,
     fresh_predicate,
     herbrand_universe,
@@ -68,6 +71,27 @@ def test_aggregate_guard_variable_must_be_bound():
 def test_program_rejects_unsafe_rule():
     with pytest.raises(UnsafeRuleError):
         Program((Rule((atom("p", "X"),), (lit("q", "Y"),)),))
+
+
+NEGATED_NON_ATOMS = {
+    # `p(1). :- not 1 < 2.`: read as positive, the constraint kills every model
+    "comparison": Literal(Comparison("<", Integer(1), Integer(2)), negated=True),
+    # `p(1). :- not #count{X : p(X)} >= 1.`
+    "count": Literal(CountAggregate((Variable("X"),), atom("p", "X"), ">=", Integer(1)),
+                     negated=True),
+}
+
+
+@pytest.mark.parametrize("payload", NEGATED_NON_ATOMS)
+@pytest.mark.parametrize("statement", ["rule", "weak constraint"])
+def test_program_rejects_negated_comparison_and_count(payload, statement):
+    fact = Rule((atom("p", 1),))
+    body = (NEGATED_NON_ATOMS[payload],)
+    with pytest.raises(ValueError, match="only atoms can be negated"):
+        if statement == "rule":
+            Program((fact, Rule((), body)))
+        else:
+            Program((fact,), (WeakConstraint(body, 1, 1),))
 
 
 def test_herbrand_universe_collects_constants():

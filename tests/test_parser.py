@@ -239,6 +239,50 @@ def test_error_positions_inside_text():
             assert 1 <= e.column <= len(lines[e.line - 1]) + 1
 
 
+_TEST_OPEN = '%** @test(name = "t", scope = {"r"}, assert = { '
+_TEST_CLOSE = ' }) **%\n%** @rule(name = "r") **%\np.'
+
+
+@pytest.mark.parametrize("text, expected", [
+    # program mode
+    ("p.\n%* open", ["t.lp:2:1: lexical: unterminated comment (missing '*%')"]),
+    ('%** @rule(name = "r")\np.',
+     ["t.lp:1:1: lexical: unterminated annotation block (missing '**%')"]),
+    ("#const n = 3.",
+     ["t.lp:1:1: lexical: unsupported directive '#const' (only #count is accepted)"]),
+    ("p($).", ["t.lp:1:3: lexical: unexpected character '$'"]),
+    ("p(²).", ["t.lp:1:3: lexical: unexpected character '²'"]),
+    # annotation mode
+    ('%** @rule(name = $) **%\np.',
+     ["t.lp:1:18: annotation: unexpected character '$' in annotation"]),
+    ('%** @rule(name = ²) **%\np.',
+     ["t.lp:1:18: annotation: unexpected character '²' in annotation"]),
+    ('%** @rule(name = "r) **%\np.',
+     ["t.lp:1:18: annotation: unterminated string in annotation"]),
+    (_TEST_OPEN + '@trueInAtMost(number = -1, atoms = "a")' + _TEST_CLOSE,
+     ["t.lp:1:72: annotation: attribute 'number' of @trueInAtMost must be nonnegative"]),
+    ('%** @rule(name = "r") % note: %* opens nothing here\n **%\np.', []),
+    # a payload is program text; its columns count each escape's two characters
+    (_TEST_OPEN + '@trueInAll(atoms = "a. %* \\"q\\" *% b(.")' + _TEST_CLOSE,
+     ["t.lp:1:86: annotation: expected a term, found '.'"]),
+], ids=["unterminated comment", "unterminated block", "directive", "dollar",
+        "superscript", "dollar in block", "superscript in block", "unterminated string",
+        "negative number", "comment line in block", "payload after escapes"])
+def test_lexing_diagnostics(text, expected):
+    _, errors = parse_unit_diagnostics("t.lp", text)
+    assert [e.render("t.lp") for e in errors] == expected
+
+
+@pytest.mark.parametrize("text, expected", [
+    ('@constraintForAll("   :- q(.")', "1:28: annotation: expected a term, found '.'"),
+    ('@constraintForAll("\n\n  :- q(.")', "3:8: annotation: expected a term, found '.'"),
+], ids=["spaces", "newlines"])
+def test_constraint_payload_columns_count_leading_whitespace(text, expected):
+    with pytest.raises(ParseFailure) as exc:
+        parse_assertion_list(text)
+    assert [e.render() for e in exc.value.errors] == [expected]
+
+
 def test_recovery_reports_multiple_errors():
     _, errors = parse_unit_diagnostics("t.lp", "p(. \n q(. \n r(X) :- not s(X).")
     assert len(errors) >= 3
