@@ -149,11 +149,6 @@ class CountAggregate:
     guard_op: str
     guard: Term
 
-    def inner_variables(self) -> set[str]:
-        names = {t.name for t in self.terms if isinstance(t, Variable)}
-        names.update(self.condition.variables())
-        return names
-
     def guard_variables(self) -> set[str]:
         return {self.guard.name} if isinstance(self.guard, Variable) else set()
 
@@ -225,10 +220,11 @@ class UnsafeRuleError(ValueError):
 
 
 def _body_safety_sets(body: tuple[Literal, ...]) -> tuple[set[str], set[str], set[str]]:
-    """Return (binders, globals-from-body, aggregate-local names)."""
+    """Return (binders, globals-from-body, loose aggregate term names): the
+    names among an aggregate's terms that its condition does not mention."""
     binders: set[str] = set()
     body_globals: set[str] = set()
-    locals_: set[str] = set()
+    loose: set[str] = set()
     for lit in body:
         p = lit.payload
         if isinstance(p, Atom):
@@ -241,22 +237,22 @@ def _body_safety_sets(body: tuple[Literal, ...]) -> tuple[set[str], set[str], se
             body_globals |= set(p.variables())
         else:
             body_globals |= p.guard_variables()
-            locals_ |= p.inner_variables()
-    return binders, body_globals, locals_
+            loose |= {t.name for t in p.terms if isinstance(t, Variable)} \
+                - set(p.condition.variables())
+    return binders, body_globals, loose
 
 
 def unbound_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> set[str]:
     """Variables violating safety: every global variable must occur in a
     positive body atom. Variables occurring only inside an aggregate's braces
-    are local to it and exempt; comparison and guard variables are global."""
-    binders, body_globals, locals_ = _body_safety_sets(body)
+    are local to it and exempt, provided each term variable occurs in the
+    aggregate's condition; comparison and guard variables are global."""
+    binders, body_globals, loose = _body_safety_sets(body)
     head_vars: set[str] = set()
     for a in head:
         head_vars |= set(a.variables())
-    globals_ = head_vars | body_globals
-    # A brace-local name that also shows up outside the aggregate is global.
-    globals_ |= locals_ & (binders | head_vars | body_globals)
-    return globals_ - binders
+    # a loose term name is safe only as a global bound outside the aggregate
+    return (head_vars | body_globals | loose) - binders
 
 
 def is_safe(rule: Rule) -> bool:

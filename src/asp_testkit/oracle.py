@@ -1,9 +1,20 @@
 """Exhaustive answer-set oracle for desk-scale programs.
 
-The pipeline is: instantiate every rule and weak constraint over the
-Herbrand universe and evaluate ground comparisons away, then simplify to a
-fixpoint by propagating which atoms are possible (occur in the head of a
-surviving rule) and which are certain (derived unconditionally).
+The pipeline is: instantiate every rule and weak constraint by joining its
+positive body against the atoms derived so far, evaluating comparisons as
+soon as their variables are bound, then simplify to a fixpoint by
+propagating which atoms are possible (occur in the head of a surviving rule)
+and which are certain (derived unconditionally).
+
+Instantiation runs semi-naive rounds to the least fixpoint of the heads with
+negation and aggregates ignored: a round matches each statement only in the
+ways that use at least one atom derived in the round before. Safety puts
+every global variable in a positive body atom, so no variable ranges over
+the whole Herbrand universe, and every instance whose positive body can hold
+is found exactly once. The instances are emitted statement by statement in
+program order (rules, then weak constraints), each statement's sorted by the
+ground terms of its variables, which is the order of the product over the
+sorted universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
@@ -31,9 +42,10 @@ raised instead.
 
 from __future__ import annotations
 
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, Optional
 
 from .model import (
     Atom,
@@ -101,7 +113,7 @@ class SolveResult:
 
 
 # ---------------------------------------------------------------------------
-# Stage 1: naive instantiation
+# Stage 1: instantiation by joining positive bodies
 # ---------------------------------------------------------------------------
 
 def _substitute_term(term: Term, subst: dict[str, Term]) -> Term:
@@ -112,6 +124,24 @@ def _substitute_term(term: Term, subst: dict[str, Term]) -> Term:
 
 def _substitute_atom(atom: Atom, subst: dict[str, Term]) -> Atom:
     return Atom(atom.predicate, tuple(_substitute_term(t, subst) for t in atom.args))
+
+
+def _match(pattern: Atom, atom: Atom, subst: dict[str, Term]) -> Optional[dict[str, Term]]:
+    """`subst` extended so that `pattern` becomes the ground `atom` of the
+    same signature, or None when they clash. `subst` itself is not changed."""
+    out = subst
+    for p, a in zip(pattern.args, atom.args):
+        if isinstance(p, Variable):
+            bound = out.get(p.name)
+            if bound is None:
+                if out is subst:
+                    out = dict(subst)
+                out[p.name] = a
+            elif bound != a:
+                return None
+        elif p != a:
+            return None
+    return out
 
 
 def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list[str]:
@@ -143,47 +173,175 @@ def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list
     return seen
 
 
-def _instantiate_statement(statement: Rule | WeakConstraint,
-                           universe: Sequence[Term], budget: list[int]):
-    """Yield (head, pos, neg, aggregates) for every ground instance of a rule
-    or weak constraint: frozensets of ground atoms, and the body's #count
-    aggregates with global variables substituted (brace-local names survive).
-    A false ground comparison drops the instance, a true one its literal."""
-    weak = isinstance(statement, WeakConstraint)
-    head = () if weak else statement.head
-    variables = _global_variables(head, statement.body)
-    for assignment in itertools.product(universe, repeat=len(variables)):
-        budget[0] -= 1
-        if budget[0] < 0:
-            text = (weak_constraint_to_text if weak else rule_to_text)(statement)
-            where = f" at {statement.origin}" if statement.origin else ""
-            raise CapacityExceeded(
-                f"instantiation budget exceeded ({MAX_INSTANTIATIONS} ground "
-                f"instances) grounding `{text}`{where} over a universe of "
-                f"{len(universe)} constants", rules=MAX_INSTANTIATIONS)
-        subst = dict(zip(variables, assignment))
+class _AtomIndex:
+    """The atoms derived so far. Each atom is stamped with its position in
+    derivation order and listed, in that order, under its signature and under
+    every (signature, position, argument) it has. A lookup returns the atoms
+    stamped in [lo, hi) that agree with a pattern's first bound argument."""
+
+    def __init__(self):
+        self.atoms: set[Atom] = set()
+        self._lists: dict[tuple, tuple[list[int], list[Atom]]] = {}
+
+    def __len__(self) -> int:
+        return len(self.atoms)
+
+    def add(self, atom: Atom) -> None:
+        if atom in self.atoms:
+            return
+        stamp = len(self.atoms)
+        self.atoms.add(atom)
+        sig = atom.signature
+        for key in [sig] + [(sig, i, t) for i, t in enumerate(atom.args)]:
+            stamps, atoms = self._lists.setdefault(key, ([], []))
+            stamps.append(stamp)
+            atoms.append(atom)
+
+    def lookup(self, pattern: Atom, subst: dict[str, Term], lo: int, hi: int) -> list[Atom]:
+        sig = pattern.signature
+        key = sig
+        for i, t in enumerate(pattern.args):
+            if isinstance(t, Variable):
+                t = subst.get(t.name)
+                if t is None:
+                    continue
+            key = (sig, i, t)
+            break
+        entry = self._lists.get(key)
+        if entry is None:
+            return []
+        stamps, atoms = entry
+        return atoms[bisect_left(stamps, lo):bisect_left(stamps, hi)]
+
+
+def _holds(c: Comparison, subst: dict[str, Term]) -> bool:
+    return compare_terms(c.op, _substitute_term(c.left, subst),
+                         _substitute_term(c.right, subst))
+
+
+class _Join:
+    """One rule or weak constraint prepared for instantiation.
+
+    Safety puts every global variable in a positive body atom, so the ground
+    instances whose positive body consists of derived atoms are exactly the
+    ways of matching those atoms, in turn, against the index. A comparison is
+    tested as soon as the atoms matched so far bind its variables."""
+
+    def __init__(self, statement: Rule | WeakConstraint):
+        weak = isinstance(statement, WeakConstraint)
+        self.statement = statement
+        self.head = () if weak else statement.head
+        self.weight = (statement.cost, statement.level) if weak else None
+        self.variables = _global_variables(self.head, statement.body)
+        self.positive = [l.payload for l in statement.body
+                         if isinstance(l.payload, Atom) and not l.negated]
+        comparisons = [l.payload for l in statement.body
+                       if isinstance(l.payload, Comparison)]
+        # ground comparisons decide the statement before any matching
+        self.ground_checks = [c for c in comparisons if not any(c.variables())]
+        # plans[i]: the positive atoms with atom i first, each paired with the
+        # comparisons whose last unbound variable it binds
+        self.plans = []
+        for i in range(len(self.positive)):
+            bound: set[str] = set()
+            pending = [c for c in comparisons if any(c.variables())]
+            steps = []
+            for j in [i] + [j for j in range(len(self.positive)) if j != i]:
+                bound.update(self.positive[j].variables())
+                steps.append((j, [c for c in pending if set(c.variables()) <= bound]))
+                pending = [c for c in pending if not set(c.variables()) <= bound]
+            self.plans.append(steps)
+
+    def bindings(self, index: _AtomIndex, lo: int, hi: int):
+        """The assignments of one semi-naive round: the index holds the atoms
+        stamped below `hi`, and those from `lo` on are new this round. Every
+        assignment matches at least one new atom, and each is yielded in
+        exactly one round: plan i takes atom i from the new ones, the atoms
+        before it from the old ones and those after it from all of them. A
+        statement without positive atoms has one assignment, in the first
+        round."""
+        if not all(_holds(c, {}) for c in self.ground_checks):
+            return
+        if not self.positive:
+            if hi == 0:
+                yield {}
+            return
+        for i, steps in enumerate(self.plans):
+            windows = [(0, lo) if j < i else (lo, hi) if j == i else (0, hi)
+                       for j, _ in steps]
+            yield from self._extend(index, steps, windows, 0, {})
+
+    def _extend(self, index, steps, windows, depth, subst):
+        if depth == len(steps):
+            yield subst
+            return
+        j, checks = steps[depth]
+        pattern = self.positive[j]
+        lo, hi = windows[depth]
+        for atom in index.lookup(pattern, subst, lo, hi):
+            extended = _match(pattern, atom, subst)
+            if extended is not None and all(_holds(c, extended) for c in checks):
+                yield from self._extend(index, steps, windows, depth + 1, extended)
+
+    def instance(self, subst: dict[str, Term]) -> tuple:
+        """(head, pos, neg, aggregates, weight) under `subst`: frozensets of
+        ground atoms, and the body's #count aggregates with global variables
+        substituted (brace-local names survive)."""
         pos: list[Atom] = []
         neg: list[Atom] = []
         aggs: list[CountAggregate] = []
-        for lit in statement.body:
+        for lit in self.statement.body:
             p = lit.payload
             if isinstance(p, Atom):
                 (neg if lit.negated else pos).append(_substitute_atom(p, subst))
-            elif isinstance(p, Comparison):
-                left = _substitute_term(p.left, subst)
-                right = _substitute_term(p.right, subst)
-                if not compare_terms(p.op, left, right):
-                    break
-            else:
+            elif isinstance(p, CountAggregate):
                 aggs.append(CountAggregate(
                     tuple(_substitute_term(t, subst) for t in p.terms),
                     _substitute_atom(p.condition, subst),
                     p.guard_op,
                     _substitute_term(p.guard, subst),
                 ))
-        else:
-            yield (frozenset(_substitute_atom(a, subst) for a in head),
-                   frozenset(pos), frozenset(neg), tuple(aggs))
+        return (frozenset(_substitute_atom(a, subst) for a in self.head),
+                frozenset(pos), frozenset(neg), tuple(aggs), self.weight)
+
+    def budget_exceeded(self, universe_size: int) -> CapacityExceeded:
+        s = self.statement
+        text = (rule_to_text if self.weight is None else weak_constraint_to_text)(s)
+        where = f" at {s.origin}" if s.origin else ""
+        return CapacityExceeded(
+            f"instantiation budget exceeded ({MAX_INSTANTIATIONS} ground "
+            f"instances) grounding `{text}`{where} over a universe of "
+            f"{universe_size} constants", rules=MAX_INSTANTIATIONS)
+
+
+def _instantiate(statements, universe_size: int) -> list[tuple]:
+    """The ground instances, as (head, pos, neg, aggregates, weight), whose
+    positive body lies in the least fixpoint of the heads with negation and
+    aggregates ignored: the atoms that are possible at all. Semi-naive rounds
+    reach that fixpoint; a round joins a statement only against the atoms
+    derived in the round before. Statements keep their order, and each one's
+    instances are sorted by the ground terms of its variables in
+    `_global_variables` order, which is the order of the product over the
+    sorted universe."""
+    joins = [_Join(s) for s in statements]
+    found: list[list[tuple]] = [[] for _ in joins]  # per statement: (key, instance)
+    index = _AtomIndex()
+    emitted = 0
+    lo = hi = 0
+    while True:
+        for join, out in zip(joins, found):
+            for subst in join.bindings(index, lo, hi):
+                emitted += 1
+                if emitted > MAX_INSTANTIATIONS:
+                    raise join.budget_exceeded(universe_size)
+                inst = join.instance(subst)
+                out.append((tuple(term_key(subst[v]) for v in join.variables), inst))
+                for a in inst[0]:
+                    index.add(a)
+        if len(index) == hi:
+            break
+        lo, hi = hi, len(index)
+    return [inst for out in found for _, inst in sorted(out, key=itemgetter(0))]
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +452,7 @@ def _mask(ids: Iterable[int]) -> int:
 
 def ground(program: Program) -> GroundProgram:
     universe = sorted(herbrand_universe(program), key=term_key)
-    budget = [MAX_INSTANTIATIONS]
-    instances: list[tuple] = []   # (head, pos, neg, aggregates, weight)
-    for statement in program.rules + program.weak_constraints:
-        weight = ((statement.cost, statement.level)
-                  if isinstance(statement, WeakConstraint) else None)
-        for head, pos, neg, aggs in _instantiate_statement(statement, universe, budget):
-            instances.append((head, pos, neg, aggs, weight))
+    instances = _instantiate(program.rules + program.weak_constraints, len(universe))
     return _build_ground(universe, instances, bool(program.weak_constraints))
 
 
@@ -405,19 +557,24 @@ def _build_ground(universe, instances, has_weaks) -> GroundProgram:
             f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
             f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
 
+    by_signature: dict[tuple[str, int], list[Atom]] = {}
+    for a in possible:
+        by_signature.setdefault(a.signature, []).append(a)
+
     def build_aggregate(agg: CountAggregate) -> _GroundAggregate:
-        locals_ = sorted(agg.inner_variables())
+        # aggregate safety puts every term variable in the condition, so the
+        # possible atoms the condition matches give every countable tuple
         always: set[tuple] = set()
         conditional: dict[tuple, int] = {}
-        for assignment in itertools.product(universe, repeat=len(locals_)):
-            subst = dict(zip(locals_, assignment))
-            cond = _substitute_atom(agg.condition, subst)
+        for cond in by_signature.get(agg.condition.signature, ()):
+            subst = _match(agg.condition, cond, {})
+            if subst is None:
+                continue
             value = tuple(term_key(_substitute_term(t, subst)) for t in agg.terms)
             if cond in certain:
                 always.add(value)
-            elif cond in possible:
+            else:
                 conditional[value] = conditional.get(value, 0) | (1 << ids[cond])
-            # otherwise the condition can never hold
         return _GroundAggregate(agg, frozenset(always), conditional)
 
     statements = [

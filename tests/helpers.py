@@ -1,11 +1,11 @@
 """Shared test utilities: an independent brute-force reference for answer
 sets and assertion semantics, plus random program generators.
 
-The brute enumerator and the naive grounder implement the definitions
-literally (every variable takes every constant, reduct over every ground
-rule, minimality by scanning all proper subsets) with none of the
-simplification machinery of the production oracle, so the two can check each
-other.
+The brute enumerator and the naive grounders implement the definitions
+literally (every variable takes every constant, #count counts over every
+constant, reduct over every ground rule, minimality by scanning proper
+subsets) with none of the simplification machinery of the production
+oracle, so the two can check each other.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import itertools
 import random
 from pathlib import Path
 
+from asp_testkit import oracle
 from asp_testkit.model import (
     Atom,
     BestModelCost,
@@ -23,6 +24,7 @@ from asp_testkit.model import (
     ConstraintInAtLeast,
     ConstraintInAtMost,
     ConstraintInExactly,
+    CountAggregate,
     Integer,
     Literal,
     NoAnswerSet,
@@ -35,6 +37,8 @@ from asp_testkit.model import (
     Variable,
     WeakConstraint,
     compare_terms,
+    herbrand_universe,
+    term_key,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -60,47 +64,116 @@ def lit(pred: str, *args, neg: bool = False) -> Literal:
 
 
 # ---------------------------------------------------------------------------
-# Naive grounder (aggregate-free programs)
+# Naive grounders
 # ---------------------------------------------------------------------------
 
+def _subst_term(t, subst):
+    return subst.get(t.name, t) if isinstance(t, Variable) else t
+
+
+def _subst_atom(a: Atom, subst) -> Atom:
+    return Atom(a.predicate, tuple(_subst_term(t, subst) for t in a.args))
+
+
+def _subst_aggregate(agg: CountAggregate, subst) -> CountAggregate:
+    return CountAggregate(tuple(_subst_term(t, subst) for t in agg.terms),
+                          _subst_atom(agg.condition, subst), agg.guard_op,
+                          _subst_term(agg.guard, subst))
+
+
+def product_instances(program: Program):
+    """The instantiation the oracle's join must reproduce, by brute force:
+    every global variable of every rule and weak constraint (in
+    `oracle._global_variables` order) takes every constant of the sorted
+    Herbrand universe, in product order. Yields (head, pos, neg, aggregates,
+    weight) like the oracle's instance stream; a false comparison drops the
+    instance and a true one its literal."""
+    universe = sorted(herbrand_universe(program), key=term_key)
+    for statement in program.rules + program.weak_constraints:
+        weak = isinstance(statement, WeakConstraint)
+        head = () if weak else statement.head
+        weight = (statement.cost, statement.level) if weak else None
+        variables = oracle._global_variables(head, statement.body)
+        for assignment in itertools.product(universe, repeat=len(variables)):
+            subst = dict(zip(variables, assignment))
+            pos, neg, aggs = [], [], []
+            for l in statement.body:
+                p = l.payload
+                if isinstance(p, Atom):
+                    (neg if l.negated else pos).append(_subst_atom(p, subst))
+                elif isinstance(p, Comparison):
+                    if not compare_terms(p.op, _subst_term(p.left, subst),
+                                         _subst_term(p.right, subst)):
+                        break
+                else:
+                    aggs.append(_subst_aggregate(p, subst))
+            else:
+                yield (frozenset(_subst_atom(a, subst) for a in head),
+                       frozenset(pos), frozenset(neg), tuple(aggs), weight)
+
+
 def naive_ground(rules, universe) -> list[Rule]:
-    """Every instance of every rule over `universe`: each variable of a rule
-    takes each constant in turn, an instance with a false comparison is
-    dropped and true comparisons are removed. No simplification."""
+    """Every instance of every rule over `universe`: each variable outside
+    the #count braces takes each constant in turn (and is substituted inside
+    them too), an instance with a false comparison is dropped and true
+    comparisons are removed. No simplification."""
     out = []
     for rule in rules:
-        if any(l.is_aggregate() for l in rule.body):
-            raise NotImplementedError("the naive grounder has no aggregates")
-        atoms = [l.atom for l in rule.body if l.is_atom()]
-        comparisons = [l.payload for l in rule.body if l.is_comparison()]
-        terms = [t for a in rule.head + tuple(atoms) for t in a.args]
-        terms += [t for c in comparisons for t in (c.left, c.right)]
-        variables = sorted({t for t in terms if isinstance(t, Variable)}, key=lambda v: v.name)
+        names = {v for a in rule.head for v in a.variables()}
+        for l in rule.body:
+            p = l.payload
+            if isinstance(p, CountAggregate):
+                if isinstance(p.guard, Variable):
+                    names.add(p.guard.name)
+            else:
+                names.update(p.variables())
+        variables = sorted(names)
         for values in itertools.product(universe, repeat=len(variables)):
             subst = dict(zip(variables, values))
-
-            def inst(a: Atom) -> Atom:
-                return Atom(a.predicate, tuple(subst.get(t, t) for t in a.args))
-
-            if all(compare_terms(c.op, subst.get(c.left, c.left), subst.get(c.right, c.right))
-                   for c in comparisons):
-                body = tuple(Literal(inst(l.atom), l.negated) for l in rule.body if l.is_atom())
-                out.append(Rule(tuple(inst(a) for a in rule.head), body))
+            body = []
+            for l in rule.body:
+                p = l.payload
+                if isinstance(p, Atom):
+                    body.append(Literal(_subst_atom(p, subst), l.negated))
+                elif isinstance(p, CountAggregate):
+                    body.append(Literal(_subst_aggregate(p, subst)))
+                elif not compare_terms(p.op, _subst_term(p.left, subst),
+                                       _subst_term(p.right, subst)):
+                    break
+            else:
+                out.append(Rule(tuple(_subst_atom(a, subst) for a in rule.head), tuple(body)))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Brute-force reference semantics (ground, aggregate-free programs)
+# Brute-force reference semantics (ground programs)
 # ---------------------------------------------------------------------------
 
-def _collect_atoms(rules) -> list[Atom]:
-    atoms = set()
-    for r in rules:
-        atoms.update(r.head)
-        for l in r.body:
-            if l.is_atom():
-                atoms.add(l.atom)
-    return sorted(atoms, key=Atom.sort_key)
+def count_holds(agg: CountAggregate, interp: frozenset[Atom], universe) -> bool:
+    """`#count{t1,...,tn : a} op g` as defined: the number of distinct tuples
+    (t1,...,tn) under the assignments of the aggregate's local variables to
+    `universe` that make `a` true in `interp`, compared with `g` by `op`."""
+    local = sorted({t.name for t in agg.terms + agg.condition.args
+                    if isinstance(t, Variable)})
+    tuples = set()
+    for values in itertools.product(universe, repeat=len(local)):
+        subst = dict(zip(local, values))
+        if _subst_atom(agg.condition, subst) in interp:
+            tuples.add(tuple(_subst_term(t, subst) for t in agg.terms))
+    return compare_terms(agg.guard_op, Integer(len(tuples)), agg.guard)
+
+
+def least_fixpoint(rules) -> frozenset[Atom]:
+    """Least set closed under `pos <= set => head <= set` for (head, pos)."""
+    derived: set[Atom] = set()
+    changed = True
+    while changed:
+        changed = False
+        for head, pos in rules:
+            if pos <= derived and not head <= derived:
+                derived |= head
+                changed = True
+    return frozenset(derived)
 
 
 def _models(interp: frozenset[Atom], reduct_rules) -> bool:
@@ -110,42 +183,49 @@ def _models(interp: frozenset[Atom], reduct_rules) -> bool:
     return True
 
 
-def brute_answer_sets(rules) -> list[frozenset[Atom]]:
-    """Every answer set of a ground aggregate-free program, by definition."""
+def brute_answer_sets(rules, universe=()) -> list[frozenset[Atom]]:
+    """Every answer set of a ground program, by definition: M is one when it
+    is a minimal model of the reduct, which drops each rule (constraints
+    included) whose negative atoms or #count literals are false in M and
+    keeps the head and positive atoms of the rest. `universe` is what the
+    #count local variables range over.
+
+    Only the candidates between two bounds are scanned. Every model of a
+    reduct contains the least model of the rules with one head atom, no
+    negation and no #count, since each reduct keeps them as they are. And M
+    minus anything outside the least fixpoint of all heads over positive
+    bodies is still a model of the reduct, so a minimal M lies inside it."""
     # evaluate ground comparison literals up front
     kept = []
     for r in rules:
         comparisons = [l.payload for l in r.body if l.is_comparison()]
         if all(compare_terms(c.op, c.left, c.right) for c in comparisons):
-            kept.append(Rule(r.head, tuple(l for l in r.body if l.is_atom())))
-    rules = kept
+            kept.append(Rule(r.head, tuple(l for l in r.body if not l.is_comparison())))
+    rules = [(r, frozenset(r.head), frozenset(l.atom for l in r.body if l.is_atom() and not l.negated))
+             for r in kept]
 
-    atoms = _collect_atoms(rules)
-    n = len(atoms)
+    lower = least_fixpoint([(head, pos) for r, head, pos in rules
+                             if len(head) == 1
+                             and all(l.is_atom() and not l.negated for l in r.body)])
+    upper = least_fixpoint([(head, pos) for _, head, pos in rules])
+    free = sorted(upper - lower, key=Atom.sort_key)
     answer_sets = []
-    for bits in range(1 << n):
-        interp = frozenset(a for i, a in enumerate(atoms) if bits >> i & 1)
-        reduct = []
-        for r in rules:
-            if any(l.atom in interp for l in r.body if l.is_atom() and l.negated):
-                continue
-            pos = frozenset(l.atom for l in r.body if l.is_atom() and not l.negated)
-            reduct.append((frozenset(r.head), pos))
+    for bits in range(1 << len(free)):
+        interp = lower | frozenset(a for i, a in enumerate(free) if bits >> i & 1)
+        reduct = [(head, pos) for r, head, pos in rules
+                  if _body_satisfied(tuple(l for l in r.body if not l.is_atom() or l.negated),
+                                     interp, universe)]
         if not _models(interp, reduct):
             continue
-        minimal = True
-        members = sorted(interp, key=Atom.sort_key)
-        for sub_bits in range((1 << len(members)) - 1):
-            sub = frozenset(a for i, a in enumerate(members) if sub_bits >> i & 1)
-            if _models(sub, reduct):
-                minimal = False
-                break
-        if minimal:
+        members = sorted(interp - lower, key=Atom.sort_key)
+        if not any(_models(lower | frozenset(a for i, a in enumerate(members) if sub >> i & 1),
+                           reduct)
+                   for sub in range((1 << len(members)) - 1)):
             answer_sets.append(interp)
     return answer_sets
 
 
-def _body_satisfied(body, interp: frozenset[Atom]) -> bool:
+def _body_satisfied(body, interp: frozenset[Atom], universe=()) -> bool:
     for l in body:
         if l.is_atom():
             if l.negated == (l.atom in interp):
@@ -154,28 +234,32 @@ def _body_satisfied(body, interp: frozenset[Atom]) -> bool:
             c = l.payload
             if not compare_terms(c.op, c.left, c.right):
                 return False
-        else:
-            raise NotImplementedError("brute reference has no aggregates")
+        elif not count_holds(l.payload, interp, universe):
+            return False
     return True
 
 
-def brute_penalty(program: Program, interp: frozenset[Atom], level: int) -> int:
+def brute_penalty(program, interp: frozenset[Atom], level: int, universe=()) -> int:
+    """Sum of the costs of the level's weak constraints whose body holds in
+    `interp`; `program` is a ground Program or a GroundProgram."""
     return sum(w.cost for w in program.weak_constraints
-               if w.level == level and _body_satisfied(w.body, interp))
+               if w.level == level and _body_satisfied(w.body, interp, universe))
 
 
-def brute_optimal(program: Program, answer_sets) -> list[frozenset[Atom]]:
+def brute_optimal(program, answer_sets, universe=()) -> list[frozenset[Atom]]:
     """Non-dominated answer sets by the levelwise definition, literally."""
     levels = sorted({w.level for w in program.weak_constraints})
+
+    def cost(m, level):
+        return brute_penalty(program, m, level, universe)
 
     def dominated(m, others):
         for m2 in others:
             if m2 == m:
                 continue
             for l in levels:
-                if brute_penalty(program, m2, l) < brute_penalty(program, m, l) \
-                        and all(brute_penalty(program, m2, k) == brute_penalty(program, m, k)
-                                for k in levels if k > l):
+                if cost(m2, l) < cost(m, l) \
+                        and all(cost(m2, k) == cost(m, k) for k in levels if k > l):
                     return True
         return False
 
@@ -284,6 +368,74 @@ def random_nonground_program(rng: random.Random) -> tuple[Program, list]:
             head = ()
         rules.append(Rule(head, tuple(body)))
     return Program(tuple(rules)), constants
+
+
+def random_join_program(rng: random.Random) -> Program:
+    """A safe program that exercises the join: over 2-3 constants, `d/1`
+    holds every constant, `e/2` a few random edges and `reach/2` their
+    transitive closure by a recursive rule. Random rules join 1-3 atoms on
+    shared variables and add comparisons, negation, #count, disjunctive
+    heads over `p/1` and `q/1`, and weak constraints. A #count in a rule
+    head may be recursive; the oracle then raises UnsupportedAggregate."""
+    constants = [Integer(i) for i in range(1, rng.randint(2, 3) + 1)]
+    if rng.random() < 0.3:
+        constants[-1] = Constant("c")  # every integer precedes every symbol
+    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+    pairs = [(a, b) for a in constants for b in constants]
+    rules = [Rule((Atom("d", (c,)),), ()) for c in constants]
+    rules += [Rule((Atom("e", edge),), ()) for edge in rng.sample(pairs, rng.randint(1, 3))]
+    rules.append(Rule((Atom("reach", (X, Y)),), (Literal(Atom("e", (X, Y))),)))
+    step = [Literal(Atom("reach", (X, Y))), Literal(Atom("e", (Y, Z)))]
+    if rng.random() < 0.3:
+        step.append(Literal(Comparison(rng.choice(["!=", "<", ">="]), X, Z)))
+    rules.append(Rule((Atom("reach", (X, Z)),), tuple(step)))
+
+    def binder(a: Variable, b: Variable) -> Atom:
+        return rng.choice([Atom("d", (a,)), Atom("p", (a,)), Atom("e", (a, b)),
+                           Atom("reach", (a, b))])
+
+    def count() -> CountAggregate:
+        """A #count over p, q or reach, which may share the global X."""
+        cond = rng.choice([Atom("p", (Z,)), Atom("q", (Z,)), Atom("reach", (Z, Y)),
+                           Atom("reach", (X, Z))])
+        terms = rng.choice([(Z,), tuple(cond.args)])
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        return CountAggregate(terms, cond, op, Integer(rng.randint(0, 3)))
+
+    def body() -> tuple[Literal, ...]:
+        """1-3 joined atoms binding X (and maybe Y), plus extras over them."""
+        pool = [X, Y] if rng.random() < 0.7 else [X]
+        atoms = [binder(X, rng.choice(pool))]
+        atoms += [binder(rng.choice(pool), rng.choice(pool))
+                  for _ in range(rng.randint(0, 2))]
+        bound = sorted({v for a in atoms for v in a.variables()})
+        terms = [Variable(n) for n in bound]
+        lits = [Literal(a) for a in atoms]
+        if rng.random() < 0.5:
+            lits.append(Literal(Atom(rng.choice("pq"), (rng.choice(terms),)), negated=True))
+        if rng.random() < 0.2:
+            lits.append(Literal(Atom("r"), negated=True))
+        if rng.random() < 0.4:
+            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+            lits.append(Literal(Comparison(op, rng.choice(terms),
+                                           rng.choice(terms + constants))))
+        if rng.random() < 0.3:
+            lits.append(Literal(count()))
+        rng.shuffle(lits)
+        return tuple(lits)
+
+    for _ in range(rng.randint(2, 4)):
+        shape = rng.random()
+        if shape < 0.6:
+            head = tuple(Atom(pred, (X,)) for pred in rng.sample("pq", rng.randint(1, 2)))
+            rules.append(Rule(head, body()))
+        elif shape < 0.85:
+            rules.append(Rule((Atom("r"),), body()))
+        else:
+            rules.append(Rule((), body()))
+    weaks = [WeakConstraint(body(), cost=rng.randint(0, 3), level=rng.randint(0, 2))
+             for _ in range(rng.choice([0, 0, 1, 2]))]
+    return Program(tuple(rules), tuple(weaks))
 
 
 def random_assertion(rng: random.Random, program: Program, kind: str):

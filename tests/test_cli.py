@@ -42,6 +42,19 @@ def test_check_unsafe_rule_exits_one(tmp_path):
     assert "safety" in proc.stdout
 
 
+def test_test_refuses_aggregate_term_outside_its_condition(tmp_path):
+    # the constraint holds in no answer set once X is unsafe; read with X
+    # ranging over d's constants it killed every model and noAnswerSet passed
+    bad = tmp_path / "bad.lp"
+    bad.write_text(
+        '%** @rule(name = "r") **%\n:- #count{X : p(Y)} >= 3.\n'
+        '%** @test(name = "t", scope = { "r" }, input = "d(1). d(2). d(3). p(1).",\n'
+        '        assert = { @noAnswerSet }) **%\n', encoding="utf-8")
+    proc = run_cli("test", str(bad))
+    assert proc.returncode == 1
+    assert "bad.lp:2:1: safety: unsafe statement: variable(s) X" in proc.stdout
+
+
 def test_check_missing_file_exits_two():
     proc = run_cli("check", "/no/such/file.lp")
     assert proc.returncode == 2

@@ -73,6 +73,20 @@ def test_program_rejects_unsafe_rule():
         Program((Rule((atom("p", "X"),), (lit("q", "Y"),)),))
 
 
+def test_program_rejects_aggregate_term_outside_its_condition():
+    # `d(1). d(2). d(3). p(1). :- #count{X : p(Y)} >= 3.`: X would range over
+    # every constant, so the constraint would hold and kill every model
+    loose = Literal(CountAggregate((Variable("X"),), atom("p", "Y"), ">=", Integer(3)))
+    facts = tuple(Rule((atom(pred, i),)) for pred, i in [("d", 1), ("d", 2), ("d", 3), ("p", 1)])
+    with pytest.raises(UnsafeRuleError) as exc:
+        Program(facts + (Rule((), (loose,)),))
+    assert exc.value.unbound == {"X"}
+    with pytest.raises(UnsafeRuleError):
+        Program(facts, (WeakConstraint((loose,), 1, 1),))
+    # bound outside the braces, X is a global and the aggregate is safe
+    Program(facts + (Rule((), (lit("d", "X"), loose)),))
+
+
 NEGATED_NON_ATOMS = {
     # `p(1). :- not 1 < 2.`: read as positive, the constraint kills every model
     "comparison": Literal(Comparison("<", Integer(1), Integer(2)), negated=True),

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from asp_testkit import oracle
-from asp_testkit.model import Atom, Integer, Program, Rule
+from asp_testkit.engine import build_tester, default_file_loader, resolve_scope
+from asp_testkit.model import Atom, Integer, Program, Rule, herbrand_universe, term_key
 from asp_testkit.oracle import (
     CapacityExceeded,
     UnsupportedAggregate,
@@ -12,15 +13,22 @@ from asp_testkit.oracle import (
     is_answer_set,
     optimal_answer_sets,
     penalty,
+    penalty_levels,
     reduct,
 )
 from asp_testkit.parser import parse_unit
 from helpers import (
+    FIXTURES,
     atom,
     brute_answer_sets,
+    brute_optimal,
+    brute_penalty,
     fixture_text,
+    least_fixpoint,
     lit,
     naive_ground,
+    product_instances,
+    random_join_program,
     random_nonground_program,
     random_program,
 )
@@ -74,6 +82,71 @@ def test_instantiation_budget_names_the_statement_and_universe(monkeypatch):
     assert "instantiation budget exceeded (10 ground instances)" in message
     assert "`p(X,Y) :- d(X), d(Y).` at big.lp:2:1" in message
     assert "universe of 3 constants" in message
+
+
+CHAIN = " ".join(f"edge({i},{i + 1})." for i in range(1, 18)) + """
+reach(X,Y) :- edge(X,Y).
+reach(X,Z) :- reach(X,Y), edge(Y,Z)."""
+
+
+def test_instantiation_budget_counts_emitted_instances(monkeypatch):
+    # 17 edge facts, 17 base instances and one step instance per reach(X,Y)
+    # with Y < 18: 170 in all, against 18^3 candidates of the universe product
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 1000)
+    g = ground(program(CHAIN))
+    closure = {atom("reach", i, j) for i in range(1, 19) for j in range(i + 1, 19)}
+    edges = {atom("edge", i, i + 1) for i in range(1, 18)}
+    result = enumerate_answer_sets(g)
+    assert result.atom_sets() == {frozenset(closure | edges)}
+    assert result.exhausted
+
+
+def _ground_or_none(build):
+    try:
+        return build()
+    except UnsupportedAggregate:
+        return None
+
+
+def assert_join_matches_product(p: Program):
+    """The join emits the universe product's instances whose positive body
+    is possible at all, in the same order and each once, and `ground` gives
+    the same ground program as the whole product."""
+    universe = sorted(herbrand_universe(p), key=term_key)
+    instances = list(product_instances(p))
+    possible = least_fixpoint([(head, pos) for head, pos, *_ in instances])
+    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)) == [
+        i for i in instances if i[1] <= possible]
+    got = _ground_or_none(lambda: ground(p))
+    want = _ground_or_none(lambda: oracle._build_ground(
+        universe, instances, bool(p.weak_constraints)))
+    assert (got is None) == (want is None), p
+    if got is None:
+        return
+    assert got.universe == want.universe
+    assert got.atoms == want.atoms
+    assert got.certain_atoms() == want.certain_atoms()
+    assert got.rules == want.rules
+    assert got.weak_constraints == want.weak_constraints
+    assert got.trivially_incoherent == want.trivially_incoherent
+
+
+def fixture_testers():
+    for path in sorted(FIXTURES.glob("*.lp")):
+        unit = parse_unit(path.name, path.read_text(encoding="utf-8"))
+        for spec in unit.suite.tests:
+            scoped = resolve_scope(unit.suite, spec, default_file_loader(str(FIXTURES)))
+            for assertion in spec.asserts:
+                yield build_tester(scoped, assertion).program
+
+
+def test_join_matches_product_instantiation():
+    rng = random.Random(8)
+    programs = [random_join_program(rng) for _ in range(300)]
+    testers = list(fixture_testers())
+    assert len(testers) > 20
+    for p in programs + testers:
+        assert_join_matches_product(p)
 
 
 def test_ground_coloring_counts():
@@ -259,6 +332,33 @@ def test_pipeline_matches_brute_force_on_random_nonground_programs():
         got = enumerate_answer_sets(ground(p)).atom_sets()
         want = set(brute_answer_sets(naive_ground(p.rules, universe)))
         assert got == want, p
+
+
+def test_pipeline_matches_brute_force_on_random_join_programs():
+    # Costs are read from the ground program's weak constraints, the ones
+    # `penalty` documents: weighted instances that simplification merges
+    # are one weak constraint there (see ROADMAP item 2).
+    rng = random.Random(9)
+    checked = optimized = 0
+    for _ in range(300):
+        p = random_join_program(rng)
+        try:
+            g = ground(p)
+        except UnsupportedAggregate:
+            continue
+        universe = g.universe
+        want = brute_answer_sets(naive_ground(p.rules, universe), universe)
+        assert enumerate_answer_sets(g).atom_sets() == set(want), p
+        checked += 1
+        if not p.weak_constraints:
+            continue
+        best = optimal_answer_sets(g)
+        assert best.atom_sets() == set(brute_optimal(g, want, universe)), p
+        for i, answer in enumerate(best.answer_sets):
+            for level in penalty_levels(g):
+                assert best.costs[(i, level)] == brute_penalty(g, answer.atoms, level, universe)
+        optimized += bool(best.answer_sets)
+    assert checked >= 250 and optimized >= 50
 
 
 def test_reduct_of_answer_set_reproduces_it():

@@ -221,6 +221,14 @@ def test_unsafe_rule_reported_with_kind_safety():
     assert errors and errors[0].kind == "safety"
 
 
+def test_aggregate_term_outside_its_condition_is_unsafe():
+    text = "d(1). d(2). d(3). p(1).\n:- #count{X : p(Y)} >= 3."
+    _, errors = parse_unit_diagnostics("t.lp", text)
+    assert [e.render("t.lp") for e in errors] == [
+        "t.lp:2:1: safety: unsafe statement: variable(s) X do not occur in a "
+        "positive body atom"]
+
+
 def test_error_positions_inside_text():
     bad_texts = [
         "p(X :- q(X).",
