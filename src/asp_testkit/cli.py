@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", help="run the inline unit tests")
     p.add_argument("files", nargs="+")
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
                    help="run tests in parallel")
     _add_backend_options(p)
 
@@ -105,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, metavar="S")
     p.add_argument("--ops-per-mutant", type=_int_at_least(1), default=1, metavar="N")
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--jobs", type=int, default=1, metavar="N")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N")
     _add_backend_options(p)
     return ap
 

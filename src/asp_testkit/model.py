@@ -124,6 +124,12 @@ class Atom:
         return (self.predicate, len(self.args), tuple(term_key(t) for t in self.args))
 
 
+def atom_to_text(atom: Atom) -> str:
+    if not atom.args:
+        return atom.predicate
+    return f"{atom.predicate}({','.join(term_text(t) for t in atom.args)})"
+
+
 @dataclass(frozen=True)
 class Comparison:
     op: str
@@ -215,16 +221,19 @@ class UnsafeRuleError(ValueError):
     def __init__(self, rule, unbound: set[str]):
         self.rule = rule
         self.unbound = unbound
-        names = ", ".join(sorted(unbound))
-        super().__init__(f"unsafe rule: variable(s) {names} not bound by a positive body atom")
+        head = rule.head if isinstance(rule, Rule) else ()
+        super().__init__(
+            f"unsafe rule: {unsafe_reason(head, rule.body, 'not bound by a positive body atom')}")
 
 
-def _body_safety_sets(body: tuple[Literal, ...]) -> tuple[set[str], set[str], set[str]]:
-    """Return (binders, globals-from-body, loose aggregate term names): the
-    names among an aggregate's terms that its condition does not mention."""
+def _body_safety_sets(
+    body: tuple[Literal, ...],
+) -> tuple[set[str], set[str], list[tuple[CountAggregate, set[str]]]]:
+    """Return (binders, globals-from-body, loose): loose pairs each aggregate
+    with the names among its terms that its condition does not mention."""
     binders: set[str] = set()
     body_globals: set[str] = set()
-    loose: set[str] = set()
+    loose: list[tuple[CountAggregate, set[str]]] = []
     for lit in body:
         p = lit.payload
         if isinstance(p, Atom):
@@ -237,8 +246,8 @@ def _body_safety_sets(body: tuple[Literal, ...]) -> tuple[set[str], set[str], se
             body_globals |= set(p.variables())
         else:
             body_globals |= p.guard_variables()
-            loose |= {t.name for t in p.terms if isinstance(t, Variable)} \
-                - set(p.condition.variables())
+            loose.append((p, {t.name for t in p.terms if isinstance(t, Variable)}
+                          - set(p.condition.variables())))
     return binders, body_globals, loose
 
 
@@ -252,7 +261,25 @@ def unbound_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> set[
     for a in head:
         head_vars |= set(a.variables())
     # a loose term name is safe only as a global bound outside the aggregate
-    return (head_vars | body_globals | loose) - binders
+    return (head_vars | body_globals | set().union(*(names for _, names in loose))) - binders
+
+
+def unsafe_reason(head: tuple[Atom, ...], body: tuple[Literal, ...], unbound_phrase: str) -> str:
+    """Why a statement is unsafe, "" when it is safe: the global variables no
+    positive body atom binds, followed by `unbound_phrase`, then each
+    aggregate's term variables that are missing from its condition and are
+    not globals."""
+    binders, body_globals, loose = _body_safety_sets(body)
+    unbound = ({v for a in head for v in a.variables()} | body_globals) - binders
+    reasons = [f"variable(s) {', '.join(sorted(unbound))} {unbound_phrase}"] if unbound else []
+    for agg, names in loose:
+        names = names - binders - unbound
+        if names:
+            elements = ",".join(term_text(t) for t in agg.terms)
+            reasons.append(f"variable(s) {', '.join(sorted(names))} of "
+                           f"#count{{{elements} : {atom_to_text(agg.condition)}}} "
+                           "do not occur in its condition")
+    return "; ".join(reasons)
 
 
 def is_safe(rule: Rule) -> bool:

@@ -7,40 +7,25 @@ one atom, or nudging a comparison / aggregate guard operator to its
 neighbor. Edits that produce an unsafe or unchanged program are discarded at
 generation time.
 
-Generation is deterministic under its seed, which makes shipped mutant sets
-reproducible. The analysis runs the suite against each mutant; a mutant is
-killed as soon as one assertion fails.
+`OPERATORS` defines each operator once: its loci within one rule and its
+edit of the rule at a locus. Its order fixes seeded output: a seed shuffles
+the loci listed by rule, then in table order, which makes shipped mutant
+sets reproducible. The analysis runs the suite against each mutant; a
+mutant is killed as soon as one assertion fails.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from itertools import combinations, count as naturals
+from typing import Callable, Iterable, Iterator, Optional
 
-from .model import (
-    Atom,
-    Comparison,
-    CountAggregate,
-    Literal,
-    Program,
-    Rule,
-    unbound_variables,
-)
+from .model import Atom, Literal, Program, Rule, UnsafeRuleError
 from .engine import FAIL, PASS, SuiteReport, TestResult, map_in_order, run_suite, run_test
-from .parser import SourceUnit
+from .parser import ParseFailure, SourceUnit, parse_ground_atom
 from .serialize import serialize_program
-
-OPERATOR_KINDS = (
-    "renamePredicates",
-    "deleteRule",
-    "deleteLiteral",
-    "addDefaultNegation",
-    "swapTerms",
-    "changeAggregates",
-    "changeMathOperators",
-    "swapDefaultNegation",
-)
 
 # = <-> !=, < <-> <=, > <-> >=
 _ADJACENT_OP = {"=": "!=", "!=": "=", "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
@@ -68,8 +53,9 @@ class ExhaustedLoci(Exception):
 class MutationOp:
     """One concrete edit: operator kind plus its locus.
 
-    site: "head" or "body"; index: rule index; slot: atom/literal position;
-    detail: operator specific (argument pair, replacement name, ...).
+    site: "head", "body", "agg" (an aggregate's condition) or "" (the whole
+    rule); slot: atom/literal position; detail: operator specific (argument
+    pair, replacement name, ...).
     """
 
     kind: str
@@ -99,12 +85,70 @@ class Mutant:
 
 
 # ---------------------------------------------------------------------------
-# Loci enumeration and application
+# The operator table
 # ---------------------------------------------------------------------------
 
-def _atom_sites(rule: Rule):
-    """(site, slot, atom) triples for every atom occurrence of a rule,
-    aggregate conditions included."""
+# `loci(rule, rename_targets)` lists an operator's (site, slot, detail) loci in
+# one rule; `edit(rule, op, rename_targets)` edits the rule at the op's locus,
+# giving None to delete it. `rename_targets(atom)` names the predicates an
+# occurrence of `atom` may be renamed to.
+Operator = namedtuple("Operator", "loci edit")
+
+
+def _splice(items: tuple, i: int, new: tuple) -> tuple:
+    """`items` with its i-th element replaced by the elements of `new`."""
+    return items[:i] + new + items[i + 1:]
+
+
+def _whole_rule(rule: Rule, rename_targets) -> list[tuple[str, int, tuple]]:
+    return [("", -1, ())]
+
+
+def _delete_rule(rule: Rule, op: MutationOp, rename_targets) -> None:
+    return None
+
+
+def _body_operator(rewrite: Callable[[Rule, Literal], Optional[tuple]]) -> Operator:
+    """An operator whose locus is one body literal: `rewrite` gives the
+    literals that take its place, or None where the operator does not apply."""
+    def loci(rule: Rule, rename_targets) -> list[tuple[str, int, tuple]]:
+        return [("body", i, ()) for i, lit in enumerate(rule.body)
+                if rewrite(rule, lit) is not None]
+
+    def edit(rule: Rule, op: MutationOp, rename_targets) -> Rule:
+        return replace(rule, body=_splice(rule.body, op.slot, rewrite(rule, rule.body[op.slot])))
+
+    return Operator(loci, edit)
+
+
+def _delete_literal(rule: Rule, lit: Literal) -> Optional[tuple]:
+    # a constraint keeps at least one body literal
+    return () if rule.head or len(rule.body) > 1 else None
+
+
+def _add_default_negation(rule: Rule, lit: Literal) -> Optional[tuple]:
+    if lit.is_atom() and not lit.negated:
+        return (Literal(lit.atom, negated=True),)
+
+
+def _swap_default_negation(rule: Rule, lit: Literal) -> Optional[tuple]:
+    if lit.is_atom():
+        return (Literal(lit.atom, negated=not lit.negated),)
+
+
+def _change_math_operator(rule: Rule, lit: Literal) -> Optional[tuple]:
+    if lit.is_comparison():
+        return (Literal(replace(lit.payload, op=_ADJACENT_OP[lit.payload.op])),)
+
+
+def _change_aggregate(rule: Rule, lit: Literal) -> Optional[tuple]:
+    if lit.is_aggregate():
+        agg = lit.payload
+        return (Literal(replace(agg, guard_op=_ADJACENT_OP[agg.guard_op]), lit.negated),)
+
+
+def _atom_sites(rule: Rule) -> Iterator[tuple[str, int, Atom]]:
+    """(site, slot, atom) for every atom occurrence, aggregate conditions included."""
     for i, a in enumerate(rule.head):
         yield ("head", i, a)
     for i, lit in enumerate(rule.body):
@@ -114,174 +158,118 @@ def _atom_sites(rule: Rule):
             yield ("agg", i, lit.payload.condition)
 
 
-def _arities(program: Program) -> dict[int, set[str]]:
+def _atom_operator(variants: Callable[..., dict[tuple, Atom]]) -> Operator:
+    """An operator whose locus is one atom occurrence plus a detail: a key of
+    `variants(atom, rename_targets)`, which maps it to the replacement atom."""
+    def loci(rule: Rule, rename_targets) -> list[tuple[str, int, tuple]]:
+        return [(site, slot, detail) for site, slot, atom in _atom_sites(rule)
+                for detail in variants(atom, rename_targets)]
+
+    def edit(rule: Rule, op: MutationOp, rename_targets) -> Rule:
+        atom = next(a for site, slot, a in _atom_sites(rule) if (site, slot) == (op.site, op.slot))
+        new = variants(atom, rename_targets)[op.detail]
+        if op.site == "head":
+            return replace(rule, head=_splice(rule.head, op.slot, (new,)))
+        lit = rule.body[op.slot]
+        payload = new if op.site == "body" else replace(lit.payload, condition=new)
+        return replace(rule, body=_splice(rule.body, op.slot, (replace(lit, payload=payload),)))
+
+    return Operator(loci, edit)
+
+
+def _swap_terms(atom: Atom, rename_targets) -> dict[tuple, Atom]:
+    swaps = {}
+    for i, j in combinations(range(atom.arity), 2):
+        if atom.args[i] != atom.args[j]:
+            args = list(atom.args)
+            args[i], args[j] = args[j], args[i]
+            swaps[(i, j)] = Atom(atom.predicate, tuple(args))
+    return swaps
+
+
+def _rename_predicate(atom: Atom, rename_targets) -> dict[tuple, Atom]:
+    return {(target,): Atom(target, atom.args) for target in rename_targets(atom)}
+
+
+OPERATORS: dict[str, Operator] = {
+    "renamePredicates": _atom_operator(_rename_predicate),
+    "deleteRule": Operator(_whole_rule, _delete_rule),
+    "deleteLiteral": _body_operator(_delete_literal),
+    "addDefaultNegation": _body_operator(_add_default_negation),
+    "swapTerms": _atom_operator(_swap_terms),
+    "changeAggregates": _body_operator(_change_aggregate),
+    "changeMathOperators": _body_operator(_change_math_operator),
+    "swapDefaultNegation": _body_operator(_swap_default_negation),
+}
+OPERATOR_KINDS = tuple(OPERATORS)
+
+
+# ---------------------------------------------------------------------------
+# Loci enumeration and application
+# ---------------------------------------------------------------------------
+
+def enumerate_loci(program: Program, kinds: Iterable[str]) -> list[MutationOp]:
+    """Every concrete (operator, locus) pair applicable to the program, by
+    rule, then kind, then locus. An occurrence is renamed to every other
+    predicate of its arity, or to a fresh `<name>_m<i>` when it has none."""
+    kinds = list(kinds)
+    for kind in kinds:
+        if kind not in OPERATORS:
+            raise ValueError(f"unknown mutation operator {kind!r}")
     by_arity: dict[int, set[str]] = {}
     for rule in program.rules:
         for _, _, atom in _atom_sites(rule):
             by_arity.setdefault(atom.arity, set()).add(atom.predicate)
-    return by_arity
+    taken = set().union(*by_arity.values())
+
+    def rename_targets(atom: Atom) -> list[str]:
+        peers = sorted(by_arity[atom.arity] - {atom.predicate})
+        return peers or [next(f"{atom.predicate}_m{i}" for i in naturals()
+                              if f"{atom.predicate}_m{i}" not in taken)]
+
+    return [MutationOp(kind, ri, site, slot, detail)
+            for ri, rule in enumerate(program.rules)
+            for kind in kinds
+            for site, slot, detail in OPERATORS[kind].loci(rule, rename_targets)]
 
 
-def _fresh_rename_target(program: Program, base: str) -> str:
-    taken = set()
-    for arity_preds in _arities(program).values():
-        taken |= arity_preds
-    i = 0
-    while f"{base}_m{i}" in taken:
-        i += 1
-    return f"{base}_m{i}"
-
-
-def enumerate_loci(program: Program, kinds: Iterable[str]) -> list[MutationOp]:
-    """Every concrete (operator, locus) pair applicable to the program, in a
-    deterministic order."""
-    ops: list[MutationOp] = []
-    by_arity = _arities(program)
-    for kind in kinds:
-        if kind not in OPERATOR_KINDS:
-            raise ValueError(f"unknown mutation operator {kind!r}")
-    for ri, rule in enumerate(program.rules):
-        for kind in kinds:
-            if kind == "deleteRule":
-                ops.append(MutationOp(kind, ri))
-            elif kind == "deleteLiteral":
-                for bi in range(len(rule.body)):
-                    if rule.head or len(rule.body) > 1:
-                        ops.append(MutationOp(kind, ri, "body", bi))
-            elif kind == "addDefaultNegation":
-                for bi, lit in enumerate(rule.body):
-                    if lit.is_atom() and not lit.negated:
-                        ops.append(MutationOp(kind, ri, "body", bi))
-            elif kind == "swapDefaultNegation":
-                for bi, lit in enumerate(rule.body):
-                    if lit.is_atom():
-                        ops.append(MutationOp(kind, ri, "body", bi))
-            elif kind == "changeMathOperators":
-                for bi, lit in enumerate(rule.body):
-                    if lit.is_comparison():
-                        ops.append(MutationOp(kind, ri, "body", bi))
-            elif kind == "changeAggregates":
-                for bi, lit in enumerate(rule.body):
-                    if lit.is_aggregate():
-                        ops.append(MutationOp(kind, ri, "body", bi))
-            elif kind == "swapTerms":
-                for site, slot, atom in _atom_sites(rule):
-                    for i in range(atom.arity):
-                        for j in range(i + 1, atom.arity):
-                            if atom.args[i] != atom.args[j]:
-                                ops.append(MutationOp(kind, ri, site, slot, (i, j)))
-            elif kind == "renamePredicates":
-                for site, slot, atom in _atom_sites(rule):
-                    others = sorted(by_arity.get(atom.arity, set()) - {atom.predicate})
-                    if not others:
-                        others = [_fresh_rename_target(program, atom.predicate)]
-                    for target in others:
-                        ops.append(MutationOp(kind, ri, site, slot, (target,)))
-    return ops
-
-
-def _replace_atom(rule: Rule, site: str, slot: int, new_atom: Atom) -> Rule:
-    if site == "head":
-        head = list(rule.head)
-        head[slot] = new_atom
-        return replace(rule, head=tuple(head))
-    body = list(rule.body)
-    lit = body[slot]
-    if site == "body":
-        body[slot] = Literal(new_atom, lit.negated)
-    else:  # aggregate condition
-        agg = lit.payload
-        body[slot] = Literal(CountAggregate(agg.terms, new_atom, agg.guard_op, agg.guard),
-                             lit.negated)
-    return replace(rule, body=tuple(body))
+def _is_predicate_name(name) -> bool:
+    try:
+        return isinstance(name, str) and parse_ground_atom(name) == Atom(name, ())
+    except ParseFailure:
+        return False
 
 
 def apply_op(program: Program, op: MutationOp) -> Program:
-    """Apply one edit; raises InapplicableOp for a bad locus and UnsafeMutant
-    when the result would violate safety."""
-    if not (0 <= op.rule_index < len(program.rules)):
-        raise InapplicableOp(f"no rule at index {op.rule_index}")
+    """Apply one edit; raises InapplicableOp unless the op's locus is one its
+    operator lists for the rule (a rename may target any other well-formed
+    predicate name), and UnsafeMutant when the result would violate safety."""
+    operator = OPERATORS.get(op.kind)
+    if operator is None or not 0 <= op.rule_index < len(program.rules):
+        raise InapplicableOp(f"no locus {op.describe()}")
     rule = program.rules[op.rule_index]
-    new_rule: Optional[Rule]
 
-    if op.kind == "deleteRule":
-        new_rule = None
-    elif op.kind == "deleteLiteral":
-        if not (0 <= op.slot < len(rule.body)):
-            raise InapplicableOp("no body literal at that locus")
-        body = rule.body[:op.slot] + rule.body[op.slot + 1:]
-        if not rule.head and not body:
-            raise InapplicableOp("deleting the only literal of a constraint")
-        new_rule = replace(rule, body=body)
-    elif op.kind == "addDefaultNegation":
-        lit = _body_lit(rule, op)
-        if not lit.is_atom() or lit.negated:
-            raise InapplicableOp("locus is not a positive body atom")
-        body = list(rule.body)
-        body[op.slot] = Literal(lit.atom, negated=True)
-        new_rule = replace(rule, body=tuple(body))
-    elif op.kind == "swapDefaultNegation":
-        lit = _body_lit(rule, op)
-        if not lit.is_atom():
-            raise InapplicableOp("locus is not a body atom literal")
-        body = list(rule.body)
-        body[op.slot] = Literal(lit.atom, negated=not lit.negated)
-        new_rule = replace(rule, body=tuple(body))
-    elif op.kind == "changeMathOperators":
-        lit = _body_lit(rule, op)
-        if not lit.is_comparison():
-            raise InapplicableOp("locus is not a comparison")
-        cmp = lit.payload
-        body = list(rule.body)
-        body[op.slot] = Literal(Comparison(_ADJACENT_OP[cmp.op], cmp.left, cmp.right))
-        new_rule = replace(rule, body=tuple(body))
-    elif op.kind == "changeAggregates":
-        lit = _body_lit(rule, op)
-        if not lit.is_aggregate():
-            raise InapplicableOp("locus is not an aggregate")
-        agg = lit.payload
-        body = list(rule.body)
-        body[op.slot] = Literal(CountAggregate(
-            agg.terms, agg.condition, _ADJACENT_OP[agg.guard_op], agg.guard), lit.negated)
-        new_rule = replace(rule, body=tuple(body))
-    elif op.kind == "swapTerms":
-        atom = _site_atom(rule, op)
-        i, j = op.detail
-        if atom.arity <= max(i, j):
-            raise InapplicableOp("argument positions out of range")
-        args = list(atom.args)
-        args[i], args[j] = args[j], args[i]
-        new_rule = _replace_atom(rule, op.site, op.slot, Atom(atom.predicate, tuple(args)))
-    elif op.kind == "renamePredicates":
-        atom = _site_atom(rule, op)
-        (target,) = op.detail
-        new_rule = _replace_atom(rule, op.site, op.slot, Atom(target, atom.args))
-    else:
-        raise InapplicableOp(f"unknown operator {op.kind!r}")
+    def rename_targets(atom: Atom) -> list[str]:  # any other well-formed name
+        return [name for name in op.detail if name != atom.predicate and _is_predicate_name(name)]
 
-    rules = list(program.rules)
-    if new_rule is None:
-        del rules[op.rule_index]
-    else:
-        unbound = unbound_variables(new_rule.head, new_rule.body)
-        if unbound:
-            raise UnsafeMutant(
-                f"{op.kind} at rule {op.rule_index} leaves {sorted(unbound)} unbound")
-        rules[op.rule_index] = new_rule
-    return Program(tuple(rules), program.weak_constraints)
+    if (op.site, op.slot, op.detail) not in operator.loci(rule, rename_targets):
+        raise InapplicableOp(f"no locus {op.describe()}")
+    new_rule = operator.edit(rule, op, rename_targets)
+    rules = _splice(program.rules, op.rule_index, () if new_rule is None else (new_rule,))
+    try:
+        return Program(rules, program.weak_constraints)
+    except UnsafeRuleError as exc:
+        raise UnsafeMutant(
+            f"{op.kind} at rule {op.rule_index} leaves {sorted(exc.unbound)} unbound") from None
 
 
-def _body_lit(rule: Rule, op: MutationOp) -> Literal:
-    if op.site != "body" or not (0 <= op.slot < len(rule.body)):
-        raise InapplicableOp("no body literal at that locus")
-    return rule.body[op.slot]
-
-
-def _site_atom(rule: Rule, op: MutationOp) -> Atom:
-    for site, slot, atom in _atom_sites(rule):
-        if site == op.site and slot == op.slot:
-            return atom
-    raise InapplicableOp("no atom at that locus")
+def _applicable(program: Program, loci: list[MutationOp]) -> Iterator[tuple[MutationOp, Program]]:
+    """(op, mutated program) for each op of `loci` that applies safely."""
+    for op in loci:
+        try:
+            yield op, apply_op(program, op)
+        except (InapplicableOp, UnsafeMutant):
+            continue
 
 
 def generate_mutants(program: Program, kinds: Iterable[str], count: int,
@@ -302,11 +290,7 @@ def generate_mutants(program: Program, kinds: Iterable[str], count: int,
     if ops_per_mutant == 1:
         loci = enumerate_loci(program, kinds)
         rng.shuffle(loci)
-        for op in loci:
-            try:
-                mutated = apply_op(program, op)
-            except (InapplicableOp, UnsafeMutant):
-                continue
+        for op, mutated in _applicable(program, loci):
             if mutated in seen_programs:
                 continue
             seen_programs.add(mutated)
@@ -316,24 +300,18 @@ def generate_mutants(program: Program, kinds: Iterable[str], count: int,
         raise ExhaustedLoci(count, mutants)
 
     # higher-order mutants: apply several random edits in sequence
-    attempts = 0
-    max_attempts = count * 50
-    while len(mutants) < count and attempts < max_attempts:
-        attempts += 1
+    for _attempt in range(count * 50):
+        if len(mutants) == count:
+            break
         current = program
         applied: list[MutationOp] = []
         for _ in range(ops_per_mutant):
             loci = enumerate_loci(current, kinds)
             rng.shuffle(loci)
-            for op in loci:
-                try:
-                    current = apply_op(current, op)
-                    applied.append(op)
-                    break
-                except (InapplicableOp, UnsafeMutant):
-                    continue
-            else:
+            op, current = next(_applicable(current, loci), (None, current))
+            if op is None:
                 break
+            applied.append(op)
         if len(applied) != ops_per_mutant or current in seen_programs:
             continue
         seen_programs.add(current)
@@ -365,6 +343,13 @@ class KillReport:
     def all_killed(self) -> bool:
         return bool(self.outcomes) and all(o.status == "killed" for o in self.outcomes)
 
+    @property
+    def counts(self) -> dict[str, int]:
+        statuses = [o.status for o in self.outcomes]
+        return {"mutants": len(statuses), "killed": statuses.count("killed"),
+                "survived": statuses.count("survived"),
+                "inconclusive": statuses.count("inconclusive")}
+
     def to_json_dict(self) -> dict:
         return {
             "baseline_passed": self.baseline_passed,
@@ -380,12 +365,7 @@ class KillReport:
                 for o in self.outcomes
             ],
             "assertion_failures": self.assertion_failures,
-            "counts": {
-                "mutants": len(self.outcomes),
-                "killed": sum(o.status == "killed" for o in self.outcomes),
-                "survived": sum(o.status == "survived" for o in self.outcomes),
-                "inconclusive": sum(o.status == "inconclusive" for o in self.outcomes),
-            },
+            "counts": self.counts,
         }
 
     def human_lines(self) -> list[str]:
@@ -393,19 +373,15 @@ class KillReport:
         for o in self.outcomes:
             detail = f"  killed by: {', '.join(o.killed_by)}" if o.killed_by else ""
             lines.append(f"{o.mutant.id:<7} {o.status:<12} {o.mutant.describe_ops()}{detail}")
-        c = self.to_json_dict()["counts"]
+        c = self.counts
         lines.append(f"{c['mutants']} mutant(s): {c['killed']} killed, "
                      f"{c['survived']} survived, {c['inconclusive']} inconclusive")
         return lines
 
 
-def named_rules_in_order(unit: SourceUnit) -> list[tuple[str, Rule]]:
-    return list(unit.suite.named_rules.items())
-
-
 def mutation_base_program(unit: SourceUnit) -> Program:
     """The program mutation operates on: the named (testable) rules."""
-    return Program(tuple(r for _, r in named_rules_in_order(unit)))
+    return Program(tuple(unit.suite.named_rules.values()))
 
 
 def _origin_key(rule: Rule):
@@ -414,31 +390,15 @@ def _origin_key(rule: Rule):
 
 
 def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], Program]:
-    """Map resolved scope programs onto the mutant: rules are matched by
-    source origin, edits and deletions replayed positionally."""
-    originals = [rule for _, rule in named_rules_in_order(unit)]
-    survivors = list(range(len(originals)))
-    for op in mutant.ops:
-        if op.kind == "deleteRule":
-            del survivors[op.rule_index]
-    mapping: dict = {}
-    deleted = set(range(len(originals))) - set(survivors)
-    for new_idx, old_idx in enumerate(survivors):
-        mapping[_origin_key(originals[old_idx])] = mutant.program.rules[new_idx]
-    for old_idx in deleted:
-        mapping[_origin_key(originals[old_idx])] = None
+    """Map resolved scope programs onto the mutant. Rules are matched by
+    source origin, which every edit keeps: a named rule maps to its edited
+    form, or to None when the mutant deleted it."""
+    mapping: dict = {_origin_key(rule): None for rule in unit.suite.named_rules.values()}
+    mapping.update((_origin_key(rule), rule) for rule in mutant.program.rules)
 
     def transform(program: Program) -> Program:
-        rules = []
-        for rule in program.rules:
-            key = _origin_key(rule)
-            if key in mapping:
-                replacement = mapping[key]
-                if replacement is not None:
-                    rules.append(replacement)
-            else:
-                rules.append(rule)
-        return Program(tuple(rules), program.weak_constraints)
+        rules = (mapping.get(_origin_key(rule), rule) for rule in program.rules)
+        return Program(tuple(r for r in rules if r is not None), program.weak_constraints)
 
     return transform
 
@@ -473,7 +433,6 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
         return outcome
 
     report.outcomes = map_in_order(evaluate_mutant, mutants, jobs)
-    for outcome in report.outcomes:
-        for label in outcome.killed_by:
-            report.assertion_failures[label] = report.assertion_failures.get(label, 0) + 1
+    report.assertion_failures = dict(Counter(label for outcome in report.outcomes
+                                             for label in outcome.killed_by))
     return report

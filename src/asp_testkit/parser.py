@@ -42,7 +42,7 @@ from .model import (
     TestSuite,
     Variable,
     WeakConstraint,
-    unbound_variables,
+    unsafe_reason,
 )
 
 @dataclass(frozen=True)
@@ -410,15 +410,12 @@ def _parse_rule_or_weak(ts: _TokenStream, span: Span):
 
 def _check_safety(stmt, index: _LineIndex, errors: list[ParseError]) -> bool:
     head = stmt.head if isinstance(stmt, Rule) else ()
-    unbound = unbound_variables(head, stmt.body)
-    if unbound:
-        names = ", ".join(sorted(unbound))
+    reason = unsafe_reason(head, stmt.body, "do not occur in a positive body atom")
+    if reason:
         offset = 0
         if stmt.origin is not None:
             offset = index.starts[stmt.origin.line - 1] + stmt.origin.column - 1
-        errors.append(index.error(_Issue(
-            f"unsafe statement: variable(s) {names} do not occur in a positive body atom",
-            offset, "safety")))
+        errors.append(index.error(_Issue(f"unsafe statement: {reason}", offset, "safety")))
         return False
     return True
 
@@ -675,11 +672,9 @@ def _parse_constraint_nested(text: str) -> Rule:
                      ts.peek().offset)
     if not isinstance(stmt, Rule) or not stmt.is_constraint():
         raise _Issue("the payload must be a constraint (':- body.')", 0)
-    unbound = unbound_variables((), stmt.body)
-    if unbound:
-        raise _Issue("unsafe constraint payload: variable(s) "
-                     f"{', '.join(sorted(unbound))} not bound by a positive body atom",
-                     0, "safety")
+    reason = unsafe_reason((), stmt.body, "not bound by a positive body atom")
+    if reason:
+        raise _Issue(f"unsafe constraint payload: {reason}", 0, "safety")
     return stmt
 
 

@@ -15,14 +15,9 @@ from .model import (
     Program,
     Rule,
     WeakConstraint,
+    atom_to_text,
     term_text,
 )
-
-
-def atom_to_text(atom: Atom) -> str:
-    if not atom.args:
-        return atom.predicate
-    return f"{atom.predicate}({','.join(term_text(t) for t in atom.args)})"
 
 
 def literal_to_text(lit: Literal) -> str:

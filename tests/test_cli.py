@@ -94,6 +94,8 @@ def test_unexpected_exception_exits_two_in_one_line(monkeypatch, capsys):
     ["mutate", "--ops", "deleteRule,bogus"],
     ["mutate", "--ops", ","],
     ["mutate", "--ops-per-mutant", "0"],
+    ["test", "--jobs", "0"],
+    ["mutate", "--jobs", "-1"],
 ], ids=" ".join)
 def test_out_of_range_options_are_usage_errors(args, capsys):
     with pytest.raises(SystemExit) as exc:

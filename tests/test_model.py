@@ -87,6 +87,16 @@ def test_program_rejects_aggregate_term_outside_its_condition():
     Program(facts + (Rule((), (lit("d", "X"), loose)),))
 
 
+def test_unsafe_rule_error_names_the_aggregate_condition():
+    loose = Literal(CountAggregate((Variable("X"),), atom("p", "Y"), ">=", Integer(3)))
+    with pytest.raises(UnsafeRuleError) as exc:
+        Program((Rule((atom("q", "Z"),), (loose,)),))
+    assert exc.value.unbound == {"X", "Z"}
+    assert str(exc.value) == (
+        "unsafe rule: variable(s) Z not bound by a positive body atom; "
+        "variable(s) X of #count{X : p(Y)} do not occur in its condition")
+
+
 NEGATED_NON_ATOMS = {
     # `p(1). :- not 1 < 2.`: read as positive, the constraint kills every model
     "comparison": Literal(Comparison("<", Integer(1), Integer(2)), negated=True),

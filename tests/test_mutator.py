@@ -7,6 +7,7 @@ from asp_testkit.mutate import (
     InapplicableOp,
     MutationOp,
     OPERATOR_KINDS,
+    OPERATORS,
     UnsafeMutant,
     apply_op,
     enumerate_loci,
@@ -17,9 +18,10 @@ from asp_testkit.mutate import (
 from asp_testkit.parser import parse_unit
 from asp_testkit.serialize import rule_to_text, serialize_program
 from asp_testkit.solver import InternalBackend
-from helpers import fixture_text
+from helpers import FIXTURES, fixture_text
 
 BACKEND = InternalBackend()
+FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.lp"))
 
 
 def coloring_rules() -> Program:
@@ -104,6 +106,72 @@ def test_inapplicable_locus():
         apply_op(p, MutationOp("deleteLiteral", 0, "body", 0))
 
 
+@pytest.mark.parametrize("op", [
+    MutationOp("swapTerms", 1, "head", 0, (-1, 0)),
+    MutationOp("swapTerms", 1, "head", 0, (0, 0)),
+    MutationOp("swapTerms", 1, "head", 0, (0, 1, 2)),
+    MutationOp("renamePredicates", 1, "head", 0, ()),
+    MutationOp("renamePredicates", 1, "head", 0, ("Bad Name",)),
+    MutationOp("renamePredicates", 1, "head", 0, ("p",)),
+    MutationOp("deleteLiteral", 1, "head", 0),
+    MutationOp("addDefaultNegation", 1, "body", 0, ("x",)),
+    MutationOp("deleteRule", 1, "body", 0),
+    MutationOp("noSuchOperator", 1),
+], ids=MutationOp.describe)
+def test_malformed_op_is_inapplicable(op):
+    # each kind accepts exactly the site, slot and detail shape its loci have
+    p = parse_unit("t.lp", "q(1,2). p(X,Y) :- q(X,Y), not r(X).").program
+    with pytest.raises(InapplicableOp):
+        apply_op(p, op)
+
+
+def test_rename_accepts_any_other_predicate_name():
+    p = parse_unit("t.lp", "q(1,2). p(X,Y) :- q(X,Y).").program
+    mutated = apply_op(p, MutationOp("renamePredicates", 1, "head", 0, ("zz",)))
+    assert rule_to_text(mutated.rules[1]) == "zz(X,Y) :- q(X,Y)."
+
+
+def test_operator_kinds_order():
+    # the order fixes the default --ops list and so every seeded mutant set
+    assert OPERATOR_KINDS == (
+        "renamePredicates", "deleteRule", "deleteLiteral", "addDefaultNegation",
+        "swapTerms", "changeAggregates", "changeMathOperators", "swapDefaultNegation")
+    assert tuple(OPERATORS) == OPERATOR_KINDS
+
+
+HAND_WRITTEN = [
+    "a. b :- a, not c. :- b.",
+    "q(1,1). q(1,2). p(X,X) :- q(X,X). r(X,Y) | s(Y,X) :- q(X,Y), X < Y.",
+    "d(1). d(2). c(X) :- d(X), #count{Y : d(Y)} >= 2. :- #count{X : c(X)} = 0.",
+    "e(1,2). :~ e(X,Y), X != Y. [1@1]\nf(Y) :- e(X,Y), not f(X).",
+]
+
+
+def test_every_enumerated_locus_applies():
+    programs = [parse_unit("h.lp", text).program for text in HAND_WRITTEN]
+    units = [parse_unit(name, fixture_text(name)) for name in FIXTURE_NAMES]
+    programs += [mutation_base_program(unit) for unit in units]
+    for p in programs:
+        for op in enumerate_loci(p, OPERATOR_KINDS):
+            try:
+                assert apply_op(p, op) != p, op
+            except UnsafeMutant:
+                pass
+    # edits keep each rule's source origin, which maps mutants onto scopes
+    for unit in units:
+        origins = {rule.origin for rule in unit.suite.named_rules.values()}
+        assert None not in origins
+        base = mutation_base_program(unit)
+        for seed, ops_per_mutant in [(0, 1), (1, 1), (2, 2), (3, 2)]:
+            try:
+                mutants = generate_mutants(base, OPERATOR_KINDS, 40, seed, ops_per_mutant)
+            except ExhaustedLoci as exc:
+                mutants = exc.mutants
+            assert mutants
+            for m in mutants:
+                assert {rule.origin for rule in m.program.rules} <= origins
+
+
 # ---------------------------------------------------------------------------
 # Generation
 # ---------------------------------------------------------------------------
@@ -180,6 +248,15 @@ def test_deleting_edge_constraint_is_killed_by_exact_count():
     (outcome,) = report.outcomes
     assert outcome.status == "killed"
     assert any("trueInExactly" in label for label in outcome.killed_by)
+
+
+def test_kill_report_counts_feed_both_renderings():
+    unit = parse_unit("c.lp", fixture_text("coloring_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), ["deleteRule"], 2, seed=7)
+    report = mutation_analysis(unit, mutants, BACKEND)
+    assert report.counts == report.to_json_dict()["counts"] == {
+        "mutants": 2, "killed": 2, "survived": 0, "inconclusive": 0}
+    assert report.human_lines()[-1] == "2 mutant(s): 2 killed, 0 survived, 0 inconclusive"
 
 
 def test_shipped_mutants_all_killed():

@@ -225,8 +225,23 @@ def test_aggregate_term_outside_its_condition_is_unsafe():
     text = "d(1). d(2). d(3). p(1).\n:- #count{X : p(Y)} >= 3."
     _, errors = parse_unit_diagnostics("t.lp", text)
     assert [e.render("t.lp") for e in errors] == [
-        "t.lp:2:1: safety: unsafe statement: variable(s) X do not occur in a "
-        "positive body atom"]
+        "t.lp:2:1: safety: unsafe statement: variable(s) X of #count{X : p(Y)} "
+        "do not occur in its condition"]
+
+
+def test_safety_diagnostics_separate_unbound_globals_from_aggregate_terms():
+    text = ('%** @test(name = "t", scope = {}, assert = { @constraintForAll(\n'
+            '    constraint = ":- #count{X,W : p(Y)} >= Z.") }) **%\n'
+            'p(1).\nq(Z) :- #count{X,W : p(Y)} >= 1.\n'
+            'r(X) :- p(X), #count{X : p(Y)} >= 1.')
+    _, errors = parse_unit_diagnostics("t.lp", text)
+    # the last rule is safe: its X is a global bound by p(X)
+    assert [e.render("t.lp") for e in errors] == [
+        "t.lp:2:19: safety: unsafe constraint payload: variable(s) Z not bound by a "
+        "positive body atom; variable(s) W, X of #count{X,W : p(Y)} do not occur in "
+        "its condition",
+        "t.lp:4:1: safety: unsafe statement: variable(s) Z do not occur in a positive "
+        "body atom; variable(s) W, X of #count{X,W : p(Y)} do not occur in its condition"]
 
 
 def test_error_positions_inside_text():
