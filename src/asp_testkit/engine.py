@@ -14,6 +14,7 @@ set contains all of A", for sets of atoms as well as singletons.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -77,16 +78,17 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
     """Assemble the program a test runs against: the rules named in the
     scope (directly or through blocks), plus inline input and input files.
     With programFiles the named rules come from those files instead of the
-    current one."""
+    current one. A relative path in either resolves against the directory
+    of the file that declares the test (`spec.origin`; without one, the
+    current directory), which also names the parsed file; a given
+    `file_loader` receives each path as written."""
+    base = os.path.dirname(spec.origin.path) if spec.origin else ""
+    load = file_loader or default_file_loader(base)
+    if spec.program_files:
+        suite = merge_units([parse_unit(os.path.join(base, path), load(path))
+                             for path in spec.program_files]).suite
     named = suite.named_rules
     blocks = suite.blocks
-    if spec.program_files:
-        if file_loader is None:
-            raise DanglingReference("programFiles given but no file loader available")
-        units = [parse_unit(path, file_loader(path)) for path in spec.program_files]
-        merged = merge_units(units) if len(units) > 1 else units[0]
-        named = merged.suite.named_rules
-        blocks = merged.suite.blocks
 
     rule_names: list[str] = []
     for ref in spec.scope:
@@ -111,9 +113,7 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
         rules.extend(extra.rules)
         weaks.extend(extra.weak_constraints)
     for path in spec.input_files:
-        if file_loader is None:
-            raise DanglingReference("inputFiles given but no file loader available")
-        extra = parse_program_text(file_loader(path), path=path)
+        extra = parse_program_text(load(path), path=os.path.join(base, path))
         rules.extend(extra.rules)
         weaks.extend(extra.weak_constraints)
     return Program(tuple(rules), tuple(weaks))
@@ -414,23 +414,11 @@ def _error_result(assertion: Assertion, message: str) -> AssertionResult:
                            executed_code="", verdict=ERROR, diagnostics=message)
 
 
-def run_test(suite: TestSuite, spec: TestSpec, backend,
-             file_loader: Optional[Callable[[str], str]] = None,
-             program_transform: Optional[Callable[[Program], Program]] = None) -> TestResult:
-    """Resolve the scope once, then decide every assertion with its own
-    backend call; one assertion failing or erroring never stops its
-    siblings."""
+def run_test(spec: TestSpec, program: Program, backend) -> TestResult:
+    """Decide every assertion of `spec` on `program`, its resolved scope
+    (see `resolve_scope`), each with its own backend call; one assertion
+    failing or erroring never stops its siblings."""
     start = time.monotonic()
-    try:
-        program = resolve_scope(suite, spec, file_loader)
-        if program_transform is not None:
-            program = program_transform(program)
-    except Exception as exc:
-        results = [_error_result(a, f"scope resolution failed: {exc}") for a in spec.asserts]
-        return TestResult(spec.name, results,
-                          TestResult.aggregate(results) if results else PASS,
-                          int((time.monotonic() - start) * 1000))
-
     results: list[AssertionResult] = []
     for assertion in spec.asserts:
         t0 = time.monotonic()
@@ -443,8 +431,7 @@ def run_test(suite: TestSuite, spec: TestSpec, backend,
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")
         res.wall_ms = int((time.monotonic() - t0) * 1000)
         results.append(res)
-    verdict = TestResult.aggregate(results) if results else PASS
-    return TestResult(spec.name, results, verdict,
+    return TestResult(spec.name, results, TestResult.aggregate(results),
                       int((time.monotonic() - start) * 1000))
 
 
@@ -457,17 +444,21 @@ def map_in_order(fn: Callable, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
-def run_suite(unit: SourceUnit, backend,
-              file_loader: Optional[Callable[[str], str]] = None,
-              jobs: int = 1) -> SuiteReport:
+def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
     """Run every test of a unit; tests are independent and may execute in
-    parallel, the report always lists them in declaration order."""
+    parallel, the report always lists them in declaration order. A test
+    whose scope does not resolve reports each of its assertions as an
+    error."""
     start = time.monotonic()
-    specs = list(unit.suite.tests)
-    if file_loader is None:
-        base = str(Path(unit.path).parent) if unit.path else "."
-        file_loader = default_file_loader(base)
-    tests = map_in_order(lambda s: run_test(unit.suite, s, backend, file_loader),
-                         specs, jobs)
+
+    def run(spec: TestSpec) -> TestResult:
+        try:
+            program = resolve_scope(unit.suite, spec)
+        except Exception as exc:
+            results = [_error_result(a, f"scope resolution failed: {exc}") for a in spec.asserts]
+            return TestResult(spec.name, results, TestResult.aggregate(results))
+        return run_test(spec, program, backend)
+
+    tests = map_in_order(run, list(unit.suite.tests), jobs)
     return SuiteReport(source=unit.path, tests=tests,
                        total_wall_ms=int((time.monotonic() - start) * 1000))

@@ -16,12 +16,14 @@ mutant is killed as soon as one assertion fails.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import combinations, count as naturals
 from typing import Callable, Iterable, Iterator, Optional
 
+from . import engine
 from .model import Atom, Literal, Program, Rule, UnsafeRuleError
 from .engine import FAIL, PASS, SuiteReport, TestResult, map_in_order, run_suite, run_test
 from .parser import ParseFailure, SourceUnit, parse_ground_atom
@@ -385,8 +387,9 @@ def mutation_base_program(unit: SourceUnit) -> Program:
 
 
 def _origin_key(rule: Rule):
+    """Where a rule was written; `p.lp` and `./p.lp` are one file."""
     o = rule.origin
-    return (o.path, o.line, o.column) if o is not None else ("", id(rule), 0)
+    return (os.path.abspath(o.path), o.line, o.column) if o is not None else ("", id(rule), 0)
 
 
 def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], Program]:
@@ -404,22 +407,25 @@ def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], P
 
 
 def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
-                      file_loader=None, jobs: int = 1) -> KillReport:
+                      jobs: int = 1) -> KillReport:
     """Run the unit's suite against every mutant. Requires a green baseline:
     when the original program already fails its own tests the analysis is
-    refused (baseline_passed=False, no outcomes)."""
-    baseline = run_suite(unit, backend, file_loader=file_loader, jobs=jobs)
+    refused (baseline_passed=False, no outcomes). Each test's scope is then
+    resolved once, and every mutant runs on its transform of that scope."""
+    baseline = run_suite(unit, backend, jobs=jobs)
     report = KillReport(baseline=baseline, baseline_passed=baseline.all_passed())
     if not report.baseline_passed:
         return report
+    # a green baseline resolved the scope of every test that asserts anything
+    scopes = [(spec, engine.resolve_scope(unit.suite, spec))
+              for spec in unit.suite.tests if spec.asserts]
 
     def evaluate_mutant(mutant: Mutant) -> MutantOutcome:
         transform = _mutant_transform(unit, mutant)
         outcome = MutantOutcome(mutant=mutant, status="survived")
         had_error = False
-        for spec in unit.suite.tests:
-            result = run_test(unit.suite, spec, backend, file_loader,
-                              program_transform=transform)
+        for spec, scope in scopes:
+            result = run_test(spec, transform(scope), backend)
             outcome.tests.append(result)
             for a in result.assertions:
                 if a.verdict == FAIL:

@@ -23,7 +23,7 @@ recovers at statement boundaries so several errors can be reported at once.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 from .model import (
@@ -729,7 +729,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
                 elif isinstance(ann, _BlockAnn):
                     block_anns.append(ann)
                 else:
-                    tests.append(ann.spec)
+                    tests.append(replace(ann.spec, origin=index.span(path, ann.offset)))
             continue
         span = index.span(path, tok.offset)
         try:

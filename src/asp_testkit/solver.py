@@ -220,13 +220,17 @@ def solve(cfg: BackendConfig, program_text: str,
                  stderr=stderr or "", exit_status=proc.returncode,
                  wall_ms=wall_ms, requested_models=max_models,
                  timed_out=timed_out, temp_path=temp_path)
+    stdout = run.stdout
+    if timed_out:
+        # the kill may have cut the last line short; only whole lines count
+        stdout = stdout[:stdout.rfind("\n") + 1]
     try:
-        result, saw_unknown = _parse_output(run.stdout)
+        result, saw_unknown = _parse_output(stdout)
     except FormatError:
         if timed_out:
             # the kill may have truncated the output mid-model; salvage the
             # complete prefix
-            lines = run.stdout.splitlines()
+            lines = stdout.splitlines()
             while lines:
                 lines.pop()
                 try:

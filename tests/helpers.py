@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import fields
 from pathlib import Path
 
 from asp_testkit import oracle
 from asp_testkit.model import (
+    ASSERTION_CLASSES,
     Atom,
     BestModelCost,
     Comparison,
@@ -266,17 +268,23 @@ def brute_optimal(program, answer_sets, universe=()) -> list[frozenset[Atom]]:
     return [m for m in answer_sets if not dominated(m, answer_sets)]
 
 
-def direct_verdict(program: Program, assertion) -> str:
+def direct_verdict(program: Program, assertion, universe=(), answer_sets=None) -> str:
     """Assertion semantics computed straight from the enumerated answer
-    sets, with no tester-program encoding involved."""
-    answer_sets = brute_answer_sets(program.rules)
+    sets (`answer_sets`, when the caller already has them), with no
+    tester-program encoding involved. The variables of the program's rules
+    and of a constraint payload range over `universe`; bestModelCost reads
+    the weak constraints as ground."""
+    if answer_sets is None:
+        answer_sets = brute_answer_sets(naive_ground(program.rules, universe), universe)
 
     def containing(atoms):
         want = set(atoms)
         return [m for m in answer_sets if want <= m]
 
     def satisfying(constraint):
-        return [m for m in answer_sets if not _body_satisfied(constraint.body, m)]
+        instances = naive_ground([constraint], universe)
+        return [m for m in answer_sets
+                if not any(_body_satisfied(c.body, m, universe) for c in instances)]
 
     if isinstance(assertion, NoAnswerSet):
         ok = not answer_sets
@@ -370,17 +378,57 @@ def random_nonground_program(rng: random.Random) -> tuple[Program, list]:
     return Program(tuple(rules)), constants
 
 
+X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+
+
+def _join_count(rng: random.Random) -> CountAggregate:
+    """A #count over p, q or reach, which may share the global X."""
+    cond = rng.choice([Atom("p", (Z,)), Atom("q", (Z,)), Atom("reach", (Z, Y)),
+                       Atom("reach", (X, Z))])
+    terms = rng.choice([(Z,), tuple(cond.args)])
+    op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+    return CountAggregate(terms, cond, op, Integer(rng.randint(0, 3)))
+
+
+def join_body(rng: random.Random, constants: list) -> tuple[Literal, ...]:
+    """1-3 atoms over d, p, e and reach joined on X (and maybe Y), plus
+    negation, a comparison with `constants` or a #count over them."""
+    def binder(a: Variable, b: Variable) -> Atom:
+        return rng.choice([Atom("d", (a,)), Atom("p", (a,)), Atom("e", (a, b)),
+                           Atom("reach", (a, b))])
+
+    pool = [X, Y] if rng.random() < 0.7 else [X]
+    atoms = [binder(X, rng.choice(pool))]
+    atoms += [binder(rng.choice(pool), rng.choice(pool))
+              for _ in range(rng.randint(0, 2))]
+    bound = sorted({v for a in atoms for v in a.variables()})
+    terms = [Variable(n) for n in bound]
+    lits = [Literal(a) for a in atoms]
+    if rng.random() < 0.5:
+        lits.append(Literal(Atom(rng.choice("pq"), (rng.choice(terms),)), negated=True))
+    if rng.random() < 0.2:
+        lits.append(Literal(Atom("r"), negated=True))
+    if rng.random() < 0.4:
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        lits.append(Literal(Comparison(op, rng.choice(terms),
+                                       rng.choice(terms + constants))))
+    if rng.random() < 0.3:
+        lits.append(Literal(_join_count(rng)))
+    rng.shuffle(lits)
+    return tuple(lits)
+
+
 def random_join_program(rng: random.Random) -> Program:
     """A safe program that exercises the join: over 2-3 constants, `d/1`
     holds every constant, `e/2` a few random edges and `reach/2` their
-    transitive closure by a recursive rule. Random rules join 1-3 atoms on
-    shared variables and add comparisons, negation, #count, disjunctive
-    heads over `p/1` and `q/1`, and weak constraints. A #count in a rule
-    head may be recursive; the oracle then raises UnsupportedAggregate."""
+    transitive closure by a recursive rule. Random rules (`join_body`) join
+    1-3 atoms on shared variables and add comparisons, negation, #count,
+    disjunctive heads over `p/1` and `q/1`, and weak constraints. A #count
+    in a rule head may be recursive; the oracle then raises
+    UnsupportedAggregate."""
     constants = [Integer(i) for i in range(1, rng.randint(2, 3) + 1)]
     if rng.random() < 0.3:
         constants[-1] = Constant("c")  # every integer precedes every symbol
-    X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
     pairs = [(a, b) for a in constants for b in constants]
     rules = [Rule((Atom("d", (c,)),), ()) for c in constants]
     rules += [Rule((Atom("e", edge),), ()) for edge in rng.sample(pairs, rng.randint(1, 3))]
@@ -390,52 +438,38 @@ def random_join_program(rng: random.Random) -> Program:
         step.append(Literal(Comparison(rng.choice(["!=", "<", ">="]), X, Z)))
     rules.append(Rule((Atom("reach", (X, Z)),), tuple(step)))
 
-    def binder(a: Variable, b: Variable) -> Atom:
-        return rng.choice([Atom("d", (a,)), Atom("p", (a,)), Atom("e", (a, b)),
-                           Atom("reach", (a, b))])
-
-    def count() -> CountAggregate:
-        """A #count over p, q or reach, which may share the global X."""
-        cond = rng.choice([Atom("p", (Z,)), Atom("q", (Z,)), Atom("reach", (Z, Y)),
-                           Atom("reach", (X, Z))])
-        terms = rng.choice([(Z,), tuple(cond.args)])
-        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-        return CountAggregate(terms, cond, op, Integer(rng.randint(0, 3)))
-
-    def body() -> tuple[Literal, ...]:
-        """1-3 joined atoms binding X (and maybe Y), plus extras over them."""
-        pool = [X, Y] if rng.random() < 0.7 else [X]
-        atoms = [binder(X, rng.choice(pool))]
-        atoms += [binder(rng.choice(pool), rng.choice(pool))
-                  for _ in range(rng.randint(0, 2))]
-        bound = sorted({v for a in atoms for v in a.variables()})
-        terms = [Variable(n) for n in bound]
-        lits = [Literal(a) for a in atoms]
-        if rng.random() < 0.5:
-            lits.append(Literal(Atom(rng.choice("pq"), (rng.choice(terms),)), negated=True))
-        if rng.random() < 0.2:
-            lits.append(Literal(Atom("r"), negated=True))
-        if rng.random() < 0.4:
-            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
-            lits.append(Literal(Comparison(op, rng.choice(terms),
-                                           rng.choice(terms + constants))))
-        if rng.random() < 0.3:
-            lits.append(Literal(count()))
-        rng.shuffle(lits)
-        return tuple(lits)
-
     for _ in range(rng.randint(2, 4)):
         shape = rng.random()
         if shape < 0.6:
             head = tuple(Atom(pred, (X,)) for pred in rng.sample("pq", rng.randint(1, 2)))
-            rules.append(Rule(head, body()))
+            rules.append(Rule(head, join_body(rng, constants)))
         elif shape < 0.85:
-            rules.append(Rule((Atom("r"),), body()))
+            rules.append(Rule((Atom("r"),), join_body(rng, constants)))
         else:
-            rules.append(Rule((), body()))
-    weaks = [WeakConstraint(body(), cost=rng.randint(0, 3), level=rng.randint(0, 2))
+            rules.append(Rule((), join_body(rng, constants)))
+    weaks = [WeakConstraint(join_body(rng, constants), cost=rng.randint(0, 3),
+                            level=rng.randint(0, 2))
              for _ in range(rng.choice([0, 0, 1, 2]))]
     return Program(tuple(rules), tuple(weaks))
+
+
+def random_join_assertion(rng: random.Random, program: Program, kind: str):
+    """An assertion of a non-optimising `kind` over a `random_join_program`:
+    its atoms are ground atoms of the program's predicates over its
+    universe, and its constraint payload is ground or a `join_body`."""
+    universe = sorted(herbrand_universe(program), key=term_key)
+    pool = [Atom("r")] + [Atom(pred, (c,)) for pred in "dpq" for c in universe] \
+        + [Atom(pred, (a, b)) for pred in ("e", "reach") for a in universe for b in universe]
+    if rng.random() < 0.5:
+        body = tuple(Literal(a, negated=rng.random() < 0.5)
+                     for a in rng.sample(pool, rng.randint(1, 2)))
+    else:
+        body = join_body(rng, universe)
+    cls = ASSERTION_CLASSES[kind]
+    values = {"atoms": tuple(rng.sample(pool, rng.randint(1, 2))),
+              "count": rng.randint(getattr(cls, "min_count", 0), 4),
+              "constraint": Rule((), body)}
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def random_assertion(rng: random.Random, program: Program, kind: str):

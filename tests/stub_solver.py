@@ -36,6 +36,11 @@ def main():
         print("ANSWER", flush=True)   # killed before the model line
         time.sleep(20)
         return 0
+    if MODE == "sleep_midline":
+        sys.stdout.write("ANSWER\na.\nANSWER\nb(1,2) c")   # killed mid model line
+        sys.stdout.flush()
+        time.sleep(20)
+        return 0
     if MODE == "fail":
         print("boom", file=sys.stderr)
         return 3

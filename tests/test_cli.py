@@ -214,6 +214,21 @@ def test_tests_in_separate_file(tmp_path):
     assert proc.returncode == 0
 
 
+def test_test_reads_input_files_beside_the_declaring_file(tmp_path):
+    # run from the parent directory of both files, which are merged
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    (sub / "facts.lp").write_text("p(1). p(2).\n", encoding="utf-8")
+    (sub / "a.lp").write_text(
+        '%** @rule(name = "r1") **%\nq(X) :- p(X).\n'
+        '%** @test(name = "t", scope = {"r1"}, inputFiles = {"facts.lp"},'
+        ' assert = { @trueInAll(atoms = "q(2)") }) **%\n', encoding="utf-8")
+    (sub / "b.lp").write_text('%** @rule(name = "r2") **%\nr.\n', encoding="utf-8")
+    proc = run_cli("test", "sub/a.lp", "sub/b.lp", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "1 passed" in proc.stdout
+
+
 def test_test_parse_error_exits_one(tmp_path):
     f = tmp_path / "broken.lp"
     f.write_text("p(X :- q.\n", encoding="utf-8")
@@ -270,6 +285,46 @@ def test_mutate_delete_rule_example_kills_both():
                    "--ops", "deleteRule", "--count", "2", "--seed", "7")
     assert proc.returncode == 0
     assert "2 killed" in proc.stdout
+
+
+FACTS = "node(1). node(2). node(3). edge(1,2). edge(2,3)."
+
+
+def path_coloring_suite(sources: str) -> str:
+    """2-coloring of a 3-node path; `sources` gives the test's program
+    and input attributes."""
+    return ('%** @rule(name = "r1", block = "ToTest") **%\n'
+            "col(X,red) | col(X,blue) :- node(X).\n"
+            '%** @rule(name = "r2", block = "ToTest") **%\n'
+            ":- edge(X,Y), col(X,C), col(Y,C).\n"
+            f'%** @test(name = "path", scope = {{"ToTest"}}, {sources},\n'
+            '  assert = { @trueInExactly(number = 2, atoms = ""),\n'
+            '             @trueInExactly(number = 1, atoms = "col(1, red). col(3, red)"),\n'
+            '             @constraintForAll(":- node(X), #count{C : col(X,C)} = 0.") }) **%\n')
+
+
+def mutant_statuses(tmp_path: Path, name: str, sources: str) -> list:
+    """Kill status per mutant of `sub/<name>`, run from its parent directory."""
+    sub = tmp_path / "sub"
+    sub.mkdir(exist_ok=True)
+    (sub / "facts.lp").write_text(FACTS + "\n", encoding="utf-8")
+    (sub / name).write_text(path_coloring_suite(sources), encoding="utf-8")
+    proc = run_cli("mutate", f"sub/{name}", "--count", "6", "--seed", "2",
+                   "--format", "json", cwd=tmp_path)
+    assert proc.returncode in (0, 1), proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    return [(m["ops"], m["status"]) for m in doc["mutants"]]
+
+
+@pytest.mark.parametrize("sources", [
+    'inputFiles = {"facts.lp"}',
+    f'programFiles = {{"files.lp"}}, input = "{FACTS}"',
+    f'programFiles = {{"../sub/files.lp"}}, input = "{FACTS}"',
+])
+def test_mutate_reads_test_files_like_inline_facts(tmp_path, sources):
+    inline = mutant_statuses(tmp_path, "inline.lp", f'input = "{FACTS}"')
+    assert "killed" in {status for _, status in inline}
+    assert mutant_statuses(tmp_path, "files.lp", sources) == inline
 
 
 def coloring_suite(path: Path, file_nodes: int, scope_nodes: int) -> str:

@@ -250,6 +250,17 @@ def test_deleting_edge_constraint_is_killed_by_exact_count():
     assert any("trueInExactly" in label for label in outcome.killed_by)
 
 
+def test_test_without_assertions_is_not_rerun_on_mutants():
+    # its scope names nothing, which an empty assert list never reports
+    unit = parse_unit("c.lp", fixture_text("coloring.lp") + (
+        '%** @test(name = "empty", scope = {"nowhere"}, assert = {}) **%\n'))
+    mutants = generate_mutants(mutation_base_program(unit), ["deleteRule"], 2, seed=7)
+    report = mutation_analysis(unit, mutants, BACKEND)
+    assert report.baseline_passed
+    assert [o.status for o in report.outcomes] == ["killed", "killed"]
+    assert [[t.name for t in o.tests] for o in report.outcomes] == [["checkColors"]] * 2
+
+
 def test_kill_report_counts_feed_both_renderings():
     unit = parse_unit("c.lp", fixture_text("coloring_mutation.lp"))
     mutants = generate_mutants(mutation_base_program(unit), ["deleteRule"], 2, seed=7)

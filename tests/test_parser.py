@@ -8,6 +8,7 @@ from asp_testkit.model import (
     ConstraintForAll,
     Integer,
     NoAnswerSet,
+    Span,
     TrueInExactly,
 )
 from asp_testkit.parser import (
@@ -318,6 +319,17 @@ def test_multiple_units_share_a_namespace():
     merged = merge_units([a, b])
     assert "r1" in merged.suite.named_rules
     assert len(merged.suite.tests) == 1
+
+
+def test_test_origin_is_the_span_of_its_at_sign():
+    text = ('%** @rule(name = "r") **%\np.\n'
+            '%** @test(name = "a", scope = {"r"}, assert = { @noAnswerSet })\n'
+            '  @test(name = "b", scope = {"r"}, assert = { @noAnswerSet }) **%\n')
+    a, b = parse_unit("sub/t.lp", text).suite.tests
+    assert a.origin == Span("sub/t.lp", 3, 5)
+    assert b.origin == Span("sub/t.lp", 4, 3)
+    merged = merge_units([parse_unit("x.lp", "q."), parse_unit("sub/t.lp", text)])
+    assert [t.origin for t in merged.suite.tests] == [a.origin, b.origin]
 
 
 def test_merge_rejects_duplicate_names_across_files():

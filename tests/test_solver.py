@@ -143,6 +143,14 @@ def test_solve_timeout_mid_answer_salvages_prefix():
     assert res.atom_sets() == {frozenset({Atom("a")})}
 
 
+def test_solve_timeout_mid_model_line_is_no_model():
+    # `b(1,2) c` lacks its newline: the kill may have cut it short
+    res, run = solve(stub_config("sleep_midline", timeout=1), "x.\n", max_models=5)
+    assert run.timed_out
+    assert not res.exhausted
+    assert [s.atoms for s in res.answer_sets] == [frozenset({Atom("a")})]
+
+
 def test_solve_spawn_failure():
     cfg = BackendConfig(executable="/no/such/solver-binary")
     with pytest.raises(SpawnFailure):
