@@ -322,6 +322,7 @@ class TestResult:
     assertions: list[AssertionResult]
     verdict: str
     wall_ms: int = 0
+    diagnostics: str = ""  # why the test as a whole is an error
 
     @staticmethod
     def aggregate(results: list[AssertionResult]) -> str:
@@ -356,7 +357,8 @@ class SuiteReport:
         return all(t.verdict == PASS for t in self.tests)
 
     def has_errors(self) -> bool:
-        return any(a.verdict == ERROR for t in self.tests for a in t.assertions)
+        return any(t.diagnostics or any(a.verdict == ERROR for a in t.assertions)
+                   for t in self.tests)
 
     def to_json_dict(self) -> dict:
         return {
@@ -378,6 +380,7 @@ class SuiteReport:
                         }
                         for a in t.assertions
                     ],
+                    **({"diagnostics": t.diagnostics} if t.diagnostics else {}),
                 }
                 for t in self.tests
             ],
@@ -391,7 +394,8 @@ class SuiteReport:
     def human_lines(self) -> list[str]:
         lines = []
         for t in self.tests:
-            lines.append(f"test {t.name}: {t.verdict} ({t.wall_ms} ms)")
+            line = f"test {t.name}: {t.verdict} ({t.wall_ms} ms)"
+            lines.append(line + (f"  [{t.diagnostics}]" if t.diagnostics else ""))
             for a in t.assertions:
                 entry = f"  [{a.verdict}] {a.kind} ({a.wall_ms} ms)"
                 if a.verdict == FAIL and a.witness is not None:
@@ -447,16 +451,17 @@ def map_in_order(fn: Callable, items: list, jobs: int) -> list:
 def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
     """Run every test of a unit; tests are independent and may execute in
     parallel, the report always lists them in declaration order. A test
-    whose scope does not resolve reports each of its assertions as an
-    error."""
+    whose scope does not resolve is an error, and so is each of its
+    assertions."""
     start = time.monotonic()
 
     def run(spec: TestSpec) -> TestResult:
         try:
             program = resolve_scope(unit.suite, spec)
         except Exception as exc:
-            results = [_error_result(a, f"scope resolution failed: {exc}") for a in spec.asserts]
-            return TestResult(spec.name, results, TestResult.aggregate(results))
+            message = f"scope resolution failed: {exc}"
+            results = [_error_result(a, message) for a in spec.asserts]
+            return TestResult(spec.name, results, ERROR, diagnostics=message)
         return run_test(spec, program, backend)
 
     tests = map_in_order(run, list(unit.suite.tests), jobs)

@@ -416,7 +416,8 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
     report = KillReport(baseline=baseline, baseline_passed=baseline.all_passed())
     if not report.baseline_passed:
         return report
-    # a green baseline resolved the scope of every test that asserts anything
+    # a green baseline resolved every test's scope; a test without
+    # assertions has nothing to decide on a mutant
     scopes = [(spec, engine.resolve_scope(unit.suite, spec))
               for spec in unit.suite.tests if spec.asserts]
 

@@ -23,15 +23,22 @@ weak constraint is a constraint with a weight, (cost, level); rules and
 constraints have none. `GroundProgram.rules` and `weak_constraints` are AST
 views rebuilt from that form on demand.
 
-Candidate interpretations are then the subsets of the remaining unknown
-atoms, scanned in binary-counter order and checked with the textbook
-reduct/minimal-model test; constraints are enforced directly against the
-candidate, which is equivalent because a violated positive constraint body
-can only shrink when atoms are removed.
+The answer sets are then found by depth-first search over the remaining
+unknown atoms. Each node propagates to a fixpoint: every rule and
+constraint without #count as a clause, and support (an unknown atom is
+false when no rule that heads it can still have a true body and no other
+true head atom). A conflict drops the branch. Branching takes the highest
+open atom id first, false before true, so the leaves come in the
+binary-counter order of a scan over all subsets of the unknown atoms.
+Every leaf is checked with the textbook reduct/minimal-model test;
+constraints are enforced directly against the candidate, which is
+equivalent because a violated positive constraint body can only shrink when
+atoms are removed. Propagation only prunes candidates that test rejects, so
+it changes the cost of the search and never its result.
 
-Capacity is deliberately tiny (22 unknown atoms, ~4M candidates): the oracle
-exists to be obviously correct, not fast. Anything larger belongs to an
-external solver.
+Capacity is deliberately tiny (22 unknown atoms, ~4M leaves at worst): the
+oracle exists to be obviously correct, not fast. Anything larger belongs to
+an external solver.
 
 Aggregates (`#count`) are evaluated against the candidate interpretation.
 They are accepted in constraint and weak-constraint bodies, and in rule heads
@@ -385,7 +392,7 @@ class GroundProgram:
 
     `atoms` lists every ground atom of the simplified program in canonical
     order; `certain` are the ids true in every answer set, everything else is
-    decided by the scan. `rules` and `weak_constraints` are AST views built
+    decided by the search. `rules` and `weak_constraints` are AST views built
     on demand from the masks (certain facts first, then the simplified rules).
     """
 
@@ -706,10 +713,62 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
     return _build_ground(g.universe, instances, False)
 
 
+def _propagate(clauses, rules, unknown: int, true: int, false: int):
+    """Extend the partial assignment (`true`, `false`: disjoint masks) to the
+    fixpoint of two inferences that every answer set extending it obeys;
+    None when one of them finds a conflict.
+
+    - Clauses: a rule or constraint without #count is the clause "some atom
+      of `t` is true or some atom of `f` is false" (head and negative body,
+      positive body). A clause with every literal false is a conflict; one
+      with a single open literal forces it.
+    - Support: an unknown atom of an answer set heads a rule whose body
+      holds and whose other head atoms are false, or dropping it would leave
+      a smaller model of the reduct. So an unknown atom is false when every
+      rule that heads it has a body atom decided against it, or another head
+      atom already true. A #count never rules out support."""
+    while True:
+        before = true, false
+        for t, f in clauses:
+            if t & true or f & false:
+                continue
+            open_t = t & ~false
+            open_f = f & ~true
+            if not (open_t | open_f):
+                return None
+            if not open_t and not open_f & (open_f - 1):
+                false |= open_f
+            elif not open_f and not open_t & (open_t - 1):
+                true |= open_t
+        supported = 0
+        for head, pos, neg in rules:
+            if pos & false or neg & true:
+                continue
+            held = head & true
+            if not held:
+                supported |= head
+            elif not held & (held - 1):
+                supported |= held
+        unsupported = unknown & ~supported
+        if unsupported & true:
+            return None
+        false |= unsupported
+        if (true, false) == before:
+            return true, false
+
+
 def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
-    """Scan all interpretations (certain atoms fixed, unknown atoms in
-    binary-counter order over ascending atom ids) and collect the answer
-    sets. Stops early once `cap` many are found."""
+    """Collect the answer sets by depth-first search over the unknown atoms
+    (certain atoms fixed true), stopping once `cap` many are found.
+
+    Each node runs `_propagate` to a fixpoint and drops the branch on a
+    conflict, then branches on the highest open atom id, false before true.
+    So the leaves come in binary-counter order over ascending atom ids: the
+    order of a scan of all subsets of the unknown atoms, minus the subsets
+    propagation ruled out. Every leaf, a total assignment, is kept only if
+    `_passes` accepts it, so propagation only saves work and never decides.
+    As for that scan, `exhausted` at the cap means the cap-th answer set
+    was the last candidate, the one with every unknown atom true."""
     if cap is not None and cap <= 0:
         raise ValueError("cap must be positive")
     result = SolveResult()
@@ -717,26 +776,31 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
         result.incoherent = True
         result.exhausted = True
         return result
-    unknown = g.unknown_ids
-    n = len(unknown)
+    n = len(g.unknown_ids)
     if n > MAX_ENUM_ATOMS:
         raise CapacityExceeded(
             f"{n} undetermined atoms exceed the scan capacity", atoms=n)
+    unknown = _mask(g.unknown_ids)
+    clauses = [(s.head | s.neg, s.pos) for s in g._rules + g._constraints
+               if not s.aggregates]
+    rules = [(r.head, r.pos, r.neg) for r in g._rules]
     found: list[int] = []
     exhausted = True
-    for counter in range(1 << n):
-        interp = g.certain_mask
-        k = counter
-        idx = 0
-        while k:
-            if k & 1:
-                interp |= 1 << unknown[idx]
-            k >>= 1
-            idx += 1
-        if _passes(g, interp):
-            found.append(interp)
+    stack = [(g.certain_mask, 0)]
+    while stack:
+        node = _propagate(clauses, rules, unknown, *stack.pop())
+        if node is None:
+            continue
+        true, false = node
+        open_ = unknown & ~(true | false)
+        if open_:
+            bit = 1 << (open_.bit_length() - 1)
+            stack.append((true | bit, false))
+            stack.append((true, false | bit))
+        elif _passes(g, true):
+            found.append(true)
             if cap is not None and len(found) >= cap:
-                exhausted = counter == (1 << n) - 1
+                exhausted = true == g.certain_mask | unknown
                 break
     result.answer_sets = [AnswerSet(g.mask_atoms(m)) for m in found]
     result.exhausted = exhausted

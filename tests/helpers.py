@@ -227,6 +227,60 @@ def brute_answer_sets(rules, universe=()) -> list[frozenset[Atom]]:
     return answer_sets
 
 
+def scan_answer_sets(g: oracle.GroundProgram, cap=None) -> oracle.SolveResult:
+    """The search that `oracle.enumerate_answer_sets` must reproduce, by
+    brute force: every interpretation (certain atoms fixed, unknown atoms in
+    binary-counter order over ascending atom ids) goes through the oracle's
+    own `_passes`, until `cap` many answer sets are found. At the cap,
+    `exhausted` holds only when the last candidate, every unknown atom true,
+    was the cap-th answer set."""
+    result = oracle.SolveResult()
+    if g.trivially_incoherent:
+        result.incoherent = result.exhausted = True
+        return result
+    unknown = g.unknown_ids
+    n = len(unknown)
+    found = []
+    exhausted = True
+    for counter in range(1 << n):
+        interp = g.certain_mask
+        for idx in range(n):
+            if counter >> idx & 1:
+                interp |= 1 << unknown[idx]
+        if oracle._passes(g, interp):
+            found.append(interp)
+            if cap is not None and len(found) >= cap:
+                exhausted = counter == (1 << n) - 1
+                break
+    result.answer_sets = [oracle.AnswerSet(g.mask_atoms(m)) for m in found]
+    result.exhausted = exhausted
+    result.incoherent = exhausted and not found
+    return result
+
+
+def is_tight(g: oracle.GroundProgram) -> bool:
+    """No atom of `g` depends on itself through positive rule bodies."""
+    edges = {}
+    for r in g.rules:
+        for h in r.head:
+            edges.setdefault(h, set()).update(
+                l.atom for l in r.body if l.is_atom() and not l.negated)
+    done, active = set(), set()
+
+    def acyclic(a) -> bool:
+        if a in done:
+            return True
+        if a in active:
+            return False
+        active.add(a)
+        ok = all(acyclic(b) for b in edges.get(a, ()))
+        active.discard(a)
+        done.add(a)
+        return ok
+
+    return all(acyclic(a) for a in list(edges))
+
+
 def _body_satisfied(body, interp: frozenset[Atom], universe=()) -> bool:
     for l in body:
         if l.is_atom():

@@ -55,6 +55,23 @@ def test_test_refuses_aggregate_term_outside_its_condition(tmp_path):
     assert "bad.lp:2:1: safety: unsafe statement: variable(s) X" in proc.stdout
 
 
+def test_test_dangling_scope_without_assertions_is_an_error(tmp_path):
+    # an empty assertion list must not hide the scope failure
+    f = tmp_path / "dangling.lp"
+    f.write_text('%** @rule(name = "r") **%\np(1).\n'
+                 '%** @test(name = "t", scope = {"nope"}, assert = {}) **%\n',
+                 encoding="utf-8")
+    proc = run_cli("test", str(f))
+    assert proc.returncode == 2, proc.stdout
+    assert "test t: error" in proc.stdout
+    assert "scope resolution failed: " in proc.stdout
+    proc = run_cli("test", str(f), "--format", "json")
+    assert proc.returncode == 2
+    test = json.loads(proc.stdout)["tests"][0]
+    assert test["verdict"] == "error" and test["assertions"] == []
+    assert test["diagnostics"].startswith("scope resolution failed: ")
+
+
 def test_check_missing_file_exits_two():
     proc = run_cli("check", "/no/such/file.lp")
     assert proc.returncode == 2

@@ -251,14 +251,24 @@ def test_deleting_edge_constraint_is_killed_by_exact_count():
 
 
 def test_test_without_assertions_is_not_rerun_on_mutants():
-    # its scope names nothing, which an empty assert list never reports
+    # its scope holds every mutated rule, but it has nothing to decide
     unit = parse_unit("c.lp", fixture_text("coloring.lp") + (
-        '%** @test(name = "empty", scope = {"nowhere"}, assert = {}) **%\n'))
+        '%** @test(name = "empty", scope = {"ToTest"}, assert = {}) **%\n'))
     mutants = generate_mutants(mutation_base_program(unit), ["deleteRule"], 2, seed=7)
     report = mutation_analysis(unit, mutants, BACKEND)
     assert report.baseline_passed
     assert [o.status for o in report.outcomes] == ["killed", "killed"]
     assert [[t.name for t in o.tests] for o in report.outcomes] == [["checkColors"]] * 2
+
+
+def test_dangling_scope_without_assertions_refuses_the_baseline():
+    unit = parse_unit("c.lp", fixture_text("coloring.lp") + (
+        '%** @test(name = "empty", scope = {"nowhere"}, assert = {}) **%\n'))
+    mutants = generate_mutants(mutation_base_program(unit), ["deleteRule"], 2, seed=7)
+    report = mutation_analysis(unit, mutants, BACKEND)
+    assert not report.baseline_passed and report.baseline.has_errors()
+    assert report.baseline.tests[-1].verdict == "error"
+    assert report.outcomes == []
 
 
 def test_kill_report_counts_feed_both_renderings():

@@ -29,8 +29,10 @@ from helpers import (
     naive_ground,
     product_instances,
     random_join_program,
+    is_tight,
     random_nonground_program,
     random_program,
+    scan_answer_sets,
 )
 
 COLORING = """node(1). node(2). node(3). edge(1,2). edge(1,3). edge(2,3).
@@ -291,6 +293,107 @@ def test_enumerate_cap_returns_prefix():
         # at the cap the scan stops early, so exhaustion is only known
         # when fewer models than requested exist
         assert capped.exhausted == (cap > 6)
+
+
+def path_coloring(n: int) -> str:
+    return " ".join(f"node({i}). edge({i},{i + 1})." for i in range(1, n)) + f""" node({n}).
+col(X,red) | col(X,blue) | col(X,green) :- node(X).
+:- edge(X,Y), col(X,C), col(Y,C)."""
+
+
+def odd_cycle_two_coloring(n: int) -> str:
+    return " ".join(f"node({i}). edge({i},{i % n + 1})." for i in range(1, n + 1)) + """
+col(X,red) | col(X,blue) :- node(X).
+:- edge(X,Y), col(X,C), col(Y,C)."""
+
+
+@pytest.fixture
+def leaves(monkeypatch):
+    """The total assignments the search hands to `_passes`, in order."""
+    seen = []
+    passes = oracle._passes
+    monkeypatch.setattr(oracle, "_passes",
+                        lambda g, interp: seen.append(interp) or passes(g, interp))
+    return seen
+
+
+def test_search_cliff_path_colorings(leaves):
+    # of the 2^18 candidates, propagation leaves only the 3 * 2^5 colorings
+    g = ground(program(path_coloring(6)))
+    res = enumerate_answer_sets(g)
+    assert len(g.unknown_ids) == 18
+    assert len(res.answer_sets) == 96 and res.exhausted
+    assert len(leaves) == 96
+
+
+def test_search_cliff_odd_cycle_is_incoherent(leaves):
+    # propagation refutes both branches of the first atom, so none of the
+    # 2^22 candidates reaches the answer-set check
+    g = ground(program(odd_cycle_two_coloring(11)))
+    res = enumerate_answer_sets(g)
+    assert len(g.unknown_ids) == 22
+    assert res.incoherent and res.exhausted and not res.answer_sets
+    assert leaves == []
+
+
+def random_search_inputs():
+    """300 random join programs and 300 propositional ones with disjunction
+    and head cycles, each with its ground program."""
+    rng = random.Random(12)
+    for _ in range(300):
+        p = random_join_program(rng)
+        try:
+            yield p, ground(p)
+        except UnsupportedAggregate:
+            pass
+    rng = random.Random(13)
+    for _ in range(300):
+        p = random_program(rng)
+        yield p, ground(p)
+
+
+def search_inputs():
+    """The random programs, then every tester built from the fixtures."""
+    yield from random_search_inputs()
+    for p in fixture_testers():
+        yield p, ground(p)
+
+
+def test_search_matches_scan_at_every_cap():
+    checked = capped = 0
+    for p, g in search_inputs():
+        full = scan_answer_sets(g)
+        for cap in [None] + list(range(1, len(full.answer_sets) + 2)):
+            got, want = enumerate_answer_sets(g, cap), scan_answer_sets(g, cap)
+            assert (got.answer_sets, got.exhausted, got.incoherent) == \
+                (want.answer_sets, want.exhausted, want.incoherent), (p, cap)
+            capped += cap is not None
+        checked += 1
+    assert checked >= 580 and capped >= 1100
+
+
+def test_search_matches_brute_force():
+    # the fixture testers are left to the scan: brute force takes about
+    # 45 s on the Hamiltonian ones
+    for p, g in random_search_inputs():
+        want = brute_answer_sets(naive_ground(p.rules, g.universe), g.universe)
+        assert enumerate_answer_sets(g).atom_sets() == set(want), p
+
+
+def test_search_reaches_only_answer_sets_on_tight_programs(leaves):
+    # Without positive loops, a model whose true unknown atoms each head a
+    # rule with a true body and no other true head atom is an answer set
+    # (Fages 1994, with disjunction shifted). Propagation leaves only such
+    # assignments when no #count hides a clause, so every leaf passes.
+    checked = 0
+    for p, g in search_inputs():
+        if not is_tight(g) or any(s.aggregates for s in g._rules + g._constraints):
+            continue
+        leaves.clear()
+        res = enumerate_answer_sets(g)
+        assert len(leaves) == len(res.answer_sets), p
+        checked += 1
+    assert checked >= 450
 
 
 def test_answer_sets_form_an_antichain():
