@@ -1,6 +1,6 @@
 """Command line front end.
 
-    asp-testkit check  FILES...          syntax / safety / annotation check
+    asp-testkit check  FILES...          syntax / safety / annotation / scope check
     asp-testkit solve  FILES...          run the program, print answer sets
     asp-testkit test   FILES...          run the inline test suites
     asp-testkit mutate FILES...          mutation analysis of the suites
@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import run_suite
+from .engine import resolve_scope, run_suite
 from .mutate import (
     ExhaustedLoci,
     OPERATOR_KINDS,
@@ -151,11 +151,15 @@ def _make_backend(args):
 
 
 def cmd_check(args) -> int:
+    """Parse and merge the files as `test` does, then resolve every test's
+    scope; each failure is reported at its `@test` annotation."""
+    unit = _parse_all(args.files)
     status = EXIT_OK
-    for path, text in _read_files(args.files):
-        _, errors = parse_unit_diagnostics(path, text)
-        for e in errors:
-            print(e.render(path))
+    for spec in unit.suite.tests:
+        try:
+            resolve_scope(unit.suite, spec)
+        except Exception as exc:
+            print(f"{spec.origin}: dangling-reference: scope resolution failed: {exc}")
             status = EXIT_FAILURE
     if status == EXIT_OK:
         print(f"{len(args.files)} file(s) OK")

@@ -2,9 +2,9 @@
 
 The pipeline is: instantiate every rule and weak constraint by joining its
 positive body against the atoms derived so far, evaluating comparisons as
-soon as their variables are bound, then simplify to a fixpoint by
-propagating which atoms are possible (occur in the head of a surviving rule)
-and which are certain (derived unconditionally).
+soon as their variables are bound, then simplify by Van Gelder's alternating
+fixpoint for the well-founded model (JCSS 1993): two Horn closures, the
+possible atoms and the certain ones, alternate until neither changes.
 
 Instantiation runs semi-naive rounds to the least fixpoint of the heads with
 negation and aggregates ignored: a round matches each statement only in the
@@ -463,97 +463,76 @@ def ground(program: Program) -> GroundProgram:
     return _build_ground(universe, instances, bool(program.weak_constraints))
 
 
+def _closure(rules, derived):
+    """The least superset of `derived` closed under `rules`, (head, body)
+    pairs of sets: whenever a body lies inside, so does its head. Sweeps
+    until a sweep fires no rule; a fired rule is not visited again."""
+    derived = set(derived)
+    while True:
+        waiting = []
+        for head, body in rules:
+            if body <= derived:
+                derived |= head
+            else:
+                waiting.append((head, body))
+        if len(waiting) == len(rules):
+            return derived
+        rules = waiting
+
+
 def _simplify(instances):
-    """Possible/certain fixpoint; returns the simplified instances plus the
-    two atom sets and whether an always-violated constraint was found.
-    Weighted instances have no head, so they derive nothing."""
-    stmts = list(dict.fromkeys(instances))
-    trivially_incoherent = False
-    # accumulated across iterations: once an atom is certain its deriving
-    # rule is dropped, so the knowledge must not be recomputed from scratch
+    """Van Gelder's alternating fixpoint for the well-founded model, extended
+    to disjunctive heads and #count. The possible atoms close the certain
+    ones under the rules with no certain head or negated atom; the certain
+    atoms close under the single-head rules without #count whose negated
+    atoms are all impossible. Certain only grows, possible only shrinks and
+    follows from certain, so the loop stops once certain does. Returns the
+    reduced, deduplicated instances, both sets, and whether a constraint
+    always fires."""
     certain: set[Atom] = set()
     while True:
-        # possible: least fixpoint over positive bodies, negation ignored
-        possible: set[Atom] = set(certain)
-        changed = True
-        while changed:
-            changed = False
-            for head, pos, neg, aggs, weight in stmts:
-                if head and pos <= possible and not (head <= possible):
-                    possible |= head
-                    changed = True
-        # certain: unit closure over rules whose negative part can never fire
-        changed = True
-        while changed:
-            changed = False
-            for head, pos, neg, aggs, weight in stmts:
-                if (len(head) == 1 and not aggs and pos <= certain
-                        and not (neg & possible) and not (head <= certain)):
-                    certain |= head
-                    changed = True
-
-        new_stmts = []
-        for head, pos, neg, aggs, weight in stmts:
-            if not (pos <= possible):       # unsatisfiable positive body
-                continue
-            if neg & certain:               # negated atom always true
-                continue
-            if head & certain:              # head already a fact
-                continue
-            pos2 = pos - certain
-            neg2 = neg & possible
-            if weight is None and not head and not pos2 and not neg2 and not aggs:
-                trivially_incoherent = True
-            new_stmts.append((head, pos2, neg2, aggs, weight))
-        new_stmts = list(dict.fromkeys(new_stmts))
-
-        if new_stmts == stmts:
-            return stmts, possible, certain, trivially_incoherent
-        stmts = new_stmts
+        possible = _closure([(head, pos) for head, pos, neg, _, _ in instances
+                             if head and not (head | neg) & certain], certain)
+        grown = _closure([(head, pos) for head, pos, neg, aggs, _ in instances
+                          if len(head) == 1 and not aggs and not neg & possible], certain)
+        if grown == certain:
+            break
+        certain = grown
+    stmts = list(dict.fromkeys(
+        (head, pos - certain, neg & possible, aggs, weight)
+        for head, pos, neg, aggs, weight in instances
+        if pos <= possible and not neg & certain and not head & certain))
+    trivially_incoherent = any(weight is None and not (head or pos or neg or aggs)
+                               for head, pos, neg, aggs, weight in stmts)
+    return stmts, possible, certain, trivially_incoherent
 
 
 def _check_aggregate_stratification(stmts):
     """Reject recursion through an aggregate: the counted predicate must not
     depend on the head of the rule the aggregate sits in."""
-    depends: dict[str, set[str]] = {}
-    for head, pos, neg, aggs, _ in stmts:
-        for h in head:
-            deps = depends.setdefault(h.predicate, set())
-            deps.update(a.predicate for a in pos)
-            deps.update(a.predicate for a in neg)
-            deps.update(agg.condition.predicate for agg in aggs)
-
-    def reachable(start: str) -> set[str]:
-        seen, stack = set(), [start]
-        while stack:
-            p = stack.pop()
-            for q in depends.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return seen
-
-    for head, pos, neg, aggs, _ in stmts:
-        if not head or not aggs:
-            continue
-        head_preds = {h.predicate for h in head}
-        for agg in aggs:
-            cond = agg.condition.predicate
-            if cond in head_preds or head_preds & reachable(cond):
-                raise UnsupportedAggregate(
-                    f"#count over {cond!r} occurs in the head rule defining it; "
-                    "the oracle only supports non-recursive aggregates in "
-                    "rules with heads")
+    depends = {(h.predicate, q.predicate)
+               for head, pos, neg, aggs, _ in stmts for h in head
+               for q in (*pos, *neg, *(agg.condition for agg in aggs))}
+    # closed under these, a set of predicates holds all that depend on them
+    edges = [({p}, {q}) for p, q in depends]
+    for head, _, _, aggs, _ in stmts:
+        if head and aggs:
+            dependents = _closure(edges, {h.predicate for h in head})
+            for cond in (agg.condition.predicate for agg in aggs):
+                if cond in dependents:
+                    raise UnsupportedAggregate(
+                        f"#count over {cond!r} occurs in the head rule defining it; "
+                        "the oracle only supports non-recursive aggregates in "
+                        "rules with heads")
 
 
 def _build_ground(universe, instances, has_weaks) -> GroundProgram:
     stmts, possible, certain, trivially_incoherent = _simplify(instances)
     _check_aggregate_stratification(stmts)
 
-    atom_set: set[Atom] = set(certain)
-    for head, pos, neg, _, _ in stmts:
-        atom_set |= head | pos | neg
-    atoms = sorted(atom_set, key=Atom.sort_key)
+    # a possible atom is certain or heads a kept rule, and kept statements
+    # mention only possible atoms
+    atoms = sorted(possible, key=Atom.sort_key)
     ids = {a: i for i, a in enumerate(atoms)}
     certain_ids = {ids[a] for a in certain}
     n_unknown = len(atoms) - len(certain_ids)

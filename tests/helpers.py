@@ -16,6 +16,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from asp_testkit import oracle
+from asp_testkit.oracle import UnsupportedAggregate
 from asp_testkit.model import (
     ASSERTION_CLASSES,
     Atom,
@@ -364,6 +365,98 @@ def direct_verdict(program: Program, assertion, universe=(), answer_sets=None) -
     else:
         raise TypeError(assertion)
     return "pass" if ok else "fail"
+
+
+# ---------------------------------------------------------------------------
+# Ground simplification references
+# ---------------------------------------------------------------------------
+
+# The simplification and the stratification check that `oracle._simplify`
+# and `oracle._check_aggregate_stratification` must reproduce: the former
+# rewrites every instance each round and stops when the list stops
+# changing, the latter searches the predicate dependencies depth-first.
+
+def reference_simplify(instances):
+    """Possible/certain fixpoint; returns the simplified instances plus the
+    two atom sets and whether an always-violated constraint was found.
+    Weighted instances have no head, so they derive nothing."""
+    stmts = list(dict.fromkeys(instances))
+    trivially_incoherent = False
+    # accumulated across iterations: once an atom is certain its deriving
+    # rule is dropped, so the knowledge must not be recomputed from scratch
+    certain: set[Atom] = set()
+    while True:
+        # possible: least fixpoint over positive bodies, negation ignored
+        possible: set[Atom] = set(certain)
+        changed = True
+        while changed:
+            changed = False
+            for head, pos, neg, aggs, weight in stmts:
+                if head and pos <= possible and not (head <= possible):
+                    possible |= head
+                    changed = True
+        # certain: unit closure over rules whose negative part can never fire
+        changed = True
+        while changed:
+            changed = False
+            for head, pos, neg, aggs, weight in stmts:
+                if (len(head) == 1 and not aggs and pos <= certain
+                        and not (neg & possible) and not (head <= certain)):
+                    certain |= head
+                    changed = True
+
+        new_stmts = []
+        for head, pos, neg, aggs, weight in stmts:
+            if not (pos <= possible):       # unsatisfiable positive body
+                continue
+            if neg & certain:               # negated atom always true
+                continue
+            if head & certain:              # head already a fact
+                continue
+            pos2 = pos - certain
+            neg2 = neg & possible
+            if weight is None and not head and not pos2 and not neg2 and not aggs:
+                trivially_incoherent = True
+            new_stmts.append((head, pos2, neg2, aggs, weight))
+        new_stmts = list(dict.fromkeys(new_stmts))
+
+        if new_stmts == stmts:
+            return stmts, possible, certain, trivially_incoherent
+        stmts = new_stmts
+
+
+def reference_check_aggregate_stratification(stmts):
+    """Reject recursion through an aggregate: the counted predicate must not
+    depend on the head of the rule the aggregate sits in."""
+    depends: dict[str, set[str]] = {}
+    for head, pos, neg, aggs, _ in stmts:
+        for h in head:
+            deps = depends.setdefault(h.predicate, set())
+            deps.update(a.predicate for a in pos)
+            deps.update(a.predicate for a in neg)
+            deps.update(agg.condition.predicate for agg in aggs)
+
+    def reachable(start: str) -> set[str]:
+        seen, stack = set(), [start]
+        while stack:
+            p = stack.pop()
+            for q in depends.get(p, ()):
+                if q not in seen:
+                    seen.add(q)
+                    stack.append(q)
+        return seen
+
+    for head, pos, neg, aggs, _ in stmts:
+        if not head or not aggs:
+            continue
+        head_preds = {h.predicate for h in head}
+        for agg in aggs:
+            cond = agg.condition.predicate
+            if cond in head_preds or head_preds & reachable(cond):
+                raise UnsupportedAggregate(
+                    f"#count over {cond!r} occurs in the head rule defining it; "
+                    "the oracle only supports non-recursive aggregates in "
+                    "rules with heads")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,37 @@ def test_test_dangling_scope_without_assertions_is_an_error(tmp_path):
     assert test["diagnostics"].startswith("scope resolution failed: ")
 
 
+def test_check_reports_a_dangling_scope_at_its_test(tmp_path):
+    f = tmp_path / "dangling.lp"
+    f.write_text('%** @rule(name = "r") **%\np(1).\n'
+                 '%** @test(name = "t", scope = {"nope"}, assert = {}) **%\n',
+                 encoding="utf-8")
+    proc = run_cli("check", str(f))
+    assert proc.returncode == 1, proc.stdout
+    assert proc.stdout == (f"{f}:3:5: dangling-reference: scope resolution failed: "
+                           "test 't': scope references unknown rule or block 'nope'\n")
+
+
+def test_check_rejects_names_that_clash_across_files(tmp_path):
+    for name in ("a.lp", "b.lp"):
+        (tmp_path / name).write_text('%** @rule(name = "r") **%\np(1).\n', encoding="utf-8")
+    proc = run_cli("check", str(tmp_path / "a.lp"), str(tmp_path / "b.lp"))
+    assert proc.returncode == 1, proc.stdout
+    assert "duplicate-name: duplicate name 'r' across the file set" in proc.stdout
+    assert "OK" not in proc.stdout
+
+
+def test_check_resolves_a_scope_in_another_file(tmp_path):
+    rules = tmp_path / "rules.lp"
+    rules.write_text('%** @rule(name = "r") **%\np(1).\n', encoding="utf-8")
+    tests = tmp_path / "tests.lp"
+    tests.write_text('%** @test(name = "t", scope = {"r"}, '
+                     'assert = { @trueInAll(atoms = "p(1)") }) **%\n', encoding="utf-8")
+    proc = run_cli("check", str(rules), str(tests))
+    assert proc.returncode == 0, proc.stdout
+    assert proc.stdout == "2 file(s) OK\n"
+
+
 def test_check_missing_file_exits_two():
     proc = run_cli("check", "/no/such/file.lp")
     assert proc.returncode == 2

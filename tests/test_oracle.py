@@ -32,6 +32,8 @@ from helpers import (
     is_tight,
     random_nonground_program,
     random_program,
+    reference_check_aggregate_stratification,
+    reference_simplify,
     scan_answer_sets,
 )
 
@@ -215,9 +217,18 @@ def test_reduct_rejects_interpretations_outside_its_domain(interpretation):
         reduct(g, interpretation)
 
 
+RECURSIVE_COUNT = ("#count over 'q' occurs in the head rule defining it; the oracle "
+                   "only supports non-recursive aggregates in rules with heads")
+
+
 def test_recursive_aggregate_rejected():
-    with pytest.raises(UnsupportedAggregate):
+    with pytest.raises(UnsupportedAggregate) as exc:
         ground(program("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0."))
+    assert str(exc.value) == RECURSIVE_COUNT
+    # recursion through another predicate
+    with pytest.raises(UnsupportedAggregate) as exc:
+        ground(program("p(1). q(X) :- p(X), #count{Y : s(Y)} = 0. s(X) :- q(X)."))
+    assert str(exc.value) == RECURSIVE_COUNT.replace("'q'", "'s'")
 
 
 def test_stratified_headed_aggregate_accepted():
@@ -225,6 +236,129 @@ def test_stratified_headed_aggregate_accepted():
     res = enumerate_answer_sets(g)
     assert len(res.answer_sets) == 1
     assert Atom("many") in res.answer_sets[0].atoms
+
+
+# ---------------------------------------------------------------------------
+# Simplification: the well-founded alternating fixpoint
+# ---------------------------------------------------------------------------
+
+def test_positive_loop_leaves_no_atom():
+    g = ground(program("p :- q. q :- p."))
+    assert g.atoms == [] and g.rules == ()
+
+
+def test_negation_of_an_underivable_atom_is_certain():
+    g = ground(program("a :- not b. b :- c."))
+    assert g.atoms == [Atom("a")]
+    assert g.certain_atoms() == {Atom("a")}
+    assert g.rules == (Rule((Atom("a"),), ()),)
+
+
+def test_even_negative_loop_stays_unknown():
+    g = ground(program("a :- not b. b :- not a."))
+    assert g.atoms == [Atom("a"), Atom("b")]
+    assert g.certain_atoms() == frozenset()
+    assert len(g.unknown_ids) == 2
+
+
+def test_disjunction_with_a_certain_atom_drops_the_others():
+    g = ground(program("a | b. a."))
+    assert g.atoms == [Atom("a")]
+    assert g.rules == (Rule((Atom("a"),), ()),)
+
+
+def _stratification_message(check, stmts):
+    try:
+        check(stmts)
+    except UnsupportedAggregate as exc:
+        return str(exc)
+    return None
+
+
+def _build_outcome(universe, instances, has_weaks):
+    """The ground program `_build_ground` makes, or the type, message and
+    counts of what it raises."""
+    try:
+        return oracle._build_ground(universe, instances, has_weaks)
+    except CapacityExceeded as exc:
+        return "CapacityExceeded", str(exc), exc.atoms, exc.rules
+    except UnsupportedAggregate as exc:
+        return "UnsupportedAggregate", str(exc)
+
+
+def _fields(outcome):
+    return vars(outcome) if isinstance(outcome, oracle.GroundProgram) else outcome
+
+
+def simplify_inputs():
+    """(universe, instances, has_weaks) for `_build_ground`: the join's
+    instances of 2000 random join programs, 2000 propositional ones, 500
+    non-ground ones and every fixture tester, the universe product's
+    instances of 500 join programs, and one program over capacity."""
+    def joined(p: Program):
+        universe = sorted(herbrand_universe(p), key=term_key)
+        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe))
+        return universe, instances, bool(p.weak_constraints)
+
+    rng = random.Random(21)
+    for _ in range(2000):
+        yield joined(random_join_program(rng))
+    rng = random.Random(22)
+    for _ in range(2000):
+        yield joined(random_program(rng))
+    rng = random.Random(23)
+    for _ in range(500):
+        yield joined(random_nonground_program(rng)[0])
+    for p in fixture_testers():
+        yield joined(p)
+    rng = random.Random(24)
+    for _ in range(500):
+        p = random_join_program(rng)
+        yield (sorted(herbrand_universe(p), key=term_key), list(product_instances(p)),
+               bool(p.weak_constraints))
+    yield joined(program(" ".join(f"d({i})." for i in range(7))
+                         + " p(X,Y) | q(X,Y) | r(X,Y) :- d(X), d(Y)."))
+
+
+def test_simplify_matches_the_reference(monkeypatch):
+    reducts: list[tuple] = []
+    build = oracle._build_ground
+
+    def assert_matches(universe, instances, has_weaks):
+        got, want = oracle._simplify(instances), reference_simplify(instances)
+        for name, g, w in zip(("statements", "possible", "certain", "incoherent"), got, want):
+            assert g == w, (name, instances)
+        stmts, possible, certain, _ = want
+        # `_build_ground` takes its atoms from the possible set
+        assert possible == certain.union(*(h | p | n for h, p, n, _, _ in stmts))
+        assert _stratification_message(oracle._check_aggregate_stratification, stmts) == \
+            _stratification_message(reference_check_aggregate_stratification, stmts)
+        got = _build_outcome(universe, instances, has_weaks)
+        with monkeypatch.context() as m:
+            m.setattr(oracle, "_simplify", reference_simplify)
+            m.setattr(oracle, "_check_aggregate_stratification",
+                      reference_check_aggregate_stratification)
+            want = _build_outcome(universe, instances, has_weaks)
+        assert _fields(got) == _fields(want), instances
+        return got
+
+    def record(universe, instances, has_weaks):
+        reducts.append((universe, list(instances), has_weaks))
+        return build(universe, instances, has_weaks)
+
+    outcomes = [assert_matches(*args) for args in simplify_inputs()]
+    grounds = [g for g in outcomes if isinstance(g, oracle.GroundProgram)]
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "_build_ground", record)
+        for g in grounds:
+            for answer in enumerate_answer_sets(g).answer_sets:
+                reduct(g, answer)
+    for args in reducts:
+        assert_matches(*args)
+    errors = [o[0] for o in outcomes if isinstance(o, tuple)]
+    assert len(grounds) >= 4500 and len(reducts) >= 4500
+    assert errors.count("UnsupportedAggregate") >= 50 and "CapacityExceeded" in errors
+    assert sum(g.trivially_incoherent for g in grounds) >= 50
 
 
 # ---------------------------------------------------------------------------
