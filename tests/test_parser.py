@@ -297,6 +297,105 @@ def test_lexing_diagnostics(text, expected):
     assert [e.render("t.lp") for e in errors] == expected
 
 
+def _block(body):
+    return f"%** {body} **%\np."
+
+
+def _in_test(assertion):
+    return _TEST_OPEN + assertion + _TEST_CLOSE
+
+
+# One rendered case per error path of the annotation reader.
+@pytest.mark.parametrize("text, expected", [
+    (_block('@fact(name = "r")'),
+     ["t.lp:1:5: annotation: unknown annotation @fact (expected @rule, @block or @test)"]),
+    (_block('@ (name = "r")'),
+     ["t.lp:1:7: annotation: expected an annotation name after '@', found '('"]),
+    (_block('rule(name = "r")'),
+     ["t.lp:1:5: annotation: expected '@' to start an annotation, found 'rule'"]),
+    (_block('@rule name = "r"'),
+     ["t.lp:1:11: syntactic: expected '(' after @rule, found 'name'"]),
+    (_block('@rule(nam = "r")'),
+     ["t.lp:1:11: annotation: unknown attribute 'nam' for @rule"]),
+    (_block('@rule(name = "r", name = "s")'),
+     ["t.lp:1:23: annotation: duplicate attribute 'name' for @rule"]),
+    (_block('@rule(name "r")'),
+     ["t.lp:1:16: annotation: expected '=' after 'name', found ('r', [16, 17])"]),
+    (_block('@rule("x")'),
+     ["t.lp:1:11: annotation: expected an attribute name in @rule, found ('x', [11, 12])"]),
+    (_block('@rule(name = 3)'),
+     ["t.lp:1:18: annotation: attribute 'name' expects a string value"]),
+    (_block('@rule(name = {"r"})'),
+     ["t.lp:1:18: annotation: attribute 'name' expects a string value"]),
+    (_block('@block(name = "b", rules = "r")'),
+     ["t.lp:1:32: syntactic: expected '{' to open the 'rules' list, found ('r', [32, 33])"]),
+    (_block('@block(name = "b", rules = {"r", 3})'),
+     ["t.lp:1:38: annotation: the 'rules' list may only contain strings"]),
+    (_block('@test(name = "t", scope = {"r"}, assert = {"a"})'),
+     ["t.lp:1:48: annotation: the 'assert' list may only contain @assertions"]),
+    (_block('@block(name = "b", rules = {"r" "s"})'),
+     ["t.lp:1:37: syntactic: expected '}' to close the 'rules' list, found ('s', [37, 38])"]),
+    (_block('@rule(block = "b")'),
+     ["t.lp:1:24: annotation: @rule is missing required attribute(s): name"]),
+    (_block('@test(input = "p.")'),
+     ["t.lp:1:25: annotation: @test is missing required attribute(s): assert, name, scope"]),
+    (_block('@test(name = "t", scope = {}, assert = {})'),
+     ["t.lp:1:23: annotation: a test needs a nonempty scope"]),
+    (_block('@rule(name = "r"'),
+     ["t.lp:1:22: annotation: expected an attribute name in @rule, found end of input"]),
+    (_in_test('@trueInSome(number = 1, atoms = "p")'),
+     ["t.lp:1:50: annotation: unknown assertion @trueInSome"]),
+    (_in_test('@ (atoms = "p")'),
+     ["t.lp:1:51: annotation: expected an assertion name after '@'"]),
+    (_in_test('@trueInAll(atoms = "p", number = 1)'),
+     ["t.lp:1:82: annotation: unknown attribute 'number' for @trueInAll"]),
+    (_in_test('@trueInAll(atoms = "p", atoms = "p")'),
+     ["t.lp:1:73: annotation: duplicate attribute 'atoms' for @trueInAll"]),
+    (_in_test('@trueInAll(atoms "p")'),
+     ["t.lp:1:66: annotation: expected '=' after 'atoms'"]),
+    (_in_test('@trueInAll(atoms = {"p"})'),
+     ["t.lp:1:68: annotation: attribute 'atoms' expects a string or integer"]),
+    (_in_test('@trueInAll(atoms = 1)'),
+     ["t.lp:1:68: annotation: attribute 'atoms' of @trueInAll must be a string"]),
+    (_in_test('@trueInAtMost(number = "1", atoms = "p")'),
+     ["t.lp:1:72: annotation: attribute 'number' of @trueInAtMost must be an integer"]),
+    (_in_test('@trueInAtMost(atoms = "p")'),
+     ["t.lp:1:50: annotation: @trueInAtMost is missing the mandatory 'number' attribute"]),
+    (_in_test('@trueInAll'),
+     ["t.lp:1:50: annotation: @trueInAll is missing the mandatory 'atoms' attribute"]),
+    (_in_test('@trueInAll(atoms = "p" =)'),
+     ["t.lp:1:72: annotation: unexpected '=' in @trueInAll"]),
+    (_in_test('@trueInAll("p")'),
+     ["t.lp:1:60: annotation: @trueInAll does not take a positional string"]),
+    (_in_test('@constraintForAll(":- p.", ":- q.")'),
+     ["t.lp:1:76: annotation: duplicate constraint for @constraintForAll"]),
+    (_in_test('@constraintForAll(constraint = ":- p.", ":- q.")'),
+     ["t.lp:1:89: annotation: duplicate constraint for @constraintForAll"]),
+    (_in_test('@constraintForAll(":- p.", constraint = ":- q.")'),
+     []),
+    (_in_test('@trueInAtLeast(number = 0, atoms = "p")'),
+     ["t.lp:1:50: annotation: @trueInAtLeast needs number >= 1 "
+      "(number = 0 would be vacuously true)"]),
+    (_block('@test(name = "t", scope = {"r"}, assert = { @trueInAll(atoms = "p" })'),
+     ["t.lp:1:72: annotation: unexpected '}' in @trueInAll"]),
+], ids=["unknown annotation", "no annotation name", "no at sign", "no parenthesis",
+        "unknown attribute", "duplicate attribute", "missing equals",
+        "string as attribute name", "integer for a string", "list for a string",
+        "string for a list", "integer in a string list", "string in the assert list",
+        "unclosed list", "missing required", "missing several required", "empty scope",
+        "unclosed attributes", "unknown assertion", "no assertion name",
+        "assertion unknown attribute", "assertion duplicate attribute",
+        "assertion missing equals", "assertion list value", "assertion integer for a string",
+        "assertion string for an integer", "assertion missing required",
+        "assertion without parentheses", "assertion unexpected token",
+        "positional string not taken", "duplicate positional constraint",
+        "positional after keyword constraint", "keyword constraint after positional",
+        "vacuous number", "unclosed assertion"])
+def test_annotation_diagnostics(text, expected):
+    _, errors = parse_unit_diagnostics("t.lp", text)
+    assert [e.render("t.lp") for e in errors] == expected
+
+
 @pytest.mark.parametrize("text, expected", [
     ('@constraintForAll("   :- q(.")', "1:28: annotation: expected a term, found '.'"),
     ('@constraintForAll("\n\n  :- q(.")', "3:8: annotation: expected a term, found '.'"),
