@@ -14,7 +14,10 @@ the full attribute grammar. Annotations are inert for plain execution:
 stripping every `%** ... **%` block leaves the same program.
 
 One scanner, `_scan`, tokenizes program text, annotation blocks and the
-`atoms`/`constraint` payloads; its `annotation` flag picks the mode.
+`atoms`/`constraint` payloads; its `annotation` flag picks the mode. One
+reader, `_AnnotationParser._attributes`, reads the `( key = value, ... )`
+list of every annotation and assertion, typed by `_ANNOTATIONS` and
+`_ASSERTION_TYPES`.
 
 Errors carry 1-based line/column positions inside the offending text. Parsing
 recovers at statement boundaries so several errors can be reported at once.
@@ -23,7 +26,7 @@ recovers at statement boundaries so several errors can be reported at once.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 from .model import (
@@ -47,13 +50,18 @@ from .model import (
 
 @dataclass(frozen=True)
 class ParseError:
+    """A diagnostic at line:column, or for a whole file when `line` is 0.
+    `path`, when set, names its file in place of the one `render` gets."""
+
     message: str
     line: int
     column: int
     kind: str
+    path: str = ""
 
     def render(self, path: str = "") -> str:
-        where = f"{path}:{self.line}:{self.column}" if path else f"{self.line}:{self.column}"
+        where = ":".join(str(part) for part in (self.path or path, self.line, self.column)
+                         if part)
         return f"{where}: {self.kind}: {self.message}"
 
 
@@ -293,6 +301,8 @@ def _show(tok: _Token) -> str:
         return "end of input"
     if tok.kind == "annot":
         return "annotation block"
+    if tok.kind == "str":
+        return '"' + tok.value[0].replace("\\", "\\\\").replace('"', '\\"') + '"'
     return repr(tok.value)
 
 
@@ -439,34 +449,32 @@ def _sync_statement(ts: _TokenStream):
 # Annotation blocks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _RuleAnn:
-    name: str
-    block: Optional[str]
-    offset: int
-
-
-@dataclass
-class _BlockAnn:
-    name: str
-    rules: Optional[list[str]]
-    offset: int
-
-
-@dataclass
-class _TestAnn:
-    spec: TestSpec
-    offset: int
+# Attribute types and required attributes of `@rule`, `@block` and `@test`.
+# An attribute type is "str", "int" (nonnegative), "payload" (a string kept
+# with its offsets), "strs" or "asserts". A `scope` may not be empty.
+_ANNOTATIONS = {
+    "rule": ({"name": "str", "block": "str"}, {"name"}),
+    "block": ({"name": "str", "rules": "strs"}, {"name"}),
+    "test": ({"name": "str", "scope": "strs", "programFiles": "strs", "input": "str",
+              "inputFiles": "strs", "assert": "asserts"}, {"name", "scope", "assert"}),
+}
 
 
 class _AnnotationParser:
     def __init__(self, text: str, base: int):
         self.ts = _TokenStream(_scan(text, base, annotation=True))
 
-    def parse_all(self) -> list:
+    def parse_all(self) -> list[tuple[str, dict, int]]:
+        """Each annotation as (name, {attribute: value}, offset of its '@')."""
         anns = []
         while self.ts.peek().kind != "eof":
-            anns.append(self._annotation())
+            at, name = self._at_name("expected '@' to start an annotation, found {found}",
+                                     "expected an annotation name after '@', found {found}")
+            if name.value not in _ANNOTATIONS:
+                raise _Issue(f"unknown annotation @{name.value} (expected @rule, @block or @test)",
+                             at.offset, "annotation")
+            anns.append((name.value, self._attributes(name, *_ANNOTATIONS[name.value]),
+                         at.offset))
         return anns
 
     def _at_name(self, at_message: str, name_message: str) -> tuple[_Token, _Token]:
@@ -474,170 +482,93 @@ class _AnnotationParser:
         at = self.ts.expect("punct", at_message, "annotation", "@")
         return at, self.ts.expect("ident", name_message, "annotation")
 
-    def _annotation(self):
-        at, name_tok = self._at_name("expected '@' to start an annotation, found {found}",
-                                     "expected an annotation name after '@', found {found}")
-        name = name_tok.value
-        if name == "rule":
-            attrs = self._attributes(name, allowed={"name": "str", "block": "str"},
-                                     required={"name"})
-            return _RuleAnn(attrs["name"][0], attrs.get("block", (None,))[0], at.offset)
-        if name == "block":
-            attrs = self._attributes(name, allowed={"name": "str", "rules": "strlist"},
-                                     required={"name"})
-            rules = attrs.get("rules", (None,))[0]
-            return _BlockAnn(attrs["name"][0], rules, at.offset)
-        if name == "test":
-            return self._test(at.offset)
-        raise _Issue(f"unknown annotation @{name} (expected @rule, @block or @test)",
-                     at.offset, "annotation")
-
-    def _test(self, offset: int) -> _TestAnn:
-        allowed = {"name": "str", "scope": "strlist", "programFiles": "strlist",
-                   "input": "str", "inputFiles": "strlist", "assert": "assertlist"}
-        attrs = self._attributes("test", allowed=allowed, required={"name", "scope", "assert"})
-        scope = tuple(attrs["scope"][0])
-        if not scope:
-            raise _Issue("a test needs a nonempty scope", attrs["scope"][1], "annotation")
-        spec = TestSpec(
-            name=attrs["name"][0],
-            scope=scope,
-            asserts=tuple(attrs["assert"][0]),
-            program_files=tuple(attrs.get("programFiles", ([],))[0]),
-            input=attrs.get("input", ("",))[0],
-            input_files=tuple(attrs.get("inputFiles", ([],))[0]),
-        )
-        return _TestAnn(spec, offset)
-
-    def _attributes(self, owner: str, allowed: dict[str, str], required: set[str]) -> dict:
-        """Parse `(key = value, ...)`. Commas between attributes may be
-        omitted. Returns {key: (value, offset)}."""
-        self.ts.expect_punct("(", f"after @{owner}")
-        attrs: dict[str, tuple] = {}
-        while not self.ts.at_punct(")"):
-            key_tok = self.ts.expect(
-                "ident", f"expected an attribute name in @{owner}, found {{found}}", "annotation")
-            key = key_tok.value
-            if key not in allowed:
-                raise _Issue(f"unknown attribute {key!r} for @{owner}", key_tok.offset, "annotation")
-            if key in attrs:
-                raise _Issue(f"duplicate attribute {key!r} for @{owner}", key_tok.offset, "annotation")
-            self.ts.expect("punct", f"expected '=' after {key!r}, found {{found}}", "annotation", "=")
-            attrs[key] = (self._value(allowed[key], key), key_tok.offset)
-            self.ts.take_punct(",")
-        self.ts.next()  # closing paren
-        missing = required - attrs.keys()
+    def _attributes(self, name: _Token, types: dict[str, str], required,
+                    bare: bool = False) -> dict:
+        """Read `( key = value, ... )` after the annotation or assertion
+        `name`, each value of the type `types` gives its key. Commas between
+        attributes may be omitted, a bare string is the `constraint`
+        attribute where `types` has one, and with `bare` the parenthesised
+        list may be left out."""
+        owner = name.value
+        attrs: dict = {}
+        offsets: dict[str, int] = {}
+        if not bare or self.ts.at_punct("("):
+            self.ts.expect_punct("(", f"after @{owner}")
+            while not self.ts.take_punct(")"):
+                key_tok = self.ts.peek()
+                positional = key_tok.kind == "str" and "constraint" in types
+                if not positional:
+                    self.ts.expect("ident", f"expected an attribute name in @{owner}, "
+                                   "found {found}", "annotation")
+                key = "constraint" if positional else key_tok.value
+                if key not in types:
+                    raise _Issue(f"unknown attribute {key!r} for @{owner}", key_tok.offset,
+                                 "annotation")
+                if key in attrs:
+                    raise _Issue(f"duplicate attribute {key!r} for @{owner}", key_tok.offset,
+                                 "annotation")
+                if not positional:
+                    self.ts.expect("punct", f"expected '=' after {key!r}, found {{found}}",
+                                   "annotation", "=")
+                attrs[key] = self._value(types[key], key, owner)
+                offsets[key] = key_tok.offset
+                self.ts.take_punct(",")
+        missing = set(required) - attrs.keys()
         if missing:
             raise _Issue(f"@{owner} is missing required attribute(s): {', '.join(sorted(missing))}",
-                         self.ts.peek().offset, "annotation")
+                         name.offset, "annotation")
+        if attrs.get("scope") == []:
+            raise _Issue("a test needs a nonempty scope", offsets["scope"], "annotation")
         return attrs
 
-    def _value(self, value_type: str, key: str):
-        if value_type == "str":
-            return self.ts.expect("str", f"attribute {key!r} expects a string value",
-                                  "annotation").value[0]
-        if value_type == "strlist":
-            return [s for s, _ in self._list(key, self._string_element)]
-        if value_type == "assertlist":
-            return [a for a, _ in self._list(key, self._assertion_element)]
-        raise AssertionError(value_type)
+    def _value(self, value_type: str, key: str, owner: str):
+        if value_type == "asserts":
+            return self._list(key, self._assertion)
+        if value_type == "strs":
+            return self._list(key, lambda: self.ts.expect(
+                "str", f"the {key!r} list may only contain strings", "annotation").value[0])
+        kind, what = ("int", "an integer") if value_type == "int" else ("str", "a string")
+        tok = self.ts.expect(kind, f"attribute {key!r} of @{owner} must be {what}", "annotation")
+        if value_type == "int" and tok.value < 0:
+            raise _Issue(f"attribute {key!r} of @{owner} must be nonnegative", tok.offset,
+                         "annotation")
+        return tok.value[0] if value_type == "str" else tok.value
 
     def _list(self, key: str, element: Callable) -> list:
         self.ts.expect_punct("{", f"to open the {key!r} list")
         items = []
         if not self.ts.at_punct("}"):
-            items.append(element(key))
+            items.append(element())
             while self.ts.take_punct(","):
-                items.append(element(key))
+                items.append(element())
         self.ts.expect_punct("}", f"to close the {key!r} list")
         return items
 
-    def _string_element(self, key: str):
-        tok = self.ts.expect("str", f"the {key!r} list may only contain strings", "annotation")
-        return tok.value[0], tok.offset
-
-    def _assertion_element(self, key: str):
-        at, name_tok = self._at_name(f"the {key!r} list may only contain @assertions",
-                                     "expected an assertion name after '@'")
-        return self._assertion(name_tok.value, name_tok.offset), at.offset
-
-    def _assertion(self, name: str, offset: int) -> Assertion:
-        if name not in ASSERTION_CLASSES:
-            raise _Issue(f"unknown assertion @{name}", offset, "annotation")
-        field_names = [f.name for f in fields(ASSERTION_CLASSES[name])]
-        attrs: dict[str, tuple] = {}
-        positional: Optional[tuple] = None
-        if self.ts.take_punct("("):
-            while not self.ts.at_punct(")"):
-                tok = self.ts.peek()
-                if tok.kind == "str":
-                    # bare string: shorthand for the constraint attribute
-                    if "constraint" not in field_names:
-                        raise _Issue(f"@{name} does not take a positional string",
-                                     tok.offset, "annotation")
-                    if positional is not None or "constraint" in attrs:
-                        raise _Issue(f"duplicate constraint for @{name}", tok.offset, "annotation")
-                    self.ts.next()
-                    positional = (tok.value, tok.offset)
-                elif tok.kind == "ident":
-                    self.ts.next()
-                    key = tok.value
-                    self.ts.expect("punct", f"expected '=' after {key!r}", "annotation", "=")
-                    val = self.ts.peek()
-                    if val.kind not in ("str", "int"):
-                        raise _Issue(f"attribute {key!r} expects a string or integer",
-                                     val.offset, "annotation")
-                    self.ts.next()
-                    if key in attrs:
-                        raise _Issue(f"duplicate attribute {key!r} for @{name}",
-                                     tok.offset, "annotation")
-                    attrs[key] = (val.value, val.offset, val.kind)
-                else:
-                    raise _Issue(f"unexpected {_show(tok)} in @{name}", tok.offset, "annotation")
-                self.ts.take_punct(",")
-            self.ts.next()
-        if positional is not None:
-            attrs["constraint"] = (positional[0], positional[1], "str")
-        return self._build_assertion(name, field_names, attrs, offset)
-
-    def _attr(self, attrs, name: str, key: str, offset: int, kind: str):
-        if key not in attrs:
-            raise _Issue(f"@{name} is missing the mandatory {key!r} attribute", offset, "annotation")
-        value, off, got = attrs.pop(key)
-        if got != kind:
-            what = "an integer" if kind == "int" else "a string"
-            raise _Issue(f"attribute {key!r} of @{name} must be {what}", off, "annotation")
-        if kind == "int" and value < 0:
-            raise _Issue(f"attribute {key!r} of @{name} must be nonnegative", off, "annotation")
-        return value
-
-    def _build_assertion(self, name: str, field_names: list[str], attrs: dict,
-                         offset: int) -> Assertion:
-        """Read the class's fields in declaration order: `count` from the
-        `number` attribute, `atoms` and `constraint` from string payloads,
-        `cost` and `level` from integers."""
-        cls = ASSERTION_CLASSES[name]
+    def _assertion(self) -> Assertion:
+        """Read one `@assertion`; its payloads are parsed once its attribute
+        list is complete."""
+        _, name = self._at_name("the 'assert' list may only contain @assertions",
+                                "expected an assertion name after '@'")
+        cls = ASSERTION_CLASSES.get(name.value)
+        if cls is None:
+            raise _Issue(f"unknown assertion @{name.value}", name.offset, "annotation")
+        types = _ASSERTION_TYPES[name.value]
+        attrs = self._attributes(name, types, types, bare=True)
         values = {}
-        for fname in field_names:
-            payload = _PAYLOAD_PARSERS.get(fname)
-            key = "number" if fname == "count" else fname
-            value = self._attr(attrs, name, key, offset, "str" if payload else "int")
-            if payload is None:
-                values[fname] = value
-                continue
-            text, offsets = value
-            try:
-                values[fname] = payload(text)
-            except _Issue as exc:
-                # payload offsets index `text`; map them back into the file
-                kind = exc.kind if exc.kind == "safety" else "annotation"
-                raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
+        for f, key in zip(fields(cls), types):
+            value = attrs[key]
+            if f.name in _PAYLOAD_PARSERS:
+                text, offsets = value
+                try:
+                    value = _PAYLOAD_PARSERS[f.name](text)
+                except _Issue as exc:
+                    # payload offsets index `text`; map them back into the file
+                    kind = exc.kind if exc.kind == "safety" else "annotation"
+                    raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
+            values[f.name] = value
         if values.get("count", 1) < getattr(cls, "min_count", 0):
-            raise _Issue(f"@{name} needs number >= {cls.min_count} "
-                         "(number = 0 would be vacuously true)", offset, "annotation")
-        if attrs:
-            key = next(iter(attrs))
-            raise _Issue(f"unknown attribute {key!r} for @{name}", attrs[key][1], "annotation")
+            raise _Issue(f"@{name.value} needs number >= {cls.min_count} "
+                         "(number = 0 would be vacuously true)", name.offset, "annotation")
         return cls(**values)
 
 
@@ -681,6 +612,13 @@ def _parse_constraint_nested(text: str) -> Rule:
 _PAYLOAD_PARSERS = {"atoms": _parse_ground_atoms_nested,
                     "constraint": _parse_constraint_nested}
 
+# Attribute types of each assertion, all required: its class's fields in
+# declaration order, `count` read from the `number` attribute.
+_ASSERTION_TYPES = {
+    name: {("number" if f.name == "count" else f.name):
+           "payload" if f.name in _PAYLOAD_PARSERS else "int" for f in fields(cls)}
+    for name, cls in ASSERTION_CLASSES.items()}
+
 
 # ---------------------------------------------------------------------------
 # Units
@@ -700,16 +638,17 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
     statements: list = []            # Rule | WeakConstraint in source order
     named: dict[str, tuple] = {}     # name -> (rule, block claim, offset)
     name_order: list[str] = []
-    block_anns: list[_BlockAnn] = []
+    block_anns: list[tuple] = []     # (name, rule names, offset)
     tests: list[TestSpec] = []
-    pending_rule: Optional[_RuleAnn] = None
+    pending_rule: Optional[tuple] = None  # (@rule attributes, offset)
 
     def flush_pending(reason: str):
         nonlocal pending_rule
         if pending_rule is not None:
+            attrs, offset = pending_rule
             errors.append(index.error(_Issue(
-                f"@rule(name=\"{pending_rule.name}\") must be followed by a rule, not {reason}",
-                pending_rule.offset, "annotation")))
+                f"@rule(name=\"{attrs['name']}\") must be followed by a rule, not {reason}",
+                offset, "annotation")))
             pending_rule = None
 
     while ts.peek().kind != "eof":
@@ -722,14 +661,20 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
             except _Issue as exc:
                 errors.append(index.error(exc))
                 continue
-            for ann in anns:
+            for name, attrs, offset in anns:
                 flush_pending("another annotation")
-                if isinstance(ann, _RuleAnn):
-                    pending_rule = ann
-                elif isinstance(ann, _BlockAnn):
-                    block_anns.append(ann)
+                if name == "rule":
+                    pending_rule = attrs, offset
+                elif name == "block":
+                    block_anns.append((attrs["name"], attrs.get("rules", []), offset))
                 else:
-                    tests.append(replace(ann.spec, origin=index.span(path, ann.offset)))
+                    tests.append(TestSpec(
+                        name=attrs["name"], scope=tuple(attrs["scope"]),
+                        asserts=tuple(attrs["assert"]),
+                        program_files=tuple(attrs.get("programFiles", ())),
+                        input=attrs.get("input", ""),
+                        input_files=tuple(attrs.get("inputFiles", ())),
+                        origin=index.span(path, offset)))
             continue
         span = index.span(path, tok.offset)
         try:
@@ -747,23 +692,23 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
             flush_pending("a weak constraint")
             continue
         if pending_rule is not None:
-            ann, pending_rule = pending_rule, None
-            if ann.name in named:
+            (attrs, offset), pending_rule = pending_rule, None
+            if attrs["name"] in named:
                 errors.append(index.error(_Issue(
-                    f"duplicate rule name {ann.name!r}", ann.offset, "duplicate-name")))
+                    f"duplicate rule name {attrs['name']!r}", offset, "duplicate-name")))
             else:
-                named[ann.name] = (stmt, ann.block, ann.offset)
-                name_order.append(ann.name)
+                named[attrs["name"]] = (stmt, attrs.get("block"), offset)
+                name_order.append(attrs["name"])
     flush_pending("the end of the file")
 
     # Blocks: explicit declarations first, then memberships claimed by rules.
     blocks: dict[str, tuple] = {}
-    for ann in block_anns:
-        if ann.name in blocks:
+    for bname, rule_names, boffset in block_anns:
+        if bname in blocks:
             errors.append(index.error(_Issue(
-                f"duplicate block name {ann.name!r}", ann.offset, "duplicate-name")))
+                f"duplicate block name {bname!r}", boffset, "duplicate-name")))
             continue
-        blocks[ann.name] = (list(ann.rules or []), ann.offset)
+        blocks[bname] = (rule_names, boffset)
     for name in name_order:
         if name in blocks:
             errors.append(index.error(_Issue(
@@ -832,7 +777,7 @@ def parse_assertion_list(text: str) -> list[Assertion]:
     index = _LineIndex(text)
     try:
         parser = _AnnotationParser(src, base)
-        items = parser._list("assert", parser._assertion_element)
+        items = parser._list("assert", parser._assertion)
         tok = parser.ts.peek()
         if tok.kind != "eof":
             raise _Issue(f"trailing input after the assertion list: {_show(tok)}",
@@ -840,7 +785,7 @@ def parse_assertion_list(text: str) -> list[Assertion]:
     except _Issue as exc:
         line, col = index.position(max(exc.offset, 0))
         raise ParseFailure("<assert>", [ParseError(exc.message, line, col, exc.kind)])
-    return [a for a, _ in items]
+    return items
 
 
 def parse_ground_atom(text: str) -> Atom:
@@ -874,18 +819,21 @@ def merge_units(units: list[SourceUnit]) -> SourceUnit:
     rules: list[Rule] = []
     weaks: list[WeakConstraint] = []
     errors: list[ParseError] = []
+
+    def clash(name: str, path: str, origin: Optional[Span] = None):
+        """A name defined again: at the rule's span; a block carries none."""
+        line, column = (origin.line, origin.column) if origin else (0, 0)
+        errors.append(ParseError(f"duplicate name {name!r} across the file set (in {path})",
+                                 line, column, "duplicate-name", path))
+
     for unit in units:
         for name, rule in unit.suite.named_rules.items():
             if name in named or name in blocks:
-                errors.append(ParseError(
-                    f"duplicate name {name!r} across the file set (in {unit.path})",
-                    1, 1, "duplicate-name"))
+                clash(name, unit.path, rule.origin)
             named[name] = rule
         for name, members in unit.suite.blocks.items():
             if name in blocks or name in named:
-                errors.append(ParseError(
-                    f"duplicate name {name!r} across the file set (in {unit.path})",
-                    1, 1, "duplicate-name"))
+                clash(name, unit.path)
             blocks[name] = members
         tests.extend(unit.suite.tests)
         anonymous.extend(unit.suite.anonymous_rules)

@@ -1,5 +1,6 @@
 """Shared test utilities: an independent brute-force reference for answer
-sets and assertion semantics, plus random program generators.
+sets and assertion semantics, references for rewritten layers (ground
+simplification, the annotation reader), plus random program generators.
 
 The brute enumerator and the naive grounders implement the definitions
 literally (every variable takes every constant, #count counts over every
@@ -12,13 +13,28 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable, Optional
 
 from asp_testkit import oracle
+from asp_testkit.parser import (
+    _LineIndex,
+    _PAYLOAD_PARSERS,
+    _TokenStream,
+    _check_safety,
+    _Issue,
+    _parse_rule_or_weak,
+    _scan,
+    _show,
+    _sync_statement,
+    ParseError,
+    SourceUnit,
+)
 from asp_testkit.oracle import UnsupportedAggregate
 from asp_testkit.model import (
     ASSERTION_CLASSES,
+    Assertion,
     Atom,
     BestModelCost,
     Comparison,
@@ -33,6 +49,8 @@ from asp_testkit.model import (
     NoAnswerSet,
     Program,
     Rule,
+    TestSpec,
+    TestSuite,
     TrueInAll,
     TrueInAtLeast,
     TrueInAtMost,
@@ -457,6 +475,338 @@ def reference_check_aggregate_stratification(stmts):
                     f"#count over {cond!r} occurs in the head rule defining it; "
                     "the oracle only supports non-recursive aggregates in "
                     "rules with heads")
+
+
+# ---------------------------------------------------------------------------
+# Annotation reader reference
+# ---------------------------------------------------------------------------
+
+# The two annotation readers that `parser._AnnotationParser` replaced, and
+# the unit parser built on them, verbatim apart from the names:
+# `_attributes`/`_value` read `@rule`, `@block` and `@test`; `_assertion`,
+# `_attr` and `_build_assertion` read each `@assertion`.
+
+@dataclass
+class _RuleAnn:
+    name: str
+    block: Optional[str]
+    offset: int
+
+
+@dataclass
+class _BlockAnn:
+    name: str
+    rules: Optional[list[str]]
+    offset: int
+
+
+@dataclass
+class _TestAnn:
+    spec: TestSpec
+    offset: int
+
+
+class ReferenceAnnotationParser:
+    def __init__(self, text: str, base: int):
+        self.ts = _TokenStream(_scan(text, base, annotation=True))
+
+    def parse_all(self) -> list:
+        anns = []
+        while self.ts.peek().kind != "eof":
+            anns.append(self._annotation())
+        return anns
+
+    def _at_name(self, at_message: str, name_message: str) -> tuple[_Token, _Token]:
+        """Read `@name`; returns the '@' and the name tokens."""
+        at = self.ts.expect("punct", at_message, "annotation", "@")
+        return at, self.ts.expect("ident", name_message, "annotation")
+
+    def _annotation(self):
+        at, name_tok = self._at_name("expected '@' to start an annotation, found {found}",
+                                     "expected an annotation name after '@', found {found}")
+        name = name_tok.value
+        if name == "rule":
+            attrs = self._attributes(name, allowed={"name": "str", "block": "str"},
+                                     required={"name"})
+            return _RuleAnn(attrs["name"][0], attrs.get("block", (None,))[0], at.offset)
+        if name == "block":
+            attrs = self._attributes(name, allowed={"name": "str", "rules": "strlist"},
+                                     required={"name"})
+            rules = attrs.get("rules", (None,))[0]
+            return _BlockAnn(attrs["name"][0], rules, at.offset)
+        if name == "test":
+            return self._test(at.offset)
+        raise _Issue(f"unknown annotation @{name} (expected @rule, @block or @test)",
+                     at.offset, "annotation")
+
+    def _test(self, offset: int) -> _TestAnn:
+        allowed = {"name": "str", "scope": "strlist", "programFiles": "strlist",
+                   "input": "str", "inputFiles": "strlist", "assert": "assertlist"}
+        attrs = self._attributes("test", allowed=allowed, required={"name", "scope", "assert"})
+        scope = tuple(attrs["scope"][0])
+        if not scope:
+            raise _Issue("a test needs a nonempty scope", attrs["scope"][1], "annotation")
+        spec = TestSpec(
+            name=attrs["name"][0],
+            scope=scope,
+            asserts=tuple(attrs["assert"][0]),
+            program_files=tuple(attrs.get("programFiles", ([],))[0]),
+            input=attrs.get("input", ("",))[0],
+            input_files=tuple(attrs.get("inputFiles", ([],))[0]),
+        )
+        return _TestAnn(spec, offset)
+
+    def _attributes(self, owner: str, allowed: dict[str, str], required: set[str]) -> dict:
+        """Parse `(key = value, ...)`. Commas between attributes may be
+        omitted. Returns {key: (value, offset)}."""
+        self.ts.expect_punct("(", f"after @{owner}")
+        attrs: dict[str, tuple] = {}
+        while not self.ts.at_punct(")"):
+            key_tok = self.ts.expect(
+                "ident", f"expected an attribute name in @{owner}, found {{found}}", "annotation")
+            key = key_tok.value
+            if key not in allowed:
+                raise _Issue(f"unknown attribute {key!r} for @{owner}", key_tok.offset, "annotation")
+            if key in attrs:
+                raise _Issue(f"duplicate attribute {key!r} for @{owner}", key_tok.offset, "annotation")
+            self.ts.expect("punct", f"expected '=' after {key!r}, found {{found}}", "annotation", "=")
+            attrs[key] = (self._value(allowed[key], key), key_tok.offset)
+            self.ts.take_punct(",")
+        self.ts.next()  # closing paren
+        missing = required - attrs.keys()
+        if missing:
+            raise _Issue(f"@{owner} is missing required attribute(s): {', '.join(sorted(missing))}",
+                         self.ts.peek().offset, "annotation")
+        return attrs
+
+    def _value(self, value_type: str, key: str):
+        if value_type == "str":
+            return self.ts.expect("str", f"attribute {key!r} expects a string value",
+                                  "annotation").value[0]
+        if value_type == "strlist":
+            return [s for s, _ in self._list(key, self._string_element)]
+        if value_type == "assertlist":
+            return [a for a, _ in self._list(key, self._assertion_element)]
+        raise AssertionError(value_type)
+
+    def _list(self, key: str, element: Callable) -> list:
+        self.ts.expect_punct("{", f"to open the {key!r} list")
+        items = []
+        if not self.ts.at_punct("}"):
+            items.append(element(key))
+            while self.ts.take_punct(","):
+                items.append(element(key))
+        self.ts.expect_punct("}", f"to close the {key!r} list")
+        return items
+
+    def _string_element(self, key: str):
+        tok = self.ts.expect("str", f"the {key!r} list may only contain strings", "annotation")
+        return tok.value[0], tok.offset
+
+    def _assertion_element(self, key: str):
+        at, name_tok = self._at_name(f"the {key!r} list may only contain @assertions",
+                                     "expected an assertion name after '@'")
+        return self._assertion(name_tok.value, name_tok.offset), at.offset
+
+    def _assertion(self, name: str, offset: int) -> Assertion:
+        if name not in ASSERTION_CLASSES:
+            raise _Issue(f"unknown assertion @{name}", offset, "annotation")
+        field_names = [f.name for f in fields(ASSERTION_CLASSES[name])]
+        attrs: dict[str, tuple] = {}
+        positional: Optional[tuple] = None
+        if self.ts.take_punct("("):
+            while not self.ts.at_punct(")"):
+                tok = self.ts.peek()
+                if tok.kind == "str":
+                    # bare string: shorthand for the constraint attribute
+                    if "constraint" not in field_names:
+                        raise _Issue(f"@{name} does not take a positional string",
+                                     tok.offset, "annotation")
+                    if positional is not None or "constraint" in attrs:
+                        raise _Issue(f"duplicate constraint for @{name}", tok.offset, "annotation")
+                    self.ts.next()
+                    positional = (tok.value, tok.offset)
+                elif tok.kind == "ident":
+                    self.ts.next()
+                    key = tok.value
+                    self.ts.expect("punct", f"expected '=' after {key!r}", "annotation", "=")
+                    val = self.ts.peek()
+                    if val.kind not in ("str", "int"):
+                        raise _Issue(f"attribute {key!r} expects a string or integer",
+                                     val.offset, "annotation")
+                    self.ts.next()
+                    if key in attrs:
+                        raise _Issue(f"duplicate attribute {key!r} for @{name}",
+                                     tok.offset, "annotation")
+                    attrs[key] = (val.value, val.offset, val.kind)
+                else:
+                    raise _Issue(f"unexpected {_show(tok)} in @{name}", tok.offset, "annotation")
+                self.ts.take_punct(",")
+            self.ts.next()
+        if positional is not None:
+            attrs["constraint"] = (positional[0], positional[1], "str")
+        return self._build_assertion(name, field_names, attrs, offset)
+
+    def _attr(self, attrs, name: str, key: str, offset: int, kind: str):
+        if key not in attrs:
+            raise _Issue(f"@{name} is missing the mandatory {key!r} attribute", offset, "annotation")
+        value, off, got = attrs.pop(key)
+        if got != kind:
+            what = "an integer" if kind == "int" else "a string"
+            raise _Issue(f"attribute {key!r} of @{name} must be {what}", off, "annotation")
+        if kind == "int" and value < 0:
+            raise _Issue(f"attribute {key!r} of @{name} must be nonnegative", off, "annotation")
+        return value
+
+    def _build_assertion(self, name: str, field_names: list[str], attrs: dict,
+                         offset: int) -> Assertion:
+        """Read the class's fields in declaration order: `count` from the
+        `number` attribute, `atoms` and `constraint` from string payloads,
+        `cost` and `level` from integers."""
+        cls = ASSERTION_CLASSES[name]
+        values = {}
+        for fname in field_names:
+            payload = _PAYLOAD_PARSERS.get(fname)
+            key = "number" if fname == "count" else fname
+            value = self._attr(attrs, name, key, offset, "str" if payload else "int")
+            if payload is None:
+                values[fname] = value
+                continue
+            text, offsets = value
+            try:
+                values[fname] = payload(text)
+            except _Issue as exc:
+                # payload offsets index `text`; map them back into the file
+                kind = exc.kind if exc.kind == "safety" else "annotation"
+                raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
+        if values.get("count", 1) < getattr(cls, "min_count", 0):
+            raise _Issue(f"@{name} needs number >= {cls.min_count} "
+                         "(number = 0 would be vacuously true)", offset, "annotation")
+        if attrs:
+            key = next(iter(attrs))
+            raise _Issue(f"unknown attribute {key!r} for @{name}", attrs[key][1], "annotation")
+        return cls(**values)
+
+
+def reference_parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], list[ParseError]]:
+    """Best-effort parse returning every error found; the unit is only
+    returned when the input is clean."""
+    index = _LineIndex(text)
+    errors: list[ParseError] = []
+    try:
+        tokens = _scan(text)
+    except _Issue as exc:
+        return None, [index.error(exc)]
+
+    ts = _TokenStream(tokens)
+    statements: list = []            # Rule | WeakConstraint in source order
+    named: dict[str, tuple] = {}     # name -> (rule, block claim, offset)
+    name_order: list[str] = []
+    block_anns: list[_BlockAnn] = []
+    tests: list[TestSpec] = []
+    pending_rule: Optional[_RuleAnn] = None
+
+    def flush_pending(reason: str):
+        nonlocal pending_rule
+        if pending_rule is not None:
+            errors.append(index.error(_Issue(
+                f"@rule(name=\"{pending_rule.name}\") must be followed by a rule, not {reason}",
+                pending_rule.offset, "annotation")))
+            pending_rule = None
+
+    while ts.peek().kind != "eof":
+        tok = ts.peek()
+        if tok.kind == "annot":
+            ts.next()
+            block_text, base = tok.value
+            try:
+                anns = ReferenceAnnotationParser(block_text, base).parse_all()
+            except _Issue as exc:
+                errors.append(index.error(exc))
+                continue
+            for ann in anns:
+                flush_pending("another annotation")
+                if isinstance(ann, _RuleAnn):
+                    pending_rule = ann
+                elif isinstance(ann, _BlockAnn):
+                    block_anns.append(ann)
+                else:
+                    tests.append(replace(ann.spec, origin=index.span(path, ann.offset)))
+            continue
+        span = index.span(path, tok.offset)
+        try:
+            stmt = _parse_rule_or_weak(ts, span)
+        except _Issue as exc:
+            errors.append(index.error(exc))
+            _sync_statement(ts)
+            pending_rule = None
+            continue
+        if not _check_safety(stmt, index, errors):
+            pending_rule = None
+            continue
+        statements.append(stmt)
+        if isinstance(stmt, WeakConstraint):
+            flush_pending("a weak constraint")
+            continue
+        if pending_rule is not None:
+            ann, pending_rule = pending_rule, None
+            if ann.name in named:
+                errors.append(index.error(_Issue(
+                    f"duplicate rule name {ann.name!r}", ann.offset, "duplicate-name")))
+            else:
+                named[ann.name] = (stmt, ann.block, ann.offset)
+                name_order.append(ann.name)
+    flush_pending("the end of the file")
+
+    # Blocks: explicit declarations first, then memberships claimed by rules.
+    blocks: dict[str, tuple] = {}
+    for ann in block_anns:
+        if ann.name in blocks:
+            errors.append(index.error(_Issue(
+                f"duplicate block name {ann.name!r}", ann.offset, "duplicate-name")))
+            continue
+        blocks[ann.name] = (list(ann.rules or []), ann.offset)
+    for name in name_order:
+        if name in blocks:
+            errors.append(index.error(_Issue(
+                f"{name!r} is used both as a rule name and as a block name",
+                named[name][2], "duplicate-name")))
+    for bname, (rule_names, boffset) in blocks.items():
+        for rname in rule_names:
+            if rname not in named:
+                errors.append(index.error(_Issue(
+                    f"block {bname!r} lists unknown rule {rname!r}",
+                    boffset, "dangling-reference")))
+            else:
+                claimed = named[rname][1]
+                if claimed is not None and claimed != bname:
+                    errors.append(index.error(_Issue(
+                        f"rule {rname!r} is assigned to block {claimed!r} but block "
+                        f"{bname!r} also lists it", boffset, "duplicate-name")))
+    for name in name_order:
+        claimed = named[name][1]
+        if claimed is not None and claimed not in blocks:
+            blocks[claimed] = ([], named[name][2])
+
+    final_blocks: dict[str, tuple[str, ...]] = {}
+    for bname, (rule_names, _) in blocks.items():
+        members = [n for n in name_order
+                   if n in rule_names or named[n][1] == bname]
+        final_blocks[bname] = tuple(members)
+
+    if errors:
+        return None, errors
+
+    named_rules = {name: named[name][0] for name in name_order}
+    named_set = {id(r) for r in named_rules.values()}
+    anonymous = tuple(s for s in statements
+                      if isinstance(s, Rule) and id(s) not in named_set)
+    rules = tuple(s for s in statements if isinstance(s, Rule))
+    weaks = tuple(s for s in statements if isinstance(s, WeakConstraint))
+    suite = TestSuite(named_rules=named_rules, blocks=final_blocks,
+                      tests=tuple(tests), anonymous_rules=anonymous)
+    unit = SourceUnit(path=path, text=text, program=Program(rules, weaks), suite=suite)
+    return unit, []
 
 
 # ---------------------------------------------------------------------------

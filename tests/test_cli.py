@@ -92,6 +92,23 @@ def test_check_rejects_names_that_clash_across_files(tmp_path):
     assert "OK" not in proc.stdout
 
 
+@pytest.mark.parametrize("command", ["check", "test"])
+def test_a_name_clash_across_files_is_reported_where_it_is_defined(tmp_path, command):
+    (tmp_path / "a.lp").write_text('%** @rule(name = "r") **%\np(1).\n'
+                                   '%** @block(name = "B") **%\n', encoding="utf-8")
+    (tmp_path / "b.lp").write_text('% rules\n%** @rule(name = "r") **%\np(2).\n',
+                                   encoding="utf-8")
+    (tmp_path / "c.lp").write_text('%** @rule(name = "s", block = "B") **%\nq.\n',
+                                   encoding="utf-8")
+    a, b, c = (str(tmp_path / name) for name in ("a.lp", "b.lp", "c.lp"))
+    proc = run_cli(command, a, b, c)
+    assert proc.returncode == 1, proc.stdout
+    # a rule clashes at its own span; a block carries none, so only its file
+    assert proc.stdout == (
+        f"{b}:3:1: duplicate-name: duplicate name 'r' across the file set (in {b})\n"
+        f"{c}: duplicate-name: duplicate name 'B' across the file set (in {c})\n")
+
+
 def test_check_resolves_a_scope_in_another_file(tmp_path):
     rules = tmp_path / "rules.lp"
     rules.write_text('%** @rule(name = "r") **%\np(1).\n', encoding="utf-8")

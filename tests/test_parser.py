@@ -1,4 +1,8 @@
+import ast
+import random
 import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +17,9 @@ from asp_testkit.model import (
 )
 from asp_testkit.parser import (
     ParseFailure,
+    _AnnotationParser,
+    _Issue,
+    _scan,
     merge_units,
     parse_assertion_list,
     parse_ground_atom,
@@ -20,7 +27,12 @@ from asp_testkit.parser import (
     parse_unit_diagnostics,
 )
 from asp_testkit.serialize import rule_to_text, serialize_program
-from helpers import atom, fixture_text
+from helpers import (
+    ReferenceAnnotationParser,
+    atom,
+    fixture_text,
+    reference_parse_unit_diagnostics,
+)
 
 
 def test_empty_input_gives_empty_unit():
@@ -320,25 +332,27 @@ def _in_test(assertion):
     (_block('@rule(name = "r", name = "s")'),
      ["t.lp:1:23: annotation: duplicate attribute 'name' for @rule"]),
     (_block('@rule(name "r")'),
-     ["t.lp:1:16: annotation: expected '=' after 'name', found ('r', [16, 17])"]),
+     ["t.lp:1:16: annotation: expected '=' after 'name', found \"r\""]),
+    (_block('@rule(name "say \\"hi\\"")'),
+     ["t.lp:1:16: annotation: expected '=' after 'name', found \"say \\\"hi\\\"\""]),
     (_block('@rule("x")'),
-     ["t.lp:1:11: annotation: expected an attribute name in @rule, found ('x', [11, 12])"]),
+     ["t.lp:1:11: annotation: expected an attribute name in @rule, found \"x\""]),
     (_block('@rule(name = 3)'),
-     ["t.lp:1:18: annotation: attribute 'name' expects a string value"]),
+     ["t.lp:1:18: annotation: attribute 'name' of @rule must be a string"]),
     (_block('@rule(name = {"r"})'),
-     ["t.lp:1:18: annotation: attribute 'name' expects a string value"]),
+     ["t.lp:1:18: annotation: attribute 'name' of @rule must be a string"]),
     (_block('@block(name = "b", rules = "r")'),
-     ["t.lp:1:32: syntactic: expected '{' to open the 'rules' list, found ('r', [32, 33])"]),
+     ["t.lp:1:32: syntactic: expected '{' to open the 'rules' list, found \"r\""]),
     (_block('@block(name = "b", rules = {"r", 3})'),
      ["t.lp:1:38: annotation: the 'rules' list may only contain strings"]),
     (_block('@test(name = "t", scope = {"r"}, assert = {"a"})'),
      ["t.lp:1:48: annotation: the 'assert' list may only contain @assertions"]),
     (_block('@block(name = "b", rules = {"r" "s"})'),
-     ["t.lp:1:37: syntactic: expected '}' to close the 'rules' list, found ('s', [37, 38])"]),
+     ["t.lp:1:37: syntactic: expected '}' to close the 'rules' list, found \"s\""]),
     (_block('@rule(block = "b")'),
-     ["t.lp:1:24: annotation: @rule is missing required attribute(s): name"]),
+     ["t.lp:1:6: annotation: @rule is missing required attribute(s): name"]),
     (_block('@test(input = "p.")'),
-     ["t.lp:1:25: annotation: @test is missing required attribute(s): assert, name, scope"]),
+     ["t.lp:1:6: annotation: @test is missing required attribute(s): assert, name, scope"]),
     (_block('@test(name = "t", scope = {}, assert = {})'),
      ["t.lp:1:23: annotation: a test needs a nonempty scope"]),
     (_block('@rule(name = "r"'),
@@ -348,39 +362,39 @@ def _in_test(assertion):
     (_in_test('@ (atoms = "p")'),
      ["t.lp:1:51: annotation: expected an assertion name after '@'"]),
     (_in_test('@trueInAll(atoms = "p", number = 1)'),
-     ["t.lp:1:82: annotation: unknown attribute 'number' for @trueInAll"]),
+     ["t.lp:1:73: annotation: unknown attribute 'number' for @trueInAll"]),
     (_in_test('@trueInAll(atoms = "p", atoms = "p")'),
      ["t.lp:1:73: annotation: duplicate attribute 'atoms' for @trueInAll"]),
     (_in_test('@trueInAll(atoms "p")'),
-     ["t.lp:1:66: annotation: expected '=' after 'atoms'"]),
+     ["t.lp:1:66: annotation: expected '=' after 'atoms', found \"p\""]),
     (_in_test('@trueInAll(atoms = {"p"})'),
-     ["t.lp:1:68: annotation: attribute 'atoms' expects a string or integer"]),
+     ["t.lp:1:68: annotation: attribute 'atoms' of @trueInAll must be a string"]),
     (_in_test('@trueInAll(atoms = 1)'),
      ["t.lp:1:68: annotation: attribute 'atoms' of @trueInAll must be a string"]),
     (_in_test('@trueInAtMost(number = "1", atoms = "p")'),
      ["t.lp:1:72: annotation: attribute 'number' of @trueInAtMost must be an integer"]),
     (_in_test('@trueInAtMost(atoms = "p")'),
-     ["t.lp:1:50: annotation: @trueInAtMost is missing the mandatory 'number' attribute"]),
+     ["t.lp:1:50: annotation: @trueInAtMost is missing required attribute(s): number"]),
     (_in_test('@trueInAll'),
-     ["t.lp:1:50: annotation: @trueInAll is missing the mandatory 'atoms' attribute"]),
+     ["t.lp:1:50: annotation: @trueInAll is missing required attribute(s): atoms"]),
     (_in_test('@trueInAll(atoms = "p" =)'),
-     ["t.lp:1:72: annotation: unexpected '=' in @trueInAll"]),
+     ["t.lp:1:72: annotation: expected an attribute name in @trueInAll, found '='"]),
     (_in_test('@trueInAll("p")'),
-     ["t.lp:1:60: annotation: @trueInAll does not take a positional string"]),
+     ["t.lp:1:60: annotation: expected an attribute name in @trueInAll, found \"p\""]),
     (_in_test('@constraintForAll(":- p.", ":- q.")'),
-     ["t.lp:1:76: annotation: duplicate constraint for @constraintForAll"]),
+     ["t.lp:1:76: annotation: duplicate attribute 'constraint' for @constraintForAll"]),
     (_in_test('@constraintForAll(constraint = ":- p.", ":- q.")'),
-     ["t.lp:1:89: annotation: duplicate constraint for @constraintForAll"]),
+     ["t.lp:1:89: annotation: duplicate attribute 'constraint' for @constraintForAll"]),
     (_in_test('@constraintForAll(":- p.", constraint = ":- q.")'),
-     []),
+     ["t.lp:1:76: annotation: duplicate attribute 'constraint' for @constraintForAll"]),
     (_in_test('@trueInAtLeast(number = 0, atoms = "p")'),
      ["t.lp:1:50: annotation: @trueInAtLeast needs number >= 1 "
       "(number = 0 would be vacuously true)"]),
     (_block('@test(name = "t", scope = {"r"}, assert = { @trueInAll(atoms = "p" })'),
-     ["t.lp:1:72: annotation: unexpected '}' in @trueInAll"]),
+     ["t.lp:1:72: annotation: expected an attribute name in @trueInAll, found '}'"]),
 ], ids=["unknown annotation", "no annotation name", "no at sign", "no parenthesis",
         "unknown attribute", "duplicate attribute", "missing equals",
-        "string as attribute name", "integer for a string", "list for a string",
+        "missing equals before an escaped string", "string as attribute name", "integer for a string", "list for a string",
         "string for a list", "integer in a string list", "string in the assert list",
         "unclosed list", "missing required", "missing several required", "empty scope",
         "unclosed attributes", "unknown assertion", "no assertion name",
@@ -404,6 +418,126 @@ def test_constraint_payload_columns_count_leading_whitespace(text, expected):
     with pytest.raises(ParseFailure) as exc:
         parse_assertion_list(text)
     assert [e.render() for e in exc.value.errors] == [expected]
+
+
+# Errors that the two readers `parser._AnnotationParser` replaced worded or
+# placed differently: (old message, new message) regexes, where {0}, {1}
+# stand for the old message's groups.
+_REWORDED = [
+    (r"attribute ('\w+') expects a string value", r"attribute {0} of @\w+ must be a string"),
+    (r"attribute ('\w+') expects a string or integer",
+     r"attribute {0} of @\w+ must be (a string|an integer)"),
+    (r"expected '=' after ('\w+')", r"expected '=' after {0}, found .+"),
+    (r"unexpected (.+) in (@\w+)", r"expected an attribute name in {1}, found {0}"),
+    (r"(@\w+) does not take a positional string", r'expected an attribute name in {0}, found ".*"'),
+    (r"duplicate constraint for (@\w+)", r"duplicate attribute 'constraint' for {0}"),
+    (r"(@\w+) is missing the mandatory '(\w+)' attribute",
+     r"{0} is missing required attribute\(s\): (\w+, )*{1}(, \w+)*"),
+    # same words, reported at the annotation's name and at the attribute's key
+    (r"(@\w+ is missing required attribute\(s\): .+)", r"{0}"),
+    (r"(unknown attribute '\w+' for @\w+)", r"{0}"),
+]
+
+
+def _reworded(old: str, new: str) -> bool:
+    for old_pattern, new_pattern in _REWORDED:
+        m = re.fullmatch(old_pattern, old)
+        if m and re.fullmatch(new_pattern.format(*map(re.escape, m.groups())), new):
+            return True
+    return False
+
+
+def _annotation_corpus() -> list:
+    """Every annotation block of the fixtures and of the test files' string
+    constants, as (text, body start, body end, leading blank, pieces): a
+    piece is one token with the blanks and comments after it."""
+    root = Path(__file__).resolve().parent.parent
+    texts = [p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.lp"))]
+    for path in sorted((root / "tests").glob("*.py")):
+        texts += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "%**" in node.value]
+    corpus = []
+    for text in texts:
+        for m in re.finditer(r"%\*\*(.*?)\*\*%", text, re.S):
+            body = m.group(1)
+            try:
+                offsets = [tok.offset for tok in _scan(body, annotation=True)]
+            except _Issue:
+                continue
+            corpus.append((text, m.start(1), m.end(1), body[:offsets[0]],
+                           [body[a:b] for a, b in zip(offsets, offsets[1:])]))
+    return corpus
+
+
+def _token_edits(rng: random.Random, pieces: list, pool: list) -> str:
+    """One to three edits: delete, duplicate, swap with the next, replace
+    with a token of `pool`, or insert one."""
+    pieces = list(pieces)
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(pieces) + 1)
+        op = rng.choice(("delete", "duplicate", "swap", "replace", "insert"))
+        if op == "insert" or i == len(pieces):
+            pieces.insert(i, rng.choice(pool))
+        elif op == "delete":
+            del pieces[i]
+        elif op == "duplicate":
+            pieces.insert(i, pieces[i])
+        elif op == "replace":
+            pieces[i] = rng.choice(pool)
+        else:
+            pieces[i:i + 2] = pieces[i:i + 2][::-1]
+    return "".join(pieces)
+
+
+def _read(reader, body: str, base: int):
+    try:
+        return reader(body, base).parse_all()
+    except _Issue as exc:
+        return exc
+
+
+def _suite_view(parse, text: str):
+    unit, errors = parse("t.lp", text)
+    if unit is None:
+        return [e.render() for e in errors]
+    suite = unit.suite
+    return suite.tests, [t.origin for t in suite.tests], suite.named_rules, suite.blocks
+
+
+def test_annotation_reader_matches_the_reference():
+    """20000 seeded token edits of the corpus's blocks. Both readers accept
+    or reject each edited block alike, and a rejection keeps its kind. An
+    accepted block is parsed in its file by the current and the reference
+    unit parser, which give equal tests, named rules, blocks or errors. A
+    rejection's message and position differ only where the old readers
+    worded an error differently (`_REWORDED`) or, on input with several
+    errors, where another one is now reported first."""
+    corpus = _annotation_corpus()
+    pool = [piece for *_, pieces in corpus for piece in pieces]
+    rng = random.Random(13)
+    seen = Counter()
+    for n in range(20000):
+        text, start, end, blank, pieces = corpus[n % len(corpus)]
+        body = blank + _token_edits(rng, pieces, pool)
+        old = _read(ReferenceAnnotationParser, body, start)
+        new = _read(_AnnotationParser, body, start)
+        if not isinstance(old, _Issue) and not isinstance(new, _Issue):
+            edited = text[:start] + body + text[end:]
+            assert _suite_view(parse_unit_diagnostics, edited) == \
+                _suite_view(reference_parse_unit_diagnostics, edited), edited
+            seen["accepted"] += 1
+            continue
+        assert isinstance(old, _Issue) and isinstance(new, _Issue), body
+        assert old.kind == new.kind, body
+        if (old.message, old.offset) == (new.message, new.offset):
+            seen["same error"] += 1
+        elif _reworded(old.message, new.message):
+            seen["reworded"] += 1
+        else:
+            seen["another error first"] += 1
+    # every block of the corpus was edited, and each outcome occurred
+    assert len(corpus) >= 80 and len(seen) == 4, seen
 
 
 def test_recovery_reports_multiple_errors():
