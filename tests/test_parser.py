@@ -387,6 +387,9 @@ def _in_test(assertion):
      ["t.lp:1:89: annotation: duplicate attribute 'constraint' for @constraintForAll"]),
     (_in_test('@constraintForAll(":- p.", constraint = ":- q.")'),
      ["t.lp:1:76: annotation: duplicate attribute 'constraint' for @constraintForAll"]),
+    # two errors: attributes are checked before payloads are parsed
+    (_in_test('@constraintForAll(constraint = ":- not q(Y).", number = 1)'),
+     ["t.lp:1:96: annotation: unknown attribute 'number' for @constraintForAll"]),
     (_in_test('@trueInAtLeast(number = 0, atoms = "p")'),
      ["t.lp:1:50: annotation: @trueInAtLeast needs number >= 1 "
       "(number = 0 would be vacuously true)"]),
@@ -394,17 +397,20 @@ def _in_test(assertion):
      ["t.lp:1:72: annotation: expected an attribute name in @trueInAll, found '}'"]),
 ], ids=["unknown annotation", "no annotation name", "no at sign", "no parenthesis",
         "unknown attribute", "duplicate attribute", "missing equals",
-        "missing equals before an escaped string", "string as attribute name", "integer for a string", "list for a string",
-        "string for a list", "integer in a string list", "string in the assert list",
-        "unclosed list", "missing required", "missing several required", "empty scope",
+        "missing equals before an escaped string", "string as attribute name",
+        "integer for a string", "list for a string", "string for a list",
+        "integer in a string list", "string in the assert list", "unclosed list",
+        "missing required", "missing several required", "empty scope",
         "unclosed attributes", "unknown assertion", "no assertion name",
         "assertion unknown attribute", "assertion duplicate attribute",
-        "assertion missing equals", "assertion list value", "assertion integer for a string",
-        "assertion string for an integer", "assertion missing required",
-        "assertion without parentheses", "assertion unexpected token",
-        "positional string not taken", "duplicate positional constraint",
-        "positional after keyword constraint", "keyword constraint after positional",
-        "vacuous number", "unclosed assertion"])
+        "assertion missing equals", "assertion list value",
+        "assertion integer for a string", "assertion string for an integer",
+        "assertion missing required", "assertion without parentheses",
+        "assertion unexpected token", "positional string not taken",
+        "duplicate positional constraint", "positional after keyword constraint",
+        "keyword constraint after positional",
+        "unknown attribute before an unsafe payload", "vacuous number",
+        "unclosed assertion"])
 def test_annotation_diagnostics(text, expected):
     _, errors = parse_unit_diagnostics("t.lp", text)
     assert [e.render("t.lp") for e in errors] == expected
