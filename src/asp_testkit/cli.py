@@ -7,7 +7,8 @@
 
 Exit codes are a stable contract for every command: 0 success, 1 semantic
 failure (parse errors, incoherence, failing tests, surviving mutants), 2
-tool or environment errors (missing files, no solver, crashes).
+tool or environment errors (missing files, no solver, crashes, a closed
+standard output).
 
 Multiple input files share one name universe, so tests may live apart from
 the rules they exercise. `solve` prints ASP-competition format, which this
@@ -17,23 +18,19 @@ tool's own output parser accepts back.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
 from pathlib import Path
 
 from . import __version__
-from .engine import resolve_scope, run_suite
-from .mutate import (
-    ExhaustedLoci,
-    OPERATOR_KINDS,
-    generate_mutants,
-    mutation_analysis,
-    mutation_base_program,
-)
 from .oracle import CapacityExceeded, UnsupportedAggregate
 from .parser import ParseFailure, merge_units, parse_unit_diagnostics
 from .serialize import atom_to_text, serialize_program
 from .solver import SpawnFailure, default_backend_config, select_backend
+
+# `engine`, `mutate` and `json` are imported by the commands that use them:
+# `solve` runs once per call of the external backend, and loading them would
+# only add to its start-up.
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -55,6 +52,7 @@ def _int_at_least(low: int):
 
 def _operator_list(text: str) -> list[str]:
     """argparse type: comma separated mutation operator kinds."""
+    from .mutate import OPERATOR_KINDS
     kinds = [k.strip() for k in text.split(",") if k.strip()]
     if not kinds or any(k not in OPERATOR_KINDS for k in kinds):
         raise argparse.ArgumentTypeError(
@@ -98,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mutate", help="mutation analysis of the test suites")
     p.add_argument("files", nargs="+")
-    p.add_argument("--ops", type=_operator_list, default=list(OPERATOR_KINDS), metavar="LIST",
+    p.add_argument("--ops", type=_operator_list, default=None, metavar="LIST",
                    help="comma separated operator kinds (default: all)")
     p.add_argument("--count", type=_int_at_least(1), default=10, metavar="K",
                    help="number of mutants to generate (default 10)")
@@ -153,6 +151,7 @@ def _make_backend(args):
 def cmd_check(args) -> int:
     """Parse and merge the files as `test` does, then resolve every test's
     scope; each failure is reported at its `@test` annotation."""
+    from .engine import resolve_scope
     unit = _parse_all(args.files)
     status = EXIT_OK
     for spec in unit.suite.tests:
@@ -193,6 +192,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_test(args) -> int:
+    from .engine import run_suite
     unit = _parse_all(args.files)
     backend = _make_backend(args)
     report = run_suite(unit, backend, jobs=args.jobs)
@@ -207,15 +207,23 @@ def cmd_test(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    from .mutate import (
+        ExhaustedLoci,
+        OPERATOR_KINDS,
+        generate_mutants,
+        mutation_analysis,
+        mutation_base_program,
+    )
     unit = _parse_all(args.files)
     backend = _make_backend(args)
     base = mutation_base_program(unit)
     if not base.rules:
         print("no named rules to mutate (only @rule-annotated rules are mutation targets)")
         return EXIT_FAILURE
+    ops = args.ops if args.ops is not None else list(OPERATOR_KINDS)
     exhausted = None
     try:
-        mutants = generate_mutants(base, args.ops, args.count, args.seed,
+        mutants = generate_mutants(base, ops, args.count, args.seed,
                                    ops_per_mutant=args.ops_per_mutant)
     except ExhaustedLoci as exc:
         exhausted = exc
@@ -228,6 +236,7 @@ def cmd_mutate(args) -> int:
             print("  " + line)
         return EXIT_ERROR if report.baseline.has_errors() else EXIT_FAILURE
     if args.format == "json":
+        import json
         doc = report.to_json_dict()
         if exhausted is not None:
             doc["exhausted_loci"] = str(exhausted)
@@ -244,10 +253,26 @@ def cmd_mutate(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at shutdown
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output. Point it at devnull so that the
+        # flush at shutdown has nowhere to fail, and say nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_ERROR
+
+
+def _dispatch(args) -> int:
+    """Run the command; every error it raises becomes its exit code."""
     handlers = {"check": cmd_check, "solve": cmd_solve,
                 "test": cmd_test, "mutate": cmd_mutate}
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        raise
     except _ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -125,6 +125,8 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
 
 @dataclass
 class AssertionResult:
+    """Verdict of one assertion, with its witness and the tester it ran."""
+
     assertion: Assertion
     kind: str
     executed_code: str
@@ -270,6 +272,8 @@ KINDS = {
 
 @dataclass
 class TesterProgram:
+    """One assertion's solver call: the scoped program plus its added rules."""
+
     text: str
     base: Program
     added: tuple[Rule, ...]
@@ -318,6 +322,8 @@ def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
 
 @dataclass
 class TestResult:
+    """Verdicts of one test's assertions and the test's own verdict."""
+
     name: str
     assertions: list[AssertionResult]
     verdict: str
@@ -338,6 +344,8 @@ class TestResult:
 
 @dataclass
 class SuiteReport:
+    """Results of every test of a run, rendered as text or JSON."""
+
     source: str
     tests: list[TestResult]
     total_wall_ms: int = 0

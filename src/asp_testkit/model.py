@@ -36,6 +36,8 @@ class Span:
 
 @dataclass(frozen=True)
 class Integer:
+    """Integer constant."""
+
     value: int
 
 
@@ -100,6 +102,8 @@ def compare_terms(op: str, left: Term, right: Term) -> bool:
 
 @dataclass(frozen=True)
 class Atom:
+    """Predicate applied to a tuple of terms, `p(t1, ..., tn)`."""
+
     predicate: str
     args: tuple[Term, ...] = ()
 
@@ -132,6 +136,8 @@ def atom_to_text(atom: Atom) -> str:
 
 @dataclass(frozen=True)
 class Comparison:
+    """Built-in comparison `left op right` in a rule body."""
+
     op: str
     left: Term
     right: Term
@@ -164,6 +170,8 @@ Payload = Union[Atom, Comparison, CountAggregate]
 
 @dataclass(frozen=True)
 class Literal:
+    """Body element: an atom, comparison or `#count`, possibly under `not`."""
+
     payload: Payload
     negated: bool = False
 
@@ -288,6 +296,8 @@ def is_safe(rule: Rule) -> bool:
 
 @dataclass(frozen=True)
 class Program:
+    """Rules and weak constraints, each checked for safety on construction."""
+
     rules: tuple[Rule, ...] = ()
     weak_constraints: tuple[WeakConstraint, ...] = ()
 
@@ -379,17 +389,23 @@ def fresh_predicate(taken: set[str], stem: str) -> str:
 
 @dataclass(frozen=True)
 class NoAnswerSet:
+    """`@noAnswerSet`: the scoped program has no answer set."""
+
     kind = "noAnswerSet"
 
 
 @dataclass(frozen=True)
 class TrueInAll:
+    """`@trueInAll`: every listed atom is true in every answer set."""
+
     atoms: tuple[Atom, ...]
     kind = "trueInAll"
 
 
 @dataclass(frozen=True)
 class TrueInAtLeast:
+    """`@trueInAtLeast`: at least `count` answer sets contain all atoms."""
+
     count: int
     atoms: tuple[Atom, ...]
     kind = "trueInAtLeast"
@@ -398,6 +414,8 @@ class TrueInAtLeast:
 
 @dataclass(frozen=True)
 class TrueInAtMost:
+    """`@trueInAtMost`: at most `count` answer sets contain all atoms."""
+
     count: int
     atoms: tuple[Atom, ...]
     kind = "trueInAtMost"
@@ -405,6 +423,8 @@ class TrueInAtMost:
 
 @dataclass(frozen=True)
 class TrueInExactly:
+    """`@trueInExactly`: exactly `count` answer sets contain all atoms."""
+
     count: int
     atoms: tuple[Atom, ...]
     kind = "trueInExactly"
@@ -412,12 +432,16 @@ class TrueInExactly:
 
 @dataclass(frozen=True)
 class ConstraintForAll:
+    """`@constraintForAll`: every answer set satisfies the constraint."""
+
     constraint: Rule
     kind = "constraintForAll"
 
 
 @dataclass(frozen=True)
 class ConstraintInAtLeast:
+    """`@constraintInAtLeast`: at least `count` answer sets satisfy it."""
+
     count: int
     constraint: Rule
     kind = "constraintInAtLeast"
@@ -426,6 +450,8 @@ class ConstraintInAtLeast:
 
 @dataclass(frozen=True)
 class ConstraintInAtMost:
+    """`@constraintInAtMost`: at most `count` answer sets satisfy it."""
+
     count: int
     constraint: Rule
     kind = "constraintInAtMost"
@@ -433,6 +459,8 @@ class ConstraintInAtMost:
 
 @dataclass(frozen=True)
 class ConstraintInExactly:
+    """`@constraintInExactly`: exactly `count` answer sets satisfy it."""
+
     count: int
     constraint: Rule
     kind = "constraintInExactly"
@@ -440,6 +468,8 @@ class ConstraintInExactly:
 
 @dataclass(frozen=True)
 class BestModelCost:
+    """`@bestModelCost`: the optimum has penalty `cost` at `level`."""
+
     cost: int
     level: int
     kind = "bestModelCost"

@@ -77,6 +77,8 @@ class MutationOp:
 
 @dataclass(frozen=True)
 class Mutant:
+    """A program derived by applying mutation operators to the base."""
+
     id: str
     ops: tuple[MutationOp, ...]
     program: Program
@@ -329,6 +331,8 @@ def generate_mutants(program: Program, kinds: Iterable[str], count: int,
 
 @dataclass
 class MutantOutcome:
+    """Whether the suite killed one mutant, and by which tests."""
+
     mutant: Mutant
     status: str                    # killed | survived | inconclusive
     killed_by: list[str] = field(default_factory=list)
@@ -337,6 +341,8 @@ class MutantOutcome:
 
 @dataclass
 class KillReport:
+    """Baseline run and the outcome of every mutant."""
+
     baseline: SuiteReport
     baseline_passed: bool
     outcomes: list[MutantOutcome] = field(default_factory=list)

@@ -93,6 +93,8 @@ class UnsupportedAggregate(Exception):
 
 @dataclass(frozen=True)
 class AnswerSet:
+    """One answer set, as a set of ground atoms."""
+
     atoms: frozenset[Atom]
 
     def sorted_atoms(self) -> list[Atom]:
@@ -357,6 +359,8 @@ def _instantiate(statements, universe_size: int) -> list[tuple]:
 
 @dataclass
 class _GroundAggregate:
+    """One `#count` instance: tuples that always count, and those that need unknown atoms."""
+
     aggregate: CountAggregate   # ground apart from brace-local names
     # tuples contributed unconditionally (condition atom is certain)
     always: frozenset[tuple]

@@ -76,6 +76,8 @@ class ParseFailure(Exception):
 
 @dataclass(frozen=True)
 class SourceUnit:
+    """One parsed file: its text, its program and its test suite."""
+
     path: str
     text: str
     program: Program
@@ -125,6 +127,8 @@ class _LineIndex:
 
 @dataclass(frozen=True)
 class _Token:
+    """One lexical token and its offset in the scanned text."""
+
     kind: str  # ident, var, int, punct, count, not, annot, str, eof
     value: object
     offset: int

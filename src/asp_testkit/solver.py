@@ -22,10 +22,7 @@ is requested).
 from __future__ import annotations
 
 import os
-import shlex
 import shutil
-import subprocess
-import tempfile
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -64,6 +61,8 @@ class FormatError(Exception):
 
 @dataclass
 class BackendConfig:
+    """How to start an external solver and feed it a program."""
+
     executable: str
     extra_args: tuple[str, ...] = ()
     timeout: int = 30
@@ -184,6 +183,12 @@ def solve(cfg: BackendConfig, program_text: str,
     """Run the external solver on `program_text` with the given model cap
     (None requests every model). Timeouts yield a partial, not-exhausted
     result rather than an exception; the RawRun records everything."""
+    # imported here, so that a process that only solves in-process (such as
+    # an `asp-testkit solve` child) does not load them
+    import shlex
+    import subprocess
+    import tempfile
+
     cap_n = 0 if max_models is None else max_models
     cap_args = shlex.split(cfg.model_cap_template.format(n=cap_n))
     argv = [cfg.executable, *cfg.extra_args, *cap_args]

@@ -230,6 +230,21 @@ def test_solve_merges_multiple_files(tmp_path):
     assert "q(1)." in proc.stdout
 
 
+def test_solve_into_a_closed_pipe_exits_two_and_says_nothing(tmp_path):
+    # 1024 answer sets of about 270 bytes each: far more than a pipe holds,
+    # so the child is still writing when the reader goes away
+    f = tmp_path / "many.lp"
+    f.write_text(" ".join(f"take_the_left_branch({i}) | take_the_right_branch({i})."
+                          for i in range(1, 11)) + "\n", encoding="utf-8")
+    with subprocess.Popen([sys.executable, "-m", "asp_testkit", "solve", "-n", "0", str(f)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "ANSWER\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert stderr == ""
+
+
 # ---------------------------------------------------------------------------
 # test
 # ---------------------------------------------------------------------------
