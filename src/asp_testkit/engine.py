@@ -428,8 +428,9 @@ def _error_result(assertion: Assertion, message: str) -> AssertionResult:
 
 def run_test(spec: TestSpec, program: Program, backend) -> TestResult:
     """Decide every assertion of `spec` on `program`, its resolved scope
-    (see `resolve_scope`), each with its own backend call; one assertion
-    failing or erroring never stops its siblings."""
+    (see `resolve_scope`), each with its own backend call, which is told the
+    scope its tester extends; one assertion failing or erroring never stops
+    its siblings."""
     start = time.monotonic()
     results: list[AssertionResult] = []
     for assertion in spec.asserts:
@@ -437,7 +438,7 @@ def run_test(spec: TestSpec, program: Program, backend) -> TestResult:
         try:
             tp = build_tester(program, assertion)
             solve_result, _ = backend.run(tp.program, tp.text, tp.model_cap,
-                                          optimize=tp.optimize)
+                                          optimize=tp.optimize, scope=program)
             res = evaluate(tp, solve_result)
         except Exception as exc:
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")

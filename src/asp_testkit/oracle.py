@@ -16,6 +16,16 @@ program order (rules, then weak constraints), each statement's sorted by the
 ground terms of its variables, which is the order of the product over the
 sorted universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
+A test's assertions are decided by tester programs that each extend the
+test's scope program P by a few rules, so P can be instantiated once
+(`instantiate_scope`) and each tester grounded as an extension of it
+(`ground(tester, scope=...)`). When no head of an added rule occurs in a
+positive body, the added heads feed no join (Lifschitz & Turner's splitting
+set, ICLP 1994): P's instances stay as they are, and the added rules are
+joined once against P's fixpoint. Any other tester, or any error, takes the
+full instantiation, so both ways give the same ground program or the same
+error.
+
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
 atom ids), the body's #count aggregates, and a weight. As in ASP-Core-2, a
@@ -323,7 +333,36 @@ class _Join:
             f"{universe_size} constants", rules=MAX_INSTANTIATIONS)
 
 
-def _instantiate(statements, universe_size: int) -> list[tuple]:
+@dataclass
+class _Instantiation:
+    """What `_instantiate` builds: each statement's instances, sorted, the
+    atom index at the fixpoint, and how many instances it emitted."""
+
+    per_statement: list[list[tuple]]
+    index: _AtomIndex
+    emitted: int
+
+    def instances(self) -> list[tuple]:
+        return [inst for out in self.per_statement for inst in out]
+
+
+def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
+    """`join`'s (key, instance) for each binding, and `emitted` plus their
+    number, which MAX_INSTANTIATIONS bounds."""
+    out = []
+    for subst in bindings:
+        emitted += 1
+        if emitted > MAX_INSTANTIATIONS:
+            raise join.budget_exceeded(universe_size)
+        out.append((tuple(term_key(subst[v]) for v in join.variables), join.instance(subst)))
+    return out, emitted
+
+
+def _sorted_instances(found: list[tuple]) -> list[tuple]:
+    return [inst for _, inst in sorted(found, key=itemgetter(0))]
+
+
+def _instantiate(statements, universe_size: int) -> _Instantiation:
     """The ground instances, as (head, pos, neg, aggregates, weight), whose
     positive body lies in the least fixpoint of the heads with negation and
     aggregates ignored: the atoms that are possible at all. Semi-naive rounds
@@ -331,7 +370,11 @@ def _instantiate(statements, universe_size: int) -> list[tuple]:
     derived in the round before. Statements keep their order, and each one's
     instances are sorted by the ground terms of its variables in
     `_global_variables` order, which is the order of the product over the
-    sorted universe."""
+    sorted universe.
+
+    The result keeps the index of the fixpoint and the emitted count, so
+    that a scope program instantiated once can be extended by each of its
+    testers (`_extend_scope`)."""
     joins = [_Join(s) for s in statements]
     found: list[list[tuple]] = [[] for _ in joins]  # per statement: (key, instance)
     index = _AtomIndex()
@@ -339,18 +382,82 @@ def _instantiate(statements, universe_size: int) -> list[tuple]:
     lo = hi = 0
     while True:
         for join, out in zip(joins, found):
-            for subst in join.bindings(index, lo, hi):
-                emitted += 1
-                if emitted > MAX_INSTANTIATIONS:
-                    raise join.budget_exceeded(universe_size)
-                inst = join.instance(subst)
-                out.append((tuple(term_key(subst[v]) for v in join.variables), inst))
+            new, emitted = _emit(join, join.bindings(index, lo, hi), emitted, universe_size)
+            out += new
+            for _, inst in new:
                 for a in inst[0]:
                     index.add(a)
         if len(index) == hi:
             break
         lo, hi = hi, len(index)
-    return [inst for out in found for _, inst in sorted(out, key=itemgetter(0))]
+    return _Instantiation([_sorted_instances(out) for out in found], index, emitted)
+
+
+def _positive_signatures(statements) -> set[tuple[str, int]]:
+    return {l.payload.signature for s in statements for l in s.body
+            if isinstance(l.payload, Atom) and not l.negated}
+
+
+@dataclass
+class ScopeInstantiation:
+    """A test's scope program P, instantiated once for the testers of its
+    assertions; see `instantiate_scope` and `ground`."""
+
+    program: Program
+    positive: set[tuple[str, int]]  # the signatures of P's positive body atoms
+    done: _Instantiation
+
+
+def instantiate_scope(program: Program) -> Optional[ScopeInstantiation]:
+    """`program` instantiated for `ground(tester, scope=...)`, or None when
+    instantiating it raises: each tester is then grounded in full, which
+    reports the error as it would without a scope."""
+    statements = program.rules + program.weak_constraints
+    try:
+        done = _instantiate(statements, len(herbrand_universe(program)))
+    except Exception:
+        return None
+    return ScopeInstantiation(program, _positive_signatures(statements), done)
+
+
+def _extend_scope(scope: ScopeInstantiation, program: Program,
+                  universe_size: int) -> Optional[list[tuple]]:
+    """The instances of the tester `program`, from those saved for the scope
+    P plus those of the rules the tester adds, or None when it does not
+    extend P as follows or the added part raises (the caller then grounds
+    the tester in full, which raises the same error with its own message).
+
+    The tester's rules are P's rules (the same objects) and then the added
+    ones, its weak constraints P's, and no head signature of an added rule
+    occurs in a positive body. The added heads then join with nothing: the
+    tester's fixpoint is P's plus those heads, every statement of P has the
+    instances it had in P, and one round with every atom of P's index new
+    finds each added rule's instances exactly once. The instances come in
+    the tester's statement order: P's rules, the added rules, P's weak
+    constraints."""
+    base = scope.program
+    k = len(base.rules)
+    if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
+            or any(r is not b for r, b in zip(program.rules, base.rules)):
+        return None
+    added = program.rules[k:]
+    heads = {a.signature for r in added for a in r.head}
+    if heads & scope.positive or heads & _positive_signatures(added):
+        return None
+    index = scope.done.index
+    emitted = scope.done.emitted
+    found = []
+    try:
+        for join in map(_Join, added):
+            # a statement with no positive atom has its one binding in the
+            # round where the index is empty
+            hi = len(index) if join.positive else 0
+            new, emitted = _emit(join, join.bindings(index, 0, hi), emitted, universe_size)
+            found.append(_sorted_instances(new))
+    except Exception:
+        return None
+    per_statement = scope.done.per_statement
+    return [inst for out in per_statement[:k] + found + per_statement[k:] for inst in out]
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +568,16 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def ground(program: Program) -> GroundProgram:
+def ground(program: Program, scope: Optional[ScopeInstantiation] = None) -> GroundProgram:
+    """The ground program of `program`. With `scope`, the saved
+    instantiation of a program that `program` extends (a test's scope and
+    one of its testers), only the statements `program` adds are
+    instantiated; the result is the same either way."""
     universe = sorted(herbrand_universe(program), key=term_key)
-    instances = _instantiate(program.rules + program.weak_constraints, len(universe))
+    instances = None if scope is None else _extend_scope(scope, program, len(universe))
+    if instances is None:
+        instances = _instantiate(program.rules + program.weak_constraints,
+                                 len(universe)).instances()
     return _build_ground(universe, instances, bool(program.weak_constraints))
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -35,6 +36,7 @@ from .oracle import (
     UnsupportedAggregate,
     enumerate_answer_sets,
     ground,
+    instantiate_scope,
     optimal_answer_sets,
 )
 from .parser import ParseFailure, parse_ground_atom
@@ -274,14 +276,30 @@ def solve(cfg: BackendConfig, program_text: str,
 # ---------------------------------------------------------------------------
 
 class InternalBackend:
-    """Exhaustive oracle behind the common backend interface."""
+    """Exhaustive oracle behind the common backend interface.
+
+    `scope` is the program a tester extends (see `engine.run_test`). Each
+    thread keeps the instantiation of the last scope it saw, so the testers
+    of one test instantiate their scope once; a thread runs one test at a
+    time, so one saved scope per thread suffices and needs no lock."""
 
     name = INTERNAL_BACKEND
 
+    def __init__(self):
+        self._last_scope = threading.local()
+
+    def _instantiated(self, scope: Optional[Program]):
+        if scope is None:
+            return None
+        last = self._last_scope
+        if getattr(last, "program", None) is not scope:
+            last.program, last.instantiation = scope, instantiate_scope(scope)
+        return last.instantiation
+
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
         start = time.monotonic()
-        g = ground(program)
+        g = ground(program, scope=self._instantiated(scope))
         if optimize:
             result = optimal_answer_sets(g)
         else:
@@ -302,7 +320,7 @@ class ExternalBackend:
         self.cfg = cfg
 
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
         return solve(self.cfg, text, max_models)
 
 
@@ -317,9 +335,9 @@ class AutoBackend:
         self.external = ExternalBackend(cfg) if cfg is not None else None
 
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
         try:
-            return self.internal.run(program, text, max_models, optimize)
+            return self.internal.run(program, text, max_models, optimize, scope)
         except (CapacityExceeded, UnsupportedAggregate):
             if self.external is None:
                 raise

@@ -69,6 +69,15 @@ def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def untimed(doc):
+    """A report's JSON document without its wall-clock fields."""
+    if isinstance(doc, dict):
+        return {k: untimed(v) for k, v in doc.items() if k not in ("wall_ms", "total_wall_ms")}
+    if isinstance(doc, list):
+        return [untimed(v) for v in doc]
+    return doc
+
+
 def atom(pred: str, *args) -> Atom:
     def term(a):
         if isinstance(a, int):

@@ -34,6 +34,7 @@ from asp_testkit.model import (
     herbrand_universe,
     term_key,
 )
+from asp_testkit import oracle
 from asp_testkit.oracle import SolveResult, AnswerSet, UnsupportedAggregate, ground
 from asp_testkit.parser import parse_assertion_list, parse_unit
 from asp_testkit.solver import InternalBackend
@@ -48,6 +49,7 @@ from helpers import (
     random_join_assertion,
     random_join_program,
     random_program,
+    untimed,
 )
 
 BACKEND = InternalBackend()
@@ -323,11 +325,11 @@ def test_assertion_error_does_not_abort_siblings():
     class Flaky:
         def __init__(self):
             self.calls = 0
-        def run(self, program, text, cap, optimize=False):
+        def run(self, program, text, cap, optimize=False, scope=None):
             self.calls += 1
             if optimize:
                 raise RuntimeError("no optimizer here")
-            return BACKEND.run(program, text, cap, optimize)
+            return BACKEND.run(program, text, cap, optimize, scope)
     spec = unit.suite.tests[0]
     result = run_test(spec, resolve_scope(unit.suite, spec), Flaky())
     assert [a.verdict for a in result.assertions] == [PASS, "error"]
@@ -344,11 +346,35 @@ def test_suite_report_json_schema():
 
 
 def test_parallel_suite_matches_serial():
+    # the internal backend keeps one saved scope per thread
     unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
-    serial = run_suite(unit, BACKEND, jobs=1)
-    parallel = run_suite(unit, BACKEND, jobs=4)
-    assert [t.name for t in parallel.tests] == [t.name for t in serial.tests]
-    assert [t.verdict for t in parallel.tests] == [t.verdict for t in serial.tests]
+    serial = untimed(run_suite(unit, BACKEND, jobs=1).to_json_dict())
+    for jobs in (2, 4):
+        assert untimed(run_suite(unit, BACKEND, jobs=jobs).to_json_dict()) == serial
+
+
+FOUR_ASSERTIONS = fixture_text("coloring.lp").replace(
+    """        @trueInExactly(number = 1, atoms = "col(1, red). col(2, blue)") }""",
+    """        @trueInExactly(number = 1, atoms = "col(1, red). col(2, blue)"),
+        @constraintForAll(":- col(1,C), col(2,C)."),
+        @trueInAtLeast(number = 1, atoms = "col(3, green)") }""")
+
+
+def test_a_test_instantiates_its_scope_once(monkeypatch):
+    statements = []
+    instantiate = oracle._instantiate
+
+    def counted(stmts, universe_size):
+        statements.append(len(stmts))
+        return instantiate(stmts, universe_size)
+
+    monkeypatch.setattr(oracle, "_instantiate", counted)
+    unit = parse_unit("four.lp", FOUR_ASSERTIONS)
+    spec = unit.suite.tests[0]
+    scope = resolve_scope(unit.suite, spec)
+    result = run_test(spec, scope, InternalBackend())
+    assert [a.verdict for a in result.assertions] == [PASS] * 4
+    assert statements == [len(scope.rules)]
 
 
 # ---------------------------------------------------------------------------

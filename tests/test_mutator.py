@@ -1,4 +1,6 @@
 
+import sys
+
 import pytest
 
 from asp_testkit.model import Program
@@ -18,7 +20,7 @@ from asp_testkit.mutate import (
 from asp_testkit.parser import parse_unit
 from asp_testkit.serialize import rule_to_text, serialize_program
 from asp_testkit.solver import InternalBackend
-from helpers import FIXTURES, fixture_text
+from helpers import FIXTURES, fixture_text, untimed
 
 BACKEND = InternalBackend()
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.lp"))
@@ -295,3 +297,19 @@ def test_shipped_mutants_all_killed():
         assert report.baseline_passed
         assert report.all_killed(), [o.mutant.describe_ops() for o in report.outcomes
                                      if o.status != "killed"]
+
+
+def test_parallel_mutation_analysis_matches_serial():
+    # threads switch often, so that the testers of different mutants
+    # interleave on the backend's per-thread saved scopes
+    unit = parse_unit("hamiltonian_mutation.lp", fixture_text("hamiltonian_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, seed=19)
+    serial = untimed(mutation_analysis(unit, mutants, BACKEND, jobs=1).to_json_dict())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for jobs in (2, 4):
+            report = mutation_analysis(unit, mutants, BACKEND, jobs=jobs)
+            assert untimed(report.to_json_dict()) == serial
+    finally:
+        sys.setswitchinterval(interval)

@@ -2,9 +2,26 @@ import random
 
 import pytest
 
-from asp_testkit import oracle
+from asp_testkit import mutate, oracle
 from asp_testkit.engine import build_tester, default_file_loader, resolve_scope
-from asp_testkit.model import Atom, Integer, Program, Rule, herbrand_universe, term_key
+from asp_testkit.model import (
+    ASSERTION_KINDS,
+    Atom,
+    BestModelCost,
+    ConstraintForAll,
+    Integer,
+    Program,
+    Rule,
+    WeakConstraint,
+    herbrand_universe,
+    term_key,
+)
+from asp_testkit.mutate import (
+    OPERATOR_KINDS,
+    ExhaustedLoci,
+    generate_mutants,
+    mutation_base_program,
+)
 from asp_testkit.oracle import (
     CapacityExceeded,
     UnsupportedAggregate,
@@ -28,6 +45,7 @@ from helpers import (
     lit,
     naive_ground,
     product_instances,
+    random_join_assertion,
     random_join_program,
     is_tight,
     random_nonground_program,
@@ -119,7 +137,7 @@ def assert_join_matches_product(p: Program):
     universe = sorted(herbrand_universe(p), key=term_key)
     instances = list(product_instances(p))
     possible = least_fixpoint([(head, pos) for head, pos, *_ in instances])
-    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)) == [
+    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances() == [
         i for i in instances if i[1] <= possible]
     got = _ground_or_none(lambda: ground(p))
     want = _ground_or_none(lambda: oracle._build_ground(
@@ -135,13 +153,19 @@ def assert_join_matches_product(p: Program):
     assert got.trivially_incoherent == want.trivially_incoherent
 
 
-def fixture_testers():
+def fixture_scopes():
+    """(scope, tester program) for every assertion of the shipped fixtures."""
     for path in sorted(FIXTURES.glob("*.lp")):
         unit = parse_unit(path.name, path.read_text(encoding="utf-8"))
         for spec in unit.suite.tests:
             scoped = resolve_scope(unit.suite, spec, default_file_loader(str(FIXTURES)))
             for assertion in spec.asserts:
-                yield build_tester(scoped, assertion).program
+                yield scoped, build_tester(scoped, assertion).program
+
+
+def fixture_testers():
+    for _, tester in fixture_scopes():
+        yield tester
 
 
 def test_join_matches_product_instantiation():
@@ -151,6 +175,101 @@ def test_join_matches_product_instantiation():
     assert len(testers) > 20
     for p in programs + testers:
         assert_join_matches_product(p)
+
+
+# ---------------------------------------------------------------------------
+# Grounding a tester as an extension of its scope
+# ---------------------------------------------------------------------------
+
+def _ground_outcome(build):
+    """Every field of the ground program `build` returns, or the type,
+    message and attributes of what it raises."""
+    try:
+        return vars(build())
+    except Exception as exc:
+        return type(exc).__name__, str(exc), vars(exc)
+
+
+def assert_scope_path_matches(saved, tester: Program) -> bool:
+    """`ground(tester, scope=saved)` equals `ground(tester)` in every field,
+    or raises the same; returns whether it reused the scope's instances."""
+    assert _ground_outcome(lambda: ground(tester, scope=saved)) \
+        == _ground_outcome(lambda: ground(tester)), tester
+    return saved is not None and oracle._extend_scope(saved, tester, 0) is not None
+
+
+def mutant_scopes():
+    """(mutated scope, tester program) for every assertion of the mutation
+    fixtures on each of their mutants at seeds 19 and 3 (8 per seed)."""
+    for name in ("coloring_mutation.lp", "hamiltonian_mutation.lp"):
+        unit = parse_unit(name, fixture_text(name))
+        scopes = [(spec, resolve_scope(unit.suite, spec, default_file_loader(str(FIXTURES))))
+                  for spec in unit.suite.tests]
+        for seed in (19, 3):
+            try:
+                mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, seed)
+            except ExhaustedLoci as exc:
+                mutants = exc.mutants
+            for mutant in mutants:
+                transform = mutate._mutant_transform(unit, mutant)
+                for spec, scope in scopes:
+                    mutated = transform(scope)
+                    for assertion in spec.asserts:
+                        yield mutated, build_tester(mutated, assertion).program
+
+
+def test_scope_path_matches_full_grounding_on_fixtures_and_mutants():
+    reused = checked = 0
+    for scope, tester in [*fixture_scopes(), *mutant_scopes()]:
+        reused += assert_scope_path_matches(oracle.instantiate_scope(scope), tester)
+        checked += 1
+    # every encoding of engine.KINDS adds heads that occur only negated
+    assert checked == 310 and reused == checked, (checked, reused)
+
+
+def test_scope_path_matches_full_grounding_on_random_join_programs():
+    rng = random.Random(15)
+    reused = checked = 0
+    for _ in range(300):
+        p = random_join_program(rng)
+        saved = oracle.instantiate_scope(p)
+        for kind in ASSERTION_KINDS:
+            if kind == "bestModelCost":
+                assertion = BestModelCost(cost=rng.randint(0, 3), level=rng.randint(0, 2))
+            else:
+                assertion = random_join_assertion(rng, p, kind)
+            reused += assert_scope_path_matches(saved, build_tester(p, assertion).program)
+            checked += 1
+    assert checked == 3000 and reused == checked, reused
+
+
+def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
+    # the chain emits 170 instances; constraintForAll's `fail :- reach(X,Y).`
+    # and `:- not fail.` add 153 and 1
+    scope = program(CHAIN)
+    tester = build_tester(scope, ConstraintForAll(Rule((), (lit("reach", "X", "Y"),)))).program
+    for budget, trips_in_scope in ((100, True), (200, False)):
+        monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", budget)
+        saved = oracle.instantiate_scope(scope)
+        assert (saved is None) == trips_in_scope
+        with pytest.raises(CapacityExceeded):
+            ground(tester, scope=saved)
+        assert_scope_path_matches(saved, tester)
+
+
+def test_an_added_head_in_a_positive_body_takes_the_full_path():
+    scope = program("p(1). q(X) :- p(X).")
+    saved = oracle.instantiate_scope(scope)
+    feeds_scope = Program(scope.rules + (Rule((atom("p", 2),), ()),))
+    feeds_itself = Program(scope.rules + (Rule((atom("b"),), ()),
+                                          Rule((atom("a"),), (lit("b"),))))
+    # equal rules that are not the scope's own, and other weak constraints
+    copied_rules = program("p(1). q(X) :- p(X). r.")
+    other_weaks = Program(scope.rules, (WeakConstraint((lit("q", "X"),), 1, 1),))
+    for tester in (feeds_scope, feeds_itself, copied_rules, other_weaks):
+        assert not assert_scope_path_matches(saved, tester)
+    assert atom("q", 2) in ground(feeds_scope, scope=saved).atoms
+    assert atom("a") in ground(feeds_itself, scope=saved).atoms
 
 
 def test_ground_coloring_counts():
@@ -297,7 +416,7 @@ def simplify_inputs():
     instances of 500 join programs, and one program over capacity."""
     def joined(p: Program):
         universe = sorted(herbrand_universe(p), key=term_key)
-        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe))
+        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances()
         return universe, instances, bool(p.weak_constraints)
 
     rng = random.Random(21)
