@@ -17,14 +17,21 @@ ground terms of its variables, which is the order of the product over the
 sorted universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
-test's scope program P by a few rules, so P can be instantiated once
-(`instantiate_scope`) and each tester grounded as an extension of it
-(`ground(tester, scope=...)`). When no head of an added rule occurs in a
-positive body, the added heads feed no join (Lifschitz & Turner's splitting
-set, ICLP 1994): P's instances stay as they are, and the added rules are
-joined once against P's fixpoint. Any other tester, or any error, takes the
-full instantiation, so both ways give the same ground program or the same
-error.
+test's scope program P by a few rules, so P can be instantiated and
+simplified once (`instantiate_scope`) and each tester grounded as an
+extension of it (`ground(tester, scope=...)`). When no head of an added rule
+occurs in a positive body, the added heads feed no join (Lifschitz &
+Turner's splitting set, ICLP 1994): P's instances stay as they are, and the
+added rules are joined once against P's fixpoint. When, moreover, no added
+head's predicate name occurs in P, P's atoms split the tester as a whole:
+P's certain and possible atoms, its reduced statements and its ground
+aggregates are the same in the tester, so only the added instances are
+simplified, seeded with P's sets. When the new atoms also sort before all
+of P's, as the fresh `__tk_` atoms do unless P's own possible atoms have a
+name such as `__a`, every id of P moves up by their number and P's masks
+are shifted rather than rebuilt. Any other tester, or any error, takes the
+full path from where the reuse stops, so every way gives the same ground
+program or the same error.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
@@ -77,6 +84,7 @@ from .model import (
     WeakConstraint,
     compare_terms,
     herbrand_universe,
+    predicate_names,
     term_key,
 )
 from .serialize import rule_to_text, weak_constraint_to_text
@@ -278,14 +286,15 @@ class _Join:
         exactly one round: plan i takes atom i from the new ones, the atoms
         before it from the old ones and those after it from all of them. A
         statement without positive atoms has one assignment, in the first
-        round."""
+        round. When every atom is new (`lo == 0`), plan 0 alone yields them
+        all: the atoms before atom i > 0 would come from an empty window."""
         if not all(_holds(c, {}) for c in self.ground_checks):
             return
         if not self.positive:
             if hi == 0:
                 yield {}
             return
-        for i, steps in enumerate(self.plans):
+        for i, steps in enumerate(self.plans if lo else self.plans[:1]):
             windows = [(0, lo) if j < i else (lo, hi) if j == i else (0, hi)
                        for j, _ in steps]
             yield from self._extend(index, steps, windows, 0, {})
@@ -400,41 +409,61 @@ def _positive_signatures(statements) -> set[tuple[str, int]]:
 
 @dataclass
 class ScopeInstantiation:
-    """A test's scope program P, instantiated once for the testers of its
-    assertions; see `instantiate_scope` and `ground`."""
+    """A test's scope program P, instantiated and simplified once for the
+    testers of its assertions; see `instantiate_scope` and `ground`.
+    `simplified` is P's ground form, None when building it raises."""
 
     program: Program
     positive: set[tuple[str, int]]  # the signatures of P's positive body atoms
+    names: set[str]  # every predicate name of P
     done: _Instantiation
+    simplified: Optional[_Simplified]
+
+    def instances(self, added: list[tuple]) -> list[tuple]:
+        """The instances of a tester that adds `added` to P's rules, in its
+        statement order: P's rules, the added rules, P's weak constraints."""
+        k = len(self.program.rules)
+        per_statement = self.done.per_statement
+        return [inst for out in per_statement[:k] for inst in out] + added + \
+            [inst for out in per_statement[k:] for inst in out]
 
 
 def instantiate_scope(program: Program) -> Optional[ScopeInstantiation]:
-    """`program` instantiated for `ground(tester, scope=...)`, or None when
-    instantiating it raises: each tester is then grounded in full, which
-    reports the error as it would without a scope."""
+    """`program` instantiated and simplified for `ground(tester, scope=...)`,
+    or None when instantiating it raises: each tester is then grounded in
+    full, which reports the error as it would without a scope. When only
+    the simplification raises (over capacity, say), each tester is
+    simplified in full, which raises its own error."""
     statements = program.rules + program.weak_constraints
+    universe = sorted(herbrand_universe(program), key=term_key)
     try:
-        done = _instantiate(statements, len(herbrand_universe(program)))
+        done = _instantiate(statements, len(universe))
     except Exception:
         return None
-    return ScopeInstantiation(program, _positive_signatures(statements), done)
+    try:
+        stmts, possible, certain, incoherent = _simplify(done.instances())
+        g = _ground_program(universe, stmts, possible, certain, incoherent,
+                            bool(program.weak_constraints))
+        simplified = _Simplified(g, set(stmts), certain, possible, _by_signature(possible))
+    except Exception:
+        simplified = None
+    return ScopeInstantiation(program, _positive_signatures(statements),
+                              predicate_names(program), done, simplified)
 
 
 def _extend_scope(scope: ScopeInstantiation, program: Program,
                   universe_size: int) -> Optional[list[tuple]]:
-    """The instances of the tester `program`, from those saved for the scope
-    P plus those of the rules the tester adds, or None when it does not
-    extend P as follows or the added part raises (the caller then grounds
-    the tester in full, which raises the same error with its own message).
+    """The instances of the rules that the tester `program` adds to the
+    scope P, in rule order, or None when it does not extend P as follows or
+    the added part raises (the caller then grounds the tester in full, which
+    raises the same error with its own message).
 
     The tester's rules are P's rules (the same objects) and then the added
     ones, its weak constraints P's, and no head signature of an added rule
     occurs in a positive body. The added heads then join with nothing: the
     tester's fixpoint is P's plus those heads, every statement of P has the
     instances it had in P, and one round with every atom of P's index new
-    finds each added rule's instances exactly once. The instances come in
-    the tester's statement order: P's rules, the added rules, P's weak
-    constraints."""
+    finds each added rule's instances exactly once."""
     base = scope.program
     k = len(base.rules)
     if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
@@ -453,11 +482,10 @@ def _extend_scope(scope: ScopeInstantiation, program: Program,
             # round where the index is empty
             hi = len(index) if join.positive else 0
             new, emitted = _emit(join, join.bindings(index, 0, hi), emitted, universe_size)
-            found.append(_sorted_instances(new))
+            found += _sorted_instances(new)
     except Exception:
         return None
-    per_statement = scope.done.per_statement
-    return [inst for out in per_statement[:k] + found + per_statement[k:] for inst in out]
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +513,11 @@ class _GroundAggregate:
         agg = self.aggregate
         return compare_terms(agg.guard_op, Integer(self.count(interp_mask)), agg.guard)
 
+    def shifted(self, m: int) -> _GroundAggregate:
+        """This aggregate with every atom id moved up by `m`."""
+        return _GroundAggregate(self.aggregate, self.always,
+                                {value: mask << m for value, mask in self.conditional.items()})
+
 
 @dataclass
 class _GroundStatement:
@@ -496,6 +529,11 @@ class _GroundStatement:
     neg: int
     aggregates: tuple[_GroundAggregate, ...]
     weight: Optional[tuple[int, int]]
+
+    def shifted(self, m: int) -> _GroundStatement:
+        """This statement with every atom id moved up by `m`."""
+        return _GroundStatement(self.head << m, self.pos << m, self.neg << m,
+                                tuple(a.shifted(m) for a in self.aggregates), self.weight)
 
 
 class GroundProgram:
@@ -570,14 +608,20 @@ def _mask(ids: Iterable[int]) -> int:
 
 def ground(program: Program, scope: Optional[ScopeInstantiation] = None) -> GroundProgram:
     """The ground program of `program`. With `scope`, the saved
-    instantiation of a program that `program` extends (a test's scope and
-    one of its testers), only the statements `program` adds are
-    instantiated; the result is the same either way."""
+    instantiation and simplification of a program that `program` extends (a
+    test's scope and one of its testers), only the statements `program`
+    adds are instantiated and, where the scope's atoms split `program`,
+    simplified; the result is the same either way."""
     universe = sorted(herbrand_universe(program), key=term_key)
-    instances = None if scope is None else _extend_scope(scope, program, len(universe))
-    if instances is None:
+    added = None if scope is None else _extend_scope(scope, program, len(universe))
+    if added is None:
         instances = _instantiate(program.rules + program.weak_constraints,
                                  len(universe)).instances()
+    else:
+        g = _ground_extension(scope, added, universe)
+        if g is not None:
+            return g
+        instances = scope.instances(added)
     return _build_ground(universe, instances, bool(program.weak_constraints))
 
 
@@ -598,7 +642,7 @@ def _closure(rules, derived):
         rules = waiting
 
 
-def _simplify(instances):
+def _simplify(instances, certain=frozenset(), possible=frozenset()):
     """Van Gelder's alternating fixpoint for the well-founded model, extended
     to disjunctive heads and #count. The possible atoms close the certain
     ones under the rules with no certain head or negated atom; the certain
@@ -606,11 +650,17 @@ def _simplify(instances):
     atoms are all impossible. Certain only grows, possible only shrinks and
     follows from certain, so the loop stops once certain does. Returns the
     reduced, deduplicated instances, both sets, and whether a constraint
-    always fires."""
-    certain: set[Atom] = set()
+    always fires.
+
+    Given the final `certain` and `possible` atoms of a program whose atoms
+    `instances` do not head (a splitting set of the union), the loop runs
+    over `instances` alone, seeded with them: the program's sets hold in the
+    union as they are. The sets returned then include the seeds."""
+    fixed = possible
+    certain = set(certain)
     while True:
         possible = _closure([(head, pos) for head, pos, neg, _, _ in instances
-                             if head and not (head | neg) & certain], certain)
+                             if head and not (head | neg) & certain], certain | fixed)
         grown = _closure([(head, pos) for head, pos, neg, aggs, _ in instances
                           if len(head) == 1 and not aggs and not neg & possible], certain)
         if grown == certain:
@@ -644,27 +694,22 @@ def _check_aggregate_stratification(stmts):
                         "rules with heads")
 
 
-def _build_ground(universe, instances, has_weaks) -> GroundProgram:
-    stmts, possible, certain, trivially_incoherent = _simplify(instances)
-    _check_aggregate_stratification(stmts)
+def _fits(n_unknown: int, n_rules: int) -> bool:
+    return n_unknown <= MAX_ENUM_ATOMS and n_rules <= MAX_GROUND_RULES
 
-    # a possible atom is certain or heads a kept rule, and kept statements
-    # mention only possible atoms
-    atoms = sorted(possible, key=Atom.sort_key)
-    ids = {a: i for i, a in enumerate(atoms)}
-    certain_ids = {ids[a] for a in certain}
-    n_unknown = len(atoms) - len(certain_ids)
-    n_rules = len(stmts)
-    if n_unknown > MAX_ENUM_ATOMS or n_rules > MAX_GROUND_RULES:
-        raise CapacityExceeded(
-            f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
-            f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
-            f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
 
+def _by_signature(atoms) -> dict[tuple[str, int], list[Atom]]:
     by_signature: dict[tuple[str, int], list[Atom]] = {}
-    for a in possible:
+    for a in atoms:
         by_signature.setdefault(a.signature, []).append(a)
+    return by_signature
 
+
+def _ground_statements(stmts, ids, certain, by_signature) -> list[_GroundStatement]:
+    """The reduced instances `stmts` as masks over the atom ids `ids`. Each
+    #count counts the tuples of the possible atoms that its condition
+    matches, `by_signature`: always for those in `certain`, else under
+    their ids."""
     def build_aggregate(agg: CountAggregate) -> _GroundAggregate:
         # aggregate safety puts every term variable in the condition, so the
         # possible atoms the condition matches give every countable tuple
@@ -681,7 +726,7 @@ def _build_ground(universe, instances, has_weaks) -> GroundProgram:
                 conditional[value] = conditional.get(value, 0) | (1 << ids[cond])
         return _GroundAggregate(agg, frozenset(always), conditional)
 
-    statements = [
+    return [
         _GroundStatement(
             head=_mask(ids[a] for a in head),
             pos=_mask(ids[a] for a in pos),
@@ -691,8 +736,91 @@ def _build_ground(universe, instances, has_weaks) -> GroundProgram:
         )
         for head, pos, neg, aggs, weight in stmts
     ]
+
+
+def _build_ground(universe, instances, has_weaks) -> GroundProgram:
+    return _ground_program(universe, *_simplify(instances), has_weaks)
+
+
+def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
+                    has_weaks) -> GroundProgram:
+    """The ground program of what `_simplify` returned."""
+    _check_aggregate_stratification(stmts)
+
+    # a possible atom is certain or heads a kept rule, and kept statements
+    # mention only possible atoms
+    atoms = sorted(possible, key=Atom.sort_key)
+    ids = {a: i for i, a in enumerate(atoms)}
+    certain_ids = {ids[a] for a in certain}
+    n_unknown = len(atoms) - len(certain_ids)
+    n_rules = len(stmts)
+    if not _fits(n_unknown, n_rules):
+        raise CapacityExceeded(
+            f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
+            f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
+            f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
+    statements = _ground_statements(stmts, ids, certain, _by_signature(possible))
     return GroundProgram(universe, atoms, certain_ids, statements,
                          trivially_incoherent, has_weaks)
+
+
+@dataclass
+class _Simplified:
+    """A test's scope P as simplified and ground, with what the testers that
+    extend it reuse: P's reduced instances, its certain and possible atoms,
+    and those by signature."""
+
+    ground: GroundProgram
+    reduced: set[tuple]
+    certain: set[Atom]
+    possible: set[Atom]
+    by_signature: dict[tuple[str, int], list[Atom]]
+
+
+def _ground_extension(scope: ScopeInstantiation, added: list[tuple],
+                      universe: list[Term]) -> Optional[GroundProgram]:
+    """The ground program of the tester whose instances are the scope P's
+    and then `added`, built from P's simplified form, or None when it cannot
+    be (the caller then simplifies the tester in full, which raises any
+    error with its own message).
+
+    When no added head's predicate name occurs in P, P's atoms split the
+    tester: P's sets, reduced statements and ground aggregates hold in it
+    as they are, so only `added` is simplified, seeded with P's sets, and
+    its reduced statements equal to one of P's are dropped. The atoms the
+    tester adds must sort before all of P's; each id of P then moves up by
+    their number m, and P's masks are shifted by m, once. The tester must
+    also fit the capacity as a whole."""
+    base = scope.simplified
+    if base is None or any(a.predicate in scope.names for inst in added for a in inst[0]):
+        return None
+    stmts, possible, certain, incoherent = _simplify(added, base.certain, base.possible)
+    stmts = [s for s in stmts if s not in base.reduced]
+    # only added atoms depend on an added head, so P's statements cannot
+    # make an added #count recursive, and P's own passed the check: this
+    # raises what the check over the whole tester raises
+    _check_aggregate_stratification(stmts)
+    g = base.ground
+    new = sorted({a for inst in added for a in inst[0] if a in possible}, key=Atom.sort_key)
+    if new and g.atoms and new[-1].sort_key() >= g.atoms[0].sort_key():
+        return None
+    statements = g._rules + g._constraints + g._weaks
+    if not _fits(len(g.unknown_ids) + sum(a not in certain for a in new),
+                 len(statements) + len(stmts)):
+        return None
+    if not new and not stmts and universe == g.universe:
+        return g
+    m = len(new)
+    atoms, ids, certain_ids = g.atoms, g.atom_ids, g.certain_ids
+    if m:
+        atoms = new + atoms
+        ids = {a: i for i, a in enumerate(atoms)}
+        certain_ids = {i + m for i in certain_ids} | {i for i, a in enumerate(new) if a in certain}
+        statements = [s.shifted(m) for s in statements]
+    by_signature = {**base.by_signature, **_by_signature(new)}
+    statements += _ground_statements(stmts, ids, certain, by_signature)
+    return GroundProgram(universe, atoms, certain_ids, statements,
+                         g.trivially_incoherent or incoherent, g.has_weak_constraints)
 
 
 # ---------------------------------------------------------------------------

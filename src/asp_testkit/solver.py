@@ -279,9 +279,12 @@ class InternalBackend:
     """Exhaustive oracle behind the common backend interface.
 
     `scope` is the program a tester extends (see `engine.run_test`). Each
-    thread keeps the instantiation of the last scope it saw, so the testers
-    of one test instantiate their scope once; a thread runs one test at a
-    time, so one saved scope per thread suffices and needs no lock."""
+    thread keeps the instantiation and the simplified ground form of the
+    last scope it saw (`oracle.ScopeInstantiation`), built when the first
+    tester of that scope is grounded, so the testers of one test instantiate
+    and simplify their scope once and each grounds only what it adds; a
+    thread runs one test at a time, so one saved scope per thread suffices
+    and needs no lock."""
 
     name = INTERNAL_BACKEND
 

@@ -361,20 +361,30 @@ FOUR_ASSERTIONS = fixture_text("coloring.lp").replace(
 
 
 def test_a_test_instantiates_its_scope_once(monkeypatch):
+    """And simplifies it once: each tester simplifies only what it adds."""
     statements = []
+    simplified = []
     instantiate = oracle._instantiate
+    simplify = oracle._simplify
 
     def counted(stmts, universe_size):
         statements.append(len(stmts))
         return instantiate(stmts, universe_size)
 
+    def counted_simplify(instances, *seeds):
+        simplified.append("tester" if seeds else "whole program")
+        return simplify(instances, *seeds)
+
     monkeypatch.setattr(oracle, "_instantiate", counted)
+    monkeypatch.setattr(oracle, "_simplify", counted_simplify)
     unit = parse_unit("four.lp", FOUR_ASSERTIONS)
     spec = unit.suite.tests[0]
     scope = resolve_scope(unit.suite, spec)
     result = run_test(spec, scope, InternalBackend())
     assert [a.verdict for a in result.assertions] == [PASS] * 4
     assert statements == [len(scope.rules)]
+    # the scope once, then only what each tester adds
+    assert simplified == ["whole program"] + ["tester"] * 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,9 +10,12 @@ from asp_testkit.model import (
     Atom,
     BestModelCost,
     ConstraintForAll,
+    ConstraintInAtLeast,
     Integer,
+    NoAnswerSet,
     Program,
     Rule,
+    TrueInAll,
     WeakConstraint,
     herbrand_universe,
     term_key,
@@ -190,12 +194,29 @@ def _ground_outcome(build):
         return type(exc).__name__, str(exc), vars(exc)
 
 
-def assert_scope_path_matches(saved, tester: Program) -> bool:
+def assert_scope_path_matches(saved, tester: Program) -> str:
     """`ground(tester, scope=saved)` equals `ground(tester)` in every field,
-    or raises the same; returns whether it reused the scope's instances."""
-    assert _ground_outcome(lambda: ground(tester, scope=saved)) \
-        == _ground_outcome(lambda: ground(tester)), tester
-    return saved is not None and oracle._extend_scope(saved, tester, 0) is not None
+    or raises the same. Returns how far it reused the scope: "simplified"
+    when it built on the scope's simplified form, "instances" when it
+    instantiated only what the tester adds but simplified the whole tester,
+    and "full" when it did neither."""
+    called = set()
+
+    def spy(name):
+        real = getattr(oracle, name)
+
+        def call(*args, **kwargs):
+            called.add(name)
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as m:
+        for name in ("_instantiate", "_build_ground"):
+            m.setattr(oracle, name, spy(name))
+        got = _ground_outcome(lambda: ground(tester, scope=saved))
+    assert got == _ground_outcome(lambda: ground(tester)), tester
+    return ("full" if "_instantiate" in called else
+            "instances" if "_build_ground" in called else "simplified")
 
 
 def mutant_scopes():
@@ -219,28 +240,32 @@ def mutant_scopes():
 
 
 def test_scope_path_matches_full_grounding_on_fixtures_and_mutants():
-    reused = checked = 0
-    for scope, tester in [*fixture_scopes(), *mutant_scopes()]:
-        reused += assert_scope_path_matches(oracle.instantiate_scope(scope), tester)
-        checked += 1
-    # every encoding of engine.KINDS adds heads that occur only negated
-    assert checked == 310 and reused == checked, (checked, reused)
+    paths = Counter(assert_scope_path_matches(oracle.instantiate_scope(scope), tester)
+                    for scope, tester in [*fixture_scopes(), *mutant_scopes()])
+    # every encoding of engine.KINDS adds fresh `__tk_` heads that occur only
+    # negated, and no fixture names a predicate that sorts before them
+    assert paths == {"simplified": 310}, paths
 
 
 def test_scope_path_matches_full_grounding_on_random_join_programs():
     rng = random.Random(15)
-    reused = checked = 0
+    paths = Counter()
     for _ in range(300):
         p = random_join_program(rng)
         saved = oracle.instantiate_scope(p)
+        outcome = _ground_outcome(lambda: ground(p))
+        scope_outcome = outcome[0] if isinstance(outcome, tuple) else "ground program"
         for kind in ASSERTION_KINDS:
             if kind == "bestModelCost":
                 assertion = BestModelCost(cost=rng.randint(0, 3), level=rng.randint(0, 2))
             else:
                 assertion = random_join_assertion(rng, p, kind)
-            reused += assert_scope_path_matches(saved, build_tester(p, assertion).program)
-            checked += 1
-    assert checked == 3000 and reused == checked, reused
+            paths[assert_scope_path_matches(saved, build_tester(p, assertion).program),
+                  scope_outcome] += 1
+    # a scope with a recursive #count in a rule head is not simplified once;
+    # its testers raise what the scope raises
+    assert paths == {("simplified", "ground program"): 2700,
+                     ("instances", "UnsupportedAggregate"): 300}, paths
 
 
 def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
@@ -267,9 +292,65 @@ def test_an_added_head_in_a_positive_body_takes_the_full_path():
     copied_rules = program("p(1). q(X) :- p(X). r.")
     other_weaks = Program(scope.rules, (WeakConstraint((lit("q", "X"),), 1, 1),))
     for tester in (feeds_scope, feeds_itself, copied_rules, other_weaks):
-        assert not assert_scope_path_matches(saved, tester)
+        assert assert_scope_path_matches(saved, tester) == "full"
     assert atom("q", 2) in ground(feeds_scope, scope=saved).atoms
     assert atom("a") in ground(feeds_itself, scope=saved).atoms
+
+
+def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
+    scope = program("p(1) | p(2). q(X) :- p(X), not r(X). r(3). :- q(1), q(2).")
+    saved = oracle.instantiate_scope(scope)
+    count_body = program(":- #count{X : q(X)} >= 1.").rules[0]
+    testers = {
+        # `:- q(1), q(2).` again: deduplicated against the scope's copy
+        "same constraint": build_tester(
+            scope, ConstraintInAtLeast(1, Rule((), (lit("q", 1), lit("q", 2))))),
+        # `__tk_fail_0 :- #count{X : q(X)} >= 1.` has a head and a #count
+        "count body": build_tester(scope, ConstraintForAll(count_body)),
+        # r(1) is impossible, so `__tk_miss_0 :- not r(1).` makes it certain
+        "certain head": build_tester(scope, TrueInAll((atom("r", 1),))),
+    }
+    for name, tp in testers.items():
+        assert assert_scope_path_matches(saved, tp.program) == "simplified", name
+    same = ground(testers["same constraint"].program)
+    assert len(same.rules) == len(saved.simplified.ground.rules)
+    g = ground(testers["certain head"].program, scope=saved)
+    assert g.atoms[0] == atom("__tk_miss_0") and 0 in g.certain_ids
+
+
+def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it(monkeypatch):
+    def path(scope_text, assertion):
+        scope = program(scope_text)
+        return assert_scope_path_matches(oracle.instantiate_scope(scope),
+                                         build_tester(scope, assertion).program)
+
+    # `__a(1)` sorts before the tester's `__tk_miss_0`
+    assert path("__a(1) | b(1).", TrueInAll((atom("b", 1),))) == "instances"
+    # a recursive #count in a rule head: the scope itself is not simplified
+    assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "instances"
+    # an added head that the scope negates: `a.` makes the scope's `b` false
+    scope = program("b :- not a.")
+    tester = Program(scope.rules + (Rule((atom("a"),), ()),))
+    assert assert_scope_path_matches(oracle.instantiate_scope(scope), tester) == "instances"
+    # over capacity only by the tester's unknown `__tk_miss_0`
+    monkeypatch.setattr(oracle, "MAX_ENUM_ATOMS", 2)
+    assert path("a | b.", TrueInAll((atom("a"),))) == "instances"
+    with pytest.raises(CapacityExceeded):
+        ground(build_tester(program("a | b."), TrueInAll((atom("a"),))).program)
+
+
+def test_a_round_with_every_atom_new_joins_by_the_first_plan_only(monkeypatch):
+    # with lo == 0, plan 1 would look q up and then p in the empty window [0, 0)
+    join = oracle._Join(program("r(X,Z) :- p(X,Y), q(Y,Z).").rules[0])
+    index = oracle._AtomIndex()
+    for a in (atom("p", 1, 2), atom("p", 2, 3), atom("q", 2, 4), atom("q", 3, 5)):
+        index.add(a)
+    lookups = []
+    lookup = index.lookup
+    monkeypatch.setattr(index, "lookup", lambda pattern, *args: lookups.append(pattern.predicate)
+                        or lookup(pattern, *args))
+    assert [s["Z"] for s in join.bindings(index, 0, len(index))] == [Integer(4), Integer(5)]
+    assert lookups == ["p", "q", "q"]
 
 
 def test_ground_coloring_counts():
