@@ -46,7 +46,7 @@ from .model import (
     predicate_names,
     signatures,
 )
-from .oracle import AnswerSet, SolveResult
+from .oracle import AnswerSet, Scope, SolveResult
 from .parser import SourceUnit, merge_units, parse_program_text, parse_unit
 from .serialize import atom_to_text, serialize_program
 
@@ -428,17 +428,20 @@ def _error_result(assertion: Assertion, message: str) -> AssertionResult:
 
 def run_test(spec: TestSpec, program: Program, backend) -> TestResult:
     """Decide every assertion of `spec` on `program`, its resolved scope
-    (see `resolve_scope`), each with its own backend call, which is told the
-    scope its tester extends; one assertion failing or erroring never stops
-    its siblings."""
+    (see `resolve_scope`), each with its own backend call; one assertion
+    failing or erroring never stops its siblings. Every call is handed the
+    test's one `oracle.Scope` of `program`, so the internal backend
+    instantiates and simplifies the scope once, for the first tester, and
+    grounds each tester as an extension of it."""
     start = time.monotonic()
     results: list[AssertionResult] = []
+    scope = Scope(program)
     for assertion in spec.asserts:
         t0 = time.monotonic()
         try:
             tp = build_tester(program, assertion)
             solve_result, _ = backend.run(tp.program, tp.text, tp.model_cap,
-                                          optimize=tp.optimize, scope=program)
+                                          optimize=tp.optimize, scope=scope)
             res = evaluate(tp, solve_result)
         except Exception as exc:
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")

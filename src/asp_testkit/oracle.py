@@ -17,20 +17,20 @@ ground terms of its variables, which is the order of the product over the
 sorted universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
-test's scope program P by a few rules, so P can be instantiated and
-simplified once (`instantiate_scope`) and each tester grounded as an
-extension of it (`ground(tester, scope=...)`). When no head of an added rule
-occurs in a positive body, the added heads feed no join (Lifschitz &
-Turner's splitting set, ICLP 1994): P's instances stay as they are, and the
-added rules are joined once against P's fixpoint. When, moreover, no added
-head's predicate name occurs in P, P's atoms split the tester as a whole:
-P's certain and possible atoms, its reduced statements and its ground
-aggregates are the same in the tester, so only the added instances are
-simplified, seeded with P's sets. When the new atoms also sort before all
-of P's, as the fresh `__tk_` atoms do unless P's own possible atoms have a
-name such as `__a`, every id of P moves up by their number and P's masks
-are shifted rather than rebuilt. Any other tester, or any error, takes the
-full path from where the reuse stops, so every way gives the same ground
+test's scope program P by a few rules. The test hands P to `ground` with
+each of its testers as one `Scope`, which instantiates and simplifies P the
+first time a tester needs it and keeps that saved form. A tester is grounded
+as an extension of it when its rules start with P's own and its weak
+constraints are P's, no added head's predicate name occurs in P, and no
+added head occurs in an added positive body. P's atoms then split the
+tester (Lifschitz & Turner, ICLP 1994): P's instances, its certain and
+possible atoms, its reduced statements and its ground aggregates are the
+same in the tester, the added rules are joined once against P's fixpoint,
+and only the added instances are simplified, seeded with P's sets. The new
+atoms must also sort before all of P's, as the fresh `__tk_` atoms do unless
+P's own possible atoms have a name such as `__a`: every id of P then moves up
+by their number and P's masks are shifted rather than rebuilt. Any other
+tester, or any error, is grounded in full, so both ways give the same ground
 program or the same error.
 
 Every ground statement has one form from instantiation to search: a head,
@@ -344,15 +344,13 @@ class _Join:
 
 @dataclass
 class _Instantiation:
-    """What `_instantiate` builds: each statement's instances, sorted, the
-    atom index at the fixpoint, and how many instances it emitted."""
+    """What `_instantiate` builds: the instances, statement by statement and
+    each statement's sorted, the atom index at the fixpoint, and how many
+    instances it emitted."""
 
-    per_statement: list[list[tuple]]
+    instances: list[tuple]
     index: _AtomIndex
     emitted: int
-
-    def instances(self) -> list[tuple]:
-        return [inst for out in self.per_statement for inst in out]
 
 
 def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
@@ -383,7 +381,7 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
 
     The result keeps the index of the fixpoint and the emitted count, so
     that a scope program instantiated once can be extended by each of its
-    testers (`_extend_scope`)."""
+    testers (`_ground_extension`)."""
     joins = [_Join(s) for s in statements]
     found: list[list[tuple]] = [[] for _ in joins]  # per statement: (key, instance)
     index = _AtomIndex()
@@ -399,93 +397,13 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
         if len(index) == hi:
             break
         lo, hi = hi, len(index)
-    return _Instantiation([_sorted_instances(out) for out in found], index, emitted)
+    return _Instantiation([inst for out in found for inst in _sorted_instances(out)],
+                          index, emitted)
 
 
 def _positive_signatures(statements) -> set[tuple[str, int]]:
     return {l.payload.signature for s in statements for l in s.body
             if isinstance(l.payload, Atom) and not l.negated}
-
-
-@dataclass
-class ScopeInstantiation:
-    """A test's scope program P, instantiated and simplified once for the
-    testers of its assertions; see `instantiate_scope` and `ground`.
-    `simplified` is P's ground form, None when building it raises."""
-
-    program: Program
-    positive: set[tuple[str, int]]  # the signatures of P's positive body atoms
-    names: set[str]  # every predicate name of P
-    done: _Instantiation
-    simplified: Optional[_Simplified]
-
-    def instances(self, added: list[tuple]) -> list[tuple]:
-        """The instances of a tester that adds `added` to P's rules, in its
-        statement order: P's rules, the added rules, P's weak constraints."""
-        k = len(self.program.rules)
-        per_statement = self.done.per_statement
-        return [inst for out in per_statement[:k] for inst in out] + added + \
-            [inst for out in per_statement[k:] for inst in out]
-
-
-def instantiate_scope(program: Program) -> Optional[ScopeInstantiation]:
-    """`program` instantiated and simplified for `ground(tester, scope=...)`,
-    or None when instantiating it raises: each tester is then grounded in
-    full, which reports the error as it would without a scope. When only
-    the simplification raises (over capacity, say), each tester is
-    simplified in full, which raises its own error."""
-    statements = program.rules + program.weak_constraints
-    universe = sorted(herbrand_universe(program), key=term_key)
-    try:
-        done = _instantiate(statements, len(universe))
-    except Exception:
-        return None
-    try:
-        stmts, possible, certain, incoherent = _simplify(done.instances())
-        g = _ground_program(universe, stmts, possible, certain, incoherent,
-                            bool(program.weak_constraints))
-        simplified = _Simplified(g, set(stmts), certain, possible, _by_signature(possible))
-    except Exception:
-        simplified = None
-    return ScopeInstantiation(program, _positive_signatures(statements),
-                              predicate_names(program), done, simplified)
-
-
-def _extend_scope(scope: ScopeInstantiation, program: Program,
-                  universe_size: int) -> Optional[list[tuple]]:
-    """The instances of the rules that the tester `program` adds to the
-    scope P, in rule order, or None when it does not extend P as follows or
-    the added part raises (the caller then grounds the tester in full, which
-    raises the same error with its own message).
-
-    The tester's rules are P's rules (the same objects) and then the added
-    ones, its weak constraints P's, and no head signature of an added rule
-    occurs in a positive body. The added heads then join with nothing: the
-    tester's fixpoint is P's plus those heads, every statement of P has the
-    instances it had in P, and one round with every atom of P's index new
-    finds each added rule's instances exactly once."""
-    base = scope.program
-    k = len(base.rules)
-    if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
-            or any(r is not b for r, b in zip(program.rules, base.rules)):
-        return None
-    added = program.rules[k:]
-    heads = {a.signature for r in added for a in r.head}
-    if heads & scope.positive or heads & _positive_signatures(added):
-        return None
-    index = scope.done.index
-    emitted = scope.done.emitted
-    found = []
-    try:
-        for join in map(_Join, added):
-            # a statement with no positive atom has its one binding in the
-            # round where the index is empty
-            hi = len(index) if join.positive else 0
-            new, emitted = _emit(join, join.bindings(index, 0, hi), emitted, universe_size)
-            found += _sorted_instances(new)
-    except Exception:
-        return None
-    return found
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +524,18 @@ def _mask(ids: Iterable[int]) -> int:
     return m
 
 
-def ground(program: Program, scope: Optional[ScopeInstantiation] = None) -> GroundProgram:
-    """The ground program of `program`. With `scope`, the saved
-    instantiation and simplification of a program that `program` extends (a
-    test's scope and one of its testers), only the statements `program`
-    adds are instantiated and, where the scope's atoms split `program`,
-    simplified; the result is the same either way."""
+def ground(program: Program, scope: Optional[Scope] = None) -> GroundProgram:
+    """The ground program of `program`. With `scope`, the scope of the test
+    whose tester `program` is, the tester is grounded as an extension of the
+    scope's saved form where it can be (`_ground_extension`), else in full;
+    the result is the same either way."""
     universe = sorted(herbrand_universe(program), key=term_key)
-    added = None if scope is None else _extend_scope(scope, program, len(universe))
-    if added is None:
-        instances = _instantiate(program.rules + program.weak_constraints,
-                                 len(universe)).instances()
-    else:
-        g = _ground_extension(scope, added, universe)
+    if scope is not None:
+        g = _ground_extension(scope, program, universe)
         if g is not None:
             return g
-        instances = scope.instances(added)
+    instances = _instantiate(program.rules + program.weak_constraints,
+                             len(universe)).instances
     return _build_ground(universe, instances, bool(program.weak_constraints))
 
 
@@ -764,12 +678,41 @@ def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
                          trivially_incoherent, has_weaks)
 
 
-@dataclass
-class _Simplified:
-    """A test's scope P as simplified and ground, with what the testers that
-    extend it reuse: P's reduced instances, its certain and possible atoms,
-    and those by signature."""
+# ---------------------------------------------------------------------------
+# Grounding a tester as an extension of its scope
+# ---------------------------------------------------------------------------
 
+class Scope:
+    """A test's scope program P, handed to `ground` with each of its
+    testers. P is instantiated and simplified the first time `ground` needs
+    it, and that saved form is kept for the later testers. `saved()` is None
+    when instantiating or simplifying P raises: each tester is then grounded
+    in full, which raises its own error. Filling needs no lock, because two
+    threads that fill one scope at once build equal forms."""
+
+    def __init__(self, program: Program):
+        self.program = program
+        self._saved: Optional[_SavedScope] = None
+        self._filled = False
+
+    def saved(self) -> Optional[_SavedScope]:
+        if not self._filled:
+            self._saved = _save_scope(self.program)
+            self._filled = True
+        return self._saved
+
+
+@dataclass
+class _SavedScope:
+    """A scope P as instantiated and simplified, with what the testers that
+    extend it reuse: P's predicate names, the atom index of its
+    instantiation's fixpoint and the instances it emitted, its ground
+    program, its reduced instances, its certain and possible atoms, and
+    those by signature."""
+
+    names: set[str]
+    index: _AtomIndex
+    emitted: int
     ground: GroundProgram
     reduced: set[tuple]
     certain: set[Atom]
@@ -777,31 +720,68 @@ class _Simplified:
     by_signature: dict[tuple[str, int], list[Atom]]
 
 
-def _ground_extension(scope: ScopeInstantiation, added: list[tuple],
-                      universe: list[Term]) -> Optional[GroundProgram]:
-    """The ground program of the tester whose instances are the scope P's
-    and then `added`, built from P's simplified form, or None when it cannot
-    be (the caller then simplifies the tester in full, which raises any
-    error with its own message).
-
-    When no added head's predicate name occurs in P, P's atoms split the
-    tester: P's sets, reduced statements and ground aggregates hold in it
-    as they are, so only `added` is simplified, seeded with P's sets, and
-    its reduced statements equal to one of P's are dropped. The atoms the
-    tester adds must sort before all of P's; each id of P then moves up by
-    their number m, and P's masks are shifted by m, once. The tester must
-    also fit the capacity as a whole."""
-    base = scope.simplified
-    if base is None or any(a.predicate in scope.names for inst in added for a in inst[0]):
+def _save_scope(program: Program) -> Optional[_SavedScope]:
+    universe = sorted(herbrand_universe(program), key=term_key)
+    try:
+        done = _instantiate(program.rules + program.weak_constraints, len(universe))
+        stmts, possible, certain, incoherent = _simplify(done.instances)
+        g = _ground_program(universe, stmts, possible, certain, incoherent,
+                            bool(program.weak_constraints))
+    except Exception:
         return None
-    stmts, possible, certain, incoherent = _simplify(added, base.certain, base.possible)
-    stmts = [s for s in stmts if s not in base.reduced]
+    return _SavedScope(predicate_names(program), done.index, done.emitted, g,
+                       set(stmts), certain, possible, _by_signature(possible))
+
+
+def _ground_extension(scope: Scope, program: Program,
+                      universe: list[Term]) -> Optional[GroundProgram]:
+    """The ground program of the tester `program`, built from the saved form
+    of the scope P that it extends, or None when it does not extend P as
+    follows (the caller then grounds it in full, which raises any error
+    with its own message).
+
+    The tester's rules are P's rules (the same objects) and then the added
+    ones, and its weak constraints are P's. No added head occurs in an
+    added positive body, and no added head's predicate name occurs in P, so
+    the added heads join with nothing and P's atoms split the tester: P's
+    instances, sets, reduced statements and ground aggregates hold in it as
+    they are, and one round with every atom of P's index new finds each
+    added rule's instances exactly once. Only those are simplified, seeded with P's
+    sets, and their reduced statements equal to one of P's are dropped. The
+    atoms the tester adds must sort before all of P's; each id of P then
+    moves up by their number m, and P's masks are shifted by m, once. The
+    tester must also fit the capacity as a whole."""
+    base = scope.program
+    k = len(base.rules)
+    if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
+            or any(r is not b for r, b in zip(program.rules, base.rules)):
+        return None
+    added = program.rules[k:]
+    heads = {a.signature for r in added for a in r.head}
+    if heads & _positive_signatures(added):
+        return None
+    saved = scope.saved()
+    if saved is None or any(name in saved.names for name, _ in heads):
+        return None
+    emitted = saved.emitted
+    instances = []
+    try:
+        for join in map(_Join, added):
+            # a statement with no positive atom has its one binding in the
+            # round where the index is empty
+            hi = len(saved.index) if join.positive else 0
+            new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
+            instances += _sorted_instances(new)
+    except Exception:
+        return None
+    stmts, possible, certain, incoherent = _simplify(instances, saved.certain, saved.possible)
+    stmts = [s for s in stmts if s not in saved.reduced]
     # only added atoms depend on an added head, so P's statements cannot
     # make an added #count recursive, and P's own passed the check: this
     # raises what the check over the whole tester raises
     _check_aggregate_stratification(stmts)
-    g = base.ground
-    new = sorted({a for inst in added for a in inst[0] if a in possible}, key=Atom.sort_key)
+    g = saved.ground
+    new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=Atom.sort_key)
     if new and g.atoms and new[-1].sort_key() >= g.atoms[0].sort_key():
         return None
     statements = g._rules + g._constraints + g._weaks
@@ -817,7 +797,7 @@ def _ground_extension(scope: ScopeInstantiation, added: list[tuple],
         ids = {a: i for i, a in enumerate(atoms)}
         certain_ids = {i + m for i in certain_ids} | {i for i, a in enumerate(new) if a in certain}
         statements = [s.shifted(m) for s in statements]
-    by_signature = {**base.by_signature, **_by_signature(new)}
+    by_signature = {**saved.by_signature, **_by_signature(new)}
     statements += _ground_statements(stmts, ids, certain, by_signature)
     return GroundProgram(universe, atoms, certain_ids, statements,
                          g.trivially_incoherent or incoherent, g.has_weak_constraints)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import threading
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -32,11 +31,11 @@ from .model import Program
 from .oracle import (
     AnswerSet,
     CapacityExceeded,
+    Scope,
     SolveResult,
     UnsupportedAggregate,
     enumerate_answer_sets,
     ground,
-    instantiate_scope,
     optimal_answer_sets,
 )
 from .parser import ParseFailure, parse_ground_atom
@@ -276,33 +275,18 @@ def solve(cfg: BackendConfig, program_text: str,
 # ---------------------------------------------------------------------------
 
 class InternalBackend:
-    """Exhaustive oracle behind the common backend interface.
-
-    `scope` is the program a tester extends (see `engine.run_test`). Each
-    thread keeps the instantiation and the simplified ground form of the
-    last scope it saw (`oracle.ScopeInstantiation`), built when the first
-    tester of that scope is grounded, so the testers of one test instantiate
-    and simplify their scope once and each grounds only what it adds; a
-    thread runs one test at a time, so one saved scope per thread suffices
-    and needs no lock."""
+    """Exhaustive oracle behind the common backend interface. `scope` is the
+    `oracle.Scope` of the test whose tester `program` is (see
+    `engine.run_test`): the scope instantiates and simplifies its program
+    once, for its first tester, and `ground` builds each tester on that.
+    The backend itself keeps no state."""
 
     name = INTERNAL_BACKEND
 
-    def __init__(self):
-        self._last_scope = threading.local()
-
-    def _instantiated(self, scope: Optional[Program]):
-        if scope is None:
-            return None
-        last = self._last_scope
-        if getattr(last, "program", None) is not scope:
-            last.program, last.instantiation = scope, instantiate_scope(scope)
-        return last.instantiation
-
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         start = time.monotonic()
-        g = ground(program, scope=self._instantiated(scope))
+        g = ground(program, scope=scope)
         if optimize:
             result = optimal_answer_sets(g)
         else:
@@ -323,7 +307,7 @@ class ExternalBackend:
         self.cfg = cfg
 
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         return solve(self.cfg, text, max_models)
 
 
@@ -338,7 +322,7 @@ class AutoBackend:
         self.external = ExternalBackend(cfg) if cfg is not None else None
 
     def run(self, program: Program, text: str, max_models: Optional[int],
-            optimize: bool = False, scope: Optional[Program] = None) -> tuple[SolveResult, RawRun]:
+            optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         try:
             return self.internal.run(program, text, max_models, optimize, scope)
         except (CapacityExceeded, UnsupportedAggregate):

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,7 +38,7 @@ from asp_testkit.model import (
 from asp_testkit import oracle
 from asp_testkit.oracle import SolveResult, AnswerSet, UnsupportedAggregate, ground
 from asp_testkit.parser import parse_assertion_list, parse_unit
-from asp_testkit.solver import InternalBackend
+from asp_testkit.solver import BackendConfig, ExternalBackend, InternalBackend
 from helpers import (
     atom,
     brute_answer_sets,
@@ -346,7 +347,7 @@ def test_suite_report_json_schema():
 
 
 def test_parallel_suite_matches_serial():
-    # the internal backend keeps one saved scope per thread
+    # each test hands the backend its own scope, so threads share no saved state
     unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
     serial = untimed(run_suite(unit, BACKEND, jobs=1).to_json_dict())
     for jobs in (2, 4):
@@ -385,6 +386,47 @@ def test_a_test_instantiates_its_scope_once(monkeypatch):
     assert statements == [len(scope.rules)]
     # the scope once, then only what each tester adds
     assert simplified == ["whole program"] + ["tester"] * 4
+
+
+def counted_instantiations(monkeypatch) -> list:
+    calls = []
+    instantiate = oracle._instantiate
+
+    def counted(*args):
+        calls.append(args)
+        return instantiate(*args)
+
+    monkeypatch.setattr(oracle, "_instantiate", counted)
+    return calls
+
+
+def test_interleaved_scopes_are_instantiated_once_each(monkeypatch):
+    # a backend that saved only the last scope it saw would instantiate A
+    # again for its second tester: 3 calls
+    calls = counted_instantiations(monkeypatch)
+    a = oracle.Scope(parse_unit("a.lp", "p(1) | p(2).").program)
+    b = oracle.Scope(parse_unit("b.lp", "q(1). r(X) :- q(X).").program)
+    backend = InternalBackend()
+    for scope, wanted in ((a, atom("p", 1)), (b, atom("r", 1)), (a, atom("p", 2))):
+        tp = build_tester(scope.program, TrueInAtLeast(1, (wanted,)))
+        result, _ = backend.run(tp.program, tp.text, tp.model_cap,
+                                optimize=tp.optimize, scope=scope)
+        assert evaluate(tp, result).verdict == PASS
+    assert len(calls) == 2
+
+
+def test_an_external_backend_never_instantiates_the_scope(monkeypatch):
+    calls = counted_instantiations(monkeypatch)
+    stub = str(Path(__file__).resolve().parent / "stub_solver.py")
+    backend = ExternalBackend(BackendConfig(executable=sys.executable,
+                                            extra_args=(stub, "basic"),
+                                            model_cap_template=""))
+    unit = parse_unit("four.lp", FOUR_ASSERTIONS)
+    spec = unit.suite.tests[0]
+    result = run_test(spec, resolve_scope(unit.suite, spec), backend)
+    assert len(result.assertions) == 4
+    assert "error" not in [a.verdict for a in result.assertions]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -301,7 +301,7 @@ def test_shipped_mutants_all_killed():
 
 def test_parallel_mutation_analysis_matches_serial():
     # threads switch often, so that the testers of different mutants
-    # interleave on the backend's per-thread saved scopes
+    # interleave on one backend, each handed its own test's scope
     unit = parse_unit("hamiltonian_mutation.lp", fixture_text("hamiltonian_mutation.lp"))
     mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, seed=19)
     serial = untimed(mutation_analysis(unit, mutants, BACKEND, jobs=1).to_json_dict())

@@ -141,7 +141,7 @@ def assert_join_matches_product(p: Program):
     universe = sorted(herbrand_universe(p), key=term_key)
     instances = list(product_instances(p))
     possible = least_fixpoint([(head, pos) for head, pos, *_ in instances])
-    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances() == [
+    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances == [
         i for i in instances if i[1] <= possible]
     got = _ground_or_none(lambda: ground(p))
     want = _ground_or_none(lambda: oracle._build_ground(
@@ -194,29 +194,25 @@ def _ground_outcome(build):
         return type(exc).__name__, str(exc), vars(exc)
 
 
-def assert_scope_path_matches(saved, tester: Program) -> str:
-    """`ground(tester, scope=saved)` equals `ground(tester)` in every field,
-    or raises the same. Returns how far it reused the scope: "simplified"
-    when it built on the scope's simplified form, "instances" when it
-    instantiated only what the tester adds but simplified the whole tester,
-    and "full" when it did neither."""
-    called = set()
+def assert_scope_path_matches(scope: oracle.Scope, tester: Program) -> str:
+    """`ground(tester, scope=scope)` equals `ground(tester)` in every field,
+    or raises the same. Returns how it grounded the tester: "simplified"
+    when it built on the scope's saved form, and "full" when it
+    instantiated the whole tester. The scope is filled first, so that its
+    own instantiation is not counted as the tester's."""
+    scope.saved()
+    called = []
+    instantiate = oracle._instantiate
 
-    def spy(name):
-        real = getattr(oracle, name)
-
-        def call(*args, **kwargs):
-            called.add(name)
-            return real(*args, **kwargs)
-        return call
+    def spy(*args):
+        called.append(args)
+        return instantiate(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        for name in ("_instantiate", "_build_ground"):
-            m.setattr(oracle, name, spy(name))
-        got = _ground_outcome(lambda: ground(tester, scope=saved))
+        m.setattr(oracle, "_instantiate", spy)
+        got = _ground_outcome(lambda: ground(tester, scope=scope))
     assert got == _ground_outcome(lambda: ground(tester)), tester
-    return ("full" if "_instantiate" in called else
-            "instances" if "_build_ground" in called else "simplified")
+    return "full" if called else "simplified"
 
 
 def mutant_scopes():
@@ -240,7 +236,7 @@ def mutant_scopes():
 
 
 def test_scope_path_matches_full_grounding_on_fixtures_and_mutants():
-    paths = Counter(assert_scope_path_matches(oracle.instantiate_scope(scope), tester)
+    paths = Counter(assert_scope_path_matches(oracle.Scope(scope), tester)
                     for scope, tester in [*fixture_scopes(), *mutant_scopes()])
     # every encoding of engine.KINDS adds fresh `__tk_` heads that occur only
     # negated, and no fixture names a predicate that sorts before them
@@ -252,7 +248,7 @@ def test_scope_path_matches_full_grounding_on_random_join_programs():
     paths = Counter()
     for _ in range(300):
         p = random_join_program(rng)
-        saved = oracle.instantiate_scope(p)
+        saved = oracle.Scope(p)
         outcome = _ground_outcome(lambda: ground(p))
         scope_outcome = outcome[0] if isinstance(outcome, tuple) else "ground program"
         for kind in ASSERTION_KINDS:
@@ -265,7 +261,7 @@ def test_scope_path_matches_full_grounding_on_random_join_programs():
     # a scope with a recursive #count in a rule head is not simplified once;
     # its testers raise what the scope raises
     assert paths == {("simplified", "ground program"): 2700,
-                     ("instances", "UnsupportedAggregate"): 300}, paths
+                     ("full", "UnsupportedAggregate"): 300}, paths
 
 
 def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
@@ -275,16 +271,18 @@ def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
     tester = build_tester(scope, ConstraintForAll(Rule((), (lit("reach", "X", "Y"),)))).program
     for budget, trips_in_scope in ((100, True), (200, False)):
         monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", budget)
-        saved = oracle.instantiate_scope(scope)
-        assert (saved is None) == trips_in_scope
+        saved = oracle.Scope(scope)
         with pytest.raises(CapacityExceeded):
             ground(tester, scope=saved)
-        assert_scope_path_matches(saved, tester)
+        # the tester filled the scope, which saves nothing when its own
+        # join trips the budget
+        assert (saved.saved() is None) == trips_in_scope
+        assert assert_scope_path_matches(saved, tester) == "full"
 
 
 def test_an_added_head_in_a_positive_body_takes_the_full_path():
     scope = program("p(1). q(X) :- p(X).")
-    saved = oracle.instantiate_scope(scope)
+    saved = oracle.Scope(scope)
     feeds_scope = Program(scope.rules + (Rule((atom("p", 2),), ()),))
     feeds_itself = Program(scope.rules + (Rule((atom("b"),), ()),
                                           Rule((atom("a"),), (lit("b"),))))
@@ -299,7 +297,7 @@ def test_an_added_head_in_a_positive_body_takes_the_full_path():
 
 def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
     scope = program("p(1) | p(2). q(X) :- p(X), not r(X). r(3). :- q(1), q(2).")
-    saved = oracle.instantiate_scope(scope)
+    saved = oracle.Scope(scope)
     count_body = program(":- #count{X : q(X)} >= 1.").rules[0]
     testers = {
         # `:- q(1), q(2).` again: deduplicated against the scope's copy
@@ -313,7 +311,7 @@ def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
     for name, tp in testers.items():
         assert assert_scope_path_matches(saved, tp.program) == "simplified", name
     same = ground(testers["same constraint"].program)
-    assert len(same.rules) == len(saved.simplified.ground.rules)
+    assert len(same.rules) == len(saved.saved().ground.rules)
     g = ground(testers["certain head"].program, scope=saved)
     assert g.atoms[0] == atom("__tk_miss_0") and 0 in g.certain_ids
 
@@ -321,20 +319,20 @@ def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
 def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it(monkeypatch):
     def path(scope_text, assertion):
         scope = program(scope_text)
-        return assert_scope_path_matches(oracle.instantiate_scope(scope),
+        return assert_scope_path_matches(oracle.Scope(scope),
                                          build_tester(scope, assertion).program)
 
     # `__a(1)` sorts before the tester's `__tk_miss_0`
-    assert path("__a(1) | b(1).", TrueInAll((atom("b", 1),))) == "instances"
+    assert path("__a(1) | b(1).", TrueInAll((atom("b", 1),))) == "full"
     # a recursive #count in a rule head: the scope itself is not simplified
-    assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "instances"
+    assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "full"
     # an added head that the scope negates: `a.` makes the scope's `b` false
     scope = program("b :- not a.")
     tester = Program(scope.rules + (Rule((atom("a"),), ()),))
-    assert assert_scope_path_matches(oracle.instantiate_scope(scope), tester) == "instances"
+    assert assert_scope_path_matches(oracle.Scope(scope), tester) == "full"
     # over capacity only by the tester's unknown `__tk_miss_0`
     monkeypatch.setattr(oracle, "MAX_ENUM_ATOMS", 2)
-    assert path("a | b.", TrueInAll((atom("a"),))) == "instances"
+    assert path("a | b.", TrueInAll((atom("a"),))) == "full"
     with pytest.raises(CapacityExceeded):
         ground(build_tester(program("a | b."), TrueInAll((atom("a"),))).program)
 
@@ -497,7 +495,7 @@ def simplify_inputs():
     instances of 500 join programs, and one program over capacity."""
     def joined(p: Program):
         universe = sorted(herbrand_universe(p), key=term_key)
-        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances()
+        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances
         return universe, instances, bool(p.weak_constraints)
 
     rng = random.Random(21)
