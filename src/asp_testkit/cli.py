@@ -91,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("files", nargs="+")
     p.add_argument("--format", choices=["human", "json"], default="human")
     p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
-                   help="run tests in parallel")
+                   help="run up to N solver calls at once")
     _add_backend_options(p)
 
     p = sub.add_parser("mutate", help="mutation analysis of the test suites")

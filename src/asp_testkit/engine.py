@@ -17,7 +17,7 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -426,16 +426,20 @@ def _error_result(assertion: Assertion, message: str) -> AssertionResult:
                            executed_code="", verdict=ERROR, diagnostics=message)
 
 
-def run_test(spec: TestSpec, program: Program, backend) -> TestResult:
+def run_test(spec: TestSpec, program: Program, backend,
+             scope: Optional[Scope] = None) -> TestResult:
     """Decide every assertion of `spec` on `program`, its resolved scope
     (see `resolve_scope`), each with its own backend call; one assertion
-    failing or erroring never stops its siblings. Every call is handed the
-    test's one `oracle.Scope` of `program`, so the internal backend
-    instantiates and simplifies the scope once, for the first tester, and
-    grounds each tester as an extension of it."""
+    failing or erroring never stops its siblings. Every call is handed
+    `scope`, the `oracle.Scope` of `program` (a new one when not given), so
+    the internal backend instantiates and simplifies the scope once, for
+    the first tester, and grounds each tester as an extension of it.
+    `run_suite` passes one scope to each of a test's assertions, which it
+    decides as separate calls of this function."""
     start = time.monotonic()
     results: list[AssertionResult] = []
-    scope = Scope(program)
+    if scope is None:
+        scope = Scope(program)
     for assertion in spec.asserts:
         t0 = time.monotonic()
         try:
@@ -461,21 +465,41 @@ def map_in_order(fn: Callable, items: list, jobs: int) -> list:
 
 
 def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
-    """Run every test of a unit; tests are independent and may execute in
-    parallel, the report always lists them in declaration order. A test
-    whose scope does not resolve is an error, and so is each of its
+    """Run every test of a unit. Each test's scope is resolved once, in the
+    calling thread, and every assertion of every test is one task for up
+    to `jobs` threads, so one test's assertions may run at once; they share
+    the test's `oracle.Scope`. The report lists tests and assertions in
+    declaration order, and a test's `wall_ms` is the sum of its assertions'.
+    A test whose scope does not resolve is an error, and so is each of its
     assertions."""
     start = time.monotonic()
-
-    def run(spec: TestSpec) -> TestResult:
+    tests: list[TestResult] = []
+    tasks: list[list] = []  # [test, its spec cut to one assertion, its scope]
+    for spec in unit.suite.tests:
         try:
             program = resolve_scope(unit.suite, spec)
         except Exception as exc:
             message = f"scope resolution failed: {exc}"
             results = [_error_result(a, message) for a in spec.asserts]
-            return TestResult(spec.name, results, ERROR, diagnostics=message)
-        return run_test(spec, program, backend)
+            tests.append(TestResult(spec.name, results, ERROR, diagnostics=message))
+            continue
+        test = TestResult(spec.name, [], PASS)
+        tests.append(test)
+        scope = Scope(program)
+        tasks.extend([test, replace(spec, asserts=(a,)), scope] for a in spec.asserts)
 
-    tests = map_in_order(run, list(unit.suite.tests), jobs)
+    def run(task: list) -> TestResult:
+        _, one, scope = task
+        # drop the task's hold on the scope, so that the scope and its
+        # saved ground form are freed once the test's last task is done
+        task[2] = None
+        return run_test(one, scope.program, backend, scope=scope)
+
+    for (test, *_), result in zip(tasks, map_in_order(run, tasks, jobs)):
+        test.assertions.extend(result.assertions)
+    for test in tests:
+        test.wall_ms = sum(a.wall_ms for a in test.assertions)
+        if not test.diagnostics:
+            test.verdict = TestResult.aggregate(test.assertions)
     return SuiteReport(source=unit.path, tests=tests,
                        total_wall_ms=int((time.monotonic() - start) * 1000))

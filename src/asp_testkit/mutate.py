@@ -10,8 +10,9 @@ generation time.
 `OPERATORS` defines each operator once: its loci within one rule and its
 edit of the rule at a locus. Its order fixes seeded output: a seed shuffles
 the loci listed by rule, then in table order, which makes shipped mutant
-sets reproducible. The analysis runs the suite against each mutant; a
-mutant is killed as soon as one assertion fails.
+sets reproducible. The analysis runs every assertion of the suite against
+each mutant; a mutant is killed when at least one fails, and `killed_by`
+lists every assertion that failed on it.
 """
 
 from __future__ import annotations

@@ -66,6 +66,7 @@ raised instead.
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -687,18 +688,22 @@ class Scope:
     testers. P is instantiated and simplified the first time `ground` needs
     it, and that saved form is kept for the later testers. `saved()` is None
     when instantiating or simplifying P raises: each tester is then grounded
-    in full, which raises its own error. Filling needs no lock, because two
-    threads that fill one scope at once build equal forms."""
+    in full, which raises its own error. The testers of one test may run in
+    several threads at once, so filling takes the scope's lock: the first
+    tester fills it, and any tester that arrives meanwhile waits for that
+    form instead of building its own."""
 
     def __init__(self, program: Program):
         self.program = program
         self._saved: Optional[_SavedScope] = None
         self._filled = False
+        self._lock = threading.Lock()
 
     def saved(self) -> Optional[_SavedScope]:
-        if not self._filled:
-            self._saved = _save_scope(self.program)
-            self._filled = True
+        with self._lock:
+            if not self._filled:
+                self._saved = _save_scope(self.program)
+                self._filled = True
         return self._saved
 
 

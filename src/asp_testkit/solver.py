@@ -279,7 +279,9 @@ class InternalBackend:
     `oracle.Scope` of the test whose tester `program` is (see
     `engine.run_test`): the scope instantiates and simplifies its program
     once, for its first tester, and `ground` builds each tester on that.
-    The backend itself keeps no state."""
+    The backend itself keeps no state, so calls from several threads may
+    share it, and testers of one scope that run at once wait for one fill
+    of the scope under its lock."""
 
     name = INTERNAL_BACKEND
 

@@ -1,6 +1,9 @@
 import random
 import re
 import sys
+import threading
+import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -55,6 +58,14 @@ from helpers import (
 
 BACKEND = InternalBackend()
 README = Path(__file__).resolve().parent.parent / "README.md"
+STUB = str(Path(__file__).resolve().parent / "stub_solver.py")
+
+
+def stub_backend() -> ExternalBackend:
+    """An external backend whose every call prints the stub's one model."""
+    return ExternalBackend(BackendConfig(executable=sys.executable,
+                                         extra_args=(STUB, "basic"),
+                                         model_cap_template=""))
 
 
 def coloring_unit():
@@ -347,11 +358,45 @@ def test_suite_report_json_schema():
 
 
 def test_parallel_suite_matches_serial():
-    # each test hands the backend its own scope, so threads share no saved state
+    # the assertions of one test share its scope, whichever threads run them
+    for name in ("coloring_mutation.lp", "coloring.lp", "hamiltonian_mutation.lp"):
+        unit = parse_unit(name, fixture_text(name))
+        for backend in (BACKEND, stub_backend()):
+            serial = untimed(run_suite(unit, backend, jobs=1).to_json_dict())
+            for jobs in (2, 4):
+                report = run_suite(unit, backend, jobs=jobs)
+                assert untimed(report.to_json_dict()) == serial, (name, backend.name, jobs)
+
+
+def test_one_tests_assertions_run_at_once():
+    # each call waits for the other, so they only finish when they overlap
+    meet = threading.Barrier(2, timeout=2)
+
+    class Meeting:
+        def run(self, *args, **kwargs):
+            meet.wait()
+            return BACKEND.run(*args, **kwargs)
+
+    (test,) = run_suite(coloring_unit(), Meeting(), jobs=2).tests
+    assert [a.verdict for a in test.assertions] == [PASS, PASS]
+
+
+def test_a_suite_frees_each_scope_after_its_test():
+    # a scope kept past its test's last assertion keeps its saved ground
+    # form alive for the rest of the suite
+    refs = []  # one weak reference per scope, in the order first seen
+    alive = []
+
+    class Watching:
+        def run(self, program, text, cap, optimize=False, scope=None):
+            if not refs or refs[-1]() is not scope:
+                alive.extend(i for i, ref in enumerate(refs) if ref() is not None)
+                refs.append(weakref.ref(scope))
+            return BACKEND.run(program, text, cap, optimize, scope)
+
     unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
-    serial = untimed(run_suite(unit, BACKEND, jobs=1).to_json_dict())
-    for jobs in (2, 4):
-        assert untimed(run_suite(unit, BACKEND, jobs=jobs).to_json_dict()) == serial
+    assert run_suite(unit, Watching(), jobs=1).all_passed()
+    assert len(refs) == 3 and alive == []
 
 
 FOUR_ASSERTIONS = fixture_text("coloring.lp").replace(
@@ -381,19 +426,25 @@ def test_a_test_instantiates_its_scope_once(monkeypatch):
     unit = parse_unit("four.lp", FOUR_ASSERTIONS)
     spec = unit.suite.tests[0]
     scope = resolve_scope(unit.suite, spec)
-    result = run_test(spec, scope, InternalBackend())
-    assert [a.verdict for a in result.assertions] == [PASS] * 4
-    assert statements == [len(scope.rules)]
-    # the scope once, then only what each tester adds
-    assert simplified == ["whole program"] + ["tester"] * 4
+    # the testers run one after another, then up to two at a time
+    for run in (lambda: run_test(spec, scope, InternalBackend()),
+                lambda: run_suite(unit, InternalBackend(), jobs=2).tests[0]):
+        statements.clear()
+        simplified.clear()
+        result = run()
+        assert [a.verdict for a in result.assertions] == [PASS] * 4
+        assert statements == [len(scope.rules)]
+        # the scope once, then only what each tester adds
+        assert simplified == ["whole program"] + ["tester"] * 4
 
 
-def counted_instantiations(monkeypatch) -> list:
+def counted_instantiations(monkeypatch, delay: float = 0.0) -> list:
     calls = []
     instantiate = oracle._instantiate
 
     def counted(*args):
         calls.append(args)
+        time.sleep(delay)
         return instantiate(*args)
 
     monkeypatch.setattr(oracle, "_instantiate", counted)
@@ -415,15 +466,40 @@ def test_interleaved_scopes_are_instantiated_once_each(monkeypatch):
     assert len(calls) == 2
 
 
+def test_threads_fill_one_scope_once(monkeypatch):
+    # the slow instantiation keeps the first filler busy while the others
+    # arrive; without the scope's lock each would instantiate it
+    calls = counted_instantiations(monkeypatch, delay=0.05)
+    scope = oracle.Scope(parse_unit("a.lp", "p(1) | p(2).").program)
+    threads = 8  # more than the cores of a small host
+    start = threading.Barrier(threads, timeout=2)
+    saved = []
+
+    def fill():
+        start.wait()
+        saved.append(scope.saved())
+
+    workers = [threading.Thread(target=fill) for _ in range(threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert len(calls) == 1
+    assert len(saved) == threads and saved[0] is not None
+    assert all(form is saved[0] for form in saved)
+
+
 def test_an_external_backend_never_instantiates_the_scope(monkeypatch):
     calls = counted_instantiations(monkeypatch)
-    stub = str(Path(__file__).resolve().parent / "stub_solver.py")
-    backend = ExternalBackend(BackendConfig(executable=sys.executable,
-                                            extra_args=(stub, "basic"),
-                                            model_cap_template=""))
     unit = parse_unit("four.lp", FOUR_ASSERTIONS)
     spec = unit.suite.tests[0]
-    result = run_test(spec, resolve_scope(unit.suite, spec), backend)
+    result = run_test(spec, resolve_scope(unit.suite, spec), stub_backend())
     assert len(result.assertions) == 4
     assert "error" not in [a.verdict for a in result.assertions]
     assert calls == []
