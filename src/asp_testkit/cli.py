@@ -150,16 +150,24 @@ def _make_backend(args):
 
 def cmd_check(args) -> int:
     """Parse and merge the files as `test` does, then resolve every test's
-    scope; each failure is reported at its `@test` annotation."""
-    from .engine import resolve_scope
+    scope; each failure is reported at its `@test` annotation, labelled
+    by its cause: a dangling name or a parse error exits 1, a file that
+    cannot be read exits 2."""
+    from .engine import DanglingReference, resolve_scope
     unit = _parse_all(args.files)
     status = EXIT_OK
     for spec in unit.suite.tests:
         try:
             resolve_scope(unit.suite, spec)
-        except Exception as exc:
-            print(f"{spec.origin}: dangling-reference: scope resolution failed: {exc}")
-            status = EXIT_FAILURE
+            continue
+        except DanglingReference as exc:
+            kind, code, message = "dangling-reference", EXIT_FAILURE, exc
+        except ParseFailure as exc:
+            kind, code, message = exc.errors[0].kind, EXIT_FAILURE, exc
+        except (OSError, UnicodeDecodeError) as exc:
+            kind, code, message = "missing-file", EXIT_ERROR, exc
+        print(f"{spec.origin}: {kind}: scope resolution failed: {message}")
+        status = max(status, code)
     if status == EXIT_OK:
         print(f"{len(args.files)} file(s) OK")
     return status

@@ -47,11 +47,13 @@ false when no rule that heads it can still have a true body and no other
 true head atom). A conflict drops the branch. Branching takes the highest
 open atom id first, false before true, so the leaves come in the
 binary-counter order of a scan over all subsets of the unknown atoms.
-Every leaf is checked with the textbook reduct/minimal-model test;
-constraints are enforced directly against the candidate, which is
-equivalent because a violated positive constraint body can only shrink when
-atoms are removed. Propagation only prunes candidates that test rejects, so
-it changes the cost of the search and never its result.
+Every leaf is checked with the textbook test: it satisfies the constraints
+(as good as keeping them in the reduct, since a violated positive body only
+shrinks when atoms are removed) and is a minimal model of its reduct, which
+a second run of the same search decides by finding no model of the reduct
+strictly inside the leaf, as DLV does (Koch, Leone & Pfeifer, AIJ 2003).
+Propagation only prunes candidates that the test rejects, so it changes the
+cost of the search and never its result.
 
 Capacity is deliberately tiny (22 unknown atoms, ~4M leaves at worst): the
 oracle exists to be obviously correct, not fast. Anything larger belongs to
@@ -836,40 +838,17 @@ def _reduct_rules(g: GroundProgram, interp: int) -> Optional[list[tuple[int, int
 
 
 def _is_minimal_model(active: list[tuple[int, int]], interp: int, certain_mask: int) -> bool:
-    # forced lower bound: unit propagation over rules with a single head
-    # atom inside interp
-    lower = certain_mask & interp
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in active:
-            if (pos & ~lower) == 0:
-                hc = head & interp
-                if hc and (hc & (hc - 1)) == 0 and (hc & ~lower):
-                    lower |= hc
-                    changed = True
-    free = interp & ~lower
-    if free == 0:
-        return True
-    free_bits = []
-    b = free
-    while b:
-        low = b & -b
-        free_bits.append(low)
-        b ^= low
-    # scan proper subsets lower | S with S a strict subset of the free atoms
-    for k in range(2 ** len(free_bits) - 1):
-        sub = lower
-        kk = k
-        idx = 0
-        while kk:
-            if kk & 1:
-                sub |= free_bits[idx]
-            kk >>= 1
-            idx += 1
-        if all(not ((pos & ~sub) == 0 and (head & sub) == 0) for head, pos in active):
-            return False
-    return True
+    """Whether no model of the reduct rules `active` lies strictly inside
+    `interp`, by one more `_search`: its variables are the non-certain atoms
+    of `interp`, atoms outside it are false (all of them: `~interp`) and the
+    certain ones true, the rules act as clauses, and one more clause says
+    that some variable is false. A model strictly inside contains a minimal
+    one, and a minimal model is supported by the rules, so propagating them
+    as support rules loses none."""
+    free = interp & ~certain_mask
+    clauses = active + [(0, free)]
+    rules = [(head, pos, 0) for head, pos in active]
+    return next(_search(clauses, rules, free, certain_mask, ~interp), None) is None
 
 
 def _passes(g: GroundProgram, interp: int) -> bool:
@@ -925,8 +904,8 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
 
 def _propagate(clauses, rules, unknown: int, true: int, false: int):
     """Extend the partial assignment (`true`, `false`: disjoint masks) to the
-    fixpoint of two inferences that every answer set extending it obeys;
-    None when one of them finds a conflict.
+    fixpoint of two inferences that every answer set extending it obeys (or,
+    over reduct rules, every minimal model); None on a conflict.
 
     - Clauses: a rule or constraint without #count is the clause "some atom
       of `t` is true or some atom of `f` is false" (head and negative body,
@@ -967,18 +946,37 @@ def _propagate(clauses, rules, unknown: int, true: int, false: int):
             return true, false
 
 
-def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
-    """Collect the answer sets by depth-first search over the unknown atoms
-    (certain atoms fixed true), stopping once `cap` many are found.
+def _search(clauses, rules, unknown: int, true: int, false: int):
+    """Depth-first search for the total assignments of the `unknown` atoms
+    that extend `true` and `false` and survive `_propagate`, yielded as
+    their true masks. Each node propagates to a fixpoint, then branches on
+    the highest open atom id, false before true, so they come in the
+    binary-counter order of a scan over all subsets of the unknown atoms."""
+    stack = [(true, false)]
+    while stack:
+        node = _propagate(clauses, rules, unknown, *stack.pop())
+        if node is None:
+            continue
+        true, false = node
+        open_ = unknown & ~(true | false)
+        if open_:
+            bit = 1 << (open_.bit_length() - 1)
+            stack.append((true | bit, false))
+            stack.append((true, false | bit))
+        else:
+            yield true
 
-    Each node runs `_propagate` to a fixpoint and drops the branch on a
-    conflict, then branches on the highest open atom id, false before true.
-    So the leaves come in binary-counter order over ascending atom ids: the
-    order of a scan of all subsets of the unknown atoms, minus the subsets
-    propagation ruled out. Every leaf, a total assignment, is kept only if
+
+def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
+    """Collect the answer sets by `_search` over the unknown atoms (certain
+    atoms fixed true), stopping once `cap` many are found.
+
+    The search propagates every rule and constraint without #count as a
+    clause, and support. Every leaf, a total assignment, is kept only if
     `_passes` accepts it, so propagation only saves work and never decides.
-    As for that scan, `exhausted` at the cap means the cap-th answer set
-    was the last candidate, the one with every unknown atom true."""
+    The leaves come in the order of a scan of all subsets of the unknown
+    atoms; as for that scan, `exhausted` at the cap means the cap-th answer
+    set was the last candidate, the one with every unknown atom true."""
     if cap is not None and cap <= 0:
         raise ValueError("cap must be positive")
     result = SolveResult()
@@ -996,18 +994,8 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
     rules = [(r.head, r.pos, r.neg) for r in g._rules]
     found: list[int] = []
     exhausted = True
-    stack = [(g.certain_mask, 0)]
-    while stack:
-        node = _propagate(clauses, rules, unknown, *stack.pop())
-        if node is None:
-            continue
-        true, false = node
-        open_ = unknown & ~(true | false)
-        if open_:
-            bit = 1 << (open_.bit_length() - 1)
-            stack.append((true | bit, false))
-            stack.append((true, false | bit))
-        elif _passes(g, true):
+    for true in _search(clauses, rules, unknown, g.certain_mask, 0):
+        if _passes(g, true):
             found.append(true)
             if cap is not None and len(found) >= cap:
                 exhausted = true == g.certain_mask | unknown

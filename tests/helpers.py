@@ -255,11 +255,49 @@ def brute_answer_sets(rules, universe=()) -> list[frozenset[Atom]]:
     return answer_sets
 
 
+def reference_is_minimal_model(active: list[tuple[int, int]], interp: int,
+                               certain_mask: int) -> bool:
+    """Whether no model of the reduct rules `active`, (head, pos) masks, lies
+    strictly inside `interp`, by a scan over subsets. Every model inside
+    `interp` contains `lower`: the certain atoms, closed under the rules
+    with a single head atom inside `interp`. So only the subsets of the
+    other atoms of `interp`, short of all of them, are tried."""
+    lower = certain_mask & interp
+    changed = True
+    while changed:
+        changed = False
+        for head, pos in active:
+            if (pos & ~lower) == 0:
+                hc = head & interp
+                if hc and (hc & (hc - 1)) == 0 and (hc & ~lower):
+                    lower |= hc
+                    changed = True
+    free = interp & ~lower
+    free_bits = [1 << i for i in range(free.bit_length()) if free >> i & 1]
+    for k in range((1 << len(free_bits)) - 1):
+        sub = lower
+        for i, bit in enumerate(free_bits):
+            if k >> i & 1:
+                sub |= bit
+        if all(not ((pos & ~sub) == 0 and (head & sub) == 0) for head, pos in active):
+            return False
+    return True
+
+
+def reference_passes(g: oracle.GroundProgram, interp: int) -> bool:
+    """`oracle._passes` with `reference_is_minimal_model` for its
+    minimality check."""
+    if oracle._violates_constraints(g, interp):
+        return False
+    active = oracle._reduct_rules(g, interp)
+    return active is not None and reference_is_minimal_model(active, interp, g.certain_mask)
+
+
 def scan_answer_sets(g: oracle.GroundProgram, cap=None) -> oracle.SolveResult:
     """The search that `oracle.enumerate_answer_sets` must reproduce, by
     brute force: every interpretation (certain atoms fixed, unknown atoms in
-    binary-counter order over ascending atom ids) goes through the oracle's
-    own `_passes`, until `cap` many answer sets are found. At the cap,
+    binary-counter order over ascending atom ids) goes through
+    `reference_passes`, until `cap` many answer sets are found. At the cap,
     `exhausted` holds only when the last candidate, every unknown atom true,
     was the cap-th answer set."""
     result = oracle.SolveResult()
@@ -275,7 +313,7 @@ def scan_answer_sets(g: oracle.GroundProgram, cap=None) -> oracle.SolveResult:
         for idx in range(n):
             if counter >> idx & 1:
                 interp |= 1 << unknown[idx]
-        if oracle._passes(g, interp):
+        if reference_passes(g, interp):
             found.append(interp)
             if cap is not None and len(found) >= cap:
                 exhausted = counter == (1 << n) - 1
@@ -850,6 +888,28 @@ def random_program(rng: random.Random, max_atoms: int = 6,
             weaks.append(WeakConstraint(body, cost=rng.randint(0, 3),
                                         level=rng.randint(0, 2)))
     return Program(tuple(rules), tuple(weaks))
+
+
+def random_head_cycle_program(rng: random.Random, max_atoms: int = 12) -> Program:
+    """A propositional program over 3 to `max_atoms` atoms with head cycles:
+    one to three disjunctive rules, each with a head of two or more atoms
+    that a cycle of single-head rules makes derive each other positively
+    (the cycle may run through other atoms), and a few random rules with
+    negation, disjunction and constraints."""
+    atoms = [Atom(f"h{i}") for i in range(rng.randint(3, max_atoms))]
+    rules = []
+    for _ in range(rng.randint(1, 3)):
+        cycle = rng.sample(atoms, rng.randint(2, min(4, len(atoms))))
+        head = tuple(cycle[:rng.randint(2, len(cycle))])
+        body = tuple(Literal(a, negated=True) for a in rng.sample(atoms, rng.randint(0, 1)))
+        rules.append(Rule(head, body))
+        rules += [Rule((b,), (Literal(a),)) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    for _ in range(rng.randint(0, 4)):
+        head = tuple(rng.sample(atoms, rng.choice([0, 1, 1, 2])))
+        body = tuple(Literal(a, negated=rng.random() < 0.5)
+                     for a in rng.sample(atoms, rng.randint(1, 2)))
+        rules.append(Rule(head, body))
+    return Program(tuple(rules))
 
 
 def random_nonground_program(rng: random.Random) -> tuple[Program, list]:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -125,6 +126,48 @@ def test_check_missing_file_exits_two():
     assert proc.returncode == 2
 
 
+SCOPE_FAILURES = {
+    "dangling": ('scope = {"nope"}', "dangling-reference", 1,
+                 "test 't': scope references unknown rule or block 'nope'"),
+    "input": ('scope = {"r"}, input = "b :- ."', "syntactic", 1,
+              "<input:t>:1:6: syntactic: expected a body literal, found '.'"),
+    "program file": ('scope = {"r"}, programFiles = {"bad.lp"}', "syntactic", 1,
+                     "{dir}/bad.lp:1:9: syntactic: expected a body literal, found '.'"),
+    "input file": ('scope = {"r"}, inputFiles = {"none.lp"}', "missing-file", 2,
+                   "[Errno 2] No such file or directory: '{dir}/none.lp'"),
+    "undecodable file": ('scope = {"r"}, inputFiles = {"latin.lp"}', "missing-file", 2,
+                         "'utf-8' codec can't decode byte 0xff in position 5: "
+                         "invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("case", SCOPE_FAILURES)
+def test_check_labels_a_scope_failure_by_its_cause(tmp_path, case):
+    attributes, kind, code, message = SCOPE_FAILURES[case]
+    (tmp_path / "bad.lp").write_text("p(X) :- .\n", encoding="utf-8")
+    (tmp_path / "latin.lp").write_bytes(b"p(1).\xff\n")
+    f = tmp_path / "t.lp"
+    f.write_text('%** @rule(name = "r") **%\np(1).\n'
+                 f'%** @test(name = "t", {attributes}, assert = {{}}) **%\n', encoding="utf-8")
+    proc = run_cli("check", str(f))
+    assert proc.returncode == code, proc.stdout
+    assert proc.stdout == (f"{f}:3:5: {kind}: scope resolution failed: "
+                           + message.format(dir=tmp_path) + "\n")
+    # `test` reports the same failure as the test's error
+    assert run_cli("test", str(f)).returncode == 2
+
+
+def test_check_exits_with_the_gravest_scope_failure(tmp_path):
+    f = tmp_path / "t.lp"
+    f.write_text('%** @rule(name = "r") **%\np(1).\n'
+                 '%** @test(name = "t", scope = {"r"}, inputFiles = {"none.lp"}, assert = {}) **%\n'
+                 '%** @test(name = "u", scope = {"nope"}, assert = {}) **%\n', encoding="utf-8")
+    proc = run_cli("check", str(f))
+    assert proc.returncode == 2, proc.stdout
+    assert [line.split(": ")[1] for line in proc.stdout.splitlines()] == \
+        ["missing-file", "dangling-reference"]
+
+
 def test_check_reports_line_and_column(tmp_path):
     bad = tmp_path / "bad.lp"
     bad.write_text("p.\nq(1) :- r(1\n", encoding="utf-8")
@@ -228,6 +271,20 @@ def test_solve_merges_multiple_files(tmp_path):
     proc = run_cli("solve", str(tmp_path / "a.lp"), str(tmp_path / "b.lp"))
     assert proc.returncode == 0
     assert "q(1)." in proc.stdout
+
+
+def test_solve_decides_a_head_cycle_program_at_capacity(tmp_path, capsys):
+    # 22 unknown atoms, all true in the one answer set: a minimality check
+    # that scans the subsets of each candidate takes about 19 s on it
+    f = tmp_path / "cycle.lp"
+    f.write_text(" ".join(f"d({i})." for i in range(1, 12))
+                 + "\np(X) | q(X) :- d(X). p(X) :- q(X). q(X) :- p(X).\n", encoding="utf-8")
+    start = time.monotonic()
+    assert cli.main(["solve", "--backend", "internal", str(f)]) == 0
+    assert time.monotonic() - start < 2
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "ANSWER" and out[2] == "SATISFIABLE" and len(out) == 3
+    assert out[1].count("p(") == out[1].count("q(") == 11
 
 
 def test_solve_into_a_closed_pipe_exits_two_and_says_nothing(tmp_path):

@@ -52,9 +52,11 @@ from helpers import (
     random_join_assertion,
     random_join_program,
     is_tight,
+    random_head_cycle_program,
     random_nonground_program,
     random_program,
     reference_check_aggregate_stratification,
+    reference_is_minimal_model,
     reference_simplify,
     scan_answer_sets,
 )
@@ -668,9 +670,19 @@ def test_search_cliff_odd_cycle_is_incoherent(leaves):
     assert leaves == []
 
 
+def head_cycle_inputs():
+    """300 propositional programs with head cycles, each with its ground
+    program."""
+    rng = random.Random(14)
+    for _ in range(300):
+        p = random_head_cycle_program(rng)
+        yield p, ground(p)
+
+
 def random_search_inputs():
-    """300 random join programs and 300 propositional ones with disjunction
-    and head cycles, each with its ground program."""
+    """300 random join programs, 300 propositional ones with disjunction
+    and head cycles, and 300 made to have head cycles, each with its ground
+    program."""
     rng = random.Random(12)
     for _ in range(300):
         p = random_join_program(rng)
@@ -682,6 +694,7 @@ def random_search_inputs():
     for _ in range(300):
         p = random_program(rng)
         yield p, ground(p)
+    yield from head_cycle_inputs()
 
 
 def search_inputs():
@@ -701,7 +714,7 @@ def test_search_matches_scan_at_every_cap():
                 (want.answer_sets, want.exhausted, want.incoherent), (p, cap)
             capped += cap is not None
         checked += 1
-    assert checked >= 580 and capped >= 1100
+    assert checked >= 880 and capped >= 1400
 
 
 def test_search_matches_brute_force():
@@ -710,6 +723,23 @@ def test_search_matches_brute_force():
     for p, g in random_search_inputs():
         want = brute_answer_sets(naive_ground(p.rules, g.universe), g.universe)
         assert enumerate_answer_sets(g).atom_sets() == set(want), p
+    assert sum(not is_tight(g) for _, g in head_cycle_inputs()) >= 100
+
+
+def test_minimality_check_matches_the_reference_at_every_leaf(leaves):
+    checked = not_minimal = 0
+    for p, g in search_inputs():
+        leaves.clear()
+        enumerate_answer_sets(g)
+        for leaf in leaves:
+            active = oracle._reduct_rules(g, leaf)
+            if active is None:
+                continue
+            want = reference_is_minimal_model(active, leaf, g.certain_mask)
+            assert oracle._is_minimal_model(active, leaf, g.certain_mask) == want, (p, leaf)
+            checked += 1
+            not_minimal += not want
+    assert checked >= 800 and not_minimal >= 90
 
 
 def test_search_reaches_only_answer_sets_on_tight_programs(leaves):
