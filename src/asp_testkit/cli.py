@@ -25,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .oracle import CapacityExceeded, UnsupportedAggregate
 from .parser import ParseFailure, merge_units, parse_unit_diagnostics
-from .serialize import atom_to_text, serialize_program
+from .serialize import atom_to_text
 from .solver import SpawnFailure, default_backend_config, select_backend
 
 # `engine`, `mutate` and `json` are imported by the commands that use them:
@@ -115,6 +115,9 @@ def _read_files(paths: list[str]) -> list[tuple[str, str]]:
             out.append((path, Path(path).read_text(encoding="utf-8")))
         except OSError as exc:
             raise _ToolError(f"cannot read {path}: {exc}")
+        except UnicodeDecodeError as exc:
+            raise _ToolError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
+                             f"at offset {exc.start} is not UTF-8")
     return out
 
 
@@ -179,8 +182,7 @@ def cmd_solve(args) -> int:
     backend = _make_backend(args)
     cap = args.cap if args.cap else None  # -n 0 requests every model
     optimize = bool(program.weak_constraints) and cap is None
-    result, _ = backend.run(program, serialize_program(program), cap,
-                            optimize=optimize)
+    result, _ = backend.run(program, cap, optimize=optimize)
     for i, answer in enumerate(result.answer_sets):
         print("ANSWER")
         print(" ".join(f"{atom_to_text(a)}." for a in answer.sorted_atoms()))

@@ -42,9 +42,8 @@ from .model import (
     TrueInExactly,
     WeakConstraint,
     assertion_predicates,
+    check_statements,
     fresh_predicate,
-    predicate_names,
-    signatures,
 )
 from .oracle import AnswerSet, Scope, SolveResult
 from .parser import SourceUnit, merge_units, parse_program_text, parse_unit
@@ -125,16 +124,23 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
 
 @dataclass
 class AssertionResult:
-    """Verdict of one assertion, with its witness and the tester it ran."""
+    """Verdict of one assertion, with its witness and the tester program it
+    ran. `executed_code` renders that program when it is read, such as by
+    the JSON report, in the bytes an external solver is fed; an assertion
+    that never got a tester has none."""
 
     assertion: Assertion
     kind: str
-    executed_code: str
     verdict: str
     witness: Optional[frozenset[Atom]] = None
     diagnostics: str = ""
     wall_ms: int = 0
     requested_models: Optional[int] = None
+    program: Optional[Program] = field(default=None, repr=False)
+
+    @property
+    def executed_code(self) -> str:
+        return "" if self.program is None else serialize_program(self.program)
 
     def witness_strings(self) -> Optional[list[str]]:
         if self.witness is None:
@@ -145,11 +151,9 @@ class AssertionResult:
 def _project_witness(tp: TesterProgram, answer_set: AnswerSet) -> frozenset[Atom]:
     """Keep only atoms over the scoped program's own predicates; the fresh
     `__tk_` helpers never leak into witnesses."""
-    base_sigs = signatures(tp.base)
-    kept = frozenset(a for a in answer_set.atoms
-                     if a.signature in base_sigs
-                     and not a.predicate.startswith(FRESH_PREFIX))
-    return kept
+    base_sigs = tp.scope.symbols.signatures
+    return frozenset(a for a in answer_set.atoms
+                     if a.signature in base_sigs and not a.predicate.startswith(FRESH_PREFIX))
 
 
 # A verdict function maps the solver outcome on a tester program to
@@ -272,14 +276,21 @@ KINDS = {
 
 @dataclass
 class TesterProgram:
-    """One assertion's solver call: the scoped program plus its added rules."""
+    """One assertion's solver call: the scoped program `base` plus the
+    rules `added` for the assertion, as `program`. `scope` is the
+    `oracle.Scope` of `base`, shared by the testers of one test. `text` is
+    rendered from `program` on each read; no internal call reads it."""
 
-    text: str
     base: Program
     added: tuple[Rule, ...]
     model_cap: Optional[int]
     assertion: Assertion
-    program: Program = field(repr=False, default=None)
+    program: Program = field(repr=False)
+    scope: Scope = field(repr=False)
+
+    @property
+    def text(self) -> str:
+        return serialize_program(self.program)
 
     @property
     def verdict(self) -> Callable[[TesterProgram, SolveResult], tuple]:
@@ -291,20 +302,24 @@ class TesterProgram:
 
 
 def build_tester(program: Program, assertion: Assertion,
-                 taken_names: Optional[set[str]] = None) -> TesterProgram:
-    """Encode one assertion over the scoped program."""
+                 scope: Optional[Scope] = None) -> TesterProgram:
+    """Encode one assertion over the scoped program. `scope` is the
+    `oracle.Scope` of `program` (a new one when not given), which derives
+    the program's predicate names once for all of its testers. Only the
+    added rules are checked for safety, since `program`'s own were checked
+    when it was built, and no text is rendered (see `TesterProgram.text`)."""
     encode, verdict = KINDS[type(assertion)]
     if getattr(assertion, "count", 1) < getattr(assertion, "min_count", 0):
         raise AssertionValidationError(
             f"{assertion.kind} needs a count >= {assertion.min_count}")
-    names = set(taken_names or ())
-    names |= predicate_names(program)
-    names |= assertion_predicates(assertion)
-    added = encode(assertion, names)
-    combined = Program(program.rules + added, program.weak_constraints)
-    return TesterProgram(text=serialize_program(combined), base=program,
-                         added=added, model_cap=MODEL_CAP[verdict](assertion),
-                         assertion=assertion, program=combined)
+    if scope is None:
+        scope = Scope(program)
+    added = encode(assertion, scope.symbols.names | assertion_predicates(assertion))
+    check_statements(added)
+    return TesterProgram(base=program, added=added, model_cap=MODEL_CAP[verdict](assertion),
+                         assertion=assertion, scope=scope,
+                         program=Program.of_checked(program.rules + added,
+                                                    program.weak_constraints))
 
 
 def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
@@ -312,8 +327,8 @@ def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
     verdict, shown, diagnostics = tp.verdict(tp, result)
     witness = None if shown is None else _project_witness(tp, result.answer_sets[shown])
     return AssertionResult(assertion=tp.assertion, kind=tp.assertion.kind,
-                           executed_code=tp.text, verdict=verdict, witness=witness,
-                           diagnostics=diagnostics, requested_models=tp.model_cap)
+                           verdict=verdict, witness=witness, diagnostics=diagnostics,
+                           requested_models=tp.model_cap, program=tp.program)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +438,7 @@ class SuiteReport:
 
 def _error_result(assertion: Assertion, message: str) -> AssertionResult:
     return AssertionResult(assertion=assertion, kind=assertion.kind,
-                           executed_code="", verdict=ERROR, diagnostics=message)
+                           verdict=ERROR, diagnostics=message)
 
 
 def run_test(spec: TestSpec, program: Program, backend,
@@ -432,8 +447,9 @@ def run_test(spec: TestSpec, program: Program, backend,
     (see `resolve_scope`), each with its own backend call; one assertion
     failing or erroring never stops its siblings. Every call is handed
     `scope`, the `oracle.Scope` of `program` (a new one when not given), so
-    the internal backend instantiates and simplifies the scope once, for
-    the first tester, and grounds each tester as an extension of it.
+    the scope's symbols are derived once, and the internal backend
+    instantiates and simplifies the scope once, for the first tester, and
+    grounds each tester as an extension of it.
     `run_suite` passes one scope to each of a test's assertions, which it
     decides as separate calls of this function."""
     start = time.monotonic()
@@ -443,8 +459,8 @@ def run_test(spec: TestSpec, program: Program, backend,
     for assertion in spec.asserts:
         t0 = time.monotonic()
         try:
-            tp = build_tester(program, assertion)
-            solve_result, _ = backend.run(tp.program, tp.text, tp.model_cap,
+            tp = build_tester(program, assertion, scope=scope)
+            solve_result, _ = backend.run(tp.program, tp.model_cap,
                                           optimize=tp.optimize, scope=scope)
             res = evaluate(tp, solve_result)
         except Exception as exc:

@@ -13,7 +13,7 @@ That total order is what the comparison builtins (`<`, `<=`, ...) use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union, get_args
+from typing import Iterable, Iterator, Optional, Union, get_args
 
 FRESH_PREFIX = "__tk_"
 
@@ -294,6 +294,32 @@ def is_safe(rule: Rule) -> bool:
     return not unbound_variables(rule.head, rule.body)
 
 
+def check_statements(rules: tuple[Rule, ...] = (),
+                     weak_constraints: tuple[WeakConstraint, ...] = ()) -> None:
+    """Raise on the first malformed or unsafe statement: the rules, then
+    the weak constraints, then any `not` on a comparison or #count. Each
+    statement is checked on its own, so statements that passed as parts of
+    one program pass as parts of any other."""
+    for r in rules:
+        if not r.head and not r.body:
+            raise ValueError("rule with empty head and empty body")
+        unbound = unbound_variables(r.head, r.body)
+        if unbound:
+            raise UnsafeRuleError(r, unbound)
+    for w in weak_constraints:
+        if not w.body:
+            raise ValueError("weak constraint with empty body")
+        if w.cost < 0 or w.level < 0:
+            raise ValueError("weak constraint cost/level must be nonnegative")
+        unbound = unbound_variables((), w.body)
+        if unbound:
+            raise UnsafeRuleError(w, unbound)
+    for s in (*rules, *weak_constraints):
+        if any(lit.negated and not lit.is_atom() for lit in s.body):
+            # the grammar has `not` on atoms only
+            raise ValueError("only atoms can be negated, not comparisons or #count")
+
+
 @dataclass(frozen=True)
 class Program:
     """Rules and weak constraints, each checked for safety on construction."""
@@ -302,24 +328,17 @@ class Program:
     weak_constraints: tuple[WeakConstraint, ...] = ()
 
     def __post_init__(self):
-        for r in self.rules:
-            if not r.head and not r.body:
-                raise ValueError("rule with empty head and empty body")
-            unbound = unbound_variables(r.head, r.body)
-            if unbound:
-                raise UnsafeRuleError(r, unbound)
-        for w in self.weak_constraints:
-            if not w.body:
-                raise ValueError("weak constraint with empty body")
-            if w.cost < 0 or w.level < 0:
-                raise ValueError("weak constraint cost/level must be nonnegative")
-            unbound = unbound_variables((), w.body)
-            if unbound:
-                raise UnsafeRuleError(w, unbound)
-        for body in self.all_bodies():
-            if any(lit.negated and not lit.is_atom() for lit in body):
-                # the grammar has `not` on atoms only
-                raise ValueError("only atoms can be negated, not comparisons or #count")
+        check_statements(self.rules, self.weak_constraints)
+
+    @classmethod
+    def of_checked(cls, rules: tuple[Rule, ...],
+                   weak_constraints: tuple[WeakConstraint, ...] = ()) -> Program:
+        """The program of statements that each passed `check_statements`
+        already, as parts of other programs; they are not checked again."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "rules", rules)
+        object.__setattr__(program, "weak_constraints", weak_constraints)
+        return program
 
     def all_bodies(self) -> Iterator[tuple[Literal, ...]]:
         for r in self.rules:
@@ -341,38 +360,34 @@ def program_atoms(program: Program) -> Iterator[Atom]:
                 yield p.condition
 
 
-def predicate_names(program: Program) -> set[str]:
-    return {a.predicate for a in program_atoms(program)}
-
-
 def signatures(program: Program) -> set[tuple[str, int]]:
     return {a.signature for a in program_atoms(program)}
 
 
+def constants(statements: Iterable[Rule | WeakConstraint]) -> set[Term]:
+    """All constants of the statements: atom arguments, #count conditions,
+    terms and guards, and both sides of comparisons."""
+    found: set[Term] = set()
+    for s in statements:
+        atoms = list(getattr(s, "head", ()))
+        for lit in s.body:
+            p = lit.payload
+            if isinstance(p, Atom):
+                atoms.append(p)
+            elif isinstance(p, Comparison):
+                found.update((p.left, p.right))
+            else:
+                atoms.append(p.condition)
+                found.update(p.terms)
+                found.add(p.guard)
+        for a in atoms:
+            found.update(a.args)
+    return {t for t in found if not isinstance(t, Variable)}
+
+
 def herbrand_universe(program: Program) -> set[Term]:
     """All constants of the program; `{a}` when there are none."""
-    constants: set[Term] = set()
-
-    def collect(term: Term):
-        if not isinstance(term, Variable):
-            constants.add(term)
-
-    for atom in program_atoms(program):
-        for t in atom.args:
-            collect(t)
-    for body in program.all_bodies():
-        for lit in body:
-            p = lit.payload
-            if isinstance(p, Comparison):
-                collect(p.left)
-                collect(p.right)
-            elif isinstance(p, CountAggregate):
-                for t in p.terms:
-                    collect(t)
-                collect(p.guard)
-    if not constants:
-        constants.add(Constant("a"))
-    return constants
+    return constants(program.rules + program.weak_constraints) or {Constant("a")}
 
 
 def fresh_predicate(taken: set[str], stem: str) -> str:

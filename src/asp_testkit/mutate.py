@@ -402,13 +402,16 @@ def _origin_key(rule: Rule):
 def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], Program]:
     """Map resolved scope programs onto the mutant. Rules are matched by
     source origin, which every edit keeps: a named rule maps to its edited
-    form, or to None when the mutant deleted it."""
+    form, or to None when the mutant deleted it. Each rule of the result
+    was checked as part of the scope or of the mutant, so none is checked
+    again."""
     mapping: dict = {_origin_key(rule): None for rule in unit.suite.named_rules.values()}
     mapping.update((_origin_key(rule), rule) for rule in mutant.program.rules)
 
     def transform(program: Program) -> Program:
         rules = (mapping.get(_origin_key(rule), rule) for rule in program.rules)
-        return Program(tuple(r for r in rules if r is not None), program.weak_constraints)
+        return Program.of_checked(tuple(r for r in rules if r is not None),
+                                  program.weak_constraints)
 
     return transform
 

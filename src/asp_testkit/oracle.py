@@ -11,10 +11,12 @@ negation and aggregates ignored: a round matches each statement only in the
 ways that use at least one atom derived in the round before. Safety puts
 every global variable in a positive body atom, so no variable ranges over
 the whole Herbrand universe, and every instance whose positive body can hold
-is found exactly once. The instances are emitted statement by statement in
-program order (rules, then weak constraints), each statement's sorted by the
-ground terms of its variables, which is the order of the product over the
-sorted universe. MAX_INSTANTIATIONS bounds the instances emitted.
+is found exactly once. A statement without positive body atoms therefore
+has no variable: it is its own one instance, taken in the first round with
+no join. The instances are emitted statement by statement in program order
+(rules, then weak constraints), each statement's sorted by the ground terms
+of its variables, which is the order of the product over the sorted
+universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
 test's scope program P by a few rules. The test hands P to `ground` with
@@ -29,9 +31,11 @@ same in the tester, the added rules are joined once against P's fixpoint,
 and only the added instances are simplified, seeded with P's sets. The new
 atoms must also sort before all of P's, as the fresh `__tk_` atoms do unless
 P's own possible atoms have a name such as `__a`: every id of P then moves up
-by their number and P's masks are shifted rather than rebuilt. Any other
-tester, or any error, is grounded in full, so both ways give the same ground
-program or the same error.
+by their number m, and P's masks are shifted rather than rebuilt, once per
+scope and m, and shared by the testers that add m atoms. A tester's universe
+is P's constants, collected once per scope, plus those of the added rules.
+Any other tester, or any error, is grounded in full, so both ways give the
+same ground program or the same error.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
@@ -71,12 +75,13 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Iterable, Optional
 
 from .model import (
     Atom,
     Comparison,
+    Constant,
     CountAggregate,
     Integer,
     Literal,
@@ -86,8 +91,9 @@ from .model import (
     Variable,
     WeakConstraint,
     compare_terms,
+    constants,
     herbrand_universe,
-    predicate_names,
+    signatures,
     term_key,
 )
 from .serialize import rule_to_text, weak_constraint_to_text
@@ -255,20 +261,36 @@ class _Join:
     Safety puts every global variable in a positive body atom, so the ground
     instances whose positive body consists of derived atoms are exactly the
     ways of matching those atoms, in turn, against the index. A comparison is
-    tested as soon as the atoms matched so far bind its variables."""
+    tested as soon as the atoms matched so far bind its variables.
+
+    A statement without positive body atoms therefore has no global variable
+    either, such as a fact, `__tk_miss_0 :- not a.` or `:- not a.`: it is
+    its own one instance. `own` holds that instance with its sort key, (),
+    built once from the statement's atoms, with no plan and no
+    substitution; it is None for every other statement."""
 
     def __init__(self, statement: Rule | WeakConstraint):
         weak = isinstance(statement, WeakConstraint)
         self.statement = statement
         self.head = () if weak else statement.head
         self.weight = (statement.cost, statement.level) if weak else None
-        self.variables = _global_variables(self.head, statement.body)
-        self.positive = [l.payload for l in statement.body
-                         if isinstance(l.payload, Atom) and not l.negated]
-        comparisons = [l.payload for l in statement.body
-                       if isinstance(l.payload, Comparison)]
+        self.positive, negative, comparisons, aggregates = [], [], [], []
+        for lit in statement.body:
+            p = lit.payload
+            if isinstance(p, Atom):
+                (negative if lit.negated else self.positive).append(p)
+            elif isinstance(p, Comparison):
+                comparisons.append(p)
+            else:
+                aggregates.append(p)
         # ground comparisons decide the statement before any matching
         self.ground_checks = [c for c in comparisons if not any(c.variables())]
+        self.own = None
+        if not self.positive:
+            self.own = ((), (frozenset(self.head), frozenset(), frozenset(negative),
+                             tuple(aggregates), self.weight))
+            return
+        self.variables = _global_variables(self.head, statement.body)
         # plans[i]: the positive atoms with atom i first, each paired with the
         # comparisons whose last unbound variable it binds
         self.plans = []
@@ -358,13 +380,15 @@ class _Instantiation:
 
 def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
     """`join`'s (key, instance) for each binding, and `emitted` plus their
-    number, which MAX_INSTANTIATIONS bounds."""
+    number, which MAX_INSTANTIATIONS bounds; a statement that is its own
+    instance counts once."""
     out = []
     for subst in bindings:
         emitted += 1
         if emitted > MAX_INSTANTIATIONS:
             raise join.budget_exceeded(universe_size)
-        out.append((tuple(term_key(subst[v]) for v in join.variables), join.instance(subst)))
+        out.append(join.own or (tuple(term_key(subst[v]) for v in join.variables),
+                                join.instance(subst)))
     return out, emitted
 
 
@@ -390,8 +414,9 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
     index = _AtomIndex()
     emitted = 0
     lo = hi = 0
+    rounds = list(zip(joins, found))
     while True:
-        for join, out in zip(joins, found):
+        for join, out in rounds:
             new, emitted = _emit(join, join.bindings(index, lo, hi), emitted, universe_size)
             out += new
             for _, inst in new:
@@ -400,6 +425,8 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
         if len(index) == hi:
             break
         lo, hi = hi, len(index)
+        # a statement that is its own instance had it in the first round
+        rounds = [(join, out) for join, out in rounds if join.own is None]
     return _Instantiation([inst for out in found for inst in _sorted_instances(out)],
                           index, emitted)
 
@@ -461,25 +488,48 @@ class GroundProgram:
     """Variable-free program plus the dense atom index used for enumeration.
 
     `atoms` lists every ground atom of the simplified program in canonical
-    order; `certain` are the ids true in every answer set, everything else is
-    decided by the search. `rules` and `weak_constraints` are AST views built
-    on demand from the masks (certain facts first, then the simplified rules).
+    order; `certain_ids` are the ids true in every answer set, as a set and
+    as `certain_mask`, and everything else is decided by the search. The
+    simplified statements are kept as masks, split into rules, constraints
+    and weak constraints. `atom_ids` (atom to id) and `unknown_ids` are
+    built on first read: the search reads masks only, so a tester grounded
+    as an extension of its scope builds neither. `rules` and
+    `weak_constraints` are AST views built on demand from the masks (certain
+    facts first, then the simplified rules).
     """
 
-    def __init__(self, universe: list[Term], atoms: list[Atom],
-                 certain_ids: set[int], statements: list[_GroundStatement],
+    def __init__(self, universe: list[Term], atoms: list[Atom], certain_ids: set[int],
+                 certain_mask: int, rules: list[_GroundStatement],
+                 constraints: list[_GroundStatement], weaks: list[_GroundStatement],
                  trivially_incoherent: bool, has_weak_constraints: bool):
         self.universe = universe
         self.atoms = atoms
-        self.atom_ids = {a: i for i, a in enumerate(atoms)}
         self.certain_ids = certain_ids
-        self.unknown_ids = [i for i in range(len(atoms)) if i not in certain_ids]
-        self.certain_mask = _mask(certain_ids)
-        self._rules = [s for s in statements if s.head]
-        self._constraints = [s for s in statements if not s.head and s.weight is None]
-        self._weaks = [s for s in statements if s.weight is not None]
+        self.certain_mask = certain_mask
+        self._rules = rules
+        self._constraints = constraints
+        self._weaks = weaks
         self.trivially_incoherent = trivially_incoherent
         self.has_weak_constraints = has_weak_constraints
+        # built on first read; threads that build one at once build equal ones
+        self._atom_ids: Optional[dict[Atom, int]] = None
+        self._unknown_ids: Optional[list[int]] = None
+
+    @property
+    def atom_ids(self) -> dict[Atom, int]:
+        if self._atom_ids is None:
+            self._atom_ids = {a: i for i, a in enumerate(self.atoms)}
+        return self._atom_ids
+
+    @property
+    def unknown_ids(self) -> list[int]:
+        if self._unknown_ids is None:
+            self._unknown_ids = [i for i in range(len(self.atoms)) if i not in self.certain_ids]
+        return self._unknown_ids
+
+    @property
+    def unknown_mask(self) -> int:
+        return ((1 << len(self.atoms)) - 1) & ~self.certain_mask
 
     def _sorted_atoms(self, mask: int) -> tuple[Atom, ...]:
         """The atoms of `mask` in id order, which is the canonical order."""
@@ -529,12 +579,20 @@ def _mask(ids: Iterable[int]) -> int:
 
 def ground(program: Program, scope: Optional[Scope] = None) -> GroundProgram:
     """The ground program of `program`. With `scope`, the scope of the test
-    whose tester `program` is, the tester is grounded as an extension of the
-    scope's saved form where it can be (`_ground_extension`), else in full;
-    the result is the same either way."""
-    universe = sorted(herbrand_universe(program), key=term_key)
-    if scope is not None:
-        g = _ground_extension(scope, program, universe)
+    whose tester `program` is, a tester that extends the scope (see
+    `Scope.added`) is grounded as an extension of the scope's saved form
+    where it can be (`_ground_extension`), else in full; the result is the
+    same either way. Its universe is then the scope's constants plus those
+    of the added rules, so only the added rules are walked."""
+    added = None if scope is None else scope.added(program)
+    if added is None:
+        universe = sorted(herbrand_universe(program), key=term_key)
+    else:
+        symbols = scope.symbols
+        extra = constants(added)
+        universe = (symbols.universe if extra <= symbols.constants
+                    else _universe(symbols.constants | extra))
+        g = _ground_extension(scope, added, universe)
         if g is not None:
             return g
     instances = _instantiate(program.rules + program.weak_constraints,
@@ -622,11 +680,11 @@ def _by_signature(atoms) -> dict[tuple[str, int], list[Atom]]:
     return by_signature
 
 
-def _ground_statements(stmts, ids, certain, by_signature) -> list[_GroundStatement]:
-    """The reduced instances `stmts` as masks over the atom ids `ids`. Each
-    #count counts the tuples of the possible atoms that its condition
-    matches, `by_signature`: always for those in `certain`, else under
-    their ids."""
+def _ground_statements(stmts, id_of, certain, by_signature) -> list[_GroundStatement]:
+    """The reduced instances `stmts` as masks over the atom ids that
+    `id_of(atom)` gives. Each #count counts the tuples of the possible
+    atoms that its condition matches, `by_signature`: always for those in
+    `certain`, else under their ids."""
     def build_aggregate(agg: CountAggregate) -> _GroundAggregate:
         # aggregate safety puts every term variable in the condition, so the
         # possible atoms the condition matches give every countable tuple
@@ -640,14 +698,14 @@ def _ground_statements(stmts, ids, certain, by_signature) -> list[_GroundStateme
             if cond in certain:
                 always.add(value)
             else:
-                conditional[value] = conditional.get(value, 0) | (1 << ids[cond])
+                conditional[value] = conditional.get(value, 0) | (1 << id_of(cond))
         return _GroundAggregate(agg, frozenset(always), conditional)
 
     return [
         _GroundStatement(
-            head=_mask(ids[a] for a in head),
-            pos=_mask(ids[a] for a in pos),
-            neg=_mask(ids[a] for a in neg),
+            head=_mask(map(id_of, head)),
+            pos=_mask(map(id_of, pos)),
+            neg=_mask(map(id_of, neg)),
             aggregates=tuple(build_aggregate(a) for a in aggs),
             weight=weight,
         )
@@ -676,9 +734,24 @@ def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
             f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
             f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
             f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
-    statements = _ground_statements(stmts, ids, certain, _by_signature(possible))
-    return GroundProgram(universe, atoms, certain_ids, statements,
-                         trivially_incoherent, has_weaks)
+    statements = _ground_statements(stmts, ids.__getitem__, certain, _by_signature(possible))
+    g = GroundProgram(universe, atoms, certain_ids, _mask(certain_ids), *_split(statements),
+                      trivially_incoherent, has_weaks)
+    g._atom_ids = ids
+    return g
+
+
+def _split(statements: list[_GroundStatement]) -> tuple[list[_GroundStatement], ...]:
+    """The rules, the constraints and the weak constraints of `statements`."""
+    return ([s for s in statements if s.head],
+            [s for s in statements if not s.head and s.weight is None],
+            [s for s in statements if s.weight is not None])
+
+
+def _universe(found: set[Term]) -> list[Term]:
+    """The sorted universe of a program whose constants are `found`: as in
+    `herbrand_universe`, `{a}` when there are none."""
+    return sorted(found or {Constant("a")}, key=term_key)
 
 
 # ---------------------------------------------------------------------------
@@ -687,37 +760,77 @@ def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
 
 class Scope:
     """A test's scope program P, handed to `ground` with each of its
-    testers. P is instantiated and simplified the first time `ground` needs
-    it, and that saved form is kept for the later testers. `saved()` is None
-    when instantiating or simplifying P raises: each tester is then grounded
+    testers. What the testers need of P is derived once and kept:
+    `symbols` on first read, and the saved form, P instantiated and
+    simplified, the first time `ground` needs it. `saved()` is None when
+    instantiating or simplifying P raises: each tester is then grounded
     in full, which raises its own error. The testers of one test may run in
-    several threads at once, so filling takes the scope's lock: the first
-    tester fills it, and any tester that arrives meanwhile waits for that
-    form instead of building its own."""
+    several threads at once, so filling the saved form takes the scope's
+    lock: the first tester fills it, and any tester that arrives meanwhile
+    waits for that form instead of building its own."""
 
     def __init__(self, program: Program):
         self.program = program
+        self._symbols: Optional[_Symbols] = None
         self._saved: Optional[_SavedScope] = None
         self._filled = False
         self._lock = threading.Lock()
 
+    @property
+    def symbols(self) -> _Symbols:
+        # without the lock: a thread that derives them at the same time
+        # derives equal ones
+        if self._symbols is None:
+            self._symbols = _Symbols.of(self.program)
+        return self._symbols
+
     def saved(self) -> Optional[_SavedScope]:
         with self._lock:
             if not self._filled:
-                self._saved = _save_scope(self.program)
+                self._saved = _save_scope(self.program, self.symbols.universe)
                 self._filled = True
         return self._saved
+
+    def added(self, program: Program) -> Optional[tuple[Rule, ...]]:
+        """The rules that `program` adds to P when it extends P: its rules
+        are P's rules (the same objects) and then the added ones, and its
+        weak constraints are P's. None when it does not extend P."""
+        base = self.program
+        k = len(base.rules)
+        if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
+                or not all(map(is_, program.rules, base.rules)):
+            return None
+        return program.rules[k:]
+
+
+@dataclass(frozen=True)
+class _Symbols:
+    """A scope program's signatures (which a witness keeps), its predicate
+    names (which fresh helpers avoid), its constants, and its sorted
+    universe."""
+
+    signatures: frozenset[tuple[str, int]]
+    names: frozenset[str]
+    constants: frozenset[Term]
+    universe: list[Term]
+
+    @staticmethod
+    def of(program: Program) -> _Symbols:
+        found = constants(program.rules + program.weak_constraints)
+        sigs = signatures(program)
+        return _Symbols(frozenset(sigs), frozenset(name for name, _ in sigs),
+                        frozenset(found), _universe(found))
 
 
 @dataclass
 class _SavedScope:
     """A scope P as instantiated and simplified, with what the testers that
-    extend it reuse: P's predicate names, the atom index of its
-    instantiation's fixpoint and the instances it emitted, its ground
-    program, its reduced instances, its certain and possible atoms, and
-    those by signature."""
+    extend it reuse: the atom index of its instantiation's fixpoint and the
+    instances it emitted, its ground program, its reduced instances, its
+    certain and possible atoms, and those by signature. `shifted` keeps,
+    per number m of atoms that testers add, P's certain ids and mask and
+    its statements with every atom id moved up by m (see `shifted_by`)."""
 
-    names: set[str]
     index: _AtomIndex
     emitted: int
     ground: GroundProgram
@@ -725,10 +838,25 @@ class _SavedScope:
     certain: set[Atom]
     possible: set[Atom]
     by_signature: dict[tuple[str, int], list[Atom]]
+    shifted: dict[int, tuple] = field(default_factory=dict)
+
+    def shifted_by(self, m: int) -> tuple:
+        """(certain ids, certain mask, rules, constraints, weak constraints)
+        of P with every atom id moved up by `m`, shifted once per m. Testers
+        of one scope in several threads may each shift for a new m at once;
+        they build equal values, and either may be kept."""
+        g = self.ground
+        if not m:
+            return g.certain_ids, g.certain_mask, g._rules, g._constraints, g._weaks
+        found = self.shifted.get(m)
+        if found is None:
+            found = self.shifted[m] = (
+                {i + m for i in g.certain_ids}, g.certain_mask << m,
+                *([s.shifted(m) for s in part] for part in (g._rules, g._constraints, g._weaks)))
+        return found
 
 
-def _save_scope(program: Program) -> Optional[_SavedScope]:
-    universe = sorted(herbrand_universe(program), key=term_key)
+def _save_scope(program: Program, universe: list[Term]) -> Optional[_SavedScope]:
     try:
         done = _instantiate(program.rules + program.weak_constraints, len(universe))
         stmts, possible, certain, incoherent = _simplify(done.instances)
@@ -736,47 +864,41 @@ def _save_scope(program: Program) -> Optional[_SavedScope]:
                             bool(program.weak_constraints))
     except Exception:
         return None
-    return _SavedScope(predicate_names(program), done.index, done.emitted, g,
-                       set(stmts), certain, possible, _by_signature(possible))
+    return _SavedScope(done.index, done.emitted, g, set(stmts), certain, possible,
+                       _by_signature(possible))
 
 
-def _ground_extension(scope: Scope, program: Program,
+def _ground_extension(scope: Scope, added: tuple[Rule, ...],
                       universe: list[Term]) -> Optional[GroundProgram]:
-    """The ground program of the tester `program`, built from the saved form
-    of the scope P that it extends, or None when it does not extend P as
-    follows (the caller then grounds it in full, which raises any error
+    """The ground program of the tester that adds the rules `added` to the
+    scope P, built from P's saved form, or None when it cannot be built so
+    (the caller then grounds the tester in full, which raises any error
     with its own message).
 
-    The tester's rules are P's rules (the same objects) and then the added
-    ones, and its weak constraints are P's. No added head occurs in an
-    added positive body, and no added head's predicate name occurs in P, so
-    the added heads join with nothing and P's atoms split the tester: P's
-    instances, sets, reduced statements and ground aggregates hold in it as
-    they are, and one round with every atom of P's index new finds each
-    added rule's instances exactly once. Only those are simplified, seeded with P's
-    sets, and their reduced statements equal to one of P's are dropped. The
-    atoms the tester adds must sort before all of P's; each id of P then
-    moves up by their number m, and P's masks are shifted by m, once. The
-    tester must also fit the capacity as a whole."""
-    base = scope.program
-    k = len(base.rules)
-    if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
-            or any(r is not b for r, b in zip(program.rules, base.rules)):
-        return None
-    added = program.rules[k:]
+    No added head occurs in an added positive body, and no added head's
+    predicate name occurs in P, so the added heads join with nothing and
+    P's atoms split the tester: P's instances, sets, reduced statements and
+    ground aggregates hold in it as they are, and one round with every atom
+    of P's index new finds each added rule's instances exactly once. Only
+    those are simplified, seeded with P's sets, and their reduced
+    statements equal to one of P's are dropped. The atoms the tester adds
+    must sort before all of P's; each id of P then moves up by their number
+    m, so a P atom's id is its id in P plus m, and P's statements, shifted
+    once per m, are shared by every tester that adds m atoms. The tester
+    must also fit the capacity as a whole."""
     heads = {a.signature for r in added for a in r.head}
     if heads & _positive_signatures(added):
         return None
     saved = scope.saved()
-    if saved is None or any(name in saved.names for name, _ in heads):
+    if saved is None or any(name in scope.symbols.names for name, _ in heads):
         return None
     emitted = saved.emitted
     instances = []
     try:
         for join in map(_Join, added):
-            # a statement with no positive atom has its one binding in the
-            # round where the index is empty
-            hi = len(saved.index) if join.positive else 0
+            # a statement that is its own instance has its one binding in
+            # the round where the index is empty
+            hi = len(saved.index) if join.own is None else 0
             new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
             instances += _sorted_instances(new)
     except Exception:
@@ -791,22 +913,27 @@ def _ground_extension(scope: Scope, program: Program,
     new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=Atom.sort_key)
     if new and g.atoms and new[-1].sort_key() >= g.atoms[0].sort_key():
         return None
-    statements = g._rules + g._constraints + g._weaks
     if not _fits(len(g.unknown_ids) + sum(a not in certain for a in new),
-                 len(statements) + len(stmts)):
+                 len(g._rules) + len(g._constraints) + len(g._weaks) + len(stmts)):
         return None
     if not new and not stmts and universe == g.universe:
         return g
     m = len(new)
-    atoms, ids, certain_ids = g.atoms, g.atom_ids, g.certain_ids
-    if m:
-        atoms = new + atoms
-        ids = {a: i for i, a in enumerate(atoms)}
-        certain_ids = {i + m for i in certain_ids} | {i for i, a in enumerate(new) if a in certain}
-        statements = [s.shifted(m) for s in statements]
+    certain_ids, certain_mask, rules, constraints, weaks = saved.shifted_by(m)
+    new_ids = {a: i for i, a in enumerate(new)}
+    base_ids = g.atom_ids
+
+    def id_of(a: Atom) -> int:
+        i = new_ids.get(a)
+        return base_ids[a] + m if i is None else i
+
     by_signature = {**saved.by_signature, **_by_signature(new)}
-    statements += _ground_statements(stmts, ids, certain, by_signature)
-    return GroundProgram(universe, atoms, certain_ids, statements,
+    added_rules, added_constraints, added_weaks = _split(
+        _ground_statements(stmts, id_of, certain, by_signature))
+    new_certain = [i for i, a in enumerate(new) if a in certain]
+    return GroundProgram(universe, new + g.atoms, certain_ids | set(new_certain),
+                         certain_mask | _mask(new_certain), rules + added_rules,
+                         constraints + added_constraints, weaks + added_weaks,
                          g.trivially_incoherent or incoherent, g.has_weak_constraints)
 
 
@@ -984,11 +1111,11 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
         result.incoherent = True
         result.exhausted = True
         return result
-    n = len(g.unknown_ids)
+    unknown = g.unknown_mask
+    n = unknown.bit_count()
     if n > MAX_ENUM_ATOMS:
         raise CapacityExceeded(
             f"{n} undetermined atoms exceed the scan capacity", atoms=n)
-    unknown = _mask(g.unknown_ids)
     clauses = [(s.head | s.neg, s.pos) for s in g._rules + g._constraints
                if not s.aggregates]
     rules = [(r.head, r.pos, r.neg) for r in g._rules]

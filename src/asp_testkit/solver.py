@@ -281,11 +281,12 @@ class InternalBackend:
     once, for its first tester, and `ground` builds each tester on that.
     The backend itself keeps no state, so calls from several threads may
     share it, and testers of one scope that run at once wait for one fill
-    of the scope under its lock."""
+    of the scope under its lock. It renders no program text: its `RawRun`
+    has no standard input."""
 
     name = INTERNAL_BACKEND
 
-    def run(self, program: Program, text: str, max_models: Optional[int],
+    def run(self, program: Program, max_models: Optional[int],
             optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         start = time.monotonic()
         g = ground(program, scope=scope)
@@ -294,23 +295,25 @@ class InternalBackend:
         else:
             result = enumerate_answer_sets(g, cap=max_models)
         wall_ms = int((time.monotonic() - start) * 1000)
-        run = RawRun(argv=["<internal-oracle>"], stdin_text=text, stdout="",
+        run = RawRun(argv=["<internal-oracle>"], stdin_text="", stdout="",
                      stderr="", exit_status=0, wall_ms=wall_ms,
                      requested_models=max_models)
         return result, run
 
 
 class ExternalBackend:
-    """Child-process solver behind the common backend interface."""
+    """Child-process solver behind the common backend interface, fed the
+    text of `program` as `serialize_program` renders it."""
 
     name = EXTERNAL_BACKEND
 
     def __init__(self, cfg: BackendConfig):
         self.cfg = cfg
 
-    def run(self, program: Program, text: str, max_models: Optional[int],
+    def run(self, program: Program, max_models: Optional[int],
             optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
-        return solve(self.cfg, text, max_models)
+        from .serialize import serialize_program  # only this backend renders text
+        return solve(self.cfg, serialize_program(program), max_models)
 
 
 class AutoBackend:
@@ -323,14 +326,14 @@ class AutoBackend:
         self.internal = InternalBackend()
         self.external = ExternalBackend(cfg) if cfg is not None else None
 
-    def run(self, program: Program, text: str, max_models: Optional[int],
+    def run(self, program: Program, max_models: Optional[int],
             optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         try:
-            return self.internal.run(program, text, max_models, optimize, scope)
+            return self.internal.run(program, max_models, optimize, scope)
         except (CapacityExceeded, UnsupportedAggregate):
             if self.external is None:
                 raise
-            return self.external.run(program, text, max_models, optimize)
+            return self.external.run(program, max_models, optimize)
 
 
 def default_backend_config(executable: Optional[str] = None,

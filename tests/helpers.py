@@ -989,8 +989,11 @@ def random_join_program(rng: random.Random) -> Program:
     holds every constant, `e/2` a few random edges and `reach/2` their
     transitive closure by a recursive rule. Random rules (`join_body`) join
     1-3 atoms on shared variables and add comparisons, negation, #count,
-    disjunctive heads over `p/1` and `q/1`, and weak constraints. A #count
-    in a rule head may be recursive; the oracle then raises
+    disjunctive heads over `p/1` and `q/1`, and weak constraints. Up to
+    two statements have no positive body atom, so that each is its own one
+    instance: a fact, `h :- not a.`, a constraint `:- not a.` or a weak
+    constraint `:~ not a.`, some with a ground comparison. A #count in a
+    rule head may be recursive; the oracle then raises
     UnsupportedAggregate."""
     constants = [Integer(i) for i in range(1, rng.randint(2, 3) + 1)]
     if rng.random() < 0.3:
@@ -1016,6 +1019,21 @@ def random_join_program(rng: random.Random) -> Program:
     weaks = [WeakConstraint(join_body(rng, constants), cost=rng.randint(0, 3),
                             level=rng.randint(0, 2))
              for _ in range(rng.choice([0, 0, 1, 2]))]
+    for _ in range(rng.randint(0, 2)):
+        shape = rng.random()
+        body = tuple(Literal(Atom(pred, (rng.choice(constants),)), negated=True)
+                     for pred in rng.sample("dpq", 0 if shape < 0.2 else rng.randint(1, 2)))
+        if rng.random() < 0.4:
+            body += (Literal(Comparison(rng.choice(["=", "!=", "<", ">="]),
+                                        rng.choice(constants), rng.choice(constants))),)
+        if shape < 0.8:
+            c = rng.choice(constants)
+            rules.append(Rule((rng.choice([Atom("p", (c,)), Atom("q", (c,)), Atom("r")]),), body))
+        elif shape < 0.9:
+            rules.append(Rule((), body or (Literal(Atom("r"), negated=True),)))
+        else:
+            weaks.append(WeakConstraint(body or (Literal(Atom("r"), negated=True),),
+                                        cost=rng.randint(0, 3), level=rng.randint(0, 2)))
     return Program(tuple(rules), tuple(weaks))
 
 

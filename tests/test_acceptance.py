@@ -31,7 +31,6 @@ from asp_testkit.mutate import (
 )
 from asp_testkit.oracle import enumerate_answer_sets, ground, optimal_answer_sets
 from asp_testkit.parser import parse_unit
-from asp_testkit.serialize import serialize_program
 from asp_testkit.solver import (
     ExternalBackend,
     InternalBackend,
@@ -104,7 +103,7 @@ def test_criterion_3_weak_constraint_preference():
     def best_cost_verdict(expected_cost: int) -> str:
         assertion = BestModelCost(expected_cost, 1)
         tp = build_tester(program, assertion)
-        res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap, optimize=True)
+        res, _ = BACKEND.run(tp.program, tp.model_cap, optimize=True)
         return evaluate(tp, res).verdict
 
     v0, v1 = best_cost_verdict(0), best_cost_verdict(1)
@@ -140,7 +139,7 @@ class _SoundnessRun:
                 assertion = random_assertion(rng, program, kind)
                 tp = build_tester(program, assertion)
                 optimize = tp.optimize
-                capped, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
+                capped, raw = BACKEND.run(tp.program, tp.model_cap,
                                           optimize=optimize)
                 got = evaluate(tp, capped).verdict
                 want = direct_verdict(program, assertion)
@@ -161,7 +160,7 @@ class _SoundnessRun:
                                           or raw.requested_models > limit):
                     cls.cap_violations.append((kind, raw.requested_models, limit))
                 # capped verdict must equal the unbounded one
-                uncapped, _ = BACKEND.run(tp.program, tp.text, None,
+                uncapped, _ = BACKEND.run(tp.program, None,
                                           optimize=optimize)
                 if evaluate(tp, uncapped).verdict != got:
                     cls.cap_mismatches.append((program, assertion))
@@ -230,9 +229,8 @@ def test_criterion_7_backend_equivalence():
     disagreements = 0
     for _ in range(100):
         program = random_program(rng, with_weaks=False)
-        text = serialize_program(program)
         want = enumerate_answer_sets(ground(program)).atom_sets()
-        got, _ = external.run(program, text, None)
+        got, _ = external.run(program, None)
         if got.atom_sets() != want:
             disagreements += 1
     # solve output self round trip

@@ -126,6 +126,16 @@ def test_check_missing_file_exits_two():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["check", "test", "solve", "mutate"])
+def test_a_file_that_is_not_utf8_cannot_be_read(tmp_path, capsys, command):
+    latin = tmp_path / "latin.lp"
+    latin.write_bytes(b"p(1).\xff\n")
+    assert cli.main([command, str(latin)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: cannot read {latin}: byte 0xff at offset 5 is not UTF-8\n"
+
+
 SCOPE_FAILURES = {
     "dangling": ('scope = {"nope"}', "dangling-reference", 1,
                  "test 't': scope references unknown rule or block 'nope'"),

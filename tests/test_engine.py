@@ -1,13 +1,16 @@
+import json
 import random
 import re
 import sys
 import threading
 import time
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from asp_testkit import cli, engine, mutate, serialize
 from asp_testkit.engine import (
     FAIL,
     INCONCLUSIVE,
@@ -28,21 +31,34 @@ from asp_testkit.model import (
     ASSERTION_KINDS,
     Atom,
     BestModelCost,
+    Comparison,
     ConstraintForAll,
+    Literal,
     NoAnswerSet,
+    Program,
     Rule,
     TrueInAll,
     TrueInAtLeast,
     TrueInAtMost,
     TrueInExactly,
+    UnsafeRuleError,
+    Variable,
     herbrand_universe,
     term_key,
+)
+from asp_testkit.mutate import (
+    OPERATOR_KINDS,
+    _mutant_transform,
+    generate_mutants,
+    mutation_analysis,
+    mutation_base_program,
 )
 from asp_testkit import oracle
 from asp_testkit.oracle import SolveResult, AnswerSet, UnsupportedAggregate, ground
 from asp_testkit.parser import parse_assertion_list, parse_unit
 from asp_testkit.solver import BackendConfig, ExternalBackend, InternalBackend
 from helpers import (
+    FIXTURES,
     atom,
     brute_answer_sets,
     direct_verdict,
@@ -235,7 +251,7 @@ def test_build_at_least_zero_rejected():
 def run_assertion(program_text: str, assertion):
     program = parse_unit("t.lp", program_text).program
     tp = build_tester(program, assertion)
-    res, raw = BACKEND.run(tp.program, tp.text, tp.model_cap,
+    res, raw = BACKEND.run(tp.program, tp.model_cap,
                            optimize=tp.optimize)
     return evaluate(tp, res)
 
@@ -273,7 +289,7 @@ def test_witnesses_hide_fresh_atoms():
     program = parse_unit("t.lp", "p. q.").program
     constraint = Rule((), (lit("p"), lit("q")))
     tp = build_tester(program, ConstraintForAll(constraint))
-    res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap)
+    res, _ = BACKEND.run(tp.program, tp.model_cap)
     result = evaluate(tp, res)
     assert result.verdict == FAIL
     assert result.witness == frozenset({Atom("p"), Atom("q")})
@@ -337,15 +353,101 @@ def test_assertion_error_does_not_abort_siblings():
     class Flaky:
         def __init__(self):
             self.calls = 0
-        def run(self, program, text, cap, optimize=False, scope=None):
+        def run(self, program, cap, optimize=False, scope=None):
             self.calls += 1
             if optimize:
                 raise RuntimeError("no optimizer here")
-            return BACKEND.run(program, text, cap, optimize, scope)
+            return BACKEND.run(program, cap, optimize, scope)
     spec = unit.suite.tests[0]
     result = run_test(spec, resolve_scope(unit.suite, spec), Flaky())
     assert [a.verdict for a in result.assertions] == [PASS, "error"]
     assert result.verdict == "error"
+
+
+# `X < Y` leaves Y unbound: a constraint that no parse would accept
+UNSAFE = Rule((), (lit("col", "X", "C"), Literal(Comparison("<", Variable("X"), Variable("Y")))))
+
+
+def test_a_tester_still_checks_the_rules_it_adds():
+    unit = coloring_unit()
+    spec = replace(unit.suite.tests[0], asserts=(ConstraintForAll(UNSAFE),))
+    scope = resolve_scope(unit.suite, spec)
+    with pytest.raises(UnsafeRuleError):
+        build_tester(scope, ConstraintForAll(UNSAFE))
+    (result,) = run_test(spec, scope, BACKEND).assertions
+    assert result.verdict == "error"
+    assert result.diagnostics.startswith("UnsafeRuleError: unsafe rule: variable(s) Y")
+
+
+def test_a_mutant_scope_holds_checked_rules_and_its_testers_check_theirs():
+    unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, 3)
+    scopes = [resolve_scope(unit.suite, spec) for spec in unit.suite.tests]
+    for mutant in mutants:
+        transform = _mutant_transform(unit, mutant)
+        for scope in scopes:
+            mutated = transform(scope)
+            # checking every rule again accepts them all
+            assert Program(mutated.rules, mutated.weak_constraints) == mutated
+            with pytest.raises(UnsafeRuleError):
+                build_tester(mutated, ConstraintForAll(UNSAFE))
+
+
+def counted_renders(monkeypatch) -> list:
+    """Each program that `serialize_program` renders, wherever it is
+    imported from."""
+    rendered = []
+    render = serialize.serialize_program
+
+    def counted(program):
+        rendered.append(program)
+        return render(program)
+
+    for module in (serialize, engine, mutate):
+        monkeypatch.setattr(module, "serialize_program", counted)
+    return rendered
+
+
+def test_an_internal_mutation_analysis_renders_no_tester(monkeypatch):
+    rendered = counted_renders(monkeypatch)
+    unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, 3)
+    report = mutation_analysis(unit, mutants, BACKEND)
+    report.human_lines()
+    assert report.baseline_passed and len(report.outcomes) == 8 and rendered == []
+    # the JSON report renders each mutant's program, and no tester
+    report.to_json_dict()
+    assert rendered == [m.program for m in mutants]
+
+
+# The tester text of coloring.lp's first assertion, byte for byte.
+COLORING_TESTER = ("col(X,red) | col(X,blue) | col(X,green) :- node(X).\n"
+                   ":- edge(X,Y), col(X,C), col(Y,C).\n"
+                   "node(1).\nnode(2).\nnode(3).\nedge(1,2).\nedge(1,3).\nedge(2,3).\n"
+                   ":- not col(1,red).\n")
+
+
+def test_a_tester_is_rendered_late_in_the_same_bytes(monkeypatch, capsys):
+    rendered = counted_renders(monkeypatch)
+    unit = coloring_unit()
+    spec = unit.suite.tests[0]
+    scope = resolve_scope(unit.suite, spec)
+    results = run_test(spec, scope, BACKEND).assertions
+    assert rendered == []
+    for a, result in zip(spec.asserts, results):
+        tp = build_tester(scope, a)
+        want = serialize.serialize_program(Program(scope.rules + tp.added))
+        assert result.executed_code == tp.text == want
+    assert results[0].executed_code == COLORING_TESTER
+    # `test --format json` shows the same bytes
+    assert cli.main(["test", "--format", "json", "--backend", "internal",
+                     str(FIXTURES / "coloring.lp")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tests"][0]["assertions"][0]["executed_code"] == COLORING_TESTER
+    # and an external solver is fed them on its standard input
+    tp = build_tester(scope, spec.asserts[0])
+    _, raw = stub_backend().run(tp.program, tp.model_cap)
+    assert raw.stdin_text == COLORING_TESTER
 
 
 def test_suite_report_json_schema():
@@ -388,11 +490,11 @@ def test_a_suite_frees_each_scope_after_its_test():
     alive = []
 
     class Watching:
-        def run(self, program, text, cap, optimize=False, scope=None):
+        def run(self, program, cap, optimize=False, scope=None):
             if not refs or refs[-1]() is not scope:
                 alive.extend(i for i, ref in enumerate(refs) if ref() is not None)
                 refs.append(weakref.ref(scope))
-            return BACKEND.run(program, text, cap, optimize, scope)
+            return BACKEND.run(program, cap, optimize, scope)
 
     unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
     assert run_suite(unit, Watching(), jobs=1).all_passed()
@@ -460,7 +562,7 @@ def test_interleaved_scopes_are_instantiated_once_each(monkeypatch):
     backend = InternalBackend()
     for scope, wanted in ((a, atom("p", 1)), (b, atom("r", 1)), (a, atom("p", 2))):
         tp = build_tester(scope.program, TrueInAtLeast(1, (wanted,)))
-        result, _ = backend.run(tp.program, tp.text, tp.model_cap,
+        result, _ = backend.run(tp.program, tp.model_cap,
                                 optimize=tp.optimize, scope=scope)
         assert evaluate(tp, result).verdict == PASS
     assert len(calls) == 2
@@ -516,7 +618,7 @@ def test_tester_encodings_agree_with_direct_semantics():
         kind = ASSERTION_KINDS[i % len(ASSERTION_KINDS)]
         assertion = random_assertion(rng, program, kind)
         tp = build_tester(program, assertion)
-        res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap,
+        res, _ = BACKEND.run(tp.program, tp.model_cap,
                              optimize=tp.optimize)
         got = evaluate(tp, res).verdict
         want = direct_verdict(program, assertion)
@@ -540,7 +642,7 @@ def test_tester_verdicts_match_direct_semantics_on_non_ground_programs():
         for kind in kinds:
             assertion = random_join_assertion(rng, program, kind)
             tp = build_tester(program, assertion)
-            res, _ = BACKEND.run(tp.program, tp.text, tp.model_cap, optimize=tp.optimize)
+            res, _ = BACKEND.run(tp.program, tp.model_cap, optimize=tp.optimize)
             got = evaluate(tp, res)
             want = direct_verdict(program, assertion, universe, answer_sets)
             assert got.verdict == want, (program, assertion)

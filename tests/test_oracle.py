@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -9,6 +11,7 @@ from asp_testkit.model import (
     ASSERTION_KINDS,
     Atom,
     BestModelCost,
+    Constant,
     ConstraintForAll,
     ConstraintInAtLeast,
     Integer,
@@ -16,6 +19,7 @@ from asp_testkit.model import (
     Program,
     Rule,
     TrueInAll,
+    TrueInAtLeast,
     WeakConstraint,
     herbrand_universe,
     term_key,
@@ -112,6 +116,33 @@ def test_instantiation_budget_names_the_statement_and_universe(monkeypatch):
     assert "universe of 3 constants" in message
 
 
+OWN_INSTANCES = """a(1). a(2). a(3).
+h :- not b.
+:- not b, 2 < 1.
+:- not h, 1 < 2."""
+
+
+def test_the_budget_counts_each_statement_without_positive_atoms_once(monkeypatch):
+    # three facts, `h :- not b.` and the last constraint are one instance
+    # each; the constraint whose comparison fails has none
+    p = parse_unit("own.lp", OWN_INSTANCES).program
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 5)
+    assert ground(p).certain_atoms() == {atom("a", 1), atom("a", 2), atom("a", 3), atom("h")}
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 4)
+    with pytest.raises(CapacityExceeded) as exc:
+        ground(p)
+    assert "(4 ground instances) grounding `:- not h, 1 < 2.` at own.lp:4:1" in str(exc.value)
+    # a tester's `:- not a(1).` counts once on top of its scope's five
+    scope = oracle.Scope(p)
+    tester = build_tester(p, TrueInAtLeast(1, (atom("a", 1),))).program
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 6)
+    assert assert_scope_path_matches(scope, tester) == "simplified"
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 5)
+    with pytest.raises(CapacityExceeded) as exc:
+        ground(tester, scope=oracle.Scope(p))
+    assert "(5 ground instances) grounding `:- not a(1).`" in str(exc.value)
+
+
 CHAIN = " ".join(f"edge({i},{i + 1})." for i in range(1, 18)) + """
 reach(X,Y) :- edge(X,Y).
 reach(X,Z) :- reach(X,Y), edge(Y,Z)."""
@@ -187,11 +218,27 @@ def test_join_matches_product_instantiation():
 # Grounding a tester as an extension of its scope
 # ---------------------------------------------------------------------------
 
+# Every field of a GroundProgram, read through its public name: the lazily
+# built `atom_ids` and `unknown_ids` are read, not compared as caches. The
+# statement masks have no public name; `rules` and `weak_constraints` are
+# views that drop each #count's ground tuples.
+GROUND_FIELDS = ("universe", "atoms", "atom_ids", "certain_ids", "certain_mask",
+                 "unknown_ids", "unknown_mask", "_rules", "_constraints", "_weaks",
+                 "trivially_incoherent", "has_weak_constraints")
+
+
+def ground_fields(g: oracle.GroundProgram) -> dict:
+    """`g`'s fields by name; a field that GROUND_FIELDS misses fails."""
+    stored = {name.lstrip("_") for name in vars(g)}
+    assert stored <= {name.lstrip("_") for name in GROUND_FIELDS}, stored
+    return {name: getattr(g, name) for name in GROUND_FIELDS}
+
+
 def _ground_outcome(build):
     """Every field of the ground program `build` returns, or the type,
     message and attributes of what it raises."""
     try:
-        return vars(build())
+        return ground_fields(build())
     except Exception as exc:
         return type(exc).__name__, str(exc), vars(exc)
 
@@ -262,8 +309,8 @@ def test_scope_path_matches_full_grounding_on_random_join_programs():
                   scope_outcome] += 1
     # a scope with a recursive #count in a rule head is not simplified once;
     # its testers raise what the scope raises
-    assert paths == {("simplified", "ground program"): 2700,
-                     ("full", "UnsupportedAggregate"): 300}, paths
+    assert paths == {("simplified", "ground program"): 2720,
+                     ("full", "UnsupportedAggregate"): 280}, paths
 
 
 def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
@@ -295,6 +342,57 @@ def test_an_added_head_in_a_positive_body_takes_the_full_path():
         assert assert_scope_path_matches(saved, tester) == "full"
     assert atom("q", 2) in ground(feeds_scope, scope=saved).atoms
     assert atom("a") in ground(feeds_itself, scope=saved).atoms
+
+
+@pytest.mark.parametrize("scope_text, asserted, universe", [
+    ("p(1) | p(2).", atom("p", 3), [Integer(1), Integer(2), Integer(3)]),
+    ("p(1) | p(2).", atom("p", 2), [Integer(1), Integer(2)]),
+    # a scope without constants has the universe {a}; the tester's 1 replaces it
+    ("a | b.", atom("c", 1), [Integer(1)]),
+    ("a | b.", atom("b"), [Constant("a")]),
+])
+def test_a_testers_universe_is_its_scopes_plus_what_it_adds(scope_text, asserted, universe):
+    scope = program(scope_text)
+    tester = build_tester(scope, TrueInAll((asserted,))).program
+    assert assert_scope_path_matches(oracle.Scope(scope), tester) == "simplified"
+    assert ground(tester, scope=oracle.Scope(scope)).universe == universe
+
+
+def test_threads_share_a_scopes_symbols_and_shifted_statements():
+    # the testers of one scope fill its symbols, its saved form and its
+    # statements shifted by m = 0 and m = 1 from several threads at once;
+    # a fill that one thread saw half done would give a wrong ground program
+    scope_program = program(COLORING)
+    testers = [build_tester(scope_program, a).program for a in (
+        TrueInAll((atom("col", 1, "red"),)), NoAnswerSet(),
+        TrueInAtLeast(1, (atom("col", 2, "blue"),)),
+        ConstraintForAll(Rule((), (lit("col", "X", "red"),))))]
+    want = [ground_fields(ground(t)) for t in testers]
+    threads = 8  # more than the cores of a small host
+    for _ in range(20):
+        scope = oracle.Scope(scope_program)
+        start = threading.Barrier(threads, timeout=2)
+        got = []
+
+        def run(i):
+            start.wait()
+            tester = testers[i % len(testers)]
+            got.append((i % len(testers), ground_fields(ground(tester, scope=scope))))
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=5)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert len(got) == threads
+        assert all(fields == want[i] for i, fields in got)
+        assert set(scope.saved().shifted) == {1}
 
 
 def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
@@ -487,12 +585,12 @@ def _build_outcome(universe, instances, has_weaks):
 
 
 def _fields(outcome):
-    return vars(outcome) if isinstance(outcome, oracle.GroundProgram) else outcome
+    return ground_fields(outcome) if isinstance(outcome, oracle.GroundProgram) else outcome
 
 
 def simplify_inputs():
     """(universe, instances, has_weaks) for `_build_ground`: the join's
-    instances of 2000 random join programs, 2000 propositional ones, 500
+    instances of 2500 random join programs, 2000 propositional ones, 500
     non-ground ones and every fixture tester, the universe product's
     instances of 500 join programs, and one program over capacity."""
     def joined(p: Program):
@@ -501,7 +599,7 @@ def simplify_inputs():
         return universe, instances, bool(p.weak_constraints)
 
     rng = random.Random(21)
-    for _ in range(2000):
+    for _ in range(2500):
         yield joined(random_join_program(rng))
     rng = random.Random(22)
     for _ in range(2000):

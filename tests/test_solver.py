@@ -8,7 +8,6 @@ import pytest
 from asp_testkit.model import Atom, Program
 from asp_testkit.oracle import enumerate_answer_sets, ground
 from asp_testkit.parser import parse_unit
-from asp_testkit.serialize import serialize_program
 from asp_testkit.solver import (
     AutoBackend,
     BackendConfig,
@@ -200,7 +199,7 @@ def test_select_internal_rejects_recursive_aggregates():
     from asp_testkit.oracle import UnsupportedAggregate
     program = parse_unit("t.lp", "p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.").program
     with pytest.raises(UnsupportedAggregate):
-        select_backend("internal", None).run(program, serialize_program(program), None)
+        select_backend("internal", None).run(program, None)
 
 
 def test_select_external_requires_config():
@@ -218,7 +217,7 @@ def test_select_external_checks_executable():
 
 def test_internal_backend_records_requested_models():
     program = tiny_program()
-    _, run = InternalBackend().run(program, serialize_program(program), 1)
+    _, run = InternalBackend().run(program, 1)
     assert run.requested_models == 1
     assert run.argv == ["<internal-oracle>"]
 
@@ -229,7 +228,7 @@ def test_auto_backend_falls_back_to_external():
         " p(X,Y) | q(X,Y) | r(X,Y) :- d(X), d(Y)."
     program = parse_unit("t.lp", text).program
     backend = AutoBackend(stub_config("basic"))
-    res, run = backend.run(program, serialize_program(program), 1)
+    res, run = backend.run(program, 1)
     assert res.answer_sets
     assert run.argv[0] == sys.executable
 
@@ -243,23 +242,20 @@ def test_selfhosted_external_equals_internal_on_random_programs():
     rng = random.Random(5)
     for _ in range(12):
         program = random_program(rng, with_weaks=False)
-        text = serialize_program(program)
         want = enumerate_answer_sets(ground(program)).atom_sets()
-        got, _ = backend.run(program, text, None)
+        got, _ = backend.run(program, None)
         assert got.atom_sets() == want
 
 
 def test_selfhosted_external_incoherent():
     program = parse_unit("t.lp", "a. :- a.").program
-    got, _ = ExternalBackend(selfhosted_config()).run(
-        program, serialize_program(program), None)
+    got, _ = ExternalBackend(selfhosted_config()).run(program, None)
     assert got.incoherent
 
 
 def test_selfhosted_external_optimum_costs():
     program = parse_unit("t.lp", "a | b. :~ a. [3@1]").program
-    got, _ = ExternalBackend(selfhosted_config()).run(
-        program, serialize_program(program), None)
+    got, _ = ExternalBackend(selfhosted_config()).run(program, None)
     assert got.exhausted
     idx = len(got.answer_sets) - 1
     assert got.costs and got.costs[(idx, 1)] == 0
