@@ -20,11 +20,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 
 from . import __version__
 from .oracle import CapacityExceeded, UnsupportedAggregate
-from .parser import ParseFailure, merge_units, parse_unit_diagnostics
+from .parser import NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, read_source
 from .serialize import atom_to_text
 from .solver import SpawnFailure, default_backend_config, select_backend
 
@@ -112,12 +111,11 @@ def _read_files(paths: list[str]) -> list[tuple[str, str]]:
     out = []
     for path in paths:
         try:
-            out.append((path, Path(path).read_text(encoding="utf-8")))
+            out.append((path, read_source(path)))
+        except NotUTF8 as exc:
+            raise _ToolError(str(exc))
         except OSError as exc:
             raise _ToolError(f"cannot read {path}: {exc}")
-        except UnicodeDecodeError as exc:
-            raise _ToolError(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
-                             f"at offset {exc.start} is not UTF-8")
     return out
 
 
@@ -167,7 +165,7 @@ def cmd_check(args) -> int:
             kind, code, message = "dangling-reference", EXIT_FAILURE, exc
         except ParseFailure as exc:
             kind, code, message = exc.errors[0].kind, EXIT_FAILURE, exc
-        except (OSError, UnicodeDecodeError) as exc:
+        except OSError as exc:
             kind, code, message = "missing-file", EXIT_ERROR, exc
         print(f"{spec.origin}: {kind}: scope resolution failed: {message}")
         status = max(status, code)

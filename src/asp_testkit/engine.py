@@ -46,7 +46,7 @@ from .model import (
     fresh_predicate,
 )
 from .oracle import AnswerSet, Scope, SolveResult
-from .parser import SourceUnit, merge_units, parse_program_text, parse_unit
+from .parser import SourceUnit, merge_units, parse_program_text, parse_unit, read_source
 from .serialize import atom_to_text, serialize_program
 
 PASS = "pass"
@@ -64,12 +64,8 @@ class AssertionValidationError(ValueError):
 
 
 def default_file_loader(base_dir: str) -> Callable[[str], str]:
-    def load(path: str) -> str:
-        p = Path(path)
-        if not p.is_absolute():
-            p = Path(base_dir) / p
-        return p.read_text(encoding="utf-8")
-    return load
+    """Read a path relative to `base_dir` with `parser.read_source`."""
+    return lambda path: read_source(str(Path(base_dir, path)))
 
 
 def resolve_scope(suite: TestSuite, spec: TestSpec,
@@ -337,13 +333,15 @@ def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
 
 @dataclass
 class TestResult:
-    """Verdicts of one test's assertions and the test's own verdict."""
+    """Verdicts of one test's assertions and the test's own verdict.
+    `run_suite` keeps the test's resolved scope as `program`."""
 
     name: str
     assertions: list[AssertionResult]
     verdict: str
     wall_ms: int = 0
     diagnostics: str = ""  # why the test as a whole is an error
+    program: Optional[Program] = field(default=None, repr=False)
 
     @staticmethod
     def aggregate(results: list[AssertionResult]) -> str:
@@ -499,7 +497,7 @@ def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
             results = [_error_result(a, message) for a in spec.asserts]
             tests.append(TestResult(spec.name, results, ERROR, diagnostics=message))
             continue
-        test = TestResult(spec.name, [], PASS)
+        test = TestResult(spec.name, [], PASS, program=program)
         tests.append(test)
         scope = Scope(program)
         tasks.extend([test, replace(spec, asserts=(a,)), scope] for a in spec.asserts)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, count as naturals
 from typing import Callable, Iterable, Iterator, Optional
 
-from . import engine
 from .model import Atom, Literal, Program, Rule, UnsafeRuleError
 from .engine import FAIL, PASS, SuiteReport, TestResult, map_in_order, run_suite, run_test
 from .parser import ParseFailure, SourceUnit, parse_ground_atom
@@ -420,16 +419,16 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
                       jobs: int = 1) -> KillReport:
     """Run the unit's suite against every mutant. Requires a green baseline:
     when the original program already fails its own tests the analysis is
-    refused (baseline_passed=False, no outcomes). Each test's scope is then
-    resolved once, and every mutant runs on its transform of that scope."""
+    refused (baseline_passed=False, no outcomes). Every mutant runs on its
+    transform of each test's scope as the baseline resolved it."""
     baseline = run_suite(unit, backend, jobs=jobs)
     report = KillReport(baseline=baseline, baseline_passed=baseline.all_passed())
     if not report.baseline_passed:
         return report
     # a green baseline resolved every test's scope; a test without
     # assertions has nothing to decide on a mutant
-    scopes = [(spec, engine.resolve_scope(unit.suite, spec))
-              for spec in unit.suite.tests if spec.asserts]
+    scopes = [(spec, test.program) for spec, test in zip(unit.suite.tests, baseline.tests)
+              if spec.asserts]
 
     def evaluate_mutant(mutant: Mutant) -> MutantOutcome:
         transform = _mutant_transform(unit, mutant)

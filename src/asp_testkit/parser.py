@@ -14,7 +14,12 @@ the full attribute grammar. Annotations are inert for plain execution:
 stripping every `%** ... **%` block leaves the same program.
 
 One scanner, `_scan`, tokenizes program text, annotation blocks and the
-`atoms`/`constraint` payloads; its `annotation` flag picks the mode. One
+`atoms`/`constraint` payloads with one compiled pattern per mode, picked by
+its `annotation` flag: `_PROGRAM_TOKENS` and `_ANNOTATION_TOKENS`. Each
+token kind is a named group, and catch-all groups raise the lexical errors.
+Words are Unicode letters, digits and `_` starting with a letter or `_`;
+integers are ASCII digits. A string keeps the indices of its escapes, from
+which `_file_offset` maps a payload offset back into the file. One
 reader, `_AnnotationParser._attributes`, reads the `( key = value, ... )`
 list of every annotation and assertion, typed by `_ANNOTATIONS` and
 `_ASSERTION_TYPES`.
@@ -26,6 +31,7 @@ recovers at statement boundaries so several errors can be reported at once.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -74,6 +80,23 @@ class ParseFailure(Exception):
         super().__init__("; ".join(e.render(path) for e in errors[:4]))
 
 
+class NotUTF8(OSError):
+    """A source file whose bytes are not UTF-8."""
+
+
+def read_source(path: str) -> str:
+    """The text of the file at `path`, which must be UTF-8. A file that
+    cannot be read raises its `OSError`; one that is not UTF-8 raises
+    `NotUTF8`, naming the file, its first bad byte and that byte's offset."""
+    with open(path, "rb") as file:
+        data = file.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise NotUTF8(f"cannot read {path}: byte 0x{data[exc.start]:02x} "
+                      f"at offset {exc.start} is not UTF-8") from None
+
+
 @dataclass(frozen=True)
 class SourceUnit:
     """One parsed file: its text, its program and its test suite."""
@@ -97,10 +120,7 @@ class _Issue(Exception):
 class _LineIndex:
     def __init__(self, text: str):
         self.text = text
-        self.starts = [0]
-        for i, ch in enumerate(text):
-            if ch == "\n":
-                self.starts.append(i + 1)
+        self.starts = [0, *(m.end() for m in re.finditer("\n", text))]
 
     def position(self, offset: int) -> tuple[int, int]:
         offset = max(0, min(offset, len(self.text)))
@@ -134,22 +154,36 @@ class _Token:
     offset: int
 
 
-_PROGRAM_PUNCT = (":-", ":~", "<=", ">=", "<>", "!=", "<", ">", "=", ".", ",",
-                  "(", ")", "{", "}", "[", "]", "|", ":", "-", "@")
-_ANNOTATION_PUNCT = ("@", "=", "(", ")", "{", "}", ",")
-
 _CANONICAL_OP = {"<>": "!=", "=": "=", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _CMP_TOKENS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 
+# One pattern per mode. Blanks and comments match no group; every other
+# alternative is a named group, and the last one takes any character, so
+# the matches of `finditer` cover the text. A `%**`, `%*` or `"` that is
+# never closed matches its `open_` group, tried after the closed form.
+# `\s` is `str.isspace` and `\w` is `str.isalnum` or `_`.
+_PROGRAM_TOKENS = re.compile(r"""
+    \s+ | %\*\*(?P<annot>.*?)\*\*% | (?P<open_annot>%\*\*)
+    | %\*.*?\*% | (?P<open_comment>%\*) | %[^\n]*
+    | (?P<int>[0-9]+) | (?P<word>\w+) | (?P<directive>\#\w*)
+    | (?P<punct>:-|:~|<=|>=|<>|!=|[<>=.,(){}\[\]|:\-@])
+    | (?P<bad>.)""", re.S | re.X)
+_ANNOTATION_TOKENS = re.compile(r"""
+    \s+ | %[^\n]*
+    | "(?P<str>(?:[^"\\]++|\\.?)*+)" | (?P<open_str>")
+    | (?P<int>-?[0-9]+) | (?P<word>\w+) | (?P<punct>[@=(){},])
+    | (?P<bad>.)""", re.S | re.X)
+_ESCAPE = re.compile(r'\\(["\\])')
 
-def _is_digit(ch: str) -> bool:
-    """ASCII 0-9 only: `str.isdigit` also accepts digits such as '²' that
-    `int()` rejects."""
-    return "0" <= ch <= "9"
-
-
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch == "_"
+_LEX_ERRORS = {
+    "open_annot": "unterminated annotation block (missing '**%')",
+    "open_comment": "unterminated comment (missing '*%')",
+    "open_str": "unterminated string in annotation",
+    "directive": "unsupported directive {value!r} (only #count is accepted)",
+    "bad": "unexpected character {value[0]!r}{where}",
+    # `\w` takes digits such as '²' that may not start a word
+    "word": "unexpected character {value[0]!r}{where}",
+}
 
 
 def _classify_word(word: str) -> str:
@@ -170,96 +204,55 @@ def _scan(text: str, base: int = 0, annotation: bool = False,
     `%** ... **%` block. Token offsets are `base` plus the index in `text`.
 
     Both modes skip whitespace and `%` comments to end of line and read
-    integers, words and punctuation. Program text also has `%* ... *%`
-    comments, `%** ... **%` blocks (an `annot` token when
+    integers of ASCII digits, words and punctuation; a word is letters,
+    digits and `_` and starts with a letter or `_`. Program text also has
+    `%* ... *%` comments, `%** ... **%` blocks (an `annot` token when
     `collect_annotations`), `not`, `#count` and variables. Annotation text
-    has strings, in which a backslash escapes `"` and itself, and negative
-    integers; every word is an `ident` there."""
-    punct = _ANNOTATION_PUNCT if annotation else _PROGRAM_PUNCT
-    error_kind, where = ("annotation", " in annotation") if annotation else ("lexical", "")
+    has strings, in which a backslash escapes `"` and itself (see
+    `_string`), and negative integers; every word is an `ident` there."""
+    pattern, error_kind, where = ((_ANNOTATION_TOKENS, "annotation", " in annotation")
+                                  if annotation else (_PROGRAM_TOKENS, "lexical", ""))
     tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
+    for m in pattern.finditer(text):
+        group = m.lastgroup
+        if group is None:
             continue
-        if ch == "%" and not annotation and text.startswith("%*", i):
-            block = text.startswith("%**", i)
-            close = "**%" if block else "*%"
-            end = text.find(close, i + len(close))
-            if end < 0:
-                what = "annotation block" if block else "comment"
-                raise _Issue(f"unterminated {what} (missing {close!r})", base + i, error_kind)
-            if block and collect_annotations:
-                tokens.append(_Token("annot", (text[i + 3:end], base + i + 3), base + i))
-            i = end + len(close)
-            continue
-        if ch == "%":
-            nl = text.find("\n", i)
-            i = n if nl < 0 else nl + 1
-            continue
-        if annotation and ch == '"':
-            j = i + 1
-            out: list[str] = []
-            offsets: list[int] = []
-            while j < n:
-                c = text[j]
-                if c == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
-                    out.append(text[j + 1])
-                    offsets.append(base + j + 1)
-                    j += 2
-                    continue
-                if c == '"':
-                    break
-                out.append(c)
-                offsets.append(base + j)
-                j += 1
-            else:
-                raise _Issue("unterminated string in annotation", base + i, error_kind)
-            offsets.append(base + j)
-            tokens.append(_Token("str", ("".join(out), offsets), base + i))
-            i = j + 1
-            continue
-        if _is_digit(ch) or (annotation and ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
-            j = i + 1
-            while j < n and _is_digit(text[j]):
-                j += 1
-            tokens.append(_Token("int", int(text[i:j]), base + i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if annotation:
-                kind = "ident"
-            else:
-                kind = "not" if word == "not" else _classify_word(word)
-            tokens.append(_Token(kind, word, base + i))
-            i = j
-            continue
-        if ch == "#" and not annotation:
-            j = i + 1
-            while j < n and _is_ident_char(text[j]):
-                j += 1
-            word = text[i:j]
-            if word != "#count":
-                raise _Issue(f"unsupported directive {word!r} (only #count is accepted)",
-                             base + i, error_kind)
-            tokens.append(_Token("count", word, base + i))
-            i = j
-            continue
-        for sym in punct:
-            if text.startswith(sym, i):
-                tokens.append(_Token("punct", sym, base + i))
-                i += len(sym)
-                break
+        value, offset = m[group], base + m.start()
+        if group == "word" and (value[0].isalpha() or value[0] == "_"):
+            kind = "ident" if annotation else "not" if value == "not" else _classify_word(value)
+            tokens.append(_Token(kind, value, offset))
+        elif group == "punct":
+            tokens.append(_Token("punct", value, offset))
+        elif group == "int":
+            tokens.append(_Token("int", int(value), offset))
+        elif group == "str":
+            tokens.append(_Token("str", _string(value, offset + 1), offset))
+        elif group == "annot":
+            if collect_annotations:
+                tokens.append(_Token("annot", (value, offset + 3), offset))
+        elif group == "directive" and value == "#count":
+            tokens.append(_Token("count", value, offset))
         else:
-            raise _Issue(f"unexpected character {ch!r}{where}", base + i, error_kind)
-    tokens.append(_Token("eof", None, base + n))
+            raise _Issue(_LEX_ERRORS[group].format(value=value, where=where), offset, error_kind)
+    tokens.append(_Token("eof", None, base + len(text)))
     return tokens
+
+
+def _string(raw: str, start: int) -> tuple[str, int, tuple[int, ...]]:
+    """A string token's value: its text, the file offset of its first
+    character, and the indices in the text of the escaped characters,
+    which `_file_offset` needs."""
+    escapes = tuple(m.start() - n for n, m in enumerate(_ESCAPE.finditer(raw)))
+    return (_ESCAPE.sub(r"\1", raw) if escapes else raw), start, escapes
+
+
+def _file_offset(string: tuple[str, int, tuple[int, ...]], index: int) -> int:
+    """The file offset of character `index` of a string token's text, or of
+    its closing quote for an index past the end: each escape before it
+    adds its backslash."""
+    text, start, escapes = string
+    index = min(index, len(text))
+    return start + index + bisect.bisect_right(escapes, index)
 
 
 class _TokenStream:
@@ -268,8 +261,8 @@ class _TokenStream:
         self.pos = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        idx = min(self.pos + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # `next` stops at the closing eof, and `peek(1)` follows an ident
+        return self.tokens[self.pos + ahead]
 
     def next(self) -> _Token:
         tok = self.peek()
@@ -454,8 +447,8 @@ def _sync_statement(ts: _TokenStream):
 # ---------------------------------------------------------------------------
 
 # Attribute types and required attributes of `@rule`, `@block` and `@test`.
-# An attribute type is "str", "int" (nonnegative), "payload" (a string kept
-# with its offsets), "strs" or "asserts". A `scope` may not be empty.
+# An attribute type is "str", "int" (nonnegative), "payload" (a string token's
+# whole value, see `_string`), "strs" or "asserts". A `scope` may not be empty.
 _ANNOTATIONS = {
     "rule": ({"name": "str", "block": "str"}, {"name"}),
     "block": ({"name": "str", "rules": "strs"}, {"name"}),
@@ -562,13 +555,12 @@ class _AnnotationParser:
         for f, key in zip(fields(cls), types):
             value = attrs[key]
             if f.name in _PAYLOAD_PARSERS:
-                text, offsets = value
                 try:
-                    value = _PAYLOAD_PARSERS[f.name](text)
+                    value = _PAYLOAD_PARSERS[f.name](value[0])
                 except _Issue as exc:
-                    # payload offsets index `text`; map them back into the file
+                    # payload offsets index the string's text; map them back into the file
                     kind = exc.kind if exc.kind == "safety" else "annotation"
-                    raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
+                    raise _Issue(exc.message, _file_offset(value, exc.offset), kind)
             values[f.name] = value
         if values.get("count", 1) < getattr(cls, "min_count", 0):
             raise _Issue(f"@{name.value} needs number >= {cls.min_count} "

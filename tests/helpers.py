@@ -1,6 +1,7 @@
 """Shared test utilities: an independent brute-force reference for answer
 sets and assertion semantics, references for rewritten layers (ground
-simplification, the annotation reader), plus random program generators.
+simplification, the lexer, the annotation reader), plus random program
+generators.
 
 The brute enumerator and the naive grounders implement the definitions
 literally (every variable takes every constant, #count counts over every
@@ -21,8 +22,11 @@ from asp_testkit import oracle
 from asp_testkit.parser import (
     _LineIndex,
     _PAYLOAD_PARSERS,
+    _Token,
     _TokenStream,
     _check_safety,
+    _classify_word,
+    _file_offset,
     _Issue,
     _parse_rule_or_weak,
     _scan,
@@ -525,6 +529,127 @@ def reference_check_aggregate_stratification(stmts):
 
 
 # ---------------------------------------------------------------------------
+# Lexer reference
+# ---------------------------------------------------------------------------
+
+# The character loop that `parser._scan`'s two patterns replaced, verbatim
+# apart from its name. A string token's value is its text and the file
+# offset of each of its characters and of its closing quote.
+
+_PROGRAM_PUNCT = (":-", ":~", "<=", ">=", "<>", "!=", "<", ">", "=", ".", ",",
+                  "(", ")", "{", "}", "[", "]", "|", ":", "-", "@")
+_ANNOTATION_PUNCT = ("@", "=", "(", ")", "{", "}", ",")
+
+
+def _is_digit(ch: str) -> bool:
+    """ASCII 0-9 only: `str.isdigit` also accepts digits such as '²' that
+    `int()` rejects."""
+    return "0" <= ch <= "9"
+
+
+def _is_ident_char(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def reference_scan(text: str, base: int = 0, annotation: bool = False,
+                   collect_annotations: bool = True) -> list[_Token]:
+    """Tokenize program text or, with `annotation`, the body of a
+    `%** ... **%` block. Token offsets are `base` plus the index in `text`.
+
+    Both modes skip whitespace and `%` comments to end of line and read
+    integers, words and punctuation. Program text also has `%* ... *%`
+    comments, `%** ... **%` blocks (an `annot` token when
+    `collect_annotations`), `not`, `#count` and variables. Annotation text
+    has strings, in which a backslash escapes `"` and itself, and negative
+    integers; every word is an `ident` there."""
+    punct = _ANNOTATION_PUNCT if annotation else _PROGRAM_PUNCT
+    error_kind, where = ("annotation", " in annotation") if annotation else ("lexical", "")
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch == "%" and not annotation and text.startswith("%*", i):
+            block = text.startswith("%**", i)
+            close = "**%" if block else "*%"
+            end = text.find(close, i + len(close))
+            if end < 0:
+                what = "annotation block" if block else "comment"
+                raise _Issue(f"unterminated {what} (missing {close!r})", base + i, error_kind)
+            if block and collect_annotations:
+                tokens.append(_Token("annot", (text[i + 3:end], base + i + 3), base + i))
+            i = end + len(close)
+            continue
+        if ch == "%":
+            nl = text.find("\n", i)
+            i = n if nl < 0 else nl + 1
+            continue
+        if annotation and ch == '"':
+            j = i + 1
+            out: list[str] = []
+            offsets: list[int] = []
+            while j < n:
+                c = text[j]
+                if c == "\\" and j + 1 < n and text[j + 1] in ('"', "\\"):
+                    out.append(text[j + 1])
+                    offsets.append(base + j + 1)
+                    j += 2
+                    continue
+                if c == '"':
+                    break
+                out.append(c)
+                offsets.append(base + j)
+                j += 1
+            else:
+                raise _Issue("unterminated string in annotation", base + i, error_kind)
+            offsets.append(base + j)
+            tokens.append(_Token("str", ("".join(out), offsets), base + i))
+            i = j + 1
+            continue
+        if _is_digit(ch) or (annotation and ch == "-" and i + 1 < n and _is_digit(text[i + 1])):
+            j = i + 1
+            while j < n and _is_digit(text[j]):
+                j += 1
+            tokens.append(_Token("int", int(text[i:j]), base + i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            word = text[i:j]
+            if annotation:
+                kind = "ident"
+            else:
+                kind = "not" if word == "not" else _classify_word(word)
+            tokens.append(_Token(kind, word, base + i))
+            i = j
+            continue
+        if ch == "#" and not annotation:
+            j = i + 1
+            while j < n and _is_ident_char(text[j]):
+                j += 1
+            word = text[i:j]
+            if word != "#count":
+                raise _Issue(f"unsupported directive {word!r} (only #count is accepted)",
+                             base + i, error_kind)
+            tokens.append(_Token("count", word, base + i))
+            i = j
+            continue
+        for sym in punct:
+            if text.startswith(sym, i):
+                tokens.append(_Token("punct", sym, base + i))
+                i += len(sym)
+                break
+        else:
+            raise _Issue(f"unexpected character {ch!r}{where}", base + i, error_kind)
+    tokens.append(_Token("eof", None, base + n))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # Annotation reader reference
 # ---------------------------------------------------------------------------
 
@@ -719,13 +844,12 @@ class ReferenceAnnotationParser:
             if payload is None:
                 values[fname] = value
                 continue
-            text, offsets = value
             try:
-                values[fname] = payload(text)
+                values[fname] = payload(value[0])
             except _Issue as exc:
-                # payload offsets index `text`; map them back into the file
+                # payload offsets index the string's text; map them back into the file
                 kind = exc.kind if exc.kind == "safety" else "annotation"
-                raise _Issue(exc.message, offsets[min(exc.offset, len(offsets) - 1)], kind)
+                raise _Issue(exc.message, _file_offset(value, exc.offset), kind)
         if values.get("count", 1) < getattr(cls, "min_count", 0):
             raise _Issue(f"@{name} needs number >= {cls.min_count} "
                          "(number = 0 would be vacuously true)", offset, "annotation")

@@ -146,8 +146,7 @@ SCOPE_FAILURES = {
     "input file": ('scope = {"r"}, inputFiles = {"none.lp"}', "missing-file", 2,
                    "[Errno 2] No such file or directory: '{dir}/none.lp'"),
     "undecodable file": ('scope = {"r"}, inputFiles = {"latin.lp"}', "missing-file", 2,
-                         "'utf-8' codec can't decode byte 0xff in position 5: "
-                         "invalid start byte"),
+                         "cannot read {dir}/latin.lp: byte 0xff at offset 5 is not UTF-8"),
 }
 
 
@@ -164,7 +163,9 @@ def test_check_labels_a_scope_failure_by_its_cause(tmp_path, case):
     assert proc.stdout == (f"{f}:3:5: {kind}: scope resolution failed: "
                            + message.format(dir=tmp_path) + "\n")
     # `test` reports the same failure as the test's error
-    assert run_cli("test", str(f)).returncode == 2
+    proc = run_cli("test", str(f))
+    assert proc.returncode == 2
+    assert f"[scope resolution failed: {message.format(dir=tmp_path)}]" in proc.stdout
 
 
 def test_check_exits_with_the_gravest_scope_failure(tmp_path):

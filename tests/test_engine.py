@@ -420,6 +420,25 @@ def test_an_internal_mutation_analysis_renders_no_tester(monkeypatch):
     assert rendered == [m.program for m in mutants]
 
 
+def test_a_mutation_analysis_resolves_each_scope_once(monkeypatch):
+    """The mutants run on the scopes that the baseline resolved."""
+    resolved = []
+    resolve = engine.resolve_scope
+
+    def counted(suite, spec, *args):
+        resolved.append(spec.name)
+        return resolve(suite, spec, *args)
+
+    monkeypatch.setattr(engine, "resolve_scope", counted)
+    unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, 3)
+    for jobs in (1, 2):
+        resolved.clear()
+        report = mutation_analysis(unit, mutants, BACKEND, jobs=jobs)
+        assert report.baseline_passed and len(report.outcomes) == 8
+        assert resolved == [spec.name for spec in unit.suite.tests]
+
+
 # The tester text of coloring.lp's first assertion, byte for byte.
 COLORING_TESTER = ("col(X,red) | col(X,blue) | col(X,green) :- node(X).\n"
                    ":- edge(X,Y), col(X,C), col(Y,C).\n"

@@ -1,6 +1,7 @@
 import ast
 import random
 import re
+import string
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from asp_testkit.model import (
 from asp_testkit.parser import (
     ParseFailure,
     _AnnotationParser,
+    _file_offset,
     _Issue,
     _scan,
     merge_units,
@@ -32,6 +34,7 @@ from helpers import (
     atom,
     fixture_text,
     reference_parse_unit_diagnostics,
+    reference_scan,
 )
 
 
@@ -309,6 +312,101 @@ def test_lexing_diagnostics(text, expected):
     assert [e.render("t.lp") for e in errors] == expected
 
 
+_LEX_MODES = {"program": {}, "program without annotations": {"collect_annotations": False},
+              "annotation": {"annotation": True}}
+
+# Pieces of the random lexer inputs, drawn group first: openers and closers
+# of comments, blocks and strings, escapes, `\n` as two characters,
+# directives, `not`, non-ASCII characters that `\w` takes ('é' may start a
+# word, the digits '²' and '٣' may not), a vertical tab, which `\s` takes,
+# `$`; every ASCII punctuation mark; letters of both cases; digits and blanks.
+_LEX_PIECES = [
+    ["%*", "%**", "**%", "*%", '"', '\\"', "\\\\", "\\n", "\n", "#count", "#show", "not",
+     "²", "٣", "é", "\x0b", "$"],
+    list(string.punctuation),
+    list(string.ascii_letters),
+    list(string.digits) + [" ", "_", "\t"],
+]
+
+
+def _lexed(scan, text: str, base: int, mode: dict):
+    """Each token as (kind, value, offset), a string's value as its text and
+    the file offset of each of its characters and of its closing quote; or
+    the error as (message, offset, kind)."""
+    try:
+        tokens = scan(text, base, **mode)
+    except _Issue as exc:
+        return exc.message, exc.offset, exc.kind
+    view = []
+    for tok in tokens:
+        value = tok.value
+        if tok.kind == "str" and scan is _scan:
+            value = (value[0], [_file_offset(value, i) for i in range(len(value[0]) + 1)])
+        view.append((tok.kind, value, tok.offset))
+    return view
+
+
+def _corpus_texts() -> list[str]:
+    """Every fixture and every string constant of the test files."""
+    root = Path(__file__).resolve().parent.parent
+    texts = [p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.lp"))]
+    for path in sorted((root / "tests").glob("*.py")):
+        texts += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    return texts
+
+
+def _lexer_corpus() -> list[str]:
+    """The corpus texts and every annotation body in them."""
+    texts = _corpus_texts()
+    return texts + [m.group(1) for text in texts
+                    for m in re.finditer(r"%\*\*(.*?)\*\*%", text, re.S)]
+
+
+def _random_lexer_input(rng: random.Random) -> str:
+    # punctuation is drawn least: most marks end the scan with an error
+    return "".join(rng.choice(rng.choices(_LEX_PIECES, (3, 1, 3, 3))[0])
+                   for _ in range(rng.randint(0, 24)))
+
+
+def _lexers_agree(texts, seen: Counter):
+    for n, text in enumerate(texts):
+        base = n % 5
+        for name, mode in _LEX_MODES.items():
+            new = _lexed(_scan, text, base, mode)
+            assert new == _lexed(reference_scan, text, base, mode), (name, text)
+            if isinstance(new, tuple):
+                seen[name, new[0]] += 1
+                continue
+            seen[name, "tokens"] += 1
+            # a string with escapes is longer in the file than its text
+            seen[name, "escapes"] += any(kind == "str" and value[1][-1] - offset > len(value[0]) + 1
+                                         for kind, value, offset in new)
+
+
+def test_lexer_matches_the_reference():
+    """The two patterns give the reference loop's tokens, values, offsets
+    and errors in program text, program text without annotation tokens
+    and annotation text, over the corpus and seeded random strings."""
+    corpus = _lexer_corpus()
+    rng = random.Random(21)
+    seen = Counter()
+    _lexers_agree(corpus + [_random_lexer_input(rng) for _ in range(20000)], seen)
+    assert len(corpus) > 1000
+    # the random strings reach every error, and the characters that `\w`
+    # takes but a word may not start with
+    for name, mode in _LEX_MODES.items():
+        assert seen[name, "tokens"] > 1000, name
+        where = " in annotation" if "annotation" in mode else ""
+        for ch in ("²", "٣", "$"):
+            assert seen[name, f"unexpected character {ch!r}{where}"], (name, ch)
+    assert seen["program", "unterminated comment (missing '*%')"]
+    assert seen["program", "unterminated annotation block (missing '**%')"]
+    assert seen["program", "unsupported directive '#show' (only #count is accepted)"]
+    assert seen["annotation", "unterminated string in annotation"]
+    assert seen["annotation", "escapes"] > 10
+
+
 def _block(body):
     return f"%** {body} **%\np."
 
@@ -457,14 +555,8 @@ def _annotation_corpus() -> list:
     """Every annotation block of the fixtures and of the test files' string
     constants, as (text, body start, body end, leading blank, pieces): a
     piece is one token with the blanks and comments after it."""
-    root = Path(__file__).resolve().parent.parent
-    texts = [p.read_text(encoding="utf-8") for p in sorted((root / "fixtures").glob("*.lp"))]
-    for path in sorted((root / "tests").glob("*.py")):
-        texts += [node.value for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-                  if isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and "%**" in node.value]
     corpus = []
-    for text in texts:
+    for text in _corpus_texts():
         for m in re.finditer(r"%\*\*(.*?)\*\*%", text, re.S):
             body = m.group(1)
             try:
