@@ -85,15 +85,16 @@ class NotUTF8(OSError):
 
 
 def read_source(path: str) -> str:
-    """The text of the file at `path`, which must be UTF-8. A file that
-    cannot be read raises its `OSError`; one that is not UTF-8 raises
-    `NotUTF8`, naming the file, its first bad byte and that byte's offset."""
-    with open(path, "rb") as file:
-        data = file.read()
+    """The text of the file at `path`, which must be UTF-8, with `\\r\\n` and
+    `\\r` read as `\\n`. A file that cannot be read raises its `OSError`; one
+    that is not UTF-8 raises `NotUTF8`, naming the file, its first bad byte
+    and that byte's offset."""
     try:
-        return data.decode("utf-8")
+        with open(path, encoding="utf-8") as file:
+            return file.read()
     except UnicodeDecodeError as exc:
-        raise NotUTF8(f"cannot read {path}: byte 0x{data[exc.start]:02x} "
+        # `read` decodes the whole file at once, so `start` is a file offset
+        raise NotUTF8(f"cannot read {path}: byte 0x{exc.object[exc.start]:02x} "
                       f"at offset {exc.start} is not UTF-8") from None
 
 
@@ -170,7 +171,7 @@ _PROGRAM_TOKENS = re.compile(r"""
     | (?P<bad>.)""", re.S | re.X)
 _ANNOTATION_TOKENS = re.compile(r"""
     \s+ | %[^\n]*
-    | "(?P<str>(?:[^"\\]++|\\.?)*+)" | (?P<open_str>")
+    | "(?P<str>(?:[^"\\]|\\.)*)" | (?P<open_str>")
     | (?P<int>-?[0-9]+) | (?P<word>\w+) | (?P<punct>[@=(){},])
     | (?P<bad>.)""", re.S | re.X)
 _ESCAPE = re.compile(r'\\(["\\])')

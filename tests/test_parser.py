@@ -27,6 +27,7 @@ from asp_testkit.parser import (
     parse_ground_atom,
     parse_unit,
     parse_unit_diagnostics,
+    read_source,
 )
 from asp_testkit.serialize import rule_to_text, serialize_program
 from helpers import (
@@ -138,6 +139,18 @@ def test_annotations_are_inert_for_execution():
 def test_plain_comments_are_skipped():
     unit = parse_unit("t.lp", "p. % trailing comment\n%* block\ncomment *%\nq.")
     assert len(unit.program.rules) == 2
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_crlf_and_cr_line_endings_read_as_lf(tmp_path, newline):
+    lf = ('p(1). % a comment up to the line end\n'
+          '%** @rule(name = "r") **%\nq(X) :- p(X).\n'
+          '%** @test(name = "t", scope = {"r"}, input = "p(2).\np(3).",\n'
+          '  assert = { @trueInAll(atoms = "q(3)") }) **%\n')
+    path = tmp_path / "unit.lp"
+    path.write_bytes(lf.replace("\n", newline).encode("utf-8"))
+    assert read_source(str(path)) == lf
+    assert parse_unit("unit.lp", read_source(str(path))) == parse_unit("unit.lp", lf)
 
 
 def test_block_comment_with_at_is_not_an_annotation():
