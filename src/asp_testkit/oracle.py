@@ -28,14 +28,16 @@ added head occurs in an added positive body. P's atoms then split the
 tester (Lifschitz & Turner, ICLP 1994): P's instances, its certain and
 possible atoms, its reduced statements and its ground aggregates are the
 same in the tester, the added rules are joined once against P's fixpoint,
-and only the added instances are simplified, seeded with P's sets. The new
-atoms must also sort before all of P's, as the fresh `__tk_` atoms do unless
-P's own possible atoms have a name such as `__a`: every id of P then moves up
-by their number m, and P's masks are shifted rather than rebuilt, once per
-scope and m, and shared by the testers that add m atoms. A tester's universe
-is P's constants, collected once per scope, plus those of the added rules.
-Any other tester, or any error, is grounded in full, so both ways give the
-same ground program or the same error.
+and only the added instances are simplified, seeded with P's sets. Atom ids
+follow the canonical order with the fresh `__tk_` atoms last, so a tester's
+atoms take the ids after its scope's, and testers share the scope's
+statements as they are. That needs the added atoms to come after all of
+P's, as the fresh ones do unless P has possible `__tk_` atoms of its own
+that sort after them. A tester's universe is P's constants, collected once
+per scope, plus those of the added rules. Any other tester is grounded in
+full, as is any tester whose instantiation fails, so both ways give the same
+ground program or the same error; a tester over capacity raises from the
+extension what the full grounding raises.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
@@ -79,6 +81,7 @@ from operator import is_, itemgetter
 from typing import Iterable, Optional
 
 from .model import (
+    FRESH_PREFIX,
     Atom,
     Comparison,
     Constant,
@@ -461,11 +464,6 @@ class _GroundAggregate:
         agg = self.aggregate
         return compare_terms(agg.guard_op, Integer(self.count(interp_mask)), agg.guard)
 
-    def shifted(self, m: int) -> _GroundAggregate:
-        """This aggregate with every atom id moved up by `m`."""
-        return _GroundAggregate(self.aggregate, self.always,
-                                {value: mask << m for value, mask in self.conditional.items()})
-
 
 @dataclass
 class _GroundStatement:
@@ -478,22 +476,17 @@ class _GroundStatement:
     aggregates: tuple[_GroundAggregate, ...]
     weight: Optional[tuple[int, int]]
 
-    def shifted(self, m: int) -> _GroundStatement:
-        """This statement with every atom id moved up by `m`."""
-        return _GroundStatement(self.head << m, self.pos << m, self.neg << m,
-                                tuple(a.shifted(m) for a in self.aggregates), self.weight)
-
 
 class GroundProgram:
     """Variable-free program plus the dense atom index used for enumeration.
 
     `atoms` lists every ground atom of the simplified program in canonical
-    order; `certain_ids` are the ids true in every answer set, as a set and
-    as `certain_mask`, and everything else is decided by the search. The
-    simplified statements are kept as masks, split into rules, constraints
-    and weak constraints. `atom_ids` (atom to id) and `unknown_ids` are
-    built on first read: the search reads masks only, so a tester grounded
-    as an extension of its scope builds neither. `rules` and
+    order (`_atom_order`); `certain_ids` are the ids true in every answer
+    set, as a set and as `certain_mask`, and everything else is decided by
+    the search. The simplified statements are kept as masks, split into
+    rules, constraints and weak constraints. `atom_ids` (atom to id) and
+    `unknown_ids` are built on first read: the search reads masks only, so a
+    tester grounded as an extension of its scope builds neither. `rules` and
     `weak_constraints` are AST views built on demand from the masks (certain
     facts first, then the simplified rules).
     """
@@ -669,8 +662,19 @@ def _check_aggregate_stratification(stmts):
                         "rules with heads")
 
 
-def _fits(n_unknown: int, n_rules: int) -> bool:
-    return n_unknown <= MAX_ENUM_ATOMS and n_rules <= MAX_GROUND_RULES
+def _check_capacity(n_unknown: int, n_rules: int) -> None:
+    if n_unknown > MAX_ENUM_ATOMS or n_rules > MAX_GROUND_RULES:
+        raise CapacityExceeded(
+            f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
+            f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
+            f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
+
+
+def _atom_order(atom: Atom) -> tuple:
+    """The canonical order of atom ids: the fresh `__tk_` atoms that testers
+    add come after every other atom, so a scope's atoms keep their ids in
+    each of its testers."""
+    return atom.predicate.startswith(FRESH_PREFIX), atom.sort_key()
 
 
 def _by_signature(atoms) -> dict[tuple[str, int], list[Atom]]:
@@ -724,16 +728,10 @@ def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
 
     # a possible atom is certain or heads a kept rule, and kept statements
     # mention only possible atoms
-    atoms = sorted(possible, key=Atom.sort_key)
+    atoms = sorted(possible, key=_atom_order)
     ids = {a: i for i, a in enumerate(atoms)}
     certain_ids = {ids[a] for a in certain}
-    n_unknown = len(atoms) - len(certain_ids)
-    n_rules = len(stmts)
-    if not _fits(n_unknown, n_rules):
-        raise CapacityExceeded(
-            f"{n_unknown} undetermined ground atoms / {n_rules} ground rules exceed "
-            f"the exhaustive-scan capacity ({MAX_ENUM_ATOMS} atoms, "
-            f"{MAX_GROUND_RULES} rules)", atoms=n_unknown, rules=n_rules)
+    _check_capacity(len(atoms) - len(certain_ids), len(stmts))
     statements = _ground_statements(stmts, ids.__getitem__, certain, _by_signature(possible))
     g = GroundProgram(universe, atoms, certain_ids, _mask(certain_ids), *_split(statements),
                       trivially_incoherent, has_weaks)
@@ -827,9 +825,7 @@ class _SavedScope:
     """A scope P as instantiated and simplified, with what the testers that
     extend it reuse: the atom index of its instantiation's fixpoint and the
     instances it emitted, its ground program, its reduced instances, its
-    certain and possible atoms, and those by signature. `shifted` keeps,
-    per number m of atoms that testers add, P's certain ids and mask and
-    its statements with every atom id moved up by m (see `shifted_by`)."""
+    certain and possible atoms, and those by signature."""
 
     index: _AtomIndex
     emitted: int
@@ -838,22 +834,6 @@ class _SavedScope:
     certain: set[Atom]
     possible: set[Atom]
     by_signature: dict[tuple[str, int], list[Atom]]
-    shifted: dict[int, tuple] = field(default_factory=dict)
-
-    def shifted_by(self, m: int) -> tuple:
-        """(certain ids, certain mask, rules, constraints, weak constraints)
-        of P with every atom id moved up by `m`, shifted once per m. Testers
-        of one scope in several threads may each shift for a new m at once;
-        they build equal values, and either may be kept."""
-        g = self.ground
-        if not m:
-            return g.certain_ids, g.certain_mask, g._rules, g._constraints, g._weaks
-        found = self.shifted.get(m)
-        if found is None:
-            found = self.shifted[m] = (
-                {i + m for i in g.certain_ids}, g.certain_mask << m,
-                *([s.shifted(m) for s in part] for part in (g._rules, g._constraints, g._weaks)))
-        return found
 
 
 def _save_scope(program: Program, universe: list[Term]) -> Optional[_SavedScope]:
@@ -882,10 +862,10 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...],
     of P's index new finds each added rule's instances exactly once. Only
     those are simplified, seeded with P's sets, and their reduced
     statements equal to one of P's are dropped. The atoms the tester adds
-    must sort before all of P's; each id of P then moves up by their number
-    m, so a P atom's id is its id in P plus m, and P's statements, shifted
-    once per m, are shared by every tester that adds m atoms. The tester
-    must also fit the capacity as a whole."""
+    must come after all of P's in `_atom_order`, as fresh `__tk_` atoms do:
+    each atom of P then keeps its id, the added atoms take the ids after
+    them, and P's statements are the tester's as they are. A tester over
+    capacity raises here what grounding it in full raises."""
     heads = {a.signature for r in added for a in r.head}
     if heads & _positive_signatures(added):
         return None
@@ -910,30 +890,26 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...],
     # raises what the check over the whole tester raises
     _check_aggregate_stratification(stmts)
     g = saved.ground
-    new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=Atom.sort_key)
-    if new and g.atoms and new[-1].sort_key() >= g.atoms[0].sort_key():
+    new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=_atom_order)
+    if new and g.atoms and _atom_order(new[0]) <= _atom_order(g.atoms[-1]):
         return None
-    if not _fits(len(g.unknown_ids) + sum(a not in certain for a in new),
-                 len(g._rules) + len(g._constraints) + len(g._weaks) + len(stmts)):
-        return None
+    _check_capacity(len(g.atoms) - len(g.certain_ids) + sum(a not in certain for a in new),
+                    len(g._rules) + len(g._constraints) + len(g._weaks) + len(stmts))
     if not new and not stmts and universe == g.universe:
         return g
-    m = len(new)
-    certain_ids, certain_mask, rules, constraints, weaks = saved.shifted_by(m)
-    new_ids = {a: i for i, a in enumerate(new)}
+    new_ids = {a: i for i, a in enumerate(new, len(g.atoms))}
     base_ids = g.atom_ids
 
     def id_of(a: Atom) -> int:
         i = new_ids.get(a)
-        return base_ids[a] + m if i is None else i
+        return base_ids[a] if i is None else i
 
     by_signature = {**saved.by_signature, **_by_signature(new)}
-    added_rules, added_constraints, added_weaks = _split(
-        _ground_statements(stmts, id_of, certain, by_signature))
-    new_certain = [i for i, a in enumerate(new) if a in certain]
-    return GroundProgram(universe, new + g.atoms, certain_ids | set(new_certain),
-                         certain_mask | _mask(new_certain), rules + added_rules,
-                         constraints + added_constraints, weaks + added_weaks,
+    rules, constraints, weaks = _split(_ground_statements(stmts, id_of, certain, by_signature))
+    new_certain = {i for a, i in new_ids.items() if a in certain}
+    return GroundProgram(universe, g.atoms + new, g.certain_ids | new_certain,
+                         g.certain_mask | _mask(new_certain), g._rules + rules,
+                         g._constraints + constraints, g._weaks + weaks,
                          g.trivially_incoherent or incoherent, g.has_weak_constraints)
 
 
@@ -1112,10 +1088,6 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
         result.exhausted = True
         return result
     unknown = g.unknown_mask
-    n = unknown.bit_count()
-    if n > MAX_ENUM_ATOMS:
-        raise CapacityExceeded(
-            f"{n} undetermined atoms exceed the scan capacity", atoms=n)
     clauses = [(s.head | s.neg, s.pos) for s in g._rules + g._constraints
                if not s.aggregates]
     rules = [(r.head, r.pos, r.neg) for r in g._rules]

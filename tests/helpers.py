@@ -1180,6 +1180,59 @@ def random_join_assertion(rng: random.Random, program: Program, kind: str):
     return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
+N = Variable("N")
+
+
+def guard_count_body(rng: random.Random, counted: str = "pq") -> tuple[Literal, ...]:
+    """`n(N)` and one or two #count literals whose guard is N, or X where
+    `d(X)` binds it, each counting a predicate of `counted`; maybe with
+    `d(X)`, negation and a comparison of X with N. The literals come in a
+    random order, so a guard variable may occur before any atom binds it."""
+    lits = [Literal(Atom("n", (N,)))]
+    guards = [N]
+    if rng.random() < 0.6:
+        lits.append(Literal(Atom("d", (X,))))
+        guards.append(X)
+        if rng.random() < 0.4:
+            lits.append(Literal(Atom(rng.choice("pq"), (X,)), negated=rng.random() < 0.5))
+        if rng.random() < 0.3:
+            lits.append(Literal(Comparison(rng.choice(["!=", "<", ">="]), X, N)))
+    for _ in range(1 if rng.random() < 0.75 else 2):
+        cond = Atom(rng.choice(counted), (rng.choice([Y, Y, N]),))
+        terms = rng.choice([tuple(cond.args), ()]) if cond.args == (N,) else (Y,)
+        op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
+        lits.append(Literal(CountAggregate(terms, cond, op, rng.choice(guards))))
+    rng.shuffle(lits)
+    return tuple(lits)
+
+
+def random_guard_count_program(rng: random.Random) -> Program:
+    """A safe program whose #count guards are variables: over the integers
+    0, 1 and 2, `d/1` holds 1 and 2, `n/1` two of 0..2, and `p(X) | q(X)
+    :- d(X).` chooses p or q per constant. Two or three rules, constraints
+    and disjunctive heads over `r` and `s/1` have a `guard_count_body`.
+    Rules count p and q, which no such head defines, so no #count is
+    recursive; constraints may also count s."""
+    rules = [Rule((Atom("d", (Integer(i),)),), ()) for i in (1, 2)]
+    rules += [Rule((Atom("n", (Integer(i),)),), ()) for i in rng.sample(range(3), 2)]
+    rules.append(Rule((Atom("p", (X,)), Atom("q", (X,))), (Literal(Atom("d", (X,))),)))
+    for _ in range(rng.randint(2, 3)):
+        shape = rng.random()
+        if shape < 0.3:
+            rules.append(Rule((), guard_count_body(rng, "pqs")))
+            continue
+        body = guard_count_body(rng)
+        v = rng.choice([X, N]) if Literal(Atom("d", (X,))) in body else N
+        if shape < 0.5:
+            head = (Atom("r"),)
+        elif shape < 0.75:
+            head = (Atom("s", (v,)),)
+        else:
+            head = (Atom("s", (v,)), Atom("r"))
+        rules.append(Rule(head, body))
+    return Program(tuple(rules))
+
+
 def random_assertion(rng: random.Random, program: Program, kind: str):
     atoms = sorted({a for r in program.rules for a in r.head}, key=Atom.sort_key) \
         or [Atom("a")]

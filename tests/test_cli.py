@@ -284,6 +284,15 @@ def test_solve_merges_multiple_files(tmp_path):
     assert "q(1)." in proc.stdout
 
 
+def test_solve_orders_a_programs_own_tk_atoms_last(tmp_path, capsys):
+    # `__tk_` is reserved for testers' helpers, which take the last atom
+    # ids; the answer sets come in the order of those ids
+    f = tmp_path / "tk.lp"
+    f.write_text("__tk_x | b.\n", encoding="utf-8")
+    assert cli.main(["solve", "--backend", "internal", str(f)]) == 0
+    assert capsys.readouterr().out == "ANSWER\nb.\nANSWER\n__tk_x.\nSATISFIABLE\n"
+
+
 def test_solve_decides_a_head_cycle_program_at_capacity(tmp_path, capsys):
     # 22 unknown atoms, all true in the one answer set: a minimality check
     # that scans the subsets of each candidate takes about 19 s on it

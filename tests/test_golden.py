@@ -1,0 +1,50 @@
+"""Golden reports: `test` on every fixture and `mutate` on both mutation
+fixtures, run in-process through `cli.main`, against the reports recorded
+under `tests/golden/`.
+
+Each golden file is one JSON document, `{"exit": <exit code>, "report":
+<the --format json report>}`, with every `wall_ms` and `total_wall_ms`
+field removed and written with `json.dumps(doc, indent=1)` plus a newline.
+Every `--jobs` value of a case must give the same document. To regenerate
+after a deliberate change to the reports, run the case's command from the
+repository root at `--jobs 1`, for example
+`PYTHONPATH=src python -m asp_testkit mutate --count 8 --seed 19 --format json
+--backend internal fixtures/coloring_mutation.lp`, drop the timing fields,
+and write that document over the file named by `golden_path`.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from asp_testkit import cli
+from helpers import FIXTURES, untimed
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [(("test",), name) for name in sorted(p.name for p in FIXTURES.glob("*.lp"))] + [
+    (("mutate", "--count", "8", "--seed", str(seed)), name)
+    for name in ("coloring_mutation.lp", "hamiltonian_mutation.lp") for seed in (19, 3)]
+
+
+def golden_path(command: tuple, fixture: str) -> Path:
+    seed = f"_seed{command[-1]}" if command[0] == "mutate" else ""
+    return GOLDEN / f"{command[0]}_{Path(fixture).stem}{seed}.json"
+
+
+def test_every_golden_file_has_a_case():
+    assert sorted(GOLDEN.glob("*.json")) == sorted(golden_path(*case) for case in CASES)
+
+
+@pytest.mark.parametrize("command, fixture", CASES,
+                         ids=[golden_path(*case).stem for case in CASES])
+def test_reports_match_the_golden_files(command, fixture, monkeypatch, capsys):
+    # the report names the suite by the path it was given
+    monkeypatch.chdir(FIXTURES.parent)
+    want = json.loads(golden_path(command, fixture).read_text(encoding="utf-8"))
+    for jobs in ((1, 4) if command[0] == "test" else (1, 2)):
+        code = cli.main([*command, "--format", "json", "--backend", "internal",
+                         "--jobs", str(jobs), f"fixtures/{fixture}"])
+        got = {"exit": code, "report": untimed(json.loads(capsys.readouterr().out))}
+        assert got == want, (fixture, jobs)

@@ -3,6 +3,8 @@ import sys
 
 import pytest
 
+from asp_testkit import cli
+from asp_testkit.engine import resolve_scope
 from asp_testkit.model import Program
 from asp_testkit.mutate import (
     ExhaustedLoci,
@@ -17,6 +19,7 @@ from asp_testkit.mutate import (
     mutation_analysis,
     mutation_base_program,
 )
+from asp_testkit.oracle import CapacityExceeded
 from asp_testkit.parser import parse_unit
 from asp_testkit.serialize import rule_to_text, serialize_program
 from asp_testkit.solver import InternalBackend
@@ -280,6 +283,38 @@ def test_kill_report_counts_feed_both_renderings():
     assert report.counts == report.to_json_dict()["counts"] == {
         "mutants": 2, "killed": 2, "survived": 0, "inconclusive": 0}
     assert report.human_lines()[-1] == "2 mutant(s): 2 killed, 0 survived, 0 inconclusive"
+
+
+class RefusesMutatedScopes(InternalBackend):
+    """The internal backend, except that it raises CapacityExceeded on every
+    scope that is not one of `unit`'s tests' own."""
+
+    def __init__(self, unit):
+        self.scopes = [resolve_scope(unit.suite, spec) for spec in unit.suite.tests]
+
+    def run(self, program, max_models, optimize=False, scope=None):
+        if scope.program not in self.scopes:
+            raise CapacityExceeded("refused")
+        return super().run(program, max_models, optimize, scope)
+
+
+def test_a_mutant_with_an_error_and_no_failure_is_inconclusive(monkeypatch, capsys):
+    unit = parse_unit("fixtures/coloring_mutation.lp", fixture_text("coloring_mutation.lp"))
+    backend = RefusesMutatedScopes(unit)
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 1, seed=19)
+    report = mutation_analysis(unit, mutants, backend)
+    assert report.baseline_passed
+    (outcome,) = report.outcomes
+    assert {a.verdict for t in outcome.tests for a in t.assertions} == {"error"}
+    assert outcome.status == "inconclusive" and outcome.killed_by == []
+    assert report.counts["inconclusive"] == 1
+    assert report.human_lines()[-1] == "1 mutant(s): 0 killed, 0 survived, 1 inconclusive"
+    # `mutate` exits 1 when a mutant is not killed
+    monkeypatch.chdir(FIXTURES.parent)
+    monkeypatch.setattr(cli, "_make_backend", lambda args: backend)
+    assert cli.main(["mutate", "--count", "1", "--seed", "19",
+                     "fixtures/coloring_mutation.lp"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == report.human_lines()[-1]
 
 
 def test_shipped_mutants_all_killed():

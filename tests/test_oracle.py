@@ -2,6 +2,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from operator import is_
 
 import pytest
 
@@ -14,6 +15,7 @@ from asp_testkit.model import (
     Constant,
     ConstraintForAll,
     ConstraintInAtLeast,
+    CountAggregate,
     Integer,
     NoAnswerSet,
     Program,
@@ -49,6 +51,7 @@ from helpers import (
     brute_optimal,
     brute_penalty,
     fixture_text,
+    guard_count_body,
     least_fixpoint,
     lit,
     naive_ground,
@@ -57,6 +60,7 @@ from helpers import (
     random_join_program,
     is_tight,
     random_head_cycle_program,
+    random_guard_count_program,
     random_nonground_program,
     random_program,
     reference_check_aggregate_stratification,
@@ -358,10 +362,10 @@ def test_a_testers_universe_is_its_scopes_plus_what_it_adds(scope_text, asserted
     assert ground(tester, scope=oracle.Scope(scope)).universe == universe
 
 
-def test_threads_share_a_scopes_symbols_and_shifted_statements():
-    # the testers of one scope fill its symbols, its saved form and its
-    # statements shifted by m = 0 and m = 1 from several threads at once;
-    # a fill that one thread saw half done would give a wrong ground program
+def test_threads_share_a_scopes_symbols_and_saved_form():
+    # the testers of one scope fill its symbols and its saved form from
+    # several threads at once; a fill that one thread saw half done would
+    # give a wrong ground program
     scope_program = program(COLORING)
     testers = [build_tester(scope_program, a).program for a in (
         TrueInAll((atom("col", 1, "red"),)), NoAnswerSet(),
@@ -392,7 +396,6 @@ def test_threads_share_a_scopes_symbols_and_shifted_statements():
         assert not any(worker.is_alive() for worker in workers)
         assert len(got) == threads
         assert all(fields == want[i] for i, fields in got)
-        assert set(scope.saved().shifted) == {1}
 
 
 def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
@@ -413,7 +416,25 @@ def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
     same = ground(testers["same constraint"].program)
     assert len(same.rules) == len(saved.saved().ground.rules)
     g = ground(testers["certain head"].program, scope=saved)
-    assert g.atoms[0] == atom("__tk_miss_0") and 0 in g.certain_ids
+    last = len(g.atoms) - 1
+    assert g.atoms[last] == atom("__tk_miss_0") and last in g.certain_ids
+
+
+def test_a_tester_keeps_its_scopes_atom_ids_and_statements():
+    scope = program(COLORING)
+    saved = oracle.Scope(scope)
+    tester = build_tester(scope, TrueInAll((atom("col", 1, "red"),))).program
+    assert assert_scope_path_matches(saved, tester) == "simplified"
+    base, g = saved.saved().ground, ground(tester, scope=saved)
+    # the tester's `__tk_miss_0` takes the one id after the scope's atoms
+    assert g.atoms == base.atoms + [atom("__tk_miss_0")]
+    assert all(g.atom_ids[a] == i for i, a in enumerate(base.atoms))
+    assert g.certain_ids == base.certain_ids and g.certain_mask == base.certain_mask
+    for mine, scopes in ((g._rules, base._rules), (g._constraints, base._constraints),
+                         (g._weaks, base._weaks)):
+        assert all(map(is_, mine, scopes))
+    assert len(g._rules) == len(base._rules) + 1
+    assert len(g._constraints) == len(base._constraints) + 1
 
 
 def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it(monkeypatch):
@@ -422,17 +443,18 @@ def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it
         return assert_scope_path_matches(oracle.Scope(scope),
                                          build_tester(scope, assertion).program)
 
-    # `__a(1)` sorts before the tester's `__tk_miss_0`
-    assert path("__a(1) | b(1).", TrueInAll((atom("b", 1),))) == "full"
+    # the scope's own `__tk_z(1)` sorts after the tester's `__tk_miss_0`
+    assert path("__tk_z(1) | b(1).", TrueInAll((atom("b", 1),))) == "full"
     # a recursive #count in a rule head: the scope itself is not simplified
     assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "full"
     # an added head that the scope negates: `a.` makes the scope's `b` false
     scope = program("b :- not a.")
     tester = Program(scope.rules + (Rule((atom("a"),), ()),))
     assert assert_scope_path_matches(oracle.Scope(scope), tester) == "full"
-    # over capacity only by the tester's unknown `__tk_miss_0`
+    # over capacity only by the tester's unknown `__tk_miss_0`: the
+    # extension raises what the full grounding raises
     monkeypatch.setattr(oracle, "MAX_ENUM_ATOMS", 2)
-    assert path("a | b.", TrueInAll((atom("a"),))) == "full"
+    assert path("a | b.", TrueInAll((atom("a"),))) == "simplified"
     with pytest.raises(CapacityExceeded):
         ground(build_tester(program("a | b."), TrueInAll((atom("a"),))).program)
 
@@ -922,6 +944,41 @@ def test_pipeline_matches_brute_force_on_random_join_programs():
                 assert best.costs[(i, level)] == brute_penalty(g, answer.atoms, level, universe)
         optimized += bool(best.answer_sets)
     assert checked >= 250 and optimized >= 50
+
+
+def _first_occurrences(statement, guards: bool = True) -> list[str]:
+    """The global variables of `statement` in the order they first occur:
+    the head's, then the body's from left to right, where a #count counts
+    by its guard only (with `guards`) or not at all."""
+    names = [v for a in statement.head for v in a.variables()]
+    for l in statement.body:
+        p = l.payload
+        if not isinstance(p, CountAggregate):
+            names += p.variables()
+        elif guards:
+            names += p.guard_variables()
+    return list(dict.fromkeys(names))
+
+
+def test_pipeline_matches_brute_force_on_count_guard_variables():
+    # the instances of a statement come sorted by its variables in the
+    # order they first occur, a guard variable included
+    rng = random.Random(31)
+    first = 0
+    for _ in range(300):
+        p = random_guard_count_program(rng)
+        for r in p.rules:
+            assert oracle._global_variables(r.head, r.body) == _first_occurrences(r), r
+        assert_join_matches_product(p)
+        g = ground(p)
+        want = brute_answer_sets(naive_ground(p.rules, g.universe), g.universe)
+        assert enumerate_answer_sets(g).atom_sets() == set(want), p
+        tester = build_tester(p, ConstraintForAll(Rule((), guard_count_body(rng)))).program
+        assert assert_scope_path_matches(oracle.Scope(p), tester) == "simplified"
+        first += any(_first_occurrences(r) != _first_occurrences(r, guards=False)
+                     for r in p.rules)
+    # programs where the order comes from a #count guard
+    assert first >= 25, first
 
 
 def test_reduct_of_answer_set_reproduces_it():

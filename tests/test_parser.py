@@ -656,6 +656,17 @@ def test_recovery_reports_multiple_errors():
     assert len(errors) >= 3
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("p(.\nq.", ["1:3: syntactic: expected a term, found '.'"]),
+    # the weight after the failed body is skipped with it, not read as a
+    # statement of its own
+    (":~ p(. [1@1]\nq.", ["1:6: syntactic: expected a term, found '.'"]),
+], ids=["rule", "weak constraint"])
+def test_recovery_resumes_after_the_failed_statement(text, expected):
+    _, errors = parse_unit_diagnostics("t.lp", text)
+    assert [e.render() for e in errors] == expected
+
+
 def test_multiple_units_share_a_namespace():
     a = parse_unit("a.lp", '%** @rule(name = "r1") **%\np(1).')
     b = parse_unit("b.lp", '%** @test(name = "t", scope = {"r1"},'

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from asp_testkit import solver
 from asp_testkit.model import Atom, Program
 from asp_testkit.oracle import enumerate_answer_sets, ground
 from asp_testkit.parser import parse_unit
@@ -76,6 +77,23 @@ def test_parse_ignores_unrecognized_lines():
     res = parse_competition_output(
         "clingo version x\nReading...\nANSWER\na.\nSATISFIABLE\nModels: 1\n")
     assert res.atom_sets() == {frozenset({Atom("a")})}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("COST 1@1\n", "COST line with no preceding ANSWER"),
+    ("ANSWER\np.\nCOST x@1\n", "malformed COST entry 'x@1'"),
+    ("ANSWER\np.\nINCOHERENT\n", "INCOHERENT reported after ANSWER lines"),
+    # a cost without a level is at level 0
+    ("ANSWER\np.\nCOST 3\n", None),
+])
+def test_parse_output_cost_and_marker_order(text, message):
+    if message is None:
+        result, saw_unknown = solver._parse_output(text)
+        assert result.costs == {(0, 0): 3} and not saw_unknown
+        return
+    with pytest.raises(FormatError) as exc:
+        solver._parse_output(text)
+    assert str(exc.value) == message
 
 
 def test_parse_answer_without_model_line_is_format_error():
