@@ -20,24 +20,25 @@ universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
 test's scope program P by a few rules. The test hands P to `ground` with
-each of its testers as one `Scope`, which instantiates and simplifies P the
-first time a tester needs it and keeps that saved form. A tester is grounded
-as an extension of it when its rules start with P's own and its weak
-constraints are P's, no added head's predicate name occurs in P, and no
-added head occurs in an added positive body. P's atoms then split the
-tester (Lifschitz & Turner, ICLP 1994): P's instances, its certain and
-possible atoms, its reduced statements and its ground aggregates are the
-same in the tester, the added rules are joined once against P's fixpoint,
-and only the added instances are simplified, seeded with P's sets. Atom ids
-follow the canonical order with the fresh `__tk_` atoms last, so a tester's
-atoms take the ids after its scope's, and testers share the scope's
-statements as they are. That needs the added atoms to come after all of
-P's, as the fresh ones do unless P has possible `__tk_` atoms of its own
-that sort after them. A tester's universe is P's constants, collected once
-per scope, plus those of the added rules. Any other tester is grounded in
-full, as is any tester whose instantiation fails, so both ways give the same
-ground program or the same error; a tester over capacity raises from the
-extension what the full grounding raises.
+each of its testers as one `Scope`, which decides up front, from the
+tester's rules and P's predicate names alone, whether P's atoms split the
+tester (Lifschitz & Turner, ICLP 1994): its rules start with P's own and
+its weak constraints are P's, no added head occurs in an added positive
+body, and every added head's predicate name is new to P and sorts after all
+of P's in the canonical order, where the fresh `__tk_` atoms come last. A
+tester that splits on P is grounded as an extension of P's saved form,
+which the scope fills once, the first time a tester needs it: P's
+instances, its certain and possible atoms, its reduced statements and its
+ground aggregates are the same in the tester, the added rules are joined
+once against P's fixpoint, and only the added instances are simplified,
+seeded with P's sets. A tester's atoms take the ids after its scope's, so
+testers share the scope's statements as they are. A tester's universe is
+P's constants, collected once per scope, plus those of the added rules.
+When P's fill raises, the scope keeps that error and every tester that
+splits on P raises it: the tester holds all of P's instances, statements
+and unknown atoms, so grounding it in full raises an error of the same
+type. Any other tester is grounded in full, and no tester is grounded
+twice.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
@@ -95,7 +96,6 @@ from .model import (
     WeakConstraint,
     compare_terms,
     constants,
-    herbrand_universe,
     signatures,
     term_key,
 )
@@ -572,25 +572,16 @@ def _mask(ids: Iterable[int]) -> int:
 
 def ground(program: Program, scope: Optional[Scope] = None) -> GroundProgram:
     """The ground program of `program`. With `scope`, the scope of the test
-    whose tester `program` is, a tester that extends the scope (see
+    whose tester `program` is, a tester that splits on the scope (see
     `Scope.added`) is grounded as an extension of the scope's saved form
-    where it can be (`_ground_extension`), else in full; the result is the
-    same either way. Its universe is then the scope's constants plus those
-    of the added rules, so only the added rules are walked."""
+    (`_ground_extension`), and raises the scope's own error when the scope
+    cannot be grounded. Any other program is instantiated, simplified and
+    built in full, as a scope is filled. Either way it is grounded once."""
     added = None if scope is None else scope.added(program)
-    if added is None:
-        universe = sorted(herbrand_universe(program), key=term_key)
-    else:
-        symbols = scope.symbols
-        extra = constants(added)
-        universe = (symbols.universe if extra <= symbols.constants
-                    else _universe(symbols.constants | extra))
-        g = _ground_extension(scope, added, universe)
-        if g is not None:
-            return g
-    instances = _instantiate(program.rules + program.weak_constraints,
-                             len(universe)).instances
-    return _build_ground(universe, instances, bool(program.weak_constraints))
+    if added is not None:
+        return _ground_extension(scope, added)
+    statements = program.rules + program.weak_constraints
+    return _save_scope(program, _universe(constants(statements))).ground
 
 
 def _closure(rules, derived):
@@ -673,8 +664,13 @@ def _check_capacity(n_unknown: int, n_rules: int) -> None:
 def _atom_order(atom: Atom) -> tuple:
     """The canonical order of atom ids: the fresh `__tk_` atoms that testers
     add come after every other atom, so a scope's atoms keep their ids in
-    each of its testers."""
+    each of its testers. Atoms of different predicate names are ordered by
+    `_name_order` of their names."""
     return atom.predicate.startswith(FRESH_PREFIX), atom.sort_key()
+
+
+def _name_order(name: str) -> tuple[bool, str]:
+    return name.startswith(FRESH_PREFIX), name
 
 
 def _by_signature(atoms) -> dict[tuple[str, int], list[Atom]]:
@@ -760,18 +756,18 @@ class Scope:
     """A test's scope program P, handed to `ground` with each of its
     testers. What the testers need of P is derived once and kept:
     `symbols` on first read, and the saved form, P instantiated and
-    simplified, the first time `ground` needs it. `saved()` is None when
-    instantiating or simplifying P raises: each tester is then grounded
-    in full, which raises its own error. The testers of one test may run in
-    several threads at once, so filling the saved form takes the scope's
-    lock: the first tester fills it, and any tester that arrives meanwhile
-    waits for that form instead of building its own."""
+    simplified, the first time a tester that splits on P needs it (see
+    `added`). A fill that raises is not tried again: the scope keeps the
+    error, and `saved()` raises it for every such tester. The testers of
+    one test may run in several threads at once, so filling takes the
+    scope's lock: the first tester fills, and any tester that arrives
+    meanwhile waits for that form or that error instead of filling again."""
 
     def __init__(self, program: Program):
         self.program = program
         self._symbols: Optional[_Symbols] = None
         self._saved: Optional[_SavedScope] = None
-        self._filled = False
+        self._error: Optional[Exception] = None
         self._lock = threading.Lock()
 
     @property
@@ -782,33 +778,53 @@ class Scope:
             self._symbols = _Symbols.of(self.program)
         return self._symbols
 
-    def saved(self) -> Optional[_SavedScope]:
+    def saved(self) -> _SavedScope:
         with self._lock:
-            if not self._filled:
-                self._saved = _save_scope(self.program, self.symbols.universe)
-                self._filled = True
+            if self._saved is None and self._error is None:
+                try:
+                    self._saved = _save_scope(self.program, self.symbols.universe)
+                except Exception as exc:
+                    self._error = exc
+        if self._error is not None:
+            # raised with a fresh traceback: the kept one would hold the
+            # failed fill's frames, and the raises of several testers, from
+            # several threads, would pile up on it
+            raise self._error.with_traceback(None)
         return self._saved
 
     def added(self, program: Program) -> Optional[tuple[Rule, ...]]:
-        """The rules that `program` adds to P when it extends P: its rules
-        are P's rules (the same objects) and then the added ones, and its
-        weak constraints are P's. None when it does not extend P."""
+        """The rules that `program` adds to P when P's atoms split it, else
+        None. They split it when its rules are P's rules (the same objects)
+        and then the added ones, its weak constraints are P's, no added
+        head occurs in an added positive body, and every added head's
+        predicate name is new to P and comes after all of P's names in
+        `_name_order`. The names differ, so every atom the tester adds then
+        comes after every atom of P in `_atom_order`."""
         base = self.program
         k = len(base.rules)
         if len(program.rules) < k or program.weak_constraints != base.weak_constraints \
                 or not all(map(is_, program.rules, base.rules)):
             return None
-        return program.rules[k:]
+        added = program.rules[k:]
+        heads = {a.signature for r in added for a in r.head}
+        symbols = self.symbols
+        if heads & _positive_signatures(added) or any(
+                name in symbols.names or _name_order(name) < symbols.last
+                for name, _ in heads):
+            return None
+        return added
 
 
 @dataclass(frozen=True)
 class _Symbols:
     """A scope program's signatures (which a witness keeps), its predicate
-    names (which fresh helpers avoid), its constants, and its sorted
+    names (which fresh helpers avoid), the `_name_order` of its last name
+    (which an added head must follow), its constants, and its sorted
     universe."""
 
     signatures: frozenset[tuple[str, int]]
     names: frozenset[str]
+    last: tuple[bool, str]
     constants: frozenset[Term]
     universe: list[Term]
 
@@ -816,16 +832,18 @@ class _Symbols:
     def of(program: Program) -> _Symbols:
         found = constants(program.rules + program.weak_constraints)
         sigs = signatures(program)
-        return _Symbols(frozenset(sigs), frozenset(name for name, _ in sigs),
+        names = frozenset(name for name, _ in sigs)
+        return _Symbols(frozenset(sigs), names,
+                        max(map(_name_order, names), default=(False, "")),
                         frozenset(found), _universe(found))
 
 
 @dataclass
 class _SavedScope:
-    """A scope P as instantiated and simplified, with what the testers that
-    extend it reuse: the atom index of its instantiation's fixpoint and the
-    instances it emitted, its ground program, its reduced instances, its
-    certain and possible atoms, and those by signature."""
+    """A program P as instantiated and simplified, with what the testers
+    that extend it reuse: the atom index of its instantiation's fixpoint
+    and the instances it emitted, its ground program, its reduced
+    instances, its certain and possible atoms, and those by signature."""
 
     index: _AtomIndex
     emitted: int
@@ -836,53 +854,45 @@ class _SavedScope:
     by_signature: dict[tuple[str, int], list[Atom]]
 
 
-def _save_scope(program: Program, universe: list[Term]) -> Optional[_SavedScope]:
-    try:
-        done = _instantiate(program.rules + program.weak_constraints, len(universe))
-        stmts, possible, certain, incoherent = _simplify(done.instances)
-        g = _ground_program(universe, stmts, possible, certain, incoherent,
-                            bool(program.weak_constraints))
-    except Exception:
-        return None
+def _save_scope(program: Program, universe: list[Term]) -> _SavedScope:
+    done = _instantiate(program.rules + program.weak_constraints, len(universe))
+    stmts, possible, certain, incoherent = _simplify(done.instances)
+    g = _ground_program(universe, stmts, possible, certain, incoherent,
+                        bool(program.weak_constraints))
     return _SavedScope(done.index, done.emitted, g, set(stmts), certain, possible,
                        _by_signature(possible))
 
 
-def _ground_extension(scope: Scope, added: tuple[Rule, ...],
-                      universe: list[Term]) -> Optional[GroundProgram]:
+def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
     """The ground program of the tester that adds the rules `added` to the
-    scope P, built from P's saved form, or None when it cannot be built so
-    (the caller then grounds the tester in full, which raises any error
-    with its own message).
+    scope P, which P's atoms split (`Scope.added`), built from P's saved
+    form; P's own error when P cannot be grounded.
 
     No added head occurs in an added positive body, and no added head's
-    predicate name occurs in P, so the added heads join with nothing and
-    P's atoms split the tester: P's instances, sets, reduced statements and
-    ground aggregates hold in it as they are, and one round with every atom
-    of P's index new finds each added rule's instances exactly once. Only
-    those are simplified, seeded with P's sets, and their reduced
-    statements equal to one of P's are dropped. The atoms the tester adds
-    must come after all of P's in `_atom_order`, as fresh `__tk_` atoms do:
-    each atom of P then keeps its id, the added atoms take the ids after
-    them, and P's statements are the tester's as they are. A tester over
-    capacity raises here what grounding it in full raises."""
-    heads = {a.signature for r in added for a in r.head}
-    if heads & _positive_signatures(added):
-        return None
+    predicate name occurs in P, so the added heads join with nothing: P's
+    instances, sets, reduced statements and ground aggregates hold in the
+    tester as they are, and one round with every atom of P's index new
+    finds each added rule's instances exactly once. Only those are
+    simplified, seeded with P's sets, and their reduced statements equal to
+    one of P's are dropped. The added atoms come after all of P's in
+    `_atom_order`: each atom of P keeps its id, the added atoms take the
+    ids after them, and P's statements are the tester's as they are. The
+    tester's universe is P's constants plus those of `added`. An error,
+    over the instantiation budget or capacity or a recursive #count, is
+    raised here and the tester is not grounded again."""
     saved = scope.saved()
-    if saved is None or any(name in scope.symbols.names for name, _ in heads):
-        return None
+    symbols = scope.symbols
+    extra = constants(added)
+    universe = (symbols.universe if extra <= symbols.constants
+                else _universe(symbols.constants | extra))
     emitted = saved.emitted
     instances = []
-    try:
-        for join in map(_Join, added):
-            # a statement that is its own instance has its one binding in
-            # the round where the index is empty
-            hi = len(saved.index) if join.own is None else 0
-            new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
-            instances += _sorted_instances(new)
-    except Exception:
-        return None
+    for join in map(_Join, added):
+        # a statement that is its own instance has its one binding in the
+        # round where the index is empty
+        hi = len(saved.index) if join.own is None else 0
+        new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
+        instances += _sorted_instances(new)
     stmts, possible, certain, incoherent = _simplify(instances, saved.certain, saved.possible)
     stmts = [s for s in stmts if s not in saved.reduced]
     # only added atoms depend on an added head, so P's statements cannot
@@ -891,8 +901,6 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...],
     _check_aggregate_stratification(stmts)
     g = saved.ground
     new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=_atom_order)
-    if new and g.atoms and _atom_order(new[0]) <= _atom_order(g.atoms[-1]):
-        return None
     _check_capacity(len(g.atoms) - len(g.certain_ids) + sum(a not in certain for a in new),
                     len(g._rules) + len(g._constraints) + len(g._weaks) + len(stmts))
     if not new and not stmts and universe == g.universe:
@@ -1070,39 +1078,41 @@ def _search(clauses, rules, unknown: int, true: int, false: int):
             yield true
 
 
-def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
-    """Collect the answer sets by `_search` over the unknown atoms (certain
-    atoms fixed true), stopping once `cap` many are found.
+def _answer_masks(g: GroundProgram):
+    """The answer sets of `g` as true masks, by `_search` over the unknown
+    atoms (certain atoms fixed true).
 
     The search propagates every rule and constraint without #count as a
     clause, and support. Every leaf, a total assignment, is kept only if
     `_passes` accepts it, so propagation only saves work and never decides.
     The leaves come in the order of a scan of all subsets of the unknown
-    atoms; as for that scan, `exhausted` at the cap means the cap-th answer
-    set was the last candidate, the one with every unknown atom true."""
-    if cap is not None and cap <= 0:
-        raise ValueError("cap must be positive")
-    result = SolveResult()
+    atoms. A trivially incoherent program has none."""
     if g.trivially_incoherent:
-        result.incoherent = True
-        result.exhausted = True
-        return result
-    unknown = g.unknown_mask
+        return
     clauses = [(s.head | s.neg, s.pos) for s in g._rules + g._constraints
                if not s.aggregates]
     rules = [(r.head, r.pos, r.neg) for r in g._rules]
+    for true in _search(clauses, rules, g.unknown_mask, g.certain_mask, 0):
+        if _passes(g, true):
+            yield true
+
+
+def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
+    """The answer sets of `_answer_masks`, stopping once `cap` many are
+    found. As for a scan of all subsets of the unknown atoms, `exhausted`
+    at the cap means the cap-th answer set was the last candidate, the one
+    with every unknown atom true."""
+    if cap is not None and cap <= 0:
+        raise ValueError("cap must be positive")
     found: list[int] = []
     exhausted = True
-    for true in _search(clauses, rules, unknown, g.certain_mask, 0):
-        if _passes(g, true):
-            found.append(true)
-            if cap is not None and len(found) >= cap:
-                exhausted = true == g.certain_mask | unknown
-                break
-    result.answer_sets = [AnswerSet(g.mask_atoms(m)) for m in found]
-    result.exhausted = exhausted
-    result.incoherent = exhausted and not found
-    return result
+    for true in _answer_masks(g):
+        found.append(true)
+        if cap is not None and len(found) >= cap:
+            exhausted = true == g.certain_mask | g.unknown_mask
+            break
+    return SolveResult([AnswerSet(g.mask_atoms(m)) for m in found],
+                       exhausted=exhausted, incoherent=exhausted and not found)
 
 
 # ---------------------------------------------------------------------------
@@ -1138,21 +1148,12 @@ def optimal_answer_sets(g: GroundProgram) -> SolveResult:
     Domination compares penalties levelwise from the highest level down, so
     all optimal answer sets share one penalty vector.
     """
-    base = enumerate_answer_sets(g, cap=None)
-    if base.incoherent or not base.answer_sets:
-        base.costs = {} if g.has_weak_constraints else None
-        return base
     levels = penalty_levels(g)
-    vectors = []
-    for a in base.answer_sets:
-        mask = g.interpretation_mask(a.atoms)
-        vectors.append(tuple(_penalty_mask(g, mask, l) for l in sorted(levels, reverse=True)))
-    best = min(vectors) if vectors else ()
-    picked = [a for a, v in zip(base.answer_sets, vectors) if v == best]
-    costs: dict[tuple[int, int], int] = {}
-    by_level = dict(zip(sorted(levels, reverse=True), best))
-    for i, _ in enumerate(picked):
-        for l in levels:
-            costs[(i, l)] = by_level[l]
-    return SolveResult(answer_sets=picked, exhausted=True, incoherent=False,
+    top_down = levels[::-1]
+    found = [(tuple(_penalty_mask(g, m, l) for l in top_down), m) for m in _answer_masks(g)]
+    best = min((v for v, _ in found), default=())
+    picked = [AnswerSet(g.mask_atoms(m)) for v, m in found if v == best]
+    by_level = dict(zip(top_down, best))
+    costs = {(i, l): by_level[l] for i in range(len(picked)) for l in levels}
+    return SolveResult(answer_sets=picked, exhausted=True, incoherent=not picked,
                        costs=costs if g.has_weak_constraints else None)

@@ -634,7 +634,6 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
     ts = _TokenStream(tokens)
     statements: list = []            # Rule | WeakConstraint in source order
     named: dict[str, tuple] = {}     # name -> (rule, block claim, offset)
-    name_order: list[str] = []
     block_anns: list[tuple] = []     # (name, rule names, offset)
     tests: list[TestSpec] = []
     pending_rule: Optional[tuple] = None  # (@rule attributes, offset)
@@ -695,7 +694,6 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
                     f"duplicate rule name {attrs['name']!r}", offset, "duplicate-name")))
             else:
                 named[attrs["name"]] = (stmt, attrs.get("block"), offset)
-                name_order.append(attrs["name"])
     flush_pending("the end of the file")
 
     # Blocks: explicit declarations first, then memberships claimed by rules.
@@ -706,7 +704,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
                 f"duplicate block name {bname!r}", boffset, "duplicate-name")))
             continue
         blocks[bname] = (rule_names, boffset)
-    for name in name_order:
+    for name in named:
         if name in blocks:
             errors.append(index.error(_Issue(
                 f"{name!r} is used both as a rule name and as a block name",
@@ -723,21 +721,21 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
                     errors.append(index.error(_Issue(
                         f"rule {rname!r} is assigned to block {claimed!r} but block "
                         f"{bname!r} also lists it", boffset, "duplicate-name")))
-    for name in name_order:
+    for name in named:
         claimed = named[name][1]
         if claimed is not None and claimed not in blocks:
             blocks[claimed] = ([], named[name][2])
 
     final_blocks: dict[str, tuple[str, ...]] = {}
     for bname, (rule_names, _) in blocks.items():
-        members = [n for n in name_order
+        members = [n for n in named
                    if n in rule_names or named[n][1] == bname]
         final_blocks[bname] = tuple(members)
 
     if errors:
         return None, errors
 
-    named_rules = {name: named[name][0] for name in name_order}
+    named_rules = {name: rule for name, (rule, _, _) in named.items()}
     named_set = {id(r) for r in named_rules.values()}
     anonymous = tuple(s for s in statements
                       if isinstance(s, Rule) and id(s) not in named_set)

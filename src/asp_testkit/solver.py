@@ -112,60 +112,69 @@ def _split_atom_line(line: str) -> list[str]:
     return parts
 
 
-def _parse_output(text: str) -> tuple[SolveResult, bool]:
-    """Returns (result, saw_unknown)."""
+def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
+    """Returns (result, saw_unknown). The output of a `killed` run may end
+    in a record the kill cut short: parsing stops at the first record that
+    does not parse and keeps the answers before it, where any other output
+    raises FormatError."""
     result = SolveResult()
     costs: dict[tuple[int, int], int] = {}
     saw_unknown = False
     lines = text.splitlines()
     i = 0
-    while i < len(lines):
-        line = lines[i].strip()
-        i += 1
-        if line == "ANSWER":
-            if i >= len(lines):
-                raise FormatError("ANSWER marker at end of output, model line missing")
-            model_line = lines[i]
+    try:
+        while i < len(lines):
+            line = lines[i].strip()
             i += 1
-            atoms = []
-            for token in _split_atom_line(model_line):
-                token = token.rstrip(".")
-                if not token:
-                    continue
-                try:
-                    atoms.append(parse_ground_atom(token))
-                except ParseFailure as exc:
-                    raise FormatError(
-                        f"unparseable atom {token!r} after ANSWER: {exc.errors[0].message}")
-            result.answer_sets.append(AnswerSet(frozenset(atoms)))
-            continue
-        if line == "COST" or line.startswith("COST "):
-            if not result.answer_sets:
-                raise FormatError("COST line with no preceding ANSWER")
-            idx = len(result.answer_sets) - 1
-            for pair in line[4:].split():
-                if "@" in pair:
-                    c, _, l = pair.partition("@")
-                else:
-                    c, l = pair, "0"
-                try:
-                    costs[(idx, int(l))] = int(c)
-                except ValueError:
-                    raise FormatError(f"malformed COST entry {pair!r}")
-            continue
-        if line == "OPTIMUM FOUND":
-            result.exhausted = True
-            continue
-        if line in _INCOHERENT_MARKERS:
-            if result.answer_sets:
-                raise FormatError(f"{line} reported after ANSWER lines")
-            result.incoherent = True
-            result.exhausted = True
-            continue
-        if line == "UNKNOWN":
-            saw_unknown = True
-            continue
-        # everything else is solver chatter
+            if line == "ANSWER":
+                if i >= len(lines):
+                    raise FormatError("ANSWER marker at end of output, model line missing")
+                model_line = lines[i]
+                i += 1
+                atoms = []
+                for token in _split_atom_line(model_line):
+                    token = token.rstrip(".")
+                    if not token:
+                        continue
+                    try:
+                        atoms.append(parse_ground_atom(token))
+                    except ParseFailure as exc:
+                        raise FormatError(
+                            f"unparseable atom {token!r} after ANSWER: {exc.errors[0].message}")
+                result.answer_sets.append(AnswerSet(frozenset(atoms)))
+                continue
+            if line == "COST" or line.startswith("COST "):
+                if not result.answer_sets:
+                    raise FormatError("COST line with no preceding ANSWER")
+                idx = len(result.answer_sets) - 1
+                line_costs = {}
+                for pair in line[4:].split():
+                    if "@" in pair:
+                        c, _, l = pair.partition("@")
+                    else:
+                        c, l = pair, "0"
+                    try:
+                        line_costs[(idx, int(l))] = int(c)
+                    except ValueError:
+                        raise FormatError(f"malformed COST entry {pair!r}")
+                costs.update(line_costs)
+                continue
+            if line == "OPTIMUM FOUND":
+                result.exhausted = True
+                continue
+            if line in _INCOHERENT_MARKERS:
+                if result.answer_sets:
+                    raise FormatError(f"{line} reported after ANSWER lines")
+                result.incoherent = True
+                result.exhausted = True
+                continue
+            if line == "UNKNOWN":
+                saw_unknown = True
+                continue
+            # everything else is solver chatter
+    except FormatError:
+        if not killed:
+            raise
     if costs:
         result.costs = costs
     return result, saw_unknown
@@ -231,41 +240,25 @@ def solve(cfg: BackendConfig, program_text: str,
         # the kill may have cut the last line short; only whole lines count
         stdout = stdout[:stdout.rfind("\n") + 1]
     try:
-        result, saw_unknown = _parse_output(stdout)
+        result, saw_unknown = _parse_output(stdout, killed=timed_out)
     except FormatError:
-        if timed_out:
-            # the kill may have truncated the output mid-model; salvage the
-            # complete prefix
-            lines = stdout.splitlines()
-            while lines:
-                lines.pop()
-                try:
-                    result, saw_unknown = _parse_output("\n".join(lines))
-                    break
-                except FormatError:
-                    continue
-            else:
-                result, saw_unknown = SolveResult(), False
-            result.exhausted = False
-            return result, run
         # solver exit codes are commonly bitmasks; only flag hard failures
         if proc.returncode != 0:
             raise BackendError(
                 f"{cfg.executable} exited with status {proc.returncode}: "
                 f"{run.stderr.strip() or run.stdout.strip()}")
         raise
-    if not result.answer_sets and not result.incoherent and not result.exhausted \
-            and proc.returncode != 0 and not run.stdout.strip():
+    if not timed_out and proc.returncode != 0 and not run.stdout.strip():
         raise BackendError(
             f"{cfg.executable} exited with status {proc.returncode} and no "
             f"output: {run.stderr.strip()}")
     if max_models is not None and len(result.answer_sets) > max_models:
         result.answer_sets = result.answer_sets[:max_models]
-    if not timed_out and not saw_unknown and not result.exhausted:
-        if max_models is None or len(result.answer_sets) < max_models:
-            result.exhausted = True
     if timed_out:
         result.exhausted = False
+    elif not saw_unknown and not result.exhausted:
+        if max_models is None or len(result.answer_sets) < max_models:
+            result.exhausted = True
     result.incoherent = result.incoherent or (result.exhausted and not result.answer_sets)
     return result, run
 

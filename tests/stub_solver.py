@@ -41,6 +41,9 @@ def main():
         sys.stdout.flush()
         time.sleep(20)
         return 0
+    if MODE == "sleep_silent":
+        time.sleep(20)   # killed before it prints anything
+        return 0
     if MODE == "fail":
         print("boom", file=sys.stderr)
         return 3

@@ -541,6 +541,18 @@ def test_mutate_undecided_baseline_exits_two(tmp_path, monkeypatch):
     assert "baseline run failed" in proc.stdout
 
 
+def test_test_external_timeout_before_any_output_is_inconclusive(tmp_path):
+    f = tmp_path / "one.lp"
+    f.write_text('%** @rule(name = "r") **%\na.\n'
+                 '%** @test(name = "t", scope = {"r"}, assert = { @trueInAll(atoms = "a") }) **%\n',
+                 encoding="utf-8")
+    stub = str(Path(__file__).resolve().parent / "stub_solver.py")
+    proc = run_cli("test", "--backend", "external", "--solver-path", sys.executable,
+                   "--solver-arg", stub, "--solver-arg", "sleep_silent", "--timeout", "1", str(f))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "[inconclusive] trueInAll" in proc.stdout, proc.stdout
+
+
 def test_solve_external_without_solver_exits_two(tmp_path):
     f = tmp_path / "p.lp"
     f.write_text("a.\n", encoding="utf-8")

@@ -285,6 +285,34 @@ def test_inconclusive_on_unexhausted_incoherence_check():
     assert result.verdict == INCONCLUSIVE
 
 
+class StoppedBackend:
+    """A solver stopped before its search ended: no answer set, and none
+    proved missing. It runs in-process and never sleeps."""
+
+    name = "stopped"
+
+    def run(self, program, cap, optimize=False, scope=None):
+        return SolveResult(exhausted=False), None
+
+
+def test_a_stopped_solver_makes_each_verdict_inconclusive():
+    unit = parse_unit("t.lp", (
+        '%** @rule(name = "r") **%\np(1).\n'
+        '%** @test(name = "t", scope = {"r"}, assert = {\n'
+        '  @trueInAtLeast(number = 1, atoms = "p(1)"),\n'
+        '  @bestModelCost(cost = 0, level = 0) }) **%'))
+    report = run_suite(unit, StoppedBackend())
+    [test] = report.tests
+    assert [(a.verdict, a.diagnostics) for a in test.assertions] == [
+        (INCONCLUSIVE, "search stopped after 0 matching answer set(s)"),
+        (INCONCLUSIVE, "optimality was not established")]
+    assert test.verdict == INCONCLUSIVE == engine.TestResult.aggregate(test.assertions)
+    lines = report.human_lines()
+    assert re.fullmatch(r"  \[inconclusive\] trueInAtLeast \(\d+ ms\)  "
+                        r"\[search stopped after 0 matching answer set\(s\)\]", lines[1]), lines
+    assert lines[-1].startswith("1 test(s): 0 passed, 0 failed, 1 inconclusive, 0 error(s)")
+
+
 def test_witnesses_hide_fresh_atoms():
     program = parse_unit("t.lp", "p. q.").program
     constraint = Rule((), (lit("p"), lit("q")))
@@ -570,6 +598,33 @@ def counted_instantiations(monkeypatch, delay: float = 0.0) -> list:
 
     monkeypatch.setattr(oracle, "_instantiate", counted)
     return calls
+
+
+PATH_COLORING = """%** @block(name = "P") **%
+%** @rule(name = "r1", block = "P") **%
+col(X,red) | col(X,blue) | col(X,green) :- node(X).
+%** @rule(name = "r2", block = "P") **%
+:- edge(X,Y), col(X,C), col(Y,C).
+%** @test(name = "path", scope = { "P" }, input = "INPUT", assert = {
+        @trueInExactly(number = 1, atoms = "col(1, red). col(2, blue)"),
+        @constraintForAll(":- col(1,C), col(2,C)."),
+        @trueInAtLeast(number = 1, atoms = "col(3, green)"),
+        @noAnswerSet }) **%
+""".replace("INPUT", " ".join([f"node({i})." for i in range(1, 9)]
+                              + [f"edge({i},{i + 1})." for i in range(1, 8)]))
+
+
+def test_a_scope_over_capacity_is_grounded_once_for_all_its_assertions(monkeypatch):
+    # 8 nodes of 3 colors are 24 unknown atoms; every tester splits on the
+    # scope, so each raises the scope's own error and none is grounded
+    calls = counted_instantiations(monkeypatch)
+    unit = parse_unit("path.lp", PATH_COLORING)
+    spec = unit.suite.tests[0]
+    result = run_test(spec, resolve_scope(unit.suite, spec), InternalBackend())
+    message = ("CapacityExceeded: 24 undetermined ground atoms / 29 ground rules exceed "
+               "the exhaustive-scan capacity (22 atoms, 5000 rules)")
+    assert [(a.verdict, a.diagnostics) for a in result.assertions] == [("error", message)] * 4
+    assert len(calls) == 1
 
 
 def test_interleaved_scopes_are_instantiated_once_each(monkeypatch):

@@ -1,6 +1,8 @@
 import random
+import re
 import sys
 import threading
+import traceback
 from collections import Counter
 from operator import is_
 
@@ -250,10 +252,12 @@ def _ground_outcome(build):
 def assert_scope_path_matches(scope: oracle.Scope, tester: Program) -> str:
     """`ground(tester, scope=scope)` equals `ground(tester)` in every field,
     or raises the same. Returns how it grounded the tester: "simplified"
-    when it built on the scope's saved form, and "full" when it
-    instantiated the whole tester. The scope is filled first, so that its
-    own instantiation is not counted as the tester's."""
-    scope.saved()
+    when it built on the scope's saved form, "full" when it instantiated the
+    whole tester, and "scope error" when it raised, without instantiating,
+    exactly the error that filling the scope raised; grounding that tester
+    in full must then raise an error of the same type. The scope is filled
+    first, so that its own instantiation is not counted as the tester's."""
+    filled = _ground_outcome(lambda: scope.saved().ground)
     called = []
     instantiate = oracle._instantiate
 
@@ -264,7 +268,11 @@ def assert_scope_path_matches(scope: oracle.Scope, tester: Program) -> str:
     with pytest.MonkeyPatch.context() as m:
         m.setattr(oracle, "_instantiate", spy)
         got = _ground_outcome(lambda: ground(tester, scope=scope))
-    assert got == _ground_outcome(lambda: ground(tester)), tester
+    full = _ground_outcome(lambda: ground(tester))
+    if isinstance(filled, tuple) and not called:
+        assert got == filled and got[0] == full[0], tester
+        return "scope error"
+    assert got == full, tester
     return "full" if called else "simplified"
 
 
@@ -311,10 +319,10 @@ def test_scope_path_matches_full_grounding_on_random_join_programs():
                 assertion = random_join_assertion(rng, p, kind)
             paths[assert_scope_path_matches(saved, build_tester(p, assertion).program),
                   scope_outcome] += 1
-    # a scope with a recursive #count in a rule head is not simplified once;
-    # its testers raise what the scope raises
+    # a scope with a recursive #count in a rule head cannot be simplified;
+    # its testers raise the scope's own error
     assert paths == {("simplified", "ground program"): 2720,
-                     ("full", "UnsupportedAggregate"): 280}, paths
+                     ("scope error", "UnsupportedAggregate"): 280}, paths
 
 
 def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
@@ -322,15 +330,39 @@ def test_scope_path_raises_what_full_grounding_raises_over_budget(monkeypatch):
     # and `:- not fail.` add 153 and 1
     scope = program(CHAIN)
     tester = build_tester(scope, ConstraintForAll(Rule((), (lit("reach", "X", "Y"),)))).program
-    for budget, trips_in_scope in ((100, True), (200, False)):
+    for budget, path in ((100, "scope error"), (200, "simplified")):
         monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", budget)
         saved = oracle.Scope(scope)
         with pytest.raises(CapacityExceeded):
             ground(tester, scope=saved)
-        # the tester filled the scope, which saves nothing when its own
-        # join trips the budget
-        assert (saved.saved() is None) == trips_in_scope
-        assert assert_scope_path_matches(saved, tester) == "full"
+        # at 100 the scope's own join trips the budget, at 200 the tester's
+        assert assert_scope_path_matches(saved, tester) == path
+
+
+def test_a_tester_over_budget_raises_from_the_extension(monkeypatch):
+    # the scope's 170 instances fit; the tester's added rule trips the
+    # budget, and the tester is not instantiated again to raise it
+    monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 200)
+    scope = oracle.Scope(program(CHAIN))
+    tester = build_tester(scope.program,
+                          ConstraintForAll(Rule((), (lit("reach", "X", "Y"),)))).program
+    assert assert_scope_path_matches(scope, tester) == "simplified"
+    with pytest.raises(CapacityExceeded, match=re.escape("grounding `__tk_fail_0 :- reach(X,Y).`")):
+        ground(tester, scope=scope)
+
+
+def test_a_scopes_error_is_raised_with_a_fresh_traceback_each_time():
+    # the kept error holds no frame of the failed fill, and raising it for
+    # one tester after another does not pile their frames up on it
+    scope = oracle.Scope(program("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0."))
+    tester = build_tester(scope.program, NoAnswerSet()).program
+    frames = []
+    for _ in range(3):
+        with pytest.raises(UnsupportedAggregate) as exc:
+            ground(tester, scope=scope)
+        frames.append([f.name for f in traceback.extract_tb(exc.value.__traceback__)])
+    assert frames[0] == frames[1] == frames[2]
+    assert "_save_scope" not in frames[0] and frames[0][-1] == "saved"
 
 
 def test_an_added_head_in_a_positive_body_takes_the_full_path():
@@ -445,8 +477,9 @@ def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it
 
     # the scope's own `__tk_z(1)` sorts after the tester's `__tk_miss_0`
     assert path("__tk_z(1) | b(1).", TrueInAll((atom("b", 1),))) == "full"
-    # a recursive #count in a rule head: the scope itself is not simplified
-    assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "full"
+    # a recursive #count in a rule head: the scope itself cannot be
+    # simplified, and its tester raises the scope's error
+    assert path("p(1). q(X) :- p(X), #count{Y : q(Y)} = 0.", NoAnswerSet()) == "scope error"
     # an added head that the scope negates: `a.` makes the scope's `b` false
     scope = program("b :- not a.")
     tester = Program(scope.rules + (Rule((atom("a"),), ()),))
@@ -690,6 +723,8 @@ def test_is_answer_set_disjunction_minimality():
     assert is_answer_set(g, [Atom("a")])
     assert is_answer_set(g, [Atom("b")])
     assert not is_answer_set(g, [Atom("a"), Atom("b")])
+    # an atom outside the program
+    assert not is_answer_set(g, [Atom("a"), Atom("zzz")])
 
 
 def test_is_answer_set_coloring_member():
@@ -747,6 +782,8 @@ def test_enumerate_cap_returns_prefix():
         # at the cap the scan stops early, so exhaustion is only known
         # when fewer models than requested exist
         assert capped.exhausted == (cap > 6)
+    with pytest.raises(ValueError):
+        enumerate_answer_sets(g, cap=0)
 
 
 def path_coloring(n: int) -> str:

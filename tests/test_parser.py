@@ -10,11 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from asp_testkit.model import (
     Atom,
+    Comparison,
+    Constant,
     ConstraintForAll,
     Integer,
     NoAnswerSet,
     Span,
     TrueInExactly,
+    Variable,
 )
 from asp_testkit.parser import (
     ParseFailure,
@@ -96,6 +99,12 @@ def test_underscore_leading_names_are_constants():
     unit = parse_unit("t.lp", "__tk_fail_0 :- p. p.")
     preds = {r.head[0].predicate for r in unit.program.rules}
     assert "__tk_fail_0" in preds
+
+
+def test_a_comparison_may_have_a_constant_on_its_left():
+    (_, rule) = parse_unit("t.lp", "p(1). q(X) :- p(X), a < X.").program.rules
+    assert rule.body[1].payload == Comparison("<", Constant("a"), Variable("X"))
+    assert rule_to_text(rule) == "q(X) :- p(X), a < X."
 
 
 def test_inequality_aliases():
@@ -506,6 +515,12 @@ def _in_test(assertion):
       "(number = 0 would be vacuously true)"]),
     (_block('@test(name = "t", scope = {"r"}, assert = { @trueInAll(atoms = "p" })'),
      ["t.lp:1:72: annotation: expected an attribute name in @trueInAll, found '}'"]),
+    (_in_test('@constraintForAll(":- p. :- q.")'),
+     ["t.lp:1:74: annotation: a constraint payload must contain exactly one statement"]),
+    ('%** @block(name = "b") **%\n%** @block(name = "b") **%\np.',
+     ["t.lp:2:5: duplicate-name: duplicate block name 'b'"]),
+    ('%** @block(name = "r") **%\n%** @rule(name = "r") **%\np.',
+     ["t.lp:2:5: duplicate-name: 'r' is used both as a rule name and as a block name"]),
 ], ids=["unknown annotation", "no annotation name", "no at sign", "no parenthesis",
         "unknown attribute", "duplicate attribute", "missing equals",
         "missing equals before an escaped string", "string as attribute name",
@@ -521,7 +536,8 @@ def _in_test(assertion):
         "duplicate positional constraint", "positional after keyword constraint",
         "keyword constraint after positional",
         "unknown attribute before an unsafe payload", "vacuous number",
-        "unclosed assertion"])
+        "unclosed assertion", "two statements in a constraint payload",
+        "duplicate block name", "rule name as block name"])
 def test_annotation_diagnostics(text, expected):
     _, errors = parse_unit_diagnostics("t.lp", text)
     assert [e.render("t.lp") for e in errors] == expected
@@ -661,7 +677,9 @@ def test_recovery_reports_multiple_errors():
     # the weight after the failed body is skipped with it, not read as a
     # statement of its own
     (":~ p(. [1@1]\nq.", ["1:6: syntactic: expected a term, found '.'"]),
-], ids=["rule", "weak constraint"])
+    ("p(1). :- #count{X : p(X)}.\nq.", ["1:26: syntactic: a #count aggregate needs a guard "
+                                       "on its right-hand side (e.g. '= 0'), found '.'"]),
+], ids=["rule", "weak constraint", "count without guard"])
 def test_recovery_resumes_after_the_failed_statement(text, expected):
     _, errors = parse_unit_diagnostics("t.lp", text)
     assert [e.render() for e in errors] == expected
@@ -688,10 +706,17 @@ def test_test_origin_is_the_span_of_its_at_sign():
 
 
 def test_merge_rejects_duplicate_names_across_files():
-    a = parse_unit("a.lp", '%** @rule(name = "r1") **%\np(1).')
-    b = parse_unit("b.lp", '%** @rule(name = "r1") **%\nq(1).')
-    with pytest.raises(ParseFailure):
-        merge_units([a, b])
+    a = parse_unit("a.lp", '%** @block(name = "b1") **%\n%** @rule(name = "r1") **%\np(1).')
+    for annotation, expected in (
+            ('@rule(name = "r1")',
+             "b.lp:2:1: duplicate-name: duplicate name 'r1' across the file set (in b.lp)"),
+            # a block has no span of its own
+            ('@block(name = "b1")',
+             "b.lp: duplicate-name: duplicate name 'b1' across the file set (in b.lp)")):
+        b = parse_unit("b.lp", f'%** {annotation} **%\nq(1).')
+        with pytest.raises(ParseFailure) as exc:
+            merge_units([a, b])
+        assert [e.render() for e in exc.value.errors] == [expected]
 
 
 def test_parse_ground_atom_for_solver_output():

@@ -168,6 +168,13 @@ def test_solve_timeout_mid_model_line_is_no_model():
     assert [s.atoms for s in res.answer_sets] == [frozenset({Atom("a")})]
 
 
+def test_solve_timeout_before_any_output_is_no_model():
+    # a run the solver did not finish: not a BackendError, and not incoherent
+    res, run = solve(stub_config("sleep_silent", timeout=1), "x.\n", max_models=5)
+    assert run.timed_out and run.stdout == ""
+    assert res.answer_sets == [] and not res.exhausted and not res.incoherent
+
+
 def test_solve_spawn_failure():
     cfg = BackendConfig(executable="/no/such/solver-binary")
     with pytest.raises(SpawnFailure):
