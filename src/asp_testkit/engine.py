@@ -147,7 +147,7 @@ class AssertionResult:
 def _project_witness(tp: TesterProgram, answer_set: AnswerSet) -> frozenset[Atom]:
     """Keep only atoms over the scoped program's own predicates; the fresh
     `__tk_` helpers never leak into witnesses."""
-    base_sigs = tp.scope.symbols.signatures
+    base_sigs = tp.scope.signatures
     return frozenset(a for a in answer_set.atoms
                      if a.signature in base_sigs and not a.predicate.startswith(FRESH_PREFIX))
 
@@ -310,7 +310,7 @@ def build_tester(program: Program, assertion: Assertion,
             f"{assertion.kind} needs a count >= {assertion.min_count}")
     if scope is None:
         scope = Scope(program)
-    added = encode(assertion, scope.symbols.names | assertion_predicates(assertion))
+    added = encode(assertion, scope.names | assertion_predicates(assertion))
     check_statements(added)
     return TesterProgram(base=program, added=added, model_cap=MODEL_CAP[verdict](assertion),
                          assertion=assertion, scope=scope,
@@ -445,7 +445,7 @@ def run_test(spec: TestSpec, program: Program, backend,
     (see `resolve_scope`), each with its own backend call; one assertion
     failing or erroring never stops its siblings. Every call is handed
     `scope`, the `oracle.Scope` of `program` (a new one when not given), so
-    the scope's symbols are derived once, and the internal backend
+    the scope's names are derived once, and the internal backend
     instantiates and simplifies the scope once, for the first tester, and
     grounds each tester as an extension of it.
     `run_suite` passes one scope to each of a test's assertions, which it

@@ -20,7 +20,8 @@ universe. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
 test's scope program P by a few rules. The test hands P to `ground` with
-each of its testers as one `Scope`, which decides up front, from the
+each of its testers as one `Scope`, which derives P's signatures, names,
+constants and universe when it is made, and decides up front, from the
 tester's rules and P's predicate names alone, whether P's atoms split the
 tester (Lifschitz & Turner, ICLP 1994): its rules start with P's own and
 its weak constraints are P's, no added head occurs in an added positive
@@ -33,19 +34,25 @@ ground aggregates are the same in the tester, the added rules are joined
 once against P's fixpoint, and only the added instances are simplified,
 seeded with P's sets. A tester's atoms take the ids after its scope's, so
 testers share the scope's statements as they are. A tester's universe is
-P's constants, collected once per scope, plus those of the added rules.
-When P's fill raises, the scope keeps that error and every tester that
-splits on P raises it: the tester holds all of P's instances, statements
-and unknown atoms, so grounding it in full raises an error of the same
-type. Any other tester is grounded in full, and no tester is grounded
-twice.
+P's constants plus those of the added rules. When P's fill raises, the
+scope keeps that error and every tester that splits on P raises it: the
+tester holds all of P's instances, statements and unknown atoms, so
+grounding it in full raises an error of the same type. Any other tester is
+grounded in full, and no tester is grounded twice.
+
+One function, `_extend_ground`, builds every ground program: it extends a
+ground program by reduced statements over new atoms. A full grounding, a
+scope's fill and a reduct extend the empty ground program; a tester that
+splits on its scope extends the scope's.
 
 Every ground statement has one form from instantiation to search: a head,
 a positive and a negative body (sets of ground atoms, later bit masks over
 atom ids), the body's #count aggregates, and a weight. As in ASP-Core-2, a
 weak constraint is a constraint with a weight, (cost, level); rules and
 constraints have none. `GroundProgram.rules` and `weak_constraints` are AST
-views rebuilt from that form on demand.
+views rebuilt from that form on demand. A ground program keeps the sorted
+levels of its program's weak constraints, so an optimum reports a cost at
+each, 0 at a level whose weak constraints simplification removed.
 
 The answer sets are then found by depth-first search over the remaining
 unknown atoms. Each node propagates to a fixpoint: every rule and
@@ -370,17 +377,6 @@ class _Join:
             f"{universe_size} constants", rules=MAX_INSTANTIATIONS)
 
 
-@dataclass
-class _Instantiation:
-    """What `_instantiate` builds: the instances, statement by statement and
-    each statement's sorted, the atom index at the fixpoint, and how many
-    instances it emitted."""
-
-    instances: list[tuple]
-    index: _AtomIndex
-    emitted: int
-
-
 def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
     """`join`'s (key, instance) for each binding, and `emitted` plus their
     number, which MAX_INSTANTIATIONS bounds; a statement that is its own
@@ -399,7 +395,7 @@ def _sorted_instances(found: list[tuple]) -> list[tuple]:
     return [inst for _, inst in sorted(found, key=itemgetter(0))]
 
 
-def _instantiate(statements, universe_size: int) -> _Instantiation:
+def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomIndex, int]:
     """The ground instances, as (head, pos, neg, aggregates, weight), whose
     positive body lies in the least fixpoint of the heads with negation and
     aggregates ignored: the atoms that are possible at all. Semi-naive rounds
@@ -409,9 +405,10 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
     `_global_variables` order, which is the order of the product over the
     sorted universe.
 
-    The result keeps the index of the fixpoint and the emitted count, so
-    that a scope program instantiated once can be extended by each of its
-    testers (`_ground_extension`)."""
+    Returns (instances, index, emitted): with the instances, the index of
+    the fixpoint and the emitted count, so that a scope program
+    instantiated once can be extended by each of its testers
+    (`_ground_extension`)."""
     joins = [_Join(s) for s in statements]
     found: list[list[tuple]] = [[] for _ in joins]  # per statement: (key, instance)
     index = _AtomIndex()
@@ -430,8 +427,7 @@ def _instantiate(statements, universe_size: int) -> _Instantiation:
         lo, hi = hi, len(index)
         # a statement that is its own instance had it in the first round
         rounds = [(join, out) for join, out in rounds if join.own is None]
-    return _Instantiation([inst for out in found for inst in _sorted_instances(out)],
-                          index, emitted)
+    return [inst for out in found for inst in _sorted_instances(out)], index, emitted
 
 
 def _positive_signatures(statements) -> set[tuple[str, int]]:
@@ -476,37 +472,52 @@ class _GroundStatement:
     aggregates: tuple[_GroundAggregate, ...]
     weight: Optional[tuple[int, int]]
 
+    def holds(self, interp: int) -> bool:
+        """Whether the body holds in the interpretation `interp`."""
+        return (self.pos & ~interp) == 0 and (self.neg & interp) == 0 \
+            and all(a.holds(interp) for a in self.aggregates)
+
+
+def _ids(mask: int) -> list[int]:
+    """The ids set in `mask`, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
 
 class GroundProgram:
     """Variable-free program plus the dense atom index used for enumeration.
 
     `atoms` lists every ground atom of the simplified program in canonical
-    order (`_atom_order`); `certain_ids` are the ids true in every answer
-    set, as a set and as `certain_mask`, and everything else is decided by
-    the search. The simplified statements are kept as masks, split into
-    rules, constraints and weak constraints. `atom_ids` (atom to id) and
-    `unknown_ids` are built on first read: the search reads masks only, so a
-    tester grounded as an extension of its scope builds neither. `rules` and
-    `weak_constraints` are AST views built on demand from the masks (certain
-    facts first, then the simplified rules).
+    order (`_atom_order`); `certain_mask` holds the ids true in every answer
+    set (`certain_ids` reads them as a set), and everything else is decided
+    by the search. The simplified statements are kept as masks, split into
+    rules, constraints and weak constraints. `levels` are the sorted levels
+    of the program's weak constraints, those that simplification removed
+    included. `atom_ids` (atom to id) and `unknown_ids` are built on first
+    read: the search reads masks only, so a tester grounded as an extension
+    of its scope builds neither. `rules` and `weak_constraints` are AST
+    views built on demand from the masks (certain facts first, then the
+    simplified rules). Every ground program is built by `_extend_ground`.
     """
 
-    def __init__(self, universe: list[Term], atoms: list[Atom], certain_ids: set[int],
-                 certain_mask: int, rules: list[_GroundStatement],
-                 constraints: list[_GroundStatement], weaks: list[_GroundStatement],
-                 trivially_incoherent: bool, has_weak_constraints: bool):
+    def __init__(self, universe: list[Term], atoms: list[Atom], certain_mask: int,
+                 rules: list[_GroundStatement], constraints: list[_GroundStatement],
+                 weaks: list[_GroundStatement], trivially_incoherent: bool,
+                 levels: tuple[int, ...]):
         self.universe = universe
         self.atoms = atoms
-        self.certain_ids = certain_ids
         self.certain_mask = certain_mask
         self._rules = rules
         self._constraints = constraints
         self._weaks = weaks
         self.trivially_incoherent = trivially_incoherent
-        self.has_weak_constraints = has_weak_constraints
+        self.levels = levels
         # built on first read; threads that build one at once build equal ones
         self._atom_ids: Optional[dict[Atom, int]] = None
         self._unknown_ids: Optional[list[int]] = None
+
+    @property
+    def certain_ids(self) -> set[int]:
+        return set(_ids(self.certain_mask))
 
     @property
     def atom_ids(self) -> dict[Atom, int]:
@@ -517,7 +528,7 @@ class GroundProgram:
     @property
     def unknown_ids(self) -> list[int]:
         if self._unknown_ids is None:
-            self._unknown_ids = [i for i in range(len(self.atoms)) if i not in self.certain_ids]
+            self._unknown_ids = _ids(self.unknown_mask)
         return self._unknown_ids
 
     @property
@@ -535,8 +546,7 @@ class GroundProgram:
 
     @property
     def rules(self) -> tuple[Rule, ...]:
-        facts = tuple(Rule((self.atoms[i],), ())
-                      for i in sorted(self.certain_ids))
+        facts = tuple(Rule((a,), ()) for a in self._sorted_atoms(self.certain_mask))
         rest = tuple(Rule(self._sorted_atoms(s.head), self._body(s))
                      for s in self._rules + self._constraints)
         return facts + rest
@@ -546,7 +556,7 @@ class GroundProgram:
         return tuple(WeakConstraint(self._body(s), *s.weight) for s in self._weaks)
 
     def certain_atoms(self) -> frozenset[Atom]:
-        return frozenset(self.atoms[i] for i in sorted(self.certain_ids))
+        return self.mask_atoms(self.certain_mask)
 
     def interpretation_mask(self, atoms: Iterable[Atom]) -> Optional[int]:
         """Mask for an atom set; None when it mentions an atom outside the
@@ -561,6 +571,10 @@ class GroundProgram:
 
     def mask_atoms(self, mask: int) -> frozenset[Atom]:
         return frozenset(self._sorted_atoms(mask))
+
+
+# the ground program that `_extend_ground` extends to build a program in full
+_EMPTY = GroundProgram([], [], 0, [], [], [], False, ())
 
 
 def _mask(ids: Iterable[int]) -> int:
@@ -581,7 +595,9 @@ def ground(program: Program, scope: Optional[Scope] = None) -> GroundProgram:
     if added is not None:
         return _ground_extension(scope, added)
     statements = program.rules + program.weak_constraints
-    return _save_scope(program, _universe(constants(statements))).ground
+    universe = _universe(constants(statements))
+    instances, _, _ = _instantiate(statements, len(universe))
+    return _build_ground(universe, instances, _levels(program))
 
 
 def _closure(rules, derived):
@@ -713,33 +729,53 @@ def _ground_statements(stmts, id_of, certain, by_signature) -> list[_GroundState
     ]
 
 
-def _build_ground(universe, instances, has_weaks) -> GroundProgram:
-    return _ground_program(universe, *_simplify(instances), has_weaks)
-
-
-def _ground_program(universe, stmts, possible, certain, trivially_incoherent,
-                    has_weaks) -> GroundProgram:
-    """The ground program of what `_simplify` returned."""
+def _extend_ground(base: GroundProgram, universe, stmts, atoms, certain, incoherent,
+                   by_signature, levels) -> GroundProgram:
+    """`base` extended by the reduced statements `stmts` over the possible
+    `atoms` that it lacks, as `_simplify` returned them with `certain` and
+    `incoherent`: the new atoms take the ids after `base`'s, in
+    `_atom_order`, and each #count counts the possible atoms
+    `by_signature`. `levels` are those of the program's weak constraints.
+    A full grounding, a scope's fill and a reduct extend `_EMPTY`; a tester
+    extends its scope's ground program, and one that adds nothing is that
+    program. A recursive #count, or more than the capacity, raises."""
     _check_aggregate_stratification(stmts)
-
     # a possible atom is certain or heads a kept rule, and kept statements
     # mention only possible atoms
-    atoms = sorted(possible, key=_atom_order)
-    ids = {a: i for i, a in enumerate(atoms)}
-    certain_ids = {ids[a] for a in certain}
-    _check_capacity(len(atoms) - len(certain_ids), len(stmts))
-    statements = _ground_statements(stmts, ids.__getitem__, certain, _by_signature(possible))
-    g = GroundProgram(universe, atoms, certain_ids, _mask(certain_ids), *_split(statements),
-                      trivially_incoherent, has_weaks)
-    g._atom_ids = ids
-    return g
+    atoms = sorted(atoms, key=_atom_order)
+    ids = {a: i for i, a in enumerate(atoms, len(base.atoms))}
+    new_certain = [i for a, i in ids.items() if a in certain]
+    _check_capacity(base.unknown_mask.bit_count() + len(atoms) - len(new_certain),
+                    len(base._rules) + len(base._constraints) + len(base._weaks) + len(stmts))
+    if not atoms and not stmts and universe == base.universe:
+        return base
+    id_of = ids.__getitem__
+    if base.atoms:
+        # the scope's own map: a tester copies none of its ids
+        base_ids = base.atom_ids
+
+        def id_of(a: Atom) -> int:
+            i = ids.get(a)
+            return base_ids[a] if i is None else i
+    added = _ground_statements(stmts, id_of, certain, by_signature)
+    return GroundProgram(
+        universe, base.atoms + atoms, base.certain_mask | _mask(new_certain),
+        base._rules + [s for s in added if s.head],
+        base._constraints + [s for s in added if not s.head and s.weight is None],
+        base._weaks + [s for s in added if s.weight is not None],
+        base.trivially_incoherent or incoherent, levels)
 
 
-def _split(statements: list[_GroundStatement]) -> tuple[list[_GroundStatement], ...]:
-    """The rules, the constraints and the weak constraints of `statements`."""
-    return ([s for s in statements if s.head],
-            [s for s in statements if not s.head and s.weight is None],
-            [s for s in statements if s.weight is not None])
+def _build_ground(universe, instances, levels) -> GroundProgram:
+    """The ground program of `instances`, as `_instantiate` returns them,
+    whose program's weak constraints have `levels`."""
+    stmts, possible, certain, incoherent = _simplify(instances)
+    return _extend_ground(_EMPTY, universe, stmts, possible, certain, incoherent,
+                          _by_signature(possible), levels)
+
+
+def _levels(program: Program) -> tuple[int, ...]:
+    return tuple(sorted({w.level for w in program.weak_constraints}))
 
 
 def _universe(found: set[Term]) -> list[Term]:
@@ -754,35 +790,34 @@ def _universe(found: set[Term]) -> list[Term]:
 
 class Scope:
     """A test's scope program P, handed to `ground` with each of its
-    testers. What the testers need of P is derived once and kept:
-    `symbols` on first read, and the saved form, P instantiated and
-    simplified, the first time a tester that splits on P needs it (see
-    `added`). A fill that raises is not tried again: the scope keeps the
-    error, and `saved()` raises it for every such tester. The testers of
-    one test may run in several threads at once, so filling takes the
-    scope's lock: the first tester fills, and any tester that arrives
-    meanwhile waits for that form or that error instead of filling again."""
+    testers. What the testers need of P is derived once and kept: when the
+    scope is made, P's signatures (which a witness keeps), its predicate
+    `names` (which fresh helpers avoid), the `_name_order` of its `last`
+    name (which an added head must follow), its `constants` and its sorted
+    `universe`; and the saved form, P instantiated and simplified, the
+    first time a tester that splits on P needs it (see `added`). A fill
+    that raises is not tried again: the scope keeps the error, and
+    `saved()` raises it for every such tester. The testers of one test may
+    run in several threads at once, so filling takes the scope's lock: the
+    first tester fills, and any tester that arrives meanwhile waits for
+    that form or that error instead of filling again."""
 
     def __init__(self, program: Program):
         self.program = program
-        self._symbols: Optional[_Symbols] = None
+        self.signatures = frozenset(signatures(program))
+        self.names = frozenset(name for name, _ in self.signatures)
+        self.last = max(map(_name_order, self.names), default=(False, ""))
+        self.constants = frozenset(constants(program.rules + program.weak_constraints))
+        self.universe = _universe(self.constants)
         self._saved: Optional[_SavedScope] = None
         self._error: Optional[Exception] = None
         self._lock = threading.Lock()
-
-    @property
-    def symbols(self) -> _Symbols:
-        # without the lock: a thread that derives them at the same time
-        # derives equal ones
-        if self._symbols is None:
-            self._symbols = _Symbols.of(self.program)
-        return self._symbols
 
     def saved(self) -> _SavedScope:
         with self._lock:
             if self._saved is None and self._error is None:
                 try:
-                    self._saved = _save_scope(self.program, self.symbols.universe)
+                    self._saved = _save_scope(self.program, self.universe)
                 except Exception as exc:
                     self._error = exc
         if self._error is not None:
@@ -807,35 +842,10 @@ class Scope:
             return None
         added = program.rules[k:]
         heads = {a.signature for r in added for a in r.head}
-        symbols = self.symbols
         if heads & _positive_signatures(added) or any(
-                name in symbols.names or _name_order(name) < symbols.last
-                for name, _ in heads):
+                name in self.names or _name_order(name) < self.last for name, _ in heads):
             return None
         return added
-
-
-@dataclass(frozen=True)
-class _Symbols:
-    """A scope program's signatures (which a witness keeps), its predicate
-    names (which fresh helpers avoid), the `_name_order` of its last name
-    (which an added head must follow), its constants, and its sorted
-    universe."""
-
-    signatures: frozenset[tuple[str, int]]
-    names: frozenset[str]
-    last: tuple[bool, str]
-    constants: frozenset[Term]
-    universe: list[Term]
-
-    @staticmethod
-    def of(program: Program) -> _Symbols:
-        found = constants(program.rules + program.weak_constraints)
-        sigs = signatures(program)
-        names = frozenset(name for name, _ in sigs)
-        return _Symbols(frozenset(sigs), names,
-                        max(map(_name_order, names), default=(False, "")),
-                        frozenset(found), _universe(found))
 
 
 @dataclass
@@ -855,12 +865,13 @@ class _SavedScope:
 
 
 def _save_scope(program: Program, universe: list[Term]) -> _SavedScope:
-    done = _instantiate(program.rules + program.weak_constraints, len(universe))
-    stmts, possible, certain, incoherent = _simplify(done.instances)
-    g = _ground_program(universe, stmts, possible, certain, incoherent,
-                        bool(program.weak_constraints))
-    return _SavedScope(done.index, done.emitted, g, set(stmts), certain, possible,
-                       _by_signature(possible))
+    instances, index, emitted = _instantiate(program.rules + program.weak_constraints,
+                                             len(universe))
+    stmts, possible, certain, incoherent = _simplify(instances)
+    by_signature = _by_signature(possible)
+    g = _extend_ground(_EMPTY, universe, stmts, possible, certain, incoherent,
+                       by_signature, _levels(program))
+    return _SavedScope(index, emitted, g, set(stmts), certain, possible, by_signature)
 
 
 def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
@@ -875,16 +886,16 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
     finds each added rule's instances exactly once. Only those are
     simplified, seeded with P's sets, and their reduced statements equal to
     one of P's are dropped. The added atoms come after all of P's in
-    `_atom_order`: each atom of P keeps its id, the added atoms take the
-    ids after them, and P's statements are the tester's as they are. The
-    tester's universe is P's constants plus those of `added`. An error,
-    over the instantiation budget or capacity or a recursive #count, is
-    raised here and the tester is not grounded again."""
+    `_atom_order`: `_extend_ground` keeps each atom of P's id, gives the
+    added atoms the ids after them, and P's statements are the tester's as
+    they are. The tester's universe is P's constants plus those of `added`,
+    and its levels are P's. An error, over the instantiation budget or
+    capacity or a recursive #count, is raised here and the tester is not
+    grounded again."""
     saved = scope.saved()
-    symbols = scope.symbols
     extra = constants(added)
-    universe = (symbols.universe if extra <= symbols.constants
-                else _universe(symbols.constants | extra))
+    universe = (scope.universe if extra <= scope.constants
+                else _universe(scope.constants | extra))
     emitted = saved.emitted
     instances = []
     for join in map(_Join, added):
@@ -894,31 +905,14 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
         new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
         instances += _sorted_instances(new)
     stmts, possible, certain, incoherent = _simplify(instances, saved.certain, saved.possible)
-    stmts = [s for s in stmts if s not in saved.reduced]
     # only added atoms depend on an added head, so P's statements cannot
-    # make an added #count recursive, and P's own passed the check: this
-    # raises what the check over the whole tester raises
-    _check_aggregate_stratification(stmts)
-    g = saved.ground
-    new = sorted({a for inst in instances for a in inst[0] if a in possible}, key=_atom_order)
-    _check_capacity(len(g.atoms) - len(g.certain_ids) + sum(a not in certain for a in new),
-                    len(g._rules) + len(g._constraints) + len(g._weaks) + len(stmts))
-    if not new and not stmts and universe == g.universe:
-        return g
-    new_ids = {a: i for i, a in enumerate(new, len(g.atoms))}
-    base_ids = g.atom_ids
-
-    def id_of(a: Atom) -> int:
-        i = new_ids.get(a)
-        return base_ids[a] if i is None else i
-
-    by_signature = {**saved.by_signature, **_by_signature(new)}
-    rules, constraints, weaks = _split(_ground_statements(stmts, id_of, certain, by_signature))
-    new_certain = {i for a, i in new_ids.items() if a in certain}
-    return GroundProgram(universe, g.atoms + new, g.certain_ids | new_certain,
-                         g.certain_mask | _mask(new_certain), g._rules + rules,
-                         g._constraints + constraints, g._weaks + weaks,
-                         g.trivially_incoherent or incoherent, g.has_weak_constraints)
+    # make an added #count recursive, and P's own passed the check: the
+    # builder's check of the added statements raises what a check over the
+    # whole tester raises
+    stmts = [s for s in stmts if s not in saved.reduced]
+    new = {a for inst in instances for a in inst[0] if a in possible}
+    return _extend_ground(saved.ground, universe, stmts, new, certain, incoherent,
+                          {**saved.by_signature, **_by_signature(new)}, saved.ground.levels)
 
 
 # ---------------------------------------------------------------------------
@@ -926,9 +920,9 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
 # ---------------------------------------------------------------------------
 
 def _violates_constraints(g: GroundProgram, interp: int) -> bool:
+    # a loop, not any() over a generator: this runs for every leaf
     for c in g._constraints:
-        if (c.pos & ~interp) == 0 and (c.neg & interp) == 0 \
-                and all(a.holds(interp) for a in c.aggregates):
+        if c.holds(interp):
             return True
     return False
 
@@ -1001,8 +995,8 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
     ValueError when the interpretation holds an atom outside `g` or misses
     one of its facts."""
     mask = _interpretation(g, interpretation)
-    instances = [(frozenset({g.atoms[i]}), frozenset(), frozenset(), (), None)
-                 for i in sorted(g.certain_ids)]
+    instances = [(frozenset({a}), frozenset(), frozenset(), (), None)
+                 for a in g._sorted_atoms(g.certain_mask)]
     for r in g._rules + g._constraints:
         if r.neg & mask:
             continue
@@ -1010,7 +1004,7 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
             continue
         aggs = () if r.head else tuple(a.aggregate for a in r.aggregates)
         instances.append((g.mask_atoms(r.head), g.mask_atoms(r.pos), frozenset(), aggs, None))
-    return _build_ground(g.universe, instances, False)
+    return _build_ground(g.universe, instances, ())
 
 
 def _propagate(clauses, rules, unknown: int, true: int, false: int):
@@ -1120,15 +1114,7 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
 # ---------------------------------------------------------------------------
 
 def _penalty_mask(g: GroundProgram, interp: int, level: int) -> int:
-    total = 0
-    for w in g._weaks:
-        cost, w_level = w.weight
-        if w_level != level:
-            continue
-        if (w.pos & ~interp) == 0 and (w.neg & interp) == 0 \
-                and all(a.holds(interp) for a in w.aggregates):
-            total += cost
-    return total
+    return sum(w.weight[0] for w in g._weaks if w.weight[1] == level and w.holds(interp))
 
 
 def penalty(g: GroundProgram, answer_set, level: int) -> int:
@@ -1139,14 +1125,19 @@ def penalty(g: GroundProgram, answer_set, level: int) -> int:
 
 
 def penalty_levels(g: GroundProgram) -> list[int]:
-    return sorted({w.weight[1] for w in g._weaks})
+    """The sorted levels of the program's weak constraints, those that
+    simplification removed included."""
+    return list(g.levels)
 
 
 def optimal_answer_sets(g: GroundProgram) -> SolveResult:
     """Exactly the non-dominated answer sets, each with its per-level costs.
 
     Domination compares penalties levelwise from the highest level down, so
-    all optimal answer sets share one penalty vector.
+    all optimal answer sets share one penalty vector, reported at every
+    level of `penalty_levels`: 0 at a level none of whose weak constraints
+    holds, or whose every one simplification removed. A program without
+    weak constraints reports no costs.
     """
     levels = penalty_levels(g)
     top_down = levels[::-1]
@@ -1156,4 +1147,4 @@ def optimal_answer_sets(g: GroundProgram) -> SolveResult:
     by_level = dict(zip(top_down, best))
     costs = {(i, l): by_level[l] for i in range(len(picked)) for l in levels}
     return SolveResult(answer_sets=picked, exhausted=True, incoherent=not picked,
-                       costs=costs if g.has_weak_constraints else None)
+                       costs=costs if levels else None)

@@ -958,6 +958,11 @@ def reference_parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[Sou
         claimed = named[name][1]
         if claimed is not None and claimed not in blocks:
             blocks[claimed] = ([], named[name][2])
+            if claimed in named:
+                # a claimed block named like a rule clashes as a declared one does
+                errors.append(index.error(_Issue(
+                    f"{claimed!r} is used both as a rule name and as a block name",
+                    named[claimed][2], "duplicate-name")))
 
     final_blocks: dict[str, tuple[str, ...]] = {}
     for bname, (rule_names, _) in blocks.items():

@@ -276,6 +276,15 @@ def test_solve_optimization_prints_costs(tmp_path):
     assert parsed.exhausted and parsed.costs
 
 
+def test_solve_prints_a_cost_at_a_level_whose_weak_constraints_were_removed(tmp_path, capsys):
+    # `a` is never derivable, so simplification drops `:~ a. [1@1]`; the
+    # level is still the program's, and its cost is 0
+    f = tmp_path / "zero.lp"
+    f.write_text(":~ a. [1@1]\nb.\n", encoding="utf-8")
+    assert cli.main(["solve", str(f)]) == 0
+    assert capsys.readouterr().out == "ANSWER\nb.\nCOST 0@1\nOPTIMUM FOUND\n"
+
+
 def test_solve_merges_multiple_files(tmp_path):
     (tmp_path / "a.lp").write_text("p(1).\n", encoding="utf-8")
     (tmp_path / "b.lp").write_text("q(X) :- p(X).\n", encoding="utf-8")

@@ -180,11 +180,11 @@ def assert_join_matches_product(p: Program):
     universe = sorted(herbrand_universe(p), key=term_key)
     instances = list(product_instances(p))
     possible = least_fixpoint([(head, pos) for head, pos, *_ in instances])
-    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances == [
+    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe))[0] == [
         i for i in instances if i[1] <= possible]
     got = _ground_or_none(lambda: ground(p))
     want = _ground_or_none(lambda: oracle._build_ground(
-        universe, instances, bool(p.weak_constraints)))
+        universe, instances, oracle._levels(p)))
     assert (got is None) == (want is None), p
     if got is None:
         return
@@ -230,7 +230,7 @@ def test_join_matches_product_instantiation():
 # views that drop each #count's ground tuples.
 GROUND_FIELDS = ("universe", "atoms", "atom_ids", "certain_ids", "certain_mask",
                  "unknown_ids", "unknown_mask", "_rules", "_constraints", "_weaks",
-                 "trivially_incoherent", "has_weak_constraints")
+                 "trivially_incoherent", "levels")
 
 
 def ground_fields(g: oracle.GroundProgram) -> dict:
@@ -628,11 +628,11 @@ def _stratification_message(check, stmts):
     return None
 
 
-def _build_outcome(universe, instances, has_weaks):
+def _build_outcome(universe, instances, levels):
     """The ground program `_build_ground` makes, or the type, message and
     counts of what it raises."""
     try:
-        return oracle._build_ground(universe, instances, has_weaks)
+        return oracle._build_ground(universe, instances, levels)
     except CapacityExceeded as exc:
         return "CapacityExceeded", str(exc), exc.atoms, exc.rules
     except UnsupportedAggregate as exc:
@@ -644,14 +644,14 @@ def _fields(outcome):
 
 
 def simplify_inputs():
-    """(universe, instances, has_weaks) for `_build_ground`: the join's
+    """(universe, instances, levels) for `_build_ground`: the join's
     instances of 2500 random join programs, 2000 propositional ones, 500
     non-ground ones and every fixture tester, the universe product's
     instances of 500 join programs, and one program over capacity."""
     def joined(p: Program):
         universe = sorted(herbrand_universe(p), key=term_key)
-        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe)).instances
-        return universe, instances, bool(p.weak_constraints)
+        instances = oracle._instantiate(p.rules + p.weak_constraints, len(universe))[0]
+        return universe, instances, oracle._levels(p)
 
     rng = random.Random(21)
     for _ in range(2500):
@@ -668,7 +668,7 @@ def simplify_inputs():
     for _ in range(500):
         p = random_join_program(rng)
         yield (sorted(herbrand_universe(p), key=term_key), list(product_instances(p)),
-               bool(p.weak_constraints))
+               oracle._levels(p))
     yield joined(program(" ".join(f"d({i})." for i in range(7))
                          + " p(X,Y) | q(X,Y) | r(X,Y) :- d(X), d(Y)."))
 
@@ -677,7 +677,7 @@ def test_simplify_matches_the_reference(monkeypatch):
     reducts: list[tuple] = []
     build = oracle._build_ground
 
-    def assert_matches(universe, instances, has_weaks):
+    def assert_matches(universe, instances, levels):
         got, want = oracle._simplify(instances), reference_simplify(instances)
         for name, g, w in zip(("statements", "possible", "certain", "incoherent"), got, want):
             assert g == w, (name, instances)
@@ -686,18 +686,18 @@ def test_simplify_matches_the_reference(monkeypatch):
         assert possible == certain.union(*(h | p | n for h, p, n, _, _ in stmts))
         assert _stratification_message(oracle._check_aggregate_stratification, stmts) == \
             _stratification_message(reference_check_aggregate_stratification, stmts)
-        got = _build_outcome(universe, instances, has_weaks)
+        got = _build_outcome(universe, instances, levels)
         with monkeypatch.context() as m:
             m.setattr(oracle, "_simplify", reference_simplify)
             m.setattr(oracle, "_check_aggregate_stratification",
                       reference_check_aggregate_stratification)
-            want = _build_outcome(universe, instances, has_weaks)
+            want = _build_outcome(universe, instances, levels)
         assert _fields(got) == _fields(want), instances
         return got
 
-    def record(universe, instances, has_weaks):
-        reducts.append((universe, list(instances), has_weaks))
-        return build(universe, instances, has_weaks)
+    def record(universe, instances, levels):
+        reducts.append((universe, list(instances), levels))
+        return build(universe, instances, levels)
 
     outcomes = [assert_matches(*args) for args in simplify_inputs()]
     grounds = [g for g in outcomes if isinstance(g, oracle.GroundProgram)]
@@ -1107,6 +1107,16 @@ def test_optimal_respects_levels():
     :~ b. [1@2]"""
     res = optimal_answer_sets(ground(program(text)))
     assert res.atom_sets() == {frozenset({Atom("a")})}
+
+
+def test_optimal_reports_a_level_whose_weak_constraints_were_removed():
+    # `a` is never derivable, so simplification drops `:~ a. [1@1]`, and
+    # level 1 still costs 0; the tester's levels are its scope's
+    p = program(":~ a. [1@1] b.")
+    assert optimal_answer_sets(ground(p)).costs == {(0, 1): 0}
+    scope = oracle.Scope(p)
+    tester = build_tester(p, BestModelCost(0, 1)).program
+    assert optimal_answer_sets(ground(tester, scope=scope)).costs == {(0, 1): 0}
 
 
 def test_no_returned_optimum_is_dominated():

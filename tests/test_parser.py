@@ -521,6 +521,9 @@ def _in_test(assertion):
      ["t.lp:2:5: duplicate-name: duplicate block name 'b'"]),
     ('%** @block(name = "r") **%\n%** @rule(name = "r") **%\np.',
      ["t.lp:2:5: duplicate-name: 'r' is used both as a rule name and as a block name"]),
+    ('%** @rule(name = "a", block = "b") **%\np.\n%** @rule(name = "b") **%\nq.\n'
+     '%** @test(name = "t", scope = {"b"}, assert = { @trueInAll(atoms = "q") }) **%',
+     ["t.lp:3:5: duplicate-name: 'b' is used both as a rule name and as a block name"]),
 ], ids=["unknown annotation", "no annotation name", "no at sign", "no parenthesis",
         "unknown attribute", "duplicate attribute", "missing equals",
         "missing equals before an escaped string", "string as attribute name",
@@ -537,7 +540,8 @@ def _in_test(assertion):
         "keyword constraint after positional",
         "unknown attribute before an unsafe payload", "vacuous number",
         "unclosed assertion", "two statements in a constraint payload",
-        "duplicate block name", "rule name as block name"])
+        "duplicate block name", "rule name as block name",
+        "rule name as claimed block name"])
 def test_annotation_diagnostics(text, expected):
     _, errors = parse_unit_diagnostics("t.lp", text)
     assert [e.render("t.lp") for e in errors] == expected

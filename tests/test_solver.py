@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from asp_testkit import solver
-from asp_testkit.model import Atom, Program
+from asp_testkit.engine import PASS, map_in_order, run_suite, run_test
+from asp_testkit.model import ASSERTION_KINDS, Atom, BestModelCost, Program
+from asp_testkit.model import TestSpec as Spec  # not a test class
 from asp_testkit.oracle import enumerate_answer_sets, ground
 from asp_testkit.parser import parse_unit
 from asp_testkit.solver import (
@@ -22,7 +24,13 @@ from asp_testkit.solver import (
     select_backend,
     solve,
 )
-from helpers import atom, random_program
+from helpers import (
+    atom,
+    random_assertion,
+    random_join_assertion,
+    random_join_program,
+    random_program,
+)
 
 STUB = str(Path(__file__).resolve().parent / "stub_solver.py")
 
@@ -285,3 +293,59 @@ def test_selfhosted_external_optimum_costs():
     idx = len(got.answer_sets) - 1
     assert got.costs and got.costs[(idx, 1)] == 0
     assert got.answer_sets[idx].atoms == frozenset({Atom("b")})
+
+
+# `a` is never derivable, so simplification drops the weak constraint; its
+# level is still the program's, and costs 0
+ZERO_COST_LEVEL = """%** @rule(name = "b") **%
+b.
+%** @test(name = "t", scope = {"b"}, input = ":~ a. [1@1]",
+          assert = { @bestModelCost(cost = 0, level = 1) }) **%
+"""
+
+
+@pytest.mark.parametrize("backend", ["internal", "external"])
+def test_a_cost_at_a_level_whose_weak_constraints_were_removed(backend):
+    backend = InternalBackend() if backend == "internal" else ExternalBackend(selfhosted_config())
+    report = run_suite(parse_unit("t.lp", ZERO_COST_LEVEL), backend)
+    assert [(a.verdict, a.diagnostics) for a in report.tests[0].assertions] == [(PASS, "")]
+
+
+def verdict_cases() -> list[tuple[Program, object]]:
+    """(scope, assertion) pairs: the scope of ZERO_COST_LEVEL with its
+    assertion, then every assertion kind over two `random_program`s (which
+    may have weak constraints) and one `random_join_program` each."""
+    cases = [(parse_unit("t.lp", ":~ a. [1@1] b.").program, BestModelCost(0, 1))]
+    rng = random.Random(41)
+    for kind in ASSERTION_KINDS:
+        for make in (random_program, random_join_program, random_program):
+            p = make(rng)
+            if kind == "bestModelCost":
+                assertion = BestModelCost(rng.randint(0, 4), rng.randint(0, 2))
+            elif make is random_join_program:
+                assertion = random_join_assertion(rng, p, kind)
+            else:
+                assertion = random_assertion(rng, p, kind)
+            cases.append((p, assertion))
+    return cases
+
+
+def test_selfhosted_external_verdicts_equal_internal_ones():
+    # the child reports capacity and #count errors as a BackendError, so
+    # an internal error is an external one too
+    cases = verdict_cases()
+
+    def verdicts(backend) -> list[str]:
+        def run(case):
+            scope, assertion = case
+            result = run_test(Spec("t", ("r",), (assertion,)), scope, backend)
+            return result.assertions[0].verdict
+        return map_in_order(run, cases, jobs=2)
+
+    internal = verdicts(InternalBackend())
+    external = verdicts(ExternalBackend(selfhosted_config()))
+    assert len(cases) >= 24 and {a.kind for _, a in cases} == set(ASSERTION_KINDS)
+    assert internal[0] == PASS
+    differ = [(case, i, e) for case, i, e in zip(cases, internal, external) if i != e]
+    assert differ == []
+
