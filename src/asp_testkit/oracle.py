@@ -67,7 +67,11 @@ shrinks when atoms are removed) and is a minimal model of its reduct, which
 a second run of the same search decides by finding no model of the reduct
 strictly inside the leaf, as DLV does (Koch, Leone & Pfeifer, AIJ 2003).
 Propagation only prunes candidates that the test rejects, so it changes the
-cost of the search and never its result.
+cost of the search and never its result. Each answer set found is kept as
+its true mask over the ground program's atom list, and an `AnswerSet`
+decodes that mask into atoms on the first read of its `atoms`: a verdict
+that only counts answer sets decodes none, and one that shows a witness
+decodes that one.
 
 Capacity is deliberately tiny (22 unknown atoms, ~4M leaves at worst): the
 oracle exists to be obviously correct, not fast. Anything larger belongs to
@@ -86,7 +90,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import is_, itemgetter
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     FRESH_PREFIX,
@@ -128,11 +132,41 @@ class UnsupportedAggregate(Exception):
     (recursively, through the head of its own rule)."""
 
 
-@dataclass(frozen=True)
 class AnswerSet:
-    """One answer set, as a set of ground atoms."""
+    """One answer set, as a set of ground atoms.
 
-    atoms: frozenset[Atom]
+    `AnswerSet(atoms)` holds the atoms themselves, as the external backend
+    parses them. The internal engine keeps each answer set it finds as a bit
+    mask over its ground program's atom list (`_of_mask`), and `atoms`
+    decodes that mask on its first read and keeps the set: a verdict that
+    only counts answer sets decodes none of them. Two threads that read
+    `atoms` of one answer set at once may each decode it; they build equal
+    sets. Equality, hashing and `in` go by the atoms, however the answer set
+    was made."""
+
+    __slots__ = ("_atoms", "_atom_list", "_mask")
+
+    def __init__(self, atoms: frozenset[Atom]):
+        self._atoms = atoms
+        self._atom_list: Sequence[Atom] = ()
+        self._mask = 0
+
+    @classmethod
+    def _of_mask(cls, atom_list: Sequence[Atom], mask: int) -> AnswerSet:
+        """The answer set of the atoms of `atom_list` whose ids `mask` holds,
+        not decoded until `atoms` is read."""
+        answer_set = cls.__new__(cls)
+        answer_set._atoms = None
+        answer_set._atom_list = atom_list
+        answer_set._mask = mask
+        return answer_set
+
+    @property
+    def atoms(self) -> frozenset[Atom]:
+        atoms = self._atoms
+        if atoms is None:
+            atoms = self._atoms = frozenset(_atoms_in(self._atom_list, self._mask))
+        return atoms
 
     def sorted_atoms(self) -> list[Atom]:
         return sorted(self.atoms, key=Atom.sort_key)
@@ -140,13 +174,27 @@ class AnswerSet:
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.atoms == other.atoms
+
+    def __hash__(self) -> int:
+        return hash((self.atoms,))
+
+    def __repr__(self) -> str:
+        return f"AnswerSet(atoms={self.atoms!r})"
+
 
 @dataclass
 class SolveResult:
     """Normalized solver outcome shared by the oracle and external backends.
 
-    costs maps (answer set index, level) to the penalty at that level and is
-    only populated for optimizing runs / COST-reporting solvers.
+    The oracle's answer sets are masks, decoded into atoms on the first read
+    of each one's `atoms` (see `AnswerSet`); the external backend's hold the
+    atoms it parsed. costs maps (answer set index, level) to the penalty at
+    that level and is only populated for optimizing runs / COST-reporting
+    solvers.
     """
 
     answer_sets: list[AnswerSet] = field(default_factory=list)
@@ -483,6 +531,13 @@ def _ids(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _atoms_in(atoms: Sequence[Atom], mask: int) -> tuple[Atom, ...]:
+    """The atoms of `atoms` whose ids `mask` holds, in id order, which is
+    the canonical order. Every answer set and ground statement that is read
+    as atoms is decoded here."""
+    return tuple(a for i, a in enumerate(atoms) if mask >> i & 1)
+
+
 class GroundProgram:
     """Variable-free program plus the dense atom index used for enumeration.
 
@@ -537,7 +592,7 @@ class GroundProgram:
 
     def _sorted_atoms(self, mask: int) -> tuple[Atom, ...]:
         """The atoms of `mask` in id order, which is the canonical order."""
-        return tuple(a for i, a in enumerate(self.atoms) if mask >> i & 1)
+        return _atoms_in(self.atoms, mask)
 
     def _body(self, s: _GroundStatement) -> tuple[Literal, ...]:
         return (tuple(Literal(a) for a in self._sorted_atoms(s.pos))
@@ -1093,9 +1148,10 @@ def _answer_masks(g: GroundProgram):
 
 def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveResult:
     """The answer sets of `_answer_masks`, stopping once `cap` many are
-    found. As for a scan of all subsets of the unknown atoms, `exhausted`
-    at the cap means the cap-th answer set was the last candidate, the one
-    with every unknown atom true."""
+    found, each kept as its mask and decoded into atoms on the first read
+    of its `atoms`. As for a scan of all subsets of the unknown atoms,
+    `exhausted` at the cap means the cap-th answer set was the last
+    candidate, the one with every unknown atom true."""
     if cap is not None and cap <= 0:
         raise ValueError("cap must be positive")
     found: list[int] = []
@@ -1105,7 +1161,7 @@ def enumerate_answer_sets(g: GroundProgram, cap: Optional[int] = None) -> SolveR
         if cap is not None and len(found) >= cap:
             exhausted = true == g.certain_mask | g.unknown_mask
             break
-    return SolveResult([AnswerSet(g.mask_atoms(m)) for m in found],
+    return SolveResult([AnswerSet._of_mask(g.atoms, m) for m in found],
                        exhausted=exhausted, incoherent=exhausted and not found)
 
 
@@ -1131,7 +1187,8 @@ def penalty_levels(g: GroundProgram) -> list[int]:
 
 
 def optimal_answer_sets(g: GroundProgram) -> SolveResult:
-    """Exactly the non-dominated answer sets, each with its per-level costs.
+    """Exactly the non-dominated answer sets, each with its per-level costs,
+    kept as masks and decoded into atoms on the first read of their `atoms`.
 
     Domination compares penalties levelwise from the highest level down, so
     all optimal answer sets share one penalty vector, reported at every
@@ -1143,7 +1200,7 @@ def optimal_answer_sets(g: GroundProgram) -> SolveResult:
     top_down = levels[::-1]
     found = [(tuple(_penalty_mask(g, m, l) for l in top_down), m) for m in _answer_masks(g)]
     best = min((v for v, _ in found), default=())
-    picked = [AnswerSet(g.mask_atoms(m)) for v, m in found if v == best]
+    picked = [AnswerSet._of_mask(g.atoms, m) for v, m in found if v == best]
     by_level = dict(zip(top_down, best))
     costs = {(i, l): by_level[l] for i in range(len(picked)) for l in levels}
     return SolveResult(answer_sets=picked, exhausted=True, incoherent=not picked,

@@ -332,6 +332,40 @@ def test_best_model_cost_verdicts():
     assert run_assertion("a. :- a. :~ a. [1@1]", BestModelCost(0, 1)).verdict == FAIL
 
 
+# 3-colorings of a 5-node tree: 3 * 2^4 = 48 answer sets
+TREE_COLORING = ("col(X,red) | col(X,blue) | col(X,green) :- node(X). "
+                 ":- edge(X,Y), col(X,C), col(Y,C). "
+                 "node(1). node(2). node(3). node(4). node(5). "
+                 "edge(1,2). edge(1,3). edge(2,4). edge(2,5).")
+
+
+def decoding_run(monkeypatch, assertion):
+    """The internal backend's result and the verdict for `assertion` on
+    `TREE_COLORING`, and a list that records the mask of every answer set
+    or statement decoded into atoms from then on."""
+    decoded = []
+    decode = oracle._atoms_in
+    monkeypatch.setattr(oracle, "_atoms_in",
+                        lambda atoms, mask: decoded.append(mask) or decode(atoms, mask))
+    tp = build_tester(parse_unit("t.lp", TREE_COLORING).program, assertion)
+    res, _ = BACKEND.run(tp.program, tp.model_cap, scope=tp.scope)
+    return res, evaluate(tp, res), decoded
+
+
+def test_a_counting_verdict_decodes_no_answer_set(monkeypatch):
+    res, result, decoded = decoding_run(monkeypatch, TrueInExactly(48, ()))
+    assert result.verdict == PASS and len(res.answer_sets) == 48
+    assert decoded == []
+
+
+def test_a_failing_count_decodes_only_its_witness(monkeypatch):
+    res, result, decoded = decoding_run(monkeypatch, TrueInAtMost(47, ()))
+    assert result.verdict == FAIL and len(res.answer_sets) == 48
+    assert len(decoded) == 1
+    # the witness is the last answer set, decoded once and kept
+    assert result.witness == res.answer_sets[-1].atoms and len(decoded) == 1
+
+
 def test_best_model_cost_errors_without_cost_report():
     program = parse_unit("t.lp", "a. :~ a. [1@1]").program
     tp = build_tester(program, BestModelCost(1, 1))

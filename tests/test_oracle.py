@@ -213,7 +213,7 @@ def fixture_testers():
 
 def test_join_matches_product_instantiation():
     rng = random.Random(8)
-    programs = [random_join_program(rng) for _ in range(300)]
+    programs = [random_join_program(rng) for _ in range(500)]
     testers = list(fixture_testers())
     assert len(testers) > 20
     for p in programs + testers:
@@ -881,6 +881,69 @@ def test_search_matches_brute_force():
         want = brute_answer_sets(naive_ground(p.rules, g.universe), g.universe)
         assert enumerate_answer_sets(g).atom_sets() == set(want), p
     assert sum(not is_tight(g) for _, g in head_cycle_inputs()) >= 100
+
+
+def mask_and_eager_inputs():
+    """500 random join programs and 500 propositional ones with weak
+    constraints, each with its ground program and its answer sets as
+    `scan_answer_sets` decodes them, eagerly and on its own."""
+    rng = random.Random(31)
+    programs = [random_join_program(rng) for _ in range(500)]
+    rng = random.Random(32)
+    programs += [random_program(rng) for _ in range(500)]
+    for p in programs:
+        try:
+            g = ground(p)
+        except UnsupportedAggregate:
+            continue
+        yield p, g, scan_answer_sets(g).answer_sets
+
+
+def test_mask_backed_answer_sets_behave_as_eager_ones():
+    """Each check reads a fresh enumeration, so it meets the answer sets
+    still as masks: a hash or a membership test may be what decodes them."""
+    checked = with_levels = 0
+    for p, g, eager in mask_and_eager_inputs():
+        def fresh():
+            return enumerate_answer_sets(g).answer_sets
+
+        assert fresh() == eager and eager == fresh(), p
+        assert [hash(a) for a in fresh()] == [hash(e) for e in eager], p
+        assert [a.sorted_atoms() for a in fresh()] == [e.sorted_atoms() for e in eager], p
+        assert [[x in a for x in g.atoms] for a in fresh()] == \
+            [[x in e for x in g.atoms] for e in eager], p
+        assert enumerate_answer_sets(g).atom_sets() == {e.atoms for e in eager}, p
+        assert set(fresh()) == set(eager) and len(set(fresh() + eager)) == len(eager), p
+        for a, e in zip(fresh(), eager):
+            assert is_answer_set(g, a) and is_answer_set(g, e), p
+            assert ground_fields(reduct(g, a)) == ground_fields(reduct(g, e)), p
+        for a, e in zip(fresh(), eager):
+            assert [penalty(g, a, l) for l in g.levels] == \
+                [penalty(g, e, l) for l in g.levels], p
+        checked += len(eager)
+        with_levels += bool(g.levels) and bool(eager)
+    assert checked >= 800 and with_levels >= 300
+
+
+def test_threads_decoding_one_answer_set_get_equal_atoms():
+    g = ground(program(COLORING))
+    eager = scan_answer_sets(g).answer_sets
+    shared = enumerate_answer_sets(g).answer_sets
+    assert len(shared) == 6
+    for answer_set, want in zip(shared, eager):
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def read():
+            barrier.wait()
+            seen.append(answer_set.atoms)
+
+        threads = [threading.Thread(target=read) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert seen == [want.atoms, want.atoms]
 
 
 def test_minimality_check_matches_the_reference_at_every_leaf(leaves):
