@@ -22,10 +22,9 @@ import os
 import sys
 
 from . import __version__
-from .oracle import CapacityExceeded, UnsupportedAggregate
 from .parser import NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, read_source
 from .serialize import atom_to_text
-from .solver import SpawnFailure, default_backend_config, select_backend
+from .solver import REFUSED, SpawnFailure, default_backend_config, select_backend
 
 # `engine`, `mutate` and `json` are imported by the commands that use them:
 # `solve` runs once per call of the external backend, and loading them would
@@ -288,7 +287,7 @@ def _dispatch(args) -> int:
         for line in exc.rendered:
             print(line)
         return EXIT_FAILURE
-    except (CapacityExceeded, UnsupportedAggregate) as exc:
+    except REFUSED as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: use --backend external with a configured solver",
               file=sys.stderr)

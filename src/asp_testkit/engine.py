@@ -48,6 +48,7 @@ from .model import (
 from .oracle import AnswerSet, Scope, SolveResult
 from .parser import SourceUnit, merge_units, parse_program_text, parse_unit, read_source
 from .serialize import atom_to_text, serialize_program
+from .solver import REFUSED, AutoBackend, ExternalBackend
 
 PASS = "pass"
 FAIL = "fail"
@@ -123,7 +124,8 @@ class AssertionResult:
     """Verdict of one assertion, with its witness and the tester program it
     ran. `executed_code` renders that program when it is read, such as by
     the JSON report, in the bytes an external solver is fed; an assertion
-    that never got a tester has none."""
+    that never got a tester has none. `refused` marks an error raised by
+    the internal engine's refusal of the call (`solver.REFUSED`)."""
 
     assertion: Assertion
     kind: str
@@ -133,6 +135,7 @@ class AssertionResult:
     wall_ms: int = 0
     requested_models: Optional[int] = None
     program: Optional[Program] = field(default=None, repr=False)
+    refused: bool = field(default=False, repr=False)
 
     @property
     def executed_code(self) -> str:
@@ -463,14 +466,15 @@ def run_test(spec: TestSpec, program: Program, backend,
             res = evaluate(tp, solve_result)
         except Exception as exc:
             res = _error_result(assertion, f"{type(exc).__name__}: {exc}")
+            res.refused = isinstance(exc, REFUSED)
         res.wall_ms = int((time.monotonic() - t0) * 1000)
         results.append(res)
     return TestResult(spec.name, results, TestResult.aggregate(results),
                       int((time.monotonic() - start) * 1000))
 
 
-def map_in_order(fn: Callable, items: list, jobs: int) -> list:
-    """`fn` over `items`, results in declaration order; threaded when
+def _pooled(fn: Callable, items: list, jobs: int) -> list:
+    """`fn` over `items`, results in order; in up to `jobs` threads when
     jobs > 1 and there are at least two items."""
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -478,17 +482,67 @@ def map_in_order(fn: Callable, items: list, jobs: int) -> list:
     return [fn(item) for item in items]
 
 
+def _run_task(task: list, backend, refused: Optional[list] = None) -> list[TestResult]:
+    """`run_test` on each (spec, scope) call of `task`, in order. A call
+    leaves the task as it starts, so a scope is freed after its last call.
+    With `refused`, each refused assertion is added to it as (its test's
+    result, its index there, the spec cut to it, the scope)."""
+    results = []
+    while task:
+        spec, scope = task.pop(0)
+        test = run_test(spec, scope.program, backend, scope)
+        results.append(test)
+        if refused is not None:
+            refused.extend((test, i, replace(spec, asserts=(a.assertion,)), scope)
+                           for i, a in enumerate(test.assertions) if a.refused)
+    return results
+
+
+def run_tasks(tasks: list[list[tuple[TestSpec, Scope]]], backend,
+              jobs: int = 1) -> list[list[TestResult]]:
+    """Run each (spec, scope) call of each task, `run_test(spec,
+    scope.program, backend, scope)`, and return the results task by task,
+    call by call, in declaration order. The tasks' lists are emptied.
+
+    The internal engine runs on the calling thread only, one call after
+    another. Only calls that start a solver child go to a pool of up to
+    `jobs` threads: with an external backend, every task is one pool task
+    that runs its calls in order. Under auto with a solver configured, every
+    call runs on the internal engine first; then each assertion that it
+    refused (`solver.REFUSED`) is run again on the solver, each as one pool
+    task, and takes the refused result's place in its test. Its `wall_ms`
+    covers both attempts."""
+    if isinstance(backend, ExternalBackend):
+        return _pooled(lambda task: _run_task(task, backend), tasks, jobs)
+    fallback = backend.external if isinstance(backend, AutoBackend) else None
+    if fallback is None:
+        return [_run_task(task, backend) for task in tasks]
+    refused: list = []
+    results = [_run_task(task, backend.internal, refused) for task in tasks]
+
+    def retry(entry: tuple) -> AssertionResult:
+        _, _, spec, scope = entry
+        return run_test(spec, scope.program, fallback, scope).assertions[0]
+
+    for (test, i, _, _), result in zip(refused, _pooled(retry, refused, jobs)):
+        test.wall_ms += result.wall_ms
+        result.wall_ms += test.assertions[i].wall_ms
+        test.assertions[i] = result
+        test.verdict = TestResult.aggregate(test.assertions)
+    return results
+
+
 def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
-    """Run every test of a unit. Each test's scope is resolved once, in the
-    calling thread, and every assertion of every test is one task for up
-    to `jobs` threads, so one test's assertions may run at once; they share
-    the test's `oracle.Scope`. The report lists tests and assertions in
-    declaration order, and a test's `wall_ms` is the sum of its assertions'.
-    A test whose scope does not resolve is an error, and so is each of its
-    assertions."""
+    """Run every test of a unit. Each test's scope is resolved once, and
+    every assertion of every test is one task of `run_tasks`; the
+    assertions of a test share its `oracle.Scope`. The report lists tests
+    and assertions in declaration order, and a test's `wall_ms` is the sum
+    of its assertions'. A test whose scope does not resolve is an error,
+    and so is each of its assertions."""
     start = time.monotonic()
     tests: list[TestResult] = []
-    tasks: list[list] = []  # [test, its spec cut to one assertion, its scope]
+    tasks: list[list] = []  # one per assertion: [(the spec cut to it, its test's scope)]
+    owners: list[TestResult] = []  # the test of each task
     for spec in unit.suite.tests:
         try:
             program = resolve_scope(unit.suite, spec)
@@ -500,16 +554,10 @@ def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
         test = TestResult(spec.name, [], PASS, program=program)
         tests.append(test)
         scope = Scope(program)
-        tasks.extend([test, replace(spec, asserts=(a,)), scope] for a in spec.asserts)
-
-    def run(task: list) -> TestResult:
-        _, one, scope = task
-        # drop the task's hold on the scope, so that the scope and its
-        # saved ground form are freed once the test's last task is done
-        task[2] = None
-        return run_test(one, scope.program, backend, scope=scope)
-
-    for (test, *_), result in zip(tasks, map_in_order(run, tasks, jobs)):
+        for a in spec.asserts:
+            tasks.append([(replace(spec, asserts=(a,)), scope)])
+            owners.append(test)
+    for test, (result,) in zip(owners, run_tasks(tasks, backend, jobs)):
         test.assertions.extend(result.assertions)
     for test in tests:
         test.wall_ms = sum(a.wall_ms for a in test.assertions)

@@ -25,7 +25,10 @@ from itertools import combinations, count as naturals
 from typing import Callable, Iterable, Iterator, Optional
 
 from .model import Atom, Literal, Program, Rule, UnsafeRuleError
-from .engine import FAIL, PASS, SuiteReport, TestResult, map_in_order, run_suite, run_test
+# `run_test` is not called here, but stays a name of this module, as it is
+# of `engine`: verdictbench/tracing.py wraps both
+from .engine import FAIL, PASS, SuiteReport, TestResult, run_suite, run_tasks, run_test
+from .oracle import Scope
 from .parser import ParseFailure, SourceUnit, parse_ground_atom
 from .serialize import serialize_program
 
@@ -415,12 +418,23 @@ def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], P
     return transform
 
 
+def _outcome(mutant: Mutant, tests: list[TestResult]) -> MutantOutcome:
+    """Killed when an assertion fails, else inconclusive when one is not
+    decided, else survived."""
+    verdicts = [(f"{test.name}/{a.kind}", a.verdict) for test in tests for a in test.assertions]
+    killed_by = [label for label, verdict in verdicts if verdict == FAIL]
+    status = ("killed" if killed_by else
+              "inconclusive" if any(verdict != PASS for _, verdict in verdicts) else "survived")
+    return MutantOutcome(mutant, status, killed_by, tests)
+
+
 def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
                       jobs: int = 1) -> KillReport:
     """Run the unit's suite against every mutant. Requires a green baseline:
     when the original program already fails its own tests the analysis is
     refused (baseline_passed=False, no outcomes). Every mutant runs on its
-    transform of each test's scope as the baseline resolved it."""
+    transform of each test's scope as the baseline resolved it; its tests
+    are one task of `engine.run_tasks`."""
     baseline = run_suite(unit, backend, jobs=jobs)
     report = KillReport(baseline=baseline, baseline_passed=baseline.all_passed())
     if not report.baseline_passed:
@@ -429,26 +443,12 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
     # assertions has nothing to decide on a mutant
     scopes = [(spec, test.program) for spec, test in zip(unit.suite.tests, baseline.tests)
               if spec.asserts]
-
-    def evaluate_mutant(mutant: Mutant) -> MutantOutcome:
+    tasks = []
+    for mutant in mutants:
         transform = _mutant_transform(unit, mutant)
-        outcome = MutantOutcome(mutant=mutant, status="survived")
-        had_error = False
-        for spec, scope in scopes:
-            result = run_test(spec, transform(scope), backend)
-            outcome.tests.append(result)
-            for a in result.assertions:
-                if a.verdict == FAIL:
-                    outcome.killed_by.append(f"{spec.name}/{a.kind}")
-                elif a.verdict != PASS:
-                    had_error = True
-        if outcome.killed_by:
-            outcome.status = "killed"
-        elif had_error:
-            outcome.status = "inconclusive"
-        return outcome
-
-    report.outcomes = map_in_order(evaluate_mutant, mutants, jobs)
+        tasks.append([(spec, Scope(transform(program))) for spec, program in scopes])
+    report.outcomes = [_outcome(mutant, tests)
+                       for mutant, tests in zip(mutants, run_tasks(tasks, backend, jobs))]
     report.assertion_failures = dict(Counter(label for outcome in report.outcomes
                                              for label in outcome.killed_by))
     return report

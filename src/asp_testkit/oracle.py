@@ -86,7 +86,6 @@ raised instead.
 
 from __future__ import annotations
 
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import is_, itemgetter
@@ -139,10 +138,8 @@ class AnswerSet:
     parses them. The internal engine keeps each answer set it finds as a bit
     mask over its ground program's atom list (`_of_mask`), and `atoms`
     decodes that mask on its first read and keeps the set: a verdict that
-    only counts answer sets decodes none of them. Two threads that read
-    `atoms` of one answer set at once may each decode it; they build equal
-    sets. Equality, hashing and `in` go by the atoms, however the answer set
-    was made."""
+    only counts answer sets decodes none of them. Equality, hashing and `in`
+    go by the atoms, however the answer set was made."""
 
     __slots__ = ("_atoms", "_atom_list", "_mask")
 
@@ -566,7 +563,7 @@ class GroundProgram:
         self._weaks = weaks
         self.trivially_incoherent = trivially_incoherent
         self.levels = levels
-        # built on first read; threads that build one at once build equal ones
+        # built on first read
         self._atom_ids: Optional[dict[Atom, int]] = None
         self._unknown_ids: Optional[list[int]] = None
 
@@ -852,10 +849,8 @@ class Scope:
     `universe`; and the saved form, P instantiated and simplified, the
     first time a tester that splits on P needs it (see `added`). A fill
     that raises is not tried again: the scope keeps the error, and
-    `saved()` raises it for every such tester. The testers of one test may
-    run in several threads at once, so filling takes the scope's lock: the
-    first tester fills, and any tester that arrives meanwhile waits for
-    that form or that error instead of filling again."""
+    `saved()` raises it for every such tester. A scope is filled and read
+    on one thread: it is not to be shared between threads."""
 
     def __init__(self, program: Program):
         self.program = program
@@ -866,19 +861,17 @@ class Scope:
         self.universe = _universe(self.constants)
         self._saved: Optional[_SavedScope] = None
         self._error: Optional[Exception] = None
-        self._lock = threading.Lock()
 
     def saved(self) -> _SavedScope:
-        with self._lock:
-            if self._saved is None and self._error is None:
-                try:
-                    self._saved = _save_scope(self.program, self.universe)
-                except Exception as exc:
-                    self._error = exc
+        if self._saved is None and self._error is None:
+            try:
+                self._saved = _save_scope(self.program, self.universe)
+            except Exception as exc:
+                self._error = exc
         if self._error is not None:
             # raised with a fresh traceback: the kept one would hold the
-            # failed fill's frames, and the raises of several testers, from
-            # several threads, would pile up on it
+            # failed fill's frames, and the raises of several testers would
+            # pile up on it
             raise self._error.with_traceback(None)
         return self._saved
 

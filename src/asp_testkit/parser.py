@@ -225,7 +225,12 @@ def _scan(text: str, base: int = 0, annotation: bool = False,
         elif group == "punct":
             tokens.append(_Token("punct", value, offset))
         elif group == "int":
-            tokens.append(_Token("int", int(value), offset))
+            try:
+                number = int(value)
+            except ValueError:  # longer than the interpreter converts
+                raise _Issue(f"integer literal of {len(value.lstrip('-'))} digits is too long",
+                             offset, error_kind)
+            tokens.append(_Token("int", number, offset))
         elif group == "str":
             tokens.append(_Token("str", _string(value, offset + 1), offset))
         elif group == "annot":

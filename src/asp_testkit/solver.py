@@ -47,6 +47,10 @@ EXTERNAL_BACKEND = "external"
 
 _INCOHERENT_MARKERS = ("INCOHERENT", "INCONSISTENT", "UNSATISFIABLE")
 
+# What the internal engine refuses to decide: under auto, a configured
+# external solver decides such a call instead.
+REFUSED = (CapacityExceeded, UnsupportedAggregate)
+
 
 class SpawnFailure(Exception):
     """The solver executable could not be started."""
@@ -272,10 +276,8 @@ class InternalBackend:
     `oracle.Scope` of the test whose tester `program` is (see
     `engine.run_test`): the scope instantiates and simplifies its program
     once, for its first tester, and `ground` builds each tester on that.
-    The backend itself keeps no state, so calls from several threads may
-    share it, and testers of one scope that run at once wait for one fill
-    of the scope under its lock. It renders no program text: its `RawRun`
-    has no standard input."""
+    The backend itself keeps no state. It renders no program text: its
+    `RawRun` has no standard input."""
 
     name = INTERNAL_BACKEND
 
@@ -310,8 +312,8 @@ class ExternalBackend:
 
 
 class AutoBackend:
-    """Oracle when the grounding fits its capacity, external solver
-    otherwise (and an error if none is configured)."""
+    """Oracle unless it refuses the call (`REFUSED`), external solver
+    then (and the refusal if none is configured)."""
 
     name = "auto"
 
@@ -323,7 +325,7 @@ class AutoBackend:
             optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
         try:
             return self.internal.run(program, max_models, optimize, scope)
-        except (CapacityExceeded, UnsupportedAggregate):
+        except REFUSED:
             if self.external is None:
                 raise
             return self.external.run(program, max_models, optimize)

@@ -1,5 +1,7 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -194,6 +196,83 @@ def test_check_non_ascii_digit_is_a_lexical_error(tmp_path):
     assert proc.returncode == 1, proc.stderr
     assert "bad.lp:1:3: lexical:" in proc.stdout
     assert "Traceback" not in proc.stderr, proc.stderr
+
+
+# One digit more than the interpreter converts to an int (its default limit
+# is 4300 digits); an interpreter without the limit reads any literal.
+LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (LIMIT + 1)
+needs_limit = pytest.mark.skipif(LIMIT == 0, reason="this interpreter converts any integer")
+
+
+@needs_limit
+@pytest.mark.parametrize("command", ["check", "test", "solve"])
+def test_an_integer_too_long_to_convert_is_a_lexical_error(tmp_path, capsys, command):
+    f = tmp_path / "long.lp"
+    f.write_text(f"q(1).\np({TOO_LONG}).\n", encoding="utf-8")
+    assert cli.main([command, str(f)]) == 1
+    out, err = capsys.readouterr()
+    assert out == f"{f}:2:3: lexical: integer literal of {LIMIT + 1} digits is too long\n"
+    assert err == ""
+
+
+@needs_limit
+def test_an_integer_too_long_to_convert_in_a_tests_input_fails_its_scope(tmp_path, capsys):
+    f = tmp_path / "t.lp"
+    f.write_text('%** @rule(name = "r") **%\np(1).\n'
+                 f'%** @test(name = "t", scope = {{"r"}}, input = "q({TOO_LONG}).",\n'
+                 '        assert = { @trueInAll(atoms = "p(1)") }) **%\n', encoding="utf-8")
+    message = f"<input:t>:1:3: lexical: integer literal of {LIMIT + 1} digits is too long"
+    assert cli.main(["check", str(f)]) == 1
+    assert capsys.readouterr().out == f"{f}:3:5: lexical: scope resolution failed: {message}\n"
+    assert cli.main(["test", str(f)]) == 2
+    assert f"[scope resolution failed: {message}]" in capsys.readouterr().out
+
+
+# Pieces of the input and annotation languages that the fuzz below inserts.
+PIECES = ["(", ")", ",", ".", ":-", "not ", "%", "%*", "*%", "%**", "**%", '"', "\\",
+          "{", "}", "@", "=", "|", "#count", "#sum", "X", "_", "-", "0", "\n", "\u00b2"]
+
+
+def fuzzed(rng: random.Random, text: str, long_integer: bool) -> str:
+    """`text` after one to three random edits: delete a span, insert a
+    piece, copy a span elsewhere, or (always when `long_integer`) widen
+    an integer past what the interpreter converts."""
+    for edit in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        end = min(len(text), at + rng.randint(1, 12))
+        kind = "long" if long_integer and edit == 0 else rng.choice(
+            ["delete", "insert", "copy", "long"])
+        if kind == "delete":
+            text = text[:at] + text[end:]
+        elif kind == "insert":
+            text = text[:at] + rng.choice(PIECES) + text[at:]
+        elif kind == "copy":
+            spot = rng.randrange(len(text) + 1)
+            text = text[:spot] + text[at:end] + text[spot:]
+        else:
+            digits = list(re.finditer(r"\d+", text))
+            m = rng.choice(digits) if digits else None
+            span = (m.start(), m.end()) if m else (at, at)
+            text = text[:span[0]] + "9" * (max(LIMIT, 4300) + 1) + text[span[1]:]
+    return text
+
+
+def test_randomly_edited_fixtures_get_a_diagnostic_never_a_crash(tmp_path, capsys):
+    # check, test and solve, in process, on seeded random edits of the
+    # shipped fixtures: every run exits 0, 1 or 2, and none is a crash
+    rng = random.Random(5)
+    names = sorted(path.name for path in FIXTURES.glob("*.lp"))
+    f = tmp_path / "edited.lp"
+    for case in range(100):
+        f.write_text(fuzzed(rng, fixture_text(rng.choice(names)), case % 4 == 0),
+                     encoding="utf-8")
+        for command in (["check"], ["test", "--backend", "internal"],
+                        ["solve", "--backend", "internal"]):
+            status = cli.main([*command, str(f)])
+            out, err = capsys.readouterr()
+            assert status in (0, 1, 2), (case, command)
+            assert "internal error" not in out + err, (case, command, err)
 
 
 def test_unexpected_exception_exits_two_in_one_line(monkeypatch, capsys):

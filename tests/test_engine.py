@@ -56,7 +56,8 @@ from asp_testkit.mutate import (
 from asp_testkit import oracle
 from asp_testkit.oracle import SolveResult, AnswerSet, UnsupportedAggregate, ground
 from asp_testkit.parser import parse_assertion_list, parse_unit
-from asp_testkit.solver import BackendConfig, ExternalBackend, InternalBackend
+from asp_testkit import solver
+from asp_testkit.solver import AutoBackend, BackendConfig, ExternalBackend, InternalBackend
 from helpers import (
     FIXTURES,
     atom,
@@ -77,11 +78,15 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 STUB = str(Path(__file__).resolve().parent / "stub_solver.py")
 
 
+def stub_config(mode: str = "basic", **kwargs) -> BackendConfig:
+    """The stub solver in `mode`; `basic` prints one model."""
+    return BackendConfig(executable=sys.executable, extra_args=(STUB, mode),
+                         model_cap_template="", **kwargs)
+
+
 def stub_backend() -> ExternalBackend:
     """An external backend whose every call prints the stub's one model."""
-    return ExternalBackend(BackendConfig(executable=sys.executable,
-                                         extra_args=(STUB, "basic"),
-                                         model_cap_template=""))
+    return ExternalBackend(stub_config())
 
 
 def coloring_unit():
@@ -541,27 +546,37 @@ def test_suite_report_json_schema():
 
 
 def test_parallel_suite_matches_serial():
-    # the assertions of one test share its scope, whichever threads run them
-    for name in ("coloring_mutation.lp", "coloring.lp", "hamiltonian_mutation.lp"):
-        unit = parse_unit(name, fixture_text(name))
-        for backend in (BACKEND, stub_backend()):
+    # the external calls, and auto's retries on the solver of what the
+    # internal engine refused (every assertion of the path), run in up to
+    # `jobs` threads; the report does not show it
+    units = [parse_unit(name, fixture_text(name))
+             for name in ("coloring_mutation.lp", "coloring.lp", "hamiltonian_mutation.lp")]
+    units.append(parse_unit("path.lp", PATH_COLORING))
+    for unit in units:
+        for backend in (BACKEND, stub_backend(), AutoBackend(stub_config())):
             serial = untimed(run_suite(unit, backend, jobs=1).to_json_dict())
             for jobs in (2, 4):
                 report = run_suite(unit, backend, jobs=jobs)
-                assert untimed(report.to_json_dict()) == serial, (name, backend.name, jobs)
+                assert untimed(report.to_json_dict()) == serial, (unit.path, backend.name, jobs)
+    # the retried assertions are decided by the solver
+    verdicts = {a["verdict"] for a in serial["tests"][0]["assertions"]}
+    assert "error" not in verdicts
 
 
 def test_one_tests_assertions_run_at_once():
-    # each call waits for the other, so they only finish when they overlap
+    # each solver call waits for the other, so they only finish when they
+    # overlap
     meet = threading.Barrier(2, timeout=2)
 
-    class Meeting:
+    class Meeting(ExternalBackend):
         def run(self, *args, **kwargs):
             meet.wait()
-            return BACKEND.run(*args, **kwargs)
+            return super().run(*args, **kwargs)
 
-    (test,) = run_suite(coloring_unit(), Meeting(), jobs=2).tests
-    assert [a.verdict for a in test.assertions] == [PASS, PASS]
+    (test,) = run_suite(coloring_unit(), Meeting(stub_config()), jobs=2).tests
+    (serial,) = run_suite(coloring_unit(), stub_backend(), jobs=1).tests
+    assert len(test.assertions) == 2 and "error" not in [a.verdict for a in test.assertions]
+    assert [a.verdict for a in test.assertions] == [a.verdict for a in serial.assertions]
 
 
 def test_a_suite_frees_each_scope_after_its_test():
@@ -609,9 +624,11 @@ def test_a_test_instantiates_its_scope_once(monkeypatch):
     unit = parse_unit("four.lp", FOUR_ASSERTIONS)
     spec = unit.suite.tests[0]
     scope = resolve_scope(unit.suite, spec)
-    # the testers run one after another, then up to two at a time
+    # the testers run one after another, at any --jobs, and under auto the
+    # internal engine decides them all
     for run in (lambda: run_test(spec, scope, InternalBackend()),
-                lambda: run_suite(unit, InternalBackend(), jobs=2).tests[0]):
+                lambda: run_suite(unit, InternalBackend(), jobs=2).tests[0],
+                lambda: run_suite(unit, AutoBackend(stub_config()), jobs=2).tests[0]):
         statements.clear()
         simplified.clear()
         result = run()
@@ -676,33 +693,65 @@ def test_interleaved_scopes_are_instantiated_once_each(monkeypatch):
     assert len(calls) == 2
 
 
-def test_threads_fill_one_scope_once(monkeypatch):
-    # the slow instantiation keeps the first filler busy while the others
-    # arrive; without the scope's lock each would instantiate it
-    calls = counted_instantiations(monkeypatch, delay=0.05)
-    scope = oracle.Scope(parse_unit("a.lp", "p(1) | p(2).").program)
-    threads = 8  # more than the cores of a small host
-    start = threading.Barrier(threads, timeout=2)
-    saved = []
+def test_internal_calls_run_on_the_calling_thread(monkeypatch, tmp_path, capsys):
+    # every ground and search call, at --jobs 4, for `test` and `mutate`,
+    # under the internal backend and under auto with a solver configured;
+    # auto's retries of the path's refused assertions spawn the solver in
+    # pool threads
+    threads = {"internal": [], "solve": []}
 
-    def fill():
-        start.wait()
-        saved.append(scope.saved())
+    def record(kind, original):
+        def called(*args, **kwargs):
+            threads[kind].append(threading.get_ident())
+            return original(*args, **kwargs)
+        return called
 
-    workers = [threading.Thread(target=fill) for _ in range(threads)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for worker in workers:
-            worker.start()
-        for worker in workers:
-            worker.join(timeout=5)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(worker.is_alive() for worker in workers)
-    assert len(calls) == 1
-    assert len(saved) == threads and saved[0] is not None
-    assert all(form is saved[0] for form in saved)
+    # the names by which the internal backend calls the oracle
+    for name in ("ground", "enumerate_answer_sets", "optimal_answer_sets"):
+        monkeypatch.setattr(solver, name, record("internal", getattr(solver, name)))
+    monkeypatch.setattr(solver, "solve", record("solve", solver.solve))
+    path = tmp_path / "path.lp"
+    path.write_text(PATH_COLORING, encoding="utf-8")
+    mutation = str(FIXTURES / "coloring_mutation.lp")
+    auto = ["--solver-path", sys.executable, "--solver-arg", STUB, "--solver-arg", "basic"]
+    main = threading.get_ident()
+    for backend in (["--backend", "internal"], auto):
+        for command in (["test", mutation], ["test", str(path)],
+                        ["mutate", "--count", "4", "--seed", "3", mutation]):
+            for values in threads.values():
+                values.clear()
+            assert cli.main([command[0], "--jobs", "4", *backend, *command[1:]]) in (0, 1, 2)
+            capsys.readouterr()
+            assert threads["internal"] and set(threads["internal"]) == {main}, command
+            if backend is auto and command[1] == str(path):
+                assert len(threads["solve"]) == 4 and main not in threads["solve"]
+            else:
+                assert threads["solve"] == []
+
+
+def test_solver_children_overlap(tmp_path, capsys):
+    # four calls of a stub solver that sleeps until its 1 s timeout: under
+    # external, and under auto, which retries each of the path's refused
+    # assertions on it
+    four = tmp_path / "four.lp"
+    four.write_text(FOUR_ASSERTIONS, encoding="utf-8")
+    path = tmp_path / "path.lp"
+    path.write_text(PATH_COLORING, encoding="utf-8")
+    sleeper = ["--solver-path", sys.executable, "--solver-arg", STUB,
+               "--solver-arg", "sleep", "--timeout", "1"]
+    for args in (["--backend", "external", str(four)], [str(path)]):
+        reports = []
+        for jobs in (4, 1):
+            start = time.monotonic()
+            status = cli.main(["test", "--format", "json", "--jobs", str(jobs), *sleeper, *args])
+            elapsed = time.monotonic() - start
+            doc = json.loads(capsys.readouterr().out)
+            reports.append((status, untimed(doc)))
+            if jobs == 4:
+                assert elapsed < 2.5, args
+        assert reports[0] == reports[1]
+        verdicts = [a["verdict"] for a in doc["tests"][0]["assertions"]]
+        assert len(verdicts) == 4 and "error" not in verdicts
 
 
 def test_an_external_backend_never_instantiates_the_scope(monkeypatch):

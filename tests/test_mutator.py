@@ -1,10 +1,12 @@
 
 import sys
+from pathlib import Path
 
 import pytest
 
 from asp_testkit import cli
-from asp_testkit.engine import resolve_scope
+from asp_testkit.engine import resolve_scope, run_test
+from asp_testkit.engine import TestResult as Result  # not a test class
 from asp_testkit.model import Program
 from asp_testkit.mutate import (
     ExhaustedLoci,
@@ -15,6 +17,7 @@ from asp_testkit.mutate import (
     UnsafeMutant,
     apply_op,
     enumerate_loci,
+    _mutant_transform,
     generate_mutants,
     mutation_analysis,
     mutation_base_program,
@@ -22,10 +25,13 @@ from asp_testkit.mutate import (
 from asp_testkit.oracle import CapacityExceeded
 from asp_testkit.parser import parse_unit
 from asp_testkit.serialize import rule_to_text, serialize_program
-from asp_testkit.solver import InternalBackend
+from asp_testkit.solver import AutoBackend, BackendConfig, ExternalBackend, InternalBackend
 from helpers import FIXTURES, fixture_text, untimed
 
 BACKEND = InternalBackend()
+# the stub solver, printing one model whatever it is fed
+STUB = BackendConfig(executable=sys.executable, model_cap_template="",
+                     extra_args=(str(Path(__file__).resolve().parent / "stub_solver.py"), "basic"))
 FIXTURE_NAMES = sorted(path.name for path in FIXTURES.glob("*.lp"))
 
 
@@ -335,16 +341,35 @@ def test_shipped_mutants_all_killed():
 
 
 def test_parallel_mutation_analysis_matches_serial():
-    # threads switch often, so that the testers of different mutants
-    # interleave on one backend, each handed its own test's scope
+    # the internal engine decides every mutant on this thread at any --jobs
     unit = parse_unit("hamiltonian_mutation.lp", fixture_text("hamiltonian_mutation.lp"))
     mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, seed=19)
     serial = untimed(mutation_analysis(unit, mutants, BACKEND, jobs=1).to_json_dict())
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for jobs in (2, 4):
-            report = mutation_analysis(unit, mutants, BACKEND, jobs=jobs)
-            assert untimed(report.to_json_dict()) == serial
-    finally:
-        sys.setswitchinterval(interval)
+    for jobs in (2, 4):
+        report = mutation_analysis(unit, mutants, BACKEND, jobs=jobs)
+        assert untimed(report.to_json_dict()) == serial
+
+
+def test_refused_mutant_assertions_are_retried_on_the_solver():
+    # under auto, each assertion that the internal engine refused on a
+    # mutant runs again on the solver, and the mutant's tests and status
+    # follow from the solver's verdicts
+    unit = parse_unit("fixtures/coloring_mutation.lp", fixture_text("coloring_mutation.lp"))
+    backend = AutoBackend(STUB)
+    backend.internal = RefusesMutatedScopes(unit)
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 2, seed=19)
+    reports = [mutation_analysis(unit, mutants, backend, jobs=jobs) for jobs in (1, 4)]
+    assert untimed(reports[0].to_json_dict()) == untimed(reports[1].to_json_dict())
+    baseline = reports[0].baseline
+    for report in reports:
+        assert report.baseline_passed and len(report.outcomes) == 2
+        for outcome in report.outcomes:
+            transform = _mutant_transform(unit, outcome.mutant)
+            want = [run_test(spec, transform(test.program), ExternalBackend(STUB))
+                    for spec, test in zip(unit.suite.tests, baseline.tests)]
+            assert [[a.verdict for a in t.assertions] for t in outcome.tests] == \
+                [[a.verdict for a in t.assertions] for t in want]
+            assert [t.verdict for t in outcome.tests] == [t.verdict for t in want]
+            assert all(t.verdict == Result.aggregate(t.assertions) for t in outcome.tests)
+            assert outcome.killed_by == [f"{t.name}/{a.kind}" for t in outcome.tests
+                                         for a in t.assertions if a.verdict == "fail"]

@@ -1,7 +1,5 @@
 import random
 import re
-import sys
-import threading
 import traceback
 from collections import Counter
 from operator import is_
@@ -392,42 +390,6 @@ def test_a_testers_universe_is_its_scopes_plus_what_it_adds(scope_text, asserted
     tester = build_tester(scope, TrueInAll((asserted,))).program
     assert assert_scope_path_matches(oracle.Scope(scope), tester) == "simplified"
     assert ground(tester, scope=oracle.Scope(scope)).universe == universe
-
-
-def test_threads_share_a_scopes_symbols_and_saved_form():
-    # the testers of one scope fill its symbols and its saved form from
-    # several threads at once; a fill that one thread saw half done would
-    # give a wrong ground program
-    scope_program = program(COLORING)
-    testers = [build_tester(scope_program, a).program for a in (
-        TrueInAll((atom("col", 1, "red"),)), NoAnswerSet(),
-        TrueInAtLeast(1, (atom("col", 2, "blue"),)),
-        ConstraintForAll(Rule((), (lit("col", "X", "red"),))))]
-    want = [ground_fields(ground(t)) for t in testers]
-    threads = 8  # more than the cores of a small host
-    for _ in range(20):
-        scope = oracle.Scope(scope_program)
-        start = threading.Barrier(threads, timeout=2)
-        got = []
-
-        def run(i):
-            start.wait()
-            tester = testers[i % len(testers)]
-            got.append((i % len(testers), ground_fields(ground(tester, scope=scope))))
-
-        workers = [threading.Thread(target=run, args=(i,)) for i in range(threads)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=5)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(worker.is_alive() for worker in workers)
-        assert len(got) == threads
-        assert all(fields == want[i] for i, fields in got)
 
 
 def test_scope_path_reuses_the_scope_and_matches_on_hand_built_testers():
@@ -923,27 +885,6 @@ def test_mask_backed_answer_sets_behave_as_eager_ones():
         checked += len(eager)
         with_levels += bool(g.levels) and bool(eager)
     assert checked >= 800 and with_levels >= 300
-
-
-def test_threads_decoding_one_answer_set_get_equal_atoms():
-    g = ground(program(COLORING))
-    eager = scan_answer_sets(g).answer_sets
-    shared = enumerate_answer_sets(g).answer_sets
-    assert len(shared) == 6
-    for answer_set, want in zip(shared, eager):
-        barrier = threading.Barrier(2)
-        seen = []
-
-        def read():
-            barrier.wait()
-            seen.append(answer_set.atoms)
-
-        threads = [threading.Thread(target=read) for _ in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen == [want.atoms, want.atoms]
 
 
 def test_minimality_check_matches_the_reference_at_every_leaf(leaves):

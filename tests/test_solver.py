@@ -6,10 +6,10 @@ from pathlib import Path
 import pytest
 
 from asp_testkit import solver
-from asp_testkit.engine import PASS, map_in_order, run_suite, run_test
+from asp_testkit.engine import PASS, run_suite, run_tasks
 from asp_testkit.model import ASSERTION_KINDS, Atom, BestModelCost, Program
 from asp_testkit.model import TestSpec as Spec  # not a test class
-from asp_testkit.oracle import enumerate_answer_sets, ground
+from asp_testkit.oracle import Scope, enumerate_answer_sets, ground
 from asp_testkit.parser import parse_unit
 from asp_testkit.solver import (
     AutoBackend,
@@ -255,6 +255,14 @@ def test_internal_backend_records_requested_models():
     assert run.argv == ["<internal-oracle>"]
 
 
+def test_an_answer_atom_with_an_integer_too_long_to_convert_is_a_format_error():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit == 0:
+        pytest.skip("this interpreter converts any integer")
+    with pytest.raises(FormatError, match=f"integer literal of {limit + 1} digits is too long"):
+        parse_competition_output(f"ANSWER\np({'9' * (limit + 1)}).\n")
+
+
 def test_auto_backend_falls_back_to_external():
     # over capacity for the oracle; the stub "solver" still answers
     text = " ".join(f"d({i})." for i in range(7)) + \
@@ -336,11 +344,9 @@ def test_selfhosted_external_verdicts_equal_internal_ones():
     cases = verdict_cases()
 
     def verdicts(backend) -> list[str]:
-        def run(case):
-            scope, assertion = case
-            result = run_test(Spec("t", ("r",), (assertion,)), scope, backend)
-            return result.assertions[0].verdict
-        return map_in_order(run, cases, jobs=2)
+        # internal calls run one after another, external ones two at a time
+        tasks = [[(Spec("t", ("r",), (assertion,)), Scope(scope))] for scope, assertion in cases]
+        return [test.assertions[0].verdict for (test,) in run_tasks(tasks, backend, jobs=2)]
 
     internal = verdicts(InternalBackend())
     external = verdicts(ExternalBackend(selfhosted_config()))
