@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import __version__
 from .parser import NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, read_source
@@ -60,8 +61,10 @@ def _operator_list(text: str) -> list[str]:
 
 def _add_backend_options(p: argparse.ArgumentParser):
     p.add_argument("--backend", choices=["internal", "external"],
-                   help="force a backend (default: internal when the program "
-                        "fits the oracle capacity, external otherwise)")
+                   help="force a backend (default: the internal engine; a call "
+                        "it refuses, over capacity or the instantiation budget or "
+                        "with a recursive #count in a rule head, goes to the "
+                        "configured external solver, and is an error without one)")
     p.add_argument("--solver-path", metavar="EXE",
                    help="external solver executable (default: $ASP_TESTKIT_SOLVER "
                         "or clingo/dlv2 on PATH)")
@@ -123,24 +126,18 @@ class _ToolError(Exception):
 
 
 def _parse_all(paths: list[str]):
-    """Parse and merge the input files; raises on any error."""
+    """Parse and merge the input files; raises ParseFailure with the errors
+    of every file, each naming its own file."""
     units = []
     errors = []
     for path, text in _read_files(paths):
         unit, errs = parse_unit_diagnostics(path, text)
-        for e in errs:
-            errors.append(e.render(path))
+        errors += [e if e.path else replace(e, path=path) for e in errs]
         if unit is not None:
             units.append(unit)
     if errors:
-        raise _ParseErrors(errors)
+        raise ParseFailure(errors[0].path, errors)
     return merge_units(units)
-
-
-class _ParseErrors(Exception):
-    def __init__(self, rendered: list[str]):
-        self.rendered = rendered
-        super().__init__("\n".join(rendered))
 
 
 def _make_backend(args):
@@ -283,10 +280,6 @@ def _dispatch(args) -> int:
     except _ToolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except _ParseErrors as exc:
-        for line in exc.rendered:
-            print(line)
-        return EXIT_FAILURE
     except REFUSED as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: use --backend external with a configured solver",

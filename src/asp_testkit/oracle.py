@@ -14,9 +14,10 @@ the whole Herbrand universe, and every instance whose positive body can hold
 is found exactly once. A statement without positive body atoms therefore
 has no variable: it is its own one instance, taken in the first round with
 no join. The instances are emitted statement by statement in program order
-(rules, then weak constraints), each statement's sorted by the ground terms
-of its variables, which is the order of the product over the sorted
-universe. MAX_INSTANTIATIONS bounds the instances emitted.
+(rules, then weak constraints), each statement's in the order the join finds
+them. A disjunctive head's atoms enter the index in `Atom.sort_key` order,
+so the order of the instances does not depend on the hash seed.
+MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
 test's scope program P by a few rules. The test hands P to `ground` with
@@ -88,7 +89,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import is_, itemgetter
+from operator import is_
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -235,35 +236,6 @@ def _match(pattern: Atom, atom: Atom, subst: dict[str, Term]) -> Optional[dict[s
     return out
 
 
-def _global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> list[str]:
-    """Variables to instantiate: everything except aggregate-local names."""
-    seen: list[str] = []
-    outside: set[str] = set()
-
-    def add(name: str):
-        if name not in outside:
-            outside.add(name)
-            seen.append(name)
-
-    for a in head:
-        for v in a.variables():
-            add(v)
-    for lit in body:
-        p = lit.payload
-        if isinstance(p, Atom):
-            for v in p.variables():
-                add(v)
-        elif isinstance(p, Comparison):
-            for v in p.variables():
-                add(v)
-        else:
-            for v in p.guard_variables():
-                add(v)
-    # a brace-local name that also occurs outside its aggregate is global and
-    # was already collected through that other occurrence
-    return seen
-
-
 class _AtomIndex:
     """The atoms derived so far. Each atom is stamped with its position in
     derivation order and listed, in that order, under its signature and under
@@ -315,14 +287,15 @@ class _Join:
 
     Safety puts every global variable in a positive body atom, so the ground
     instances whose positive body consists of derived atoms are exactly the
-    ways of matching those atoms, in turn, against the index. A comparison is
-    tested as soon as the atoms matched so far bind its variables.
+    ways of matching those atoms, in turn, against the index, and they are
+    emitted in the order the join finds them. A comparison is tested as soon
+    as the atoms matched so far bind its variables.
 
     A statement without positive body atoms therefore has no global variable
     either, such as a fact, `__tk_miss_0 :- not a.` or `:- not a.`: it is
-    its own one instance. `own` holds that instance with its sort key, (),
-    built once from the statement's atoms, with no plan and no
-    substitution; it is None for every other statement."""
+    its own one instance. `own` holds that instance, built once from the
+    statement's atoms, with no plan and no substitution; it is None for
+    every other statement."""
 
     def __init__(self, statement: Rule | WeakConstraint):
         weak = isinstance(statement, WeakConstraint)
@@ -342,10 +315,9 @@ class _Join:
         self.ground_checks = [c for c in comparisons if not any(c.variables())]
         self.own = None
         if not self.positive:
-            self.own = ((), (frozenset(self.head), frozenset(), frozenset(negative),
-                             tuple(aggregates), self.weight))
+            self.own = (frozenset(self.head), frozenset(), frozenset(negative),
+                        tuple(aggregates), self.weight)
             return
-        self.variables = _global_variables(self.head, statement.body)
         # plans[i]: the positive atoms with atom i first, each paired with the
         # comparisons whose last unbound variable it binds
         self.plans = []
@@ -423,21 +395,16 @@ class _Join:
 
 
 def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
-    """`join`'s (key, instance) for each binding, and `emitted` plus their
-    number, which MAX_INSTANTIATIONS bounds; a statement that is its own
-    instance counts once."""
+    """`join`'s instance for each binding, in the order the join finds
+    them, and `emitted` plus their number, which MAX_INSTANTIATIONS bounds;
+    a statement that is its own instance counts once."""
     out = []
     for subst in bindings:
         emitted += 1
         if emitted > MAX_INSTANTIATIONS:
             raise join.budget_exceeded(universe_size)
-        out.append(join.own or (tuple(term_key(subst[v]) for v in join.variables),
-                                join.instance(subst)))
+        out.append(join.own or join.instance(subst))
     return out, emitted
-
-
-def _sorted_instances(found: list[tuple]) -> list[tuple]:
-    return [inst for _, inst in sorted(found, key=itemgetter(0))]
 
 
 def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomIndex, int]:
@@ -446,16 +413,16 @@ def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomInde
     aggregates ignored: the atoms that are possible at all. Semi-naive rounds
     reach that fixpoint; a round joins a statement only against the atoms
     derived in the round before. Statements keep their order, and each one's
-    instances are sorted by the ground terms of its variables in
-    `_global_variables` order, which is the order of the product over the
-    sorted universe.
+    instances come in the order the join finds them. A head's atoms enter
+    the index in `Atom.sort_key` order: frozenset order would make the
+    stamps, and so the order of later rounds, depend on the hash seed.
 
     Returns (instances, index, emitted): with the instances, the index of
     the fixpoint and the emitted count, so that a scope program
     instantiated once can be extended by each of its testers
     (`_ground_extension`)."""
     joins = [_Join(s) for s in statements]
-    found: list[list[tuple]] = [[] for _ in joins]  # per statement: (key, instance)
+    found: list[list[tuple]] = [[] for _ in joins]  # per statement
     index = _AtomIndex()
     emitted = 0
     lo = hi = 0
@@ -464,15 +431,15 @@ def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomInde
         for join, out in rounds:
             new, emitted = _emit(join, join.bindings(index, lo, hi), emitted, universe_size)
             out += new
-            for _, inst in new:
-                for a in inst[0]:
+            for inst in new:
+                for a in sorted(inst[0], key=Atom.sort_key):
                     index.add(a)
         if len(index) == hi:
             break
         lo, hi = hi, len(index)
         # a statement that is its own instance had it in the first round
         rounds = [(join, out) for join, out in rounds if join.own is None]
-    return [inst for out in found for inst in _sorted_instances(out)], index, emitted
+    return [inst for out in found for inst in out], index, emitted
 
 
 def _positive_signatures(statements) -> set[tuple[str, int]]:
@@ -762,7 +729,7 @@ def _ground_statements(stmts, id_of, certain, by_signature) -> list[_GroundState
             subst = _match(agg.condition, cond, {})
             if subst is None:
                 continue
-            value = tuple(term_key(_substitute_term(t, subst)) for t in agg.terms)
+            value = tuple(_substitute_term(t, subst) for t in agg.terms)
             if cond in certain:
                 always.add(value)
             else:
@@ -951,7 +918,7 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
         # round where the index is empty
         hi = len(saved.index) if join.own is None else 0
         new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
-        instances += _sorted_instances(new)
+        instances += new
     stmts, possible, certain, incoherent = _simplify(instances, saved.certain, saved.possible)
     # only added atoms depend on an added head, so P's statements cannot
     # make an added #count recursive, and P's own passed the check: the

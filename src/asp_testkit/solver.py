@@ -39,6 +39,7 @@ from .oracle import (
     optimal_answer_sets,
 )
 from .parser import ParseFailure, parse_ground_atom
+from .serialize import serialize_program
 
 SOLVER_ENV_VAR = "ASP_TESTKIT_SOLVER"
 
@@ -116,6 +117,18 @@ def _split_atom_line(line: str) -> list[str]:
     return parts
 
 
+# how much of a solver's token a FormatError quotes: a solver may print a
+# token of any length, and `test` repeats the message in its report
+_QUOTE_LIMIT = 60
+
+
+def _quote(token: str) -> str:
+    """`token` quoted, or its first _QUOTE_LIMIT characters and its length."""
+    if len(token) <= _QUOTE_LIMIT:
+        return repr(token)
+    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
+
+
 def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
     """Returns (result, saw_unknown). The output of a `killed` run may end
     in a record the kill cut short: parsing stops at the first record that
@@ -143,8 +156,12 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
                     try:
                         atoms.append(parse_ground_atom(token))
                     except ParseFailure as exc:
+                        # the parser's reason may quote the token, cut short
+                        reason = exc.errors[0].message
+                        if len(reason) > 2 * _QUOTE_LIMIT:
+                            reason = reason[:2 * _QUOTE_LIMIT] + "..."
                         raise FormatError(
-                            f"unparseable atom {token!r} after ANSWER: {exc.errors[0].message}")
+                            f"unparseable atom {_quote(token)} after ANSWER: {reason}")
                 result.answer_sets.append(AnswerSet(frozenset(atoms)))
                 continue
             if line == "COST" or line.startswith("COST "):
@@ -160,7 +177,7 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
                     try:
                         line_costs[(idx, int(l))] = int(c)
                     except ValueError:
-                        raise FormatError(f"malformed COST entry {pair!r}")
+                        raise FormatError(f"malformed COST entry {_quote(pair)}")
                 costs.update(line_costs)
                 continue
             if line == "OPTIMUM FOUND":
@@ -307,7 +324,6 @@ class ExternalBackend:
 
     def run(self, program: Program, max_models: Optional[int],
             optimize: bool = False, scope: Optional[Scope] = None) -> tuple[SolveResult, RawRun]:
-        from .serialize import serialize_program  # only this backend renders text
         return solve(self.cfg, serialize_program(program), max_models)
 
 

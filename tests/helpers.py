@@ -115,19 +115,34 @@ def _subst_aggregate(agg: CountAggregate, subst) -> CountAggregate:
                           _subst_term(agg.guard, subst))
 
 
+def global_variables(head: tuple[Atom, ...], body: tuple[Literal, ...],
+                     guards: bool = True) -> list[str]:
+    """The variables of a statement outside its #count braces, in the order
+    they first occur: the head's, then the body's from left to right, where
+    a #count contributes its guard variable (with `guards`) or nothing."""
+    names = [v for a in head for v in a.variables()]
+    for l in body:
+        p = l.payload
+        if not isinstance(p, CountAggregate):
+            names += p.variables()
+        elif guards:
+            names += p.guard_variables()
+    return list(dict.fromkeys(names))
+
+
 def product_instances(program: Program):
     """The instantiation the oracle's join must reproduce, by brute force:
-    every global variable of every rule and weak constraint (in
-    `oracle._global_variables` order) takes every constant of the sorted
-    Herbrand universe, in product order. Yields (head, pos, neg, aggregates,
-    weight) like the oracle's instance stream; a false comparison drops the
-    instance and a true one its literal."""
+    every global variable of every rule and weak constraint
+    (`global_variables`) takes every constant of the Herbrand universe.
+    Yields (head, pos, neg, aggregates, weight) like the oracle's instance
+    stream, statement by statement in program order; a false comparison
+    drops the instance and a true one its literal."""
     universe = sorted(herbrand_universe(program), key=term_key)
     for statement in program.rules + program.weak_constraints:
         weak = isinstance(statement, WeakConstraint)
         head = () if weak else statement.head
         weight = (statement.cost, statement.level) if weak else None
-        variables = oracle._global_variables(head, statement.body)
+        variables = global_variables(head, statement.body)
         for assignment in itertools.product(universe, repeat=len(variables)):
             subst = dict(zip(variables, assignment))
             pos, neg, aggs = [], [], []

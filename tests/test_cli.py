@@ -481,6 +481,19 @@ def test_test_parse_error_exits_one(tmp_path):
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("command", ["check", "solve", "test", "mutate"])
+def test_parse_errors_of_several_files_name_each_its_own_file(tmp_path, command):
+    (tmp_path / "a.lp").write_text("p(X :- q.\nr(.\n", encoding="utf-8")
+    (tmp_path / "b.lp").write_text('%** @rule(name = "r") **%\nq :- .\n', encoding="utf-8")
+    proc = run_cli(command, "a.lp", "b.lp", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout == (
+        "a.lp:1:5: syntactic: expected ')' to close the argument list, found ':-'\n"
+        "a.lp:2:3: syntactic: expected a term, found '.'\n"
+        "b.lp:2:6: syntactic: expected a body literal, found '.'\n")
+
+
 # ---------------------------------------------------------------------------
 # mutate
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
+import os
 import random
 import re
+import subprocess
+import sys
 import traceback
 from collections import Counter
 from operator import is_
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,6 @@ from asp_testkit.model import (
     Constant,
     ConstraintForAll,
     ConstraintInAtLeast,
-    CountAggregate,
     Integer,
     NoAnswerSet,
     Program,
@@ -51,6 +54,7 @@ from helpers import (
     brute_optimal,
     brute_penalty,
     fixture_text,
+    global_variables,
     guard_count_body,
     least_fixpoint,
     lit,
@@ -173,13 +177,14 @@ def _ground_or_none(build):
 
 def assert_join_matches_product(p: Program):
     """The join emits the universe product's instances whose positive body
-    is possible at all, in the same order and each once, and `ground` gives
-    the same ground program as the whole product."""
+    is possible at all, each as often as the product does, and `ground`
+    gives the same ground program as the whole product, up to the order of
+    the statements."""
     universe = sorted(herbrand_universe(p), key=term_key)
     instances = list(product_instances(p))
     possible = least_fixpoint([(head, pos) for head, pos, *_ in instances])
-    assert oracle._instantiate(p.rules + p.weak_constraints, len(universe))[0] == [
-        i for i in instances if i[1] <= possible]
+    assert Counter(oracle._instantiate(p.rules + p.weak_constraints, len(universe))[0]) \
+        == Counter(i for i in instances if i[1] <= possible)
     got = _ground_or_none(lambda: ground(p))
     want = _ground_or_none(lambda: oracle._build_ground(
         universe, instances, oracle._levels(p)))
@@ -189,8 +194,8 @@ def assert_join_matches_product(p: Program):
     assert got.universe == want.universe
     assert got.atoms == want.atoms
     assert got.certain_atoms() == want.certain_atoms()
-    assert got.rules == want.rules
-    assert got.weak_constraints == want.weak_constraints
+    assert Counter(got.rules) == Counter(want.rules)
+    assert Counter(got.weak_constraints) == Counter(want.weak_constraints)
     assert got.trivially_incoherent == want.trivially_incoherent
 
 
@@ -218,6 +223,67 @@ def test_join_matches_product_instantiation():
         assert_join_matches_product(p)
 
 
+def test_ground_rules_keep_each_statements_instances_together_in_program_order():
+    # every atom but the d facts is unknown, so each statement keeps its
+    # instances; the step rule and `far` find theirs over several
+    # semi-naive rounds, so instances listed round by round would interleave
+    p = program("""d(1). d(2). d(3). d(4).
+        e(1,2) | e(2,3). e(3,4) | x.
+        reach(X,Y) :- e(X,Y).
+        reach(X,Z) :- reach(X,Y), e(Y,Z).
+        far(X) :- reach(X,Y), d(Y), Y > X, not x.
+        :- reach(X,4), far(X), X < 2.
+        :~ reach(X,Y). [1@1]
+        :~ far(X). [2@1]""")
+    g = ground(p)
+    facts = len(g.certain_ids)
+    sources = {("e", 0): 0, ("reach", 1): 1, ("reach", 2): 2, ("far", 2): 3, (None, 2): 4}
+    order = [sources[r.head[0].predicate if r.head else None, len(r.body)]
+             for r in g.rules[facts:]]
+    assert order == sorted(order) and set(order) == set(sources.values()), order
+    weak_order = [l.atom.predicate for w in g.weak_constraints for l in w.body]
+    assert weak_order == sorted(weak_order, key=["reach", "far"].index), weak_order
+    assert len(set(weak_order)) == 2
+
+
+HASH_SEED_EXAMPLE = "p(1) | p(2) | p(3). q(X) :- p(X)."
+
+
+def ground_statement_lines() -> list[str]:
+    """`repr` of the `rules` and `weak_constraints` of the ground programs of
+    `HASH_SEED_EXAMPLE`, 100 seeded `random_join_program`s and every fixture
+    tester, in full and as an extension of its scope, one line each; the
+    error's type for a program the oracle refuses."""
+    rng = random.Random(8)
+    programs = [(program(HASH_SEED_EXAMPLE), None)]
+    programs += [(random_join_program(rng), None) for _ in range(100)]
+    for scope, tester in fixture_scopes():
+        programs += [(tester, None), (tester, oracle.Scope(scope))]
+    lines = []
+    for p, scope in programs:
+        try:
+            g = ground(p, scope=scope)
+        except (CapacityExceeded, UnsupportedAggregate) as exc:
+            lines.append(type(exc).__name__)
+        else:
+            lines.append(repr((g.rules, g.weak_constraints)))
+    return lines
+
+
+def test_ground_programs_do_not_depend_on_the_hash_seed():
+    # a head's atoms are sets of atoms, whose order varies with the hash
+    # seed; the order in which they enter the join must not
+    child = "import test_oracle; print(*test_oracle.ground_statement_lines(), sep='\\n')"
+    outputs = [subprocess.run([sys.executable, "-c", child], cwd=Path(__file__).parent,
+                              env={**os.environ, "PYTHONHASHSEED": seed}, capture_output=True,
+                              text=True, timeout=300, check=True).stdout.splitlines()
+               for seed in ("1", "2")]
+    assert len(outputs[0]) > 100
+    for first, second in zip(*outputs):
+        assert first == second
+    assert len(outputs[0]) == len(outputs[1])
+
+
 # ---------------------------------------------------------------------------
 # Grounding a tester as an extension of its scope
 # ---------------------------------------------------------------------------
@@ -238,13 +304,26 @@ def ground_fields(g: oracle.GroundProgram) -> dict:
     return {name: getattr(g, name) for name in GROUND_FIELDS}
 
 
+def _statement_key(s: oracle._GroundStatement) -> tuple:
+    """A ground statement as a hashable value, its #count tuples included."""
+    return (s.head, s.pos, s.neg, s.weight,
+            tuple((a.aggregate, a.always, frozenset(a.conditional.items()))
+                  for a in s.aggregates))
+
+
 def _ground_outcome(build):
     """Every field of the ground program `build` returns, or the type,
-    message and attributes of what it raises."""
+    message and attributes of what it raises. The statement lists are
+    multisets: a statement's instances come in the order the join finds
+    them, which differs between a tester's extension of its scope and its
+    full grounding."""
     try:
-        return ground_fields(build())
+        fields = ground_fields(build())
     except Exception as exc:
         return type(exc).__name__, str(exc), vars(exc)
+    for name in ("_rules", "_constraints", "_weaks"):
+        fields[name] = Counter(map(_statement_key, fields[name]))
+    return fields
 
 
 def assert_scope_path_matches(scope: oracle.Scope, tester: Program) -> str:
@@ -987,38 +1066,22 @@ def test_pipeline_matches_brute_force_on_random_join_programs():
     assert checked >= 250 and optimized >= 50
 
 
-def _first_occurrences(statement, guards: bool = True) -> list[str]:
-    """The global variables of `statement` in the order they first occur:
-    the head's, then the body's from left to right, where a #count counts
-    by its guard only (with `guards`) or not at all."""
-    names = [v for a in statement.head for v in a.variables()]
-    for l in statement.body:
-        p = l.payload
-        if not isinstance(p, CountAggregate):
-            names += p.variables()
-        elif guards:
-            names += p.guard_variables()
-    return list(dict.fromkeys(names))
-
-
 def test_pipeline_matches_brute_force_on_count_guard_variables():
-    # the instances of a statement come sorted by its variables in the
-    # order they first occur, a guard variable included
+    # a #count guard variable is global: the product reference ranges it
+    # over the universe, and the join must bind it from a positive atom
     rng = random.Random(31)
     first = 0
     for _ in range(300):
         p = random_guard_count_program(rng)
-        for r in p.rules:
-            assert oracle._global_variables(r.head, r.body) == _first_occurrences(r), r
         assert_join_matches_product(p)
         g = ground(p)
         want = brute_answer_sets(naive_ground(p.rules, g.universe), g.universe)
         assert enumerate_answer_sets(g).atom_sets() == set(want), p
         tester = build_tester(p, ConstraintForAll(Rule((), guard_count_body(rng)))).program
         assert assert_scope_path_matches(oracle.Scope(p), tester) == "simplified"
-        first += any(_first_occurrences(r) != _first_occurrences(r, guards=False)
-                     for r in p.rules)
-    # programs where the order comes from a #count guard
+        first += any(global_variables(r.head, r.body)
+                     != global_variables(r.head, r.body, guards=False) for r in p.rules)
+    # programs where a #count guard is a variable's first occurrence
     assert first >= 25, first
 
 

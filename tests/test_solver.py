@@ -114,6 +114,20 @@ def test_parse_unparseable_atom_is_format_error():
         parse_competition_output("ANSWER\n((((\n")
 
 
+@pytest.mark.parametrize("token, length, reason", [
+    ("p(" + "9" * 5000 + ")", 5003, "integer literal of 5000 digits is too long"),
+    ("x" * 10 + "!" * 2990, 3000, "unexpected character '!'"),
+])
+def test_an_unparseable_atom_is_quoted_in_part_with_its_length(token, length, reason):
+    # a solver may print a token of any size; the message quotes its start
+    with pytest.raises(FormatError) as exc:
+        parse_competition_output(f"ANSWER\n{token}\n")
+    message = str(exc.value)
+    assert message == (f"unparseable atom {token[:60]!r}... ({length} characters) "
+                       f"after ANSWER: {reason}")
+    assert len(message) < 200
+
+
 def test_parse_empty_model_line_is_empty_answer_set():
     res = parse_competition_output("ANSWER\n\n")
     assert res.atom_sets() == {frozenset()}
