@@ -277,16 +277,11 @@ def _dispatch(args) -> int:
         return handlers[args.command](args)
     except BrokenPipeError:
         raise
-    except _ToolError as exc:
+    except (_ToolError, SpawnFailure, *REFUSED) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except REFUSED as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print("hint: use --backend external with a configured solver",
-              file=sys.stderr)
-        return EXIT_ERROR
-    except SpawnFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, REFUSED):
+            print("hint: use --backend external with a configured solver",
+                  file=sys.stderr)
         return EXIT_ERROR
     except ParseFailure as exc:
         for e in exc.errors:

@@ -13,6 +13,7 @@ set contains all of A", for sets of atoms as well as singletons.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -104,12 +105,11 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
         rules.append(named[name])
 
     weaks: list[WeakConstraint] = []
-    if spec.input.strip():
-        extra = parse_program_text(spec.input, path=f"<input:{spec.name}>")
-        rules.extend(extra.rules)
-        weaks.extend(extra.weak_constraints)
-    for path in spec.input_files:
-        extra = parse_program_text(load(path), path=os.path.join(base, path))
+    inline = [(spec.input, f"<input:{spec.name}>")] if spec.input.strip() else []
+    # a generator: each file is read once the sources before it have parsed
+    files = ((load(path), os.path.join(base, path)) for path in spec.input_files)
+    for text, source in itertools.chain(inline, files):
+        extra = parse_program_text(text, path=source)
         rules.extend(extra.rules)
         weaks.extend(extra.weak_constraints)
     return Program(tuple(rules), tuple(weaks))

@@ -8,6 +8,10 @@ and safe to share across threads.
 Terms are ordered: integers compare numerically, symbolic constants compare
 lexicographically by byte, and every integer precedes every symbolic constant.
 That total order is what the comparison builtins (`<`, `<=`, ...) use.
+
+A weak constraint is a constraint with a weight (ASP-Core-2): its `head` is
+the empty tuple, so code that reads a statement's head and body takes
+rules and weak constraints alike. Safety is derived by one pass, `_unsafe`.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ def term_text(term: Term) -> str:
     return term.name
 
 
-def is_ground_term(term: Term) -> bool:
-    return not isinstance(term, Variable)
-
-
 def compare_terms(op: str, left: Term, right: Term) -> bool:
     """Evaluate a ground comparison under the fixed term order."""
     lk, rk = term_key(left), term_key(right)
@@ -117,7 +117,7 @@ class Atom:
         return (self.predicate, len(self.args))
 
     def is_ground(self) -> bool:
-        return all(is_ground_term(t) for t in self.args)
+        return not any(isinstance(t, Variable) for t in self.args)
 
     def variables(self) -> Iterator[str]:
         for t in self.args:
@@ -215,48 +215,53 @@ class Rule:
 
 @dataclass(frozen=True)
 class WeakConstraint:
-    """Soft constraint `:~ body. [cost@level]` with nonnegative cost/level."""
+    """Soft constraint `:~ body. [cost@level]` with nonnegative cost/level:
+    a constraint with a weight, so its head is empty."""
 
     body: tuple[Literal, ...]
     cost: int
     level: int
     origin: Optional[Span] = field(default=None, compare=False)
+    head = ()  # not a field: the head of every weak constraint is empty
 
 
 class UnsafeRuleError(ValueError):
     """Raised when constructing a program from an unsafe rule."""
 
-    def __init__(self, rule, unbound: set[str]):
+    def __init__(self, rule: Rule | WeakConstraint, unbound: set[str]):
         self.rule = rule
         self.unbound = unbound
-        head = rule.head if isinstance(rule, Rule) else ()
-        super().__init__(
-            f"unsafe rule: {unsafe_reason(head, rule.body, 'not bound by a positive body atom')}")
+        reason = unsafe_reason(rule.head, rule.body, "not bound by a positive body atom")
+        super().__init__(f"unsafe rule: {reason}")
 
 
-def _body_safety_sets(
-    body: tuple[Literal, ...],
-) -> tuple[set[str], set[str], list[tuple[CountAggregate, set[str]]]]:
-    """Return (binders, globals-from-body, loose): loose pairs each aggregate
-    with the names among its terms that its condition does not mention."""
+def _unsafe(head: tuple[Atom, ...], body: tuple[Literal, ...],
+            ) -> tuple[set[str], list[tuple[CountAggregate, set[str]]]]:
+    """The global variables no positive body atom binds, and each #count
+    with its loose term variables: those missing from its condition that
+    are neither bound nor among the unbound globals (only #counts that
+    have some). Comparison and guard variables are global; a variable
+    occurring only inside an aggregate's braces is local to it."""
     binders: set[str] = set()
-    body_globals: set[str] = set()
-    loose: list[tuple[CountAggregate, set[str]]] = []
+    unbound = {v for a in head for v in a.variables()}
+    aggregates: list[CountAggregate] = []
     for lit in body:
         p = lit.payload
         if isinstance(p, Atom):
-            names = set(p.variables())
-            if lit.negated:
-                body_globals |= names
-            else:
-                binders |= names
+            (unbound if lit.negated else binders).update(p.variables())
         elif isinstance(p, Comparison):
-            body_globals |= set(p.variables())
+            unbound.update(p.variables())
         else:
-            body_globals |= p.guard_variables()
-            loose.append((p, {t.name for t in p.terms if isinstance(t, Variable)}
-                          - set(p.condition.variables())))
-    return binders, body_globals, loose
+            unbound |= p.guard_variables()
+            aggregates.append(p)
+    unbound -= binders
+    loose = []
+    for agg in aggregates:
+        names = ({t.name for t in agg.terms if isinstance(t, Variable)}
+                 - set(agg.condition.variables()) - binders - unbound)
+        if names:
+            loose.append((agg, names))
+    return unbound, loose
 
 
 def unbound_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> set[str]:
@@ -264,12 +269,9 @@ def unbound_variables(head: tuple[Atom, ...], body: tuple[Literal, ...]) -> set[
     positive body atom. Variables occurring only inside an aggregate's braces
     are local to it and exempt, provided each term variable occurs in the
     aggregate's condition; comparison and guard variables are global."""
-    binders, body_globals, loose = _body_safety_sets(body)
-    head_vars: set[str] = set()
-    for a in head:
-        head_vars |= set(a.variables())
+    unbound, loose = _unsafe(head, body)
     # a loose term name is safe only as a global bound outside the aggregate
-    return (head_vars | body_globals | set().union(*(names for _, names in loose))) - binders
+    return unbound.union(*(names for _, names in loose))
 
 
 def unsafe_reason(head: tuple[Atom, ...], body: tuple[Literal, ...], unbound_phrase: str) -> str:
@@ -277,16 +279,13 @@ def unsafe_reason(head: tuple[Atom, ...], body: tuple[Literal, ...], unbound_phr
     positive body atom binds, followed by `unbound_phrase`, then each
     aggregate's term variables that are missing from its condition and are
     not globals."""
-    binders, body_globals, loose = _body_safety_sets(body)
-    unbound = ({v for a in head for v in a.variables()} | body_globals) - binders
+    unbound, loose = _unsafe(head, body)
     reasons = [f"variable(s) {', '.join(sorted(unbound))} {unbound_phrase}"] if unbound else []
     for agg, names in loose:
-        names = names - binders - unbound
-        if names:
-            elements = ",".join(term_text(t) for t in agg.terms)
-            reasons.append(f"variable(s) {', '.join(sorted(names))} of "
-                           f"#count{{{elements} : {atom_to_text(agg.condition)}}} "
-                           "do not occur in its condition")
+        elements = ",".join(term_text(t) for t in agg.terms)
+        reasons.append(f"variable(s) {', '.join(sorted(names))} of "
+                       f"#count{{{elements} : {atom_to_text(agg.condition)}}} "
+                       "do not occur in its condition")
     return "; ".join(reasons)
 
 
@@ -311,7 +310,7 @@ def check_statements(rules: tuple[Rule, ...] = (),
             raise ValueError("weak constraint with empty body")
         if w.cost < 0 or w.level < 0:
             raise ValueError("weak constraint cost/level must be nonnegative")
-        unbound = unbound_variables((), w.body)
+        unbound = unbound_variables(w.head, w.body)
         if unbound:
             raise UnsafeRuleError(w, unbound)
     for s in (*rules, *weak_constraints):
@@ -340,19 +339,12 @@ class Program:
         object.__setattr__(program, "weak_constraints", weak_constraints)
         return program
 
-    def all_bodies(self) -> Iterator[tuple[Literal, ...]]:
-        for r in self.rules:
-            yield r.body
-        for w in self.weak_constraints:
-            yield w.body
-
 
 def program_atoms(program: Program) -> Iterator[Atom]:
     """All atom occurrences, including aggregate conditions."""
-    for r in program.rules:
-        yield from r.head
-    for body in program.all_bodies():
-        for lit in body:
+    for s in (*program.rules, *program.weak_constraints):
+        yield from s.head
+        for lit in s.body:
             p = lit.payload
             if isinstance(p, Atom):
                 yield p
@@ -369,7 +361,7 @@ def constants(statements: Iterable[Rule | WeakConstraint]) -> set[Term]:
     terms and guards, and both sides of comparisons."""
     found: set[Term] = set()
     for s in statements:
-        atoms = list(getattr(s, "head", ()))
+        atoms = list(s.head)
         for lit in s.body:
             p = lit.payload
             if isinstance(p, Atom):

@@ -298,10 +298,10 @@ class _Join:
     every other statement."""
 
     def __init__(self, statement: Rule | WeakConstraint):
-        weak = isinstance(statement, WeakConstraint)
         self.statement = statement
-        self.head = () if weak else statement.head
-        self.weight = (statement.cost, statement.level) if weak else None
+        self.head = statement.head
+        self.weight = ((statement.cost, statement.level)
+                       if isinstance(statement, WeakConstraint) else None)
         self.positive, negative, comparisons, aggregates = [], [], [], []
         for lit in statement.body:
             p = lit.payload
@@ -554,19 +554,15 @@ class GroundProgram:
     def unknown_mask(self) -> int:
         return ((1 << len(self.atoms)) - 1) & ~self.certain_mask
 
-    def _sorted_atoms(self, mask: int) -> tuple[Atom, ...]:
-        """The atoms of `mask` in id order, which is the canonical order."""
-        return _atoms_in(self.atoms, mask)
-
     def _body(self, s: _GroundStatement) -> tuple[Literal, ...]:
-        return (tuple(Literal(a) for a in self._sorted_atoms(s.pos))
-                + tuple(Literal(a, negated=True) for a in self._sorted_atoms(s.neg))
+        return (tuple(Literal(a) for a in _atoms_in(self.atoms, s.pos))
+                + tuple(Literal(a, negated=True) for a in _atoms_in(self.atoms, s.neg))
                 + tuple(Literal(agg.aggregate) for agg in s.aggregates))
 
     @property
     def rules(self) -> tuple[Rule, ...]:
-        facts = tuple(Rule((a,), ()) for a in self._sorted_atoms(self.certain_mask))
-        rest = tuple(Rule(self._sorted_atoms(s.head), self._body(s))
+        facts = tuple(Rule((a,), ()) for a in _atoms_in(self.atoms, self.certain_mask))
+        rest = tuple(Rule(_atoms_in(self.atoms, s.head), self._body(s))
                      for s in self._rules + self._constraints)
         return facts + rest
 
@@ -589,7 +585,7 @@ class GroundProgram:
         return mask
 
     def mask_atoms(self, mask: int) -> frozenset[Atom]:
-        return frozenset(self._sorted_atoms(mask))
+        return frozenset(_atoms_in(self.atoms, mask))
 
 
 # the ground program that `_extend_ground` extends to build a program in full
@@ -1011,7 +1007,7 @@ def reduct(g: GroundProgram, interpretation) -> GroundProgram:
     one of its facts."""
     mask = _interpretation(g, interpretation)
     instances = [(frozenset({a}), frozenset(), frozenset(), (), None)
-                 for a in g._sorted_atoms(g.certain_mask)]
+                 for a in _atoms_in(g.atoms, g.certain_mask)]
     for r in g._rules + g._constraints:
         if r.neg & mask:
             continue
@@ -1140,23 +1136,17 @@ def penalty(g: GroundProgram, answer_set, level: int) -> int:
     return _penalty_mask(g, _interpretation(g, answer_set), level)
 
 
-def penalty_levels(g: GroundProgram) -> list[int]:
-    """The sorted levels of the program's weak constraints, those that
-    simplification removed included."""
-    return list(g.levels)
-
-
 def optimal_answer_sets(g: GroundProgram) -> SolveResult:
     """Exactly the non-dominated answer sets, each with its per-level costs,
     kept as masks and decoded into atoms on the first read of their `atoms`.
 
     Domination compares penalties levelwise from the highest level down, so
     all optimal answer sets share one penalty vector, reported at every
-    level of `penalty_levels`: 0 at a level none of whose weak constraints
+    level of `g.levels`: 0 at a level none of whose weak constraints
     holds, or whose every one simplification removed. A program without
     weak constraints reports no costs.
     """
-    levels = penalty_levels(g)
+    levels = g.levels
     top_down = levels[::-1]
     found = [(tuple(_penalty_mask(g, m, l) for l in top_down), m) for m in _answer_masks(g)]
     best = min((v for v, _ in found), default=())

@@ -24,7 +24,8 @@ reader, `_AnnotationParser._attributes`, reads the `( key = value, ... )`
 list of every annotation and assertion, typed by `_ANNOTATIONS` and
 `_ASSERTION_TYPES`.
 
-Errors carry 1-based line/column positions inside the offending text. Parsing
+Errors carry 1-based line/column positions inside the offending text, and
+quote at most `_QUOTE_LIMIT` characters of a token (`quote`). Parsing
 recovers at statement boundaries so several errors can be reported at once.
 """
 
@@ -176,11 +177,24 @@ _ANNOTATION_TOKENS = re.compile(r"""
     | (?P<bad>.)""", re.S | re.X)
 _ESCAPE = re.compile(r'\\(["\\])')
 
+# how much of a token a diagnostic quotes: a token may be of any length,
+# and `test` repeats the message in its report
+_QUOTE_LIMIT = 60
+
+
+def quote(token: str, style: Callable[[str], str] = repr) -> str:
+    """`token` written in `style` (quoted, by default), or its first
+    _QUOTE_LIMIT characters so written followed by its length."""
+    if len(token) <= _QUOTE_LIMIT:
+        return style(token)
+    return f"{style(token[:_QUOTE_LIMIT])}... ({len(token)} characters)"
+
+
 _LEX_ERRORS = {
     "open_annot": "unterminated annotation block (missing '**%')",
     "open_comment": "unterminated comment (missing '*%')",
     "open_str": "unterminated string in annotation",
-    "directive": "unsupported directive {value!r} (only #count is accepted)",
+    "directive": "unsupported directive {quoted} (only #count is accepted)",
     "bad": "unexpected character {value[0]!r}{where}",
     # `\w` takes digits such as '²' that may not start a word
     "word": "unexpected character {value[0]!r}{where}",
@@ -239,7 +253,8 @@ def _scan(text: str, base: int = 0, annotation: bool = False,
         elif group == "directive" and value == "#count":
             tokens.append(_Token("count", value, offset))
         else:
-            raise _Issue(_LEX_ERRORS[group].format(value=value, where=where), offset, error_kind)
+            message = _LEX_ERRORS[group].format(value=value, quoted=quote(value), where=where)
+            raise _Issue(message, offset, error_kind)
     tokens.append(_Token("eof", None, base + len(text)))
     return tokens
 
@@ -299,14 +314,20 @@ class _TokenStream:
         return self.expect("punct", f"expected {symbol!r}{detail}, found {{found}}", value=symbol)
 
 
+def _string_literal(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def _show(tok: _Token) -> str:
     if tok.kind == "eof":
         return "end of input"
     if tok.kind == "annot":
         return "annotation block"
     if tok.kind == "str":
-        return '"' + tok.value[0].replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return repr(tok.value)
+        return quote(tok.value[0], _string_literal)
+    if tok.kind == "int":
+        return quote(str(tok.value), str)
+    return quote(tok.value)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +443,7 @@ def _parse_rule_or_weak(ts: _TokenStream, span: Span):
 
 
 def _check_safety(stmt, index: _LineIndex, errors: list[ParseError]) -> bool:
-    head = stmt.head if isinstance(stmt, Rule) else ()
-    reason = unsafe_reason(head, stmt.body, "do not occur in a positive body atom")
+    reason = unsafe_reason(stmt.head, stmt.body, "do not occur in a positive body atom")
     if reason:
         offset = 0
         if stmt.origin is not None:

@@ -38,7 +38,7 @@ from .oracle import (
     ground,
     optimal_answer_sets,
 )
-from .parser import ParseFailure, parse_ground_atom
+from .parser import ParseFailure, parse_ground_atom, quote
 from .serialize import serialize_program
 
 SOLVER_ENV_VAR = "ASP_TESTKIT_SOLVER"
@@ -78,6 +78,8 @@ class BackendConfig:
     def __post_init__(self):
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
+        if self.pass_via not in ("stdin", "tempfile"):
+            raise ValueError(f"pass_via must be 'stdin' or 'tempfile', not {self.pass_via!r}")
 
 
 @dataclass
@@ -117,18 +119,6 @@ def _split_atom_line(line: str) -> list[str]:
     return parts
 
 
-# how much of a solver's token a FormatError quotes: a solver may print a
-# token of any length, and `test` repeats the message in its report
-_QUOTE_LIMIT = 60
-
-
-def _quote(token: str) -> str:
-    """`token` quoted, or its first _QUOTE_LIMIT characters and its length."""
-    if len(token) <= _QUOTE_LIMIT:
-        return repr(token)
-    return f"{token[:_QUOTE_LIMIT]!r}... ({len(token)} characters)"
-
-
 def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
     """Returns (result, saw_unknown). The output of a `killed` run may end
     in a record the kill cut short: parsing stops at the first record that
@@ -156,12 +146,8 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
                     try:
                         atoms.append(parse_ground_atom(token))
                     except ParseFailure as exc:
-                        # the parser's reason may quote the token, cut short
-                        reason = exc.errors[0].message
-                        if len(reason) > 2 * _QUOTE_LIMIT:
-                            reason = reason[:2 * _QUOTE_LIMIT] + "..."
-                        raise FormatError(
-                            f"unparseable atom {_quote(token)} after ANSWER: {reason}")
+                        raise FormatError(f"unparseable atom {quote(token)} after ANSWER: "
+                                          f"{exc.errors[0].message}")
                 result.answer_sets.append(AnswerSet(frozenset(atoms)))
                 continue
             if line == "COST" or line.startswith("COST "):
@@ -177,7 +163,7 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
                     try:
                         line_costs[(idx, int(l))] = int(c)
                     except ValueError:
-                        raise FormatError(f"malformed COST entry {_quote(pair)}")
+                        raise FormatError(f"malformed COST entry {quote(pair)}")
                 costs.update(line_costs)
                 continue
             if line == "OPTIMUM FOUND":

@@ -229,6 +229,21 @@ def test_an_integer_too_long_to_convert_in_a_tests_input_fails_its_scope(tmp_pat
     assert f"[scope resolution failed: {message}]" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text, length", [
+    ("p(1) " + "a" * 3000 + ".", 3000),                      # a word where '.' is expected
+    ("#" + "d" * 2999 + ".", 3000),                          # a directive
+    ("p(1) " + "9" * 4000 + ".", 4000),                      # an integer where '.' is expected
+    ('%** @test("' + "n" * 3000 + '" = "t") **%', 3000),     # a string for an attribute name
+], ids=["word", "directive", "integer", "string"])
+def test_check_quotes_a_long_token_in_part_with_its_length(tmp_path, monkeypatch, capsys,
+                                                          text, length):
+    monkeypatch.chdir(tmp_path)  # a short path, so that the line measures the message
+    Path("long.lp").write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["check", "long.lp"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(len(line) < 200 and f"{length} " in line for line in lines), lines
+
+
 # Pieces of the input and annotation languages that the fuzz below inserts.
 PIECES = ["(", ")", ",", ".", ":-", "not ", "%", "%*", "*%", "%**", "**%", '"', "\\",
           "{", "}", "@", "=", "|", "#count", "#sum", "X", "_", "-", "0", "\n", "\u00b2"]

@@ -1,4 +1,7 @@
 
+import random
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,12 +17,15 @@ from asp_testkit.model import (
     UnsafeRuleError,
     Variable,
     WeakConstraint,
+    check_statements,
     compare_terms,
     fresh_predicate,
     herbrand_universe,
     is_safe,
+    unbound_variables,
+    unsafe_reason,
 )
-from helpers import atom, lit
+from helpers import atom, lit, random_guard_count_program, random_join_program
 
 
 def test_term_order_integers_numeric():
@@ -95,6 +101,95 @@ def test_unsafe_rule_error_names_the_aggregate_condition():
     assert str(exc.value) == (
         "unsafe rule: variable(s) Z not bound by a positive body atom; "
         "variable(s) X of #count{X : p(Y)} do not occur in its condition")
+
+
+def _unsafe_by_definition(head, body) -> set[str]:
+    """Safety as ASP-Core-2 defines it for this subset: head variables, the
+    variables of negated atoms, comparisons and #count guards, and each
+    #count's term variables missing from its condition are global; a
+    global is safe when a positive body atom binds it."""
+    globals_ = {v for a in head for v in a.variables()}
+    binders: set[str] = set()
+    for l in body:
+        p = l.payload
+        if isinstance(p, Atom):
+            (globals_ if l.negated else binders).update(p.variables())
+        elif isinstance(p, Comparison):
+            globals_.update(p.variables())
+        else:
+            globals_.update(p.guard_variables())
+            globals_.update({t.name for t in p.terms if isinstance(t, Variable)}
+                            - set(p.condition.variables()))
+    return globals_ - binders
+
+
+def _count(terms: str, condition: Atom, op: str, guard) -> Literal:
+    guard = Variable(guard) if isinstance(guard, str) else Integer(guard)
+    return Literal(CountAggregate(tuple(Variable(t) for t in terms), condition, op, guard))
+
+
+# (head, body) with #count terms that their conditions leave loose, and
+# the names `unbound_variables` gives for each
+HAND_WRITTEN_SAFETY = [
+    ((), (_count("X", atom("p", "Y"), ">=", 3),), {"X"}),
+    ((), (lit("d", "X"), _count("X", atom("p", "Y"), ">=", 3)), set()),
+    ((atom("q", "Z"),), (_count("XW", atom("p", "Y"), ">=", 1),), {"W", "X", "Z"}),
+    ((), (_count("X", atom("p", "Y"), ">=", "X"),), {"X"}),  # X is also the guard
+    ((), (lit("p", "Y"), _count("Y", atom("q", "X"), ">=", 1)), set()),
+    ((), (lit("p", "X", neg=True), _count("X", atom("q", "Y"), "=", 0)), {"X"}),
+    ((), (_count("X", atom("p", "X"), "=", 0), _count("X", atom("q", "Y"), "=", 1)), {"X"}),
+    ((atom("q", "W"),), (lit("d", "W"), _count("XY", atom("p", "Y"), "!=", "W")), {"X"}),
+]
+
+
+def _safety_cases():
+    """(head, body, weight) of the statements of seeded join and guard
+    programs, of each of them with one body literal left out, which may
+    make it unsafe, and of `HAND_WRITTEN_SAFETY`, both as a rule and as a
+    weak constraint where its head is empty; `weight` is None for a rule."""
+    cases = []
+    for seed in range(40):
+        rng = random.Random(seed)
+        for program in (random_join_program(rng), random_guard_count_program(rng)):
+            for s in (*program.rules, *program.weak_constraints):
+                weight = (s.cost, s.level) if isinstance(s, WeakConstraint) else None
+                for i in range(-1, len(s.body)):
+                    body = s.body if i < 0 else s.body[:i] + s.body[i + 1:]
+                    if body or (s.head and weight is None):
+                        cases.append((s.head, body, weight))
+    for head, body, _ in HAND_WRITTEN_SAFETY:
+        cases.append((head, body, None))
+        if not head:
+            cases.append((head, body, (1, 1)))
+    return cases
+
+
+def test_hand_written_loose_count_terms_are_unsafe_by_definition():
+    for head, body, names in HAND_WRITTEN_SAFETY:
+        assert _unsafe_by_definition(head, body) == names, (head, body)
+
+
+def test_the_two_safety_views_agree():
+    unsafe = 0
+    for head, body, weight in _safety_cases():
+        names = unbound_variables(head, body)
+        assert names == _unsafe_by_definition(head, body), (head, body)
+        reason = unsafe_reason(head, body, "are unbound")
+        assert (reason == "") == (not names), (head, body, reason)
+        # the reason names each unbound variable, and no other
+        named = {v for group in re.findall(r"variable\(s\) ([\w, ]+?) (?:are|of) ", reason)
+                 for v in group.split(", ")}
+        assert named == names, (head, body, reason)
+        statement = Rule(head, body) if weight is None else WeakConstraint(body, *weight)
+        rules, weaks = ((statement,), ()) if weight is None else ((), (statement,))
+        if names:
+            unsafe += 1
+            with pytest.raises(UnsafeRuleError) as exc:
+                check_statements(rules, weaks)
+            assert exc.value.unbound == names
+        else:
+            check_statements(rules, weaks)
+    assert unsafe >= 50
 
 
 NEGATED_NON_ATOMS = {

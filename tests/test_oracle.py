@@ -43,7 +43,6 @@ from asp_testkit.oracle import (
     is_answer_set,
     optimal_answer_sets,
     penalty,
-    penalty_levels,
     reduct,
 )
 from asp_testkit.parser import parse_unit
@@ -1060,7 +1059,7 @@ def test_pipeline_matches_brute_force_on_random_join_programs():
         best = optimal_answer_sets(g)
         assert best.atom_sets() == set(brute_optimal(g, want, universe)), p
         for i, answer in enumerate(best.answer_sets):
-            for level in penalty_levels(g):
+            for level in g.levels:
                 assert best.costs[(i, level)] == brute_penalty(g, answer.atoms, level, universe)
         optimized += bool(best.answer_sets)
     assert checked >= 250 and optimized >= 50

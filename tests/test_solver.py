@@ -217,6 +217,15 @@ def test_solve_tempfile_mode_records_path():
     assert res.answer_sets
 
 
+@pytest.mark.parametrize("pass_via", ["file", "Stdin", ""])
+def test_backend_config_rejects_an_unknown_pass_via(pass_via):
+    # any such value used to mean stdin without a word
+    with pytest.raises(ValueError, match="pass_via must be 'stdin' or 'tempfile'"):
+        BackendConfig("cat", pass_via=pass_via)
+    for known in ("stdin", "tempfile"):
+        assert BackendConfig("cat", pass_via=known).pass_via == known
+
+
 def test_default_backend_config_env(monkeypatch):
     monkeypatch.setenv("ASP_TESTKIT_SOLVER", "/opt/solvers/mysolver")
     cfg = default_backend_config()
