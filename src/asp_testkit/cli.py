@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1, metavar="S")
     p.add_argument("--ops-per-mutant", type=_int_at_least(1), default=1, metavar="N")
     p.add_argument("--format", choices=["human", "json"], default="human")
-    p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N")
+    p.add_argument("--jobs", type=_int_at_least(1), default=1, metavar="N",
+                   help="run up to N solver calls at once")
     _add_backend_options(p)
     return ap
 

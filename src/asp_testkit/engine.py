@@ -47,7 +47,7 @@ from .model import (
     fresh_predicate,
 )
 from .oracle import AnswerSet, Scope, SolveResult
-from .parser import SourceUnit, merge_units, parse_program_text, parse_unit, read_source
+from .parser import SourceUnit, merge_units, parse_program_text, parse_unit, quote, read_source
 from .serialize import atom_to_text, serialize_program
 from .solver import REFUSED, AutoBackend, ExternalBackend
 
@@ -95,7 +95,7 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
             rule_names.extend(blocks[ref])
         else:
             raise DanglingReference(
-                f"test {spec.name!r}: scope references unknown rule or block {ref!r}")
+                f"test {quote(spec.name)}: scope references unknown rule or block {quote(ref)}")
     seen: set[str] = set()
     rules: list[Rule] = []
     for name in rule_names:
@@ -105,7 +105,7 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
         rules.append(named[name])
 
     weaks: list[WeakConstraint] = []
-    inline = [(spec.input, f"<input:{spec.name}>")] if spec.input.strip() else []
+    inline = [(spec.input, f"<input:{quote(spec.name, str)}>")] if spec.input.strip() else []
     # a generator: each file is read once the sources before it have parsed
     files = ((load(path), os.path.join(base, path)) for path in spec.input_files)
     for text, source in itertools.chain(inline, files):
@@ -337,7 +337,7 @@ def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
 @dataclass
 class TestResult:
     """Verdicts of one test's assertions and the test's own verdict.
-    `run_suite` keeps the test's resolved scope as `program`."""
+    `run_tests` keeps the test's scope program as `program`."""
 
     name: str
     assertions: list[AssertionResult]
@@ -451,7 +451,7 @@ def run_test(spec: TestSpec, program: Program, backend,
     the scope's names are derived once, and the internal backend
     instantiates and simplifies the scope once, for the first tester, and
     grounds each tester as an extension of it.
-    `run_suite` passes one scope to each of a test's assertions, which it
+    `run_tests` passes one scope to each of a test's assertions, which it
     decides as separate calls of this function."""
     start = time.monotonic()
     results: list[AssertionResult] = []
@@ -475,93 +475,86 @@ def run_test(spec: TestSpec, program: Program, backend,
 
 def _pooled(fn: Callable, items: list, jobs: int) -> list:
     """`fn` over `items`, results in order; in up to `jobs` threads when
-    jobs > 1 and there are at least two items."""
+    jobs > 1 and there are at least two items. The list is emptied, and
+    each item is dropped once `fn` is done with it."""
+    items.reverse()
+    drained = (items.pop() for _ in range(len(items)))
     if jobs > 1 and len(items) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
+            return list(pool.map(fn, drained))
+    return [fn(item) for item in drained]
 
 
-def _run_task(task: list, backend, refused: Optional[list] = None) -> list[TestResult]:
-    """`run_test` on each (spec, scope) call of `task`, in order. A call
-    leaves the task as it starts, so a scope is freed after its last call.
-    With `refused`, each refused assertion is added to it as (its test's
-    result, its index there, the spec cut to it, the scope)."""
-    results = []
-    while task:
-        spec, scope = task.pop(0)
-        test = run_test(spec, scope.program, backend, scope)
-        results.append(test)
-        if refused is not None:
-            refused.extend((test, i, replace(spec, asserts=(a.assertion,)), scope)
-                           for i, a in enumerate(test.assertions) if a.refused)
-    return results
+def _decide(call: tuple[TestSpec, Scope], backend) -> AssertionResult:
+    """The result of one call: a spec cut to one assertion, and its scope."""
+    spec, scope = call
+    return run_test(spec, scope.program, backend, scope).assertions[0]
 
 
-def run_tasks(tasks: list[list[tuple[TestSpec, Scope]]], backend,
-              jobs: int = 1) -> list[list[TestResult]]:
-    """Run each (spec, scope) call of each task, `run_test(spec,
-    scope.program, backend, scope)`, and return the results task by task,
-    call by call, in declaration order. The tasks' lists are emptied.
+def run_tests(tests: list[tuple[TestSpec, Scope]], backend, jobs: int = 1) -> list[TestResult]:
+    """Decide each test, a (spec, scope) pair, and return one `TestResult`
+    per test, in order, with the scope's program as `program`. Each
+    assertion is one call, `run_test(spec cut to it, scope.program,
+    backend, scope)`. The list is emptied, and each call is dropped as it
+    starts, so a scope is freed after its last call. A test's verdict is
+    `TestResult.aggregate` of its assertions' (`pass` without any), and
+    its `wall_ms` is their sum.
 
     The internal engine runs on the calling thread only, one call after
-    another. Only calls that start a solver child go to a pool of up to
-    `jobs` threads: with an external backend, every task is one pool task
-    that runs its calls in order. Under auto with a solver configured, every
-    call runs on the internal engine first; then each assertion that it
-    refused (`solver.REFUSED`) is run again on the solver, each as one pool
-    task, and takes the refused result's place in its test. Its `wall_ms`
-    covers both attempts."""
-    if isinstance(backend, ExternalBackend):
-        return _pooled(lambda task: _run_task(task, backend), tasks, jobs)
+    another in declaration order. Only calls that start a solver child go
+    to a pool of up to `jobs` threads: with an external backend, each call
+    is one pool task. Under auto with a solver configured, every call runs
+    on the internal engine first; then each call that it refused
+    (`solver.REFUSED`) runs again on the solver, as one pool task, and
+    takes the refused result's place. Its `wall_ms` covers both attempts."""
+    shapes = [(spec.name, len(spec.asserts), scope.program) for spec, scope in tests]
+    calls = [(replace(spec, asserts=(a,)), scope) for spec, scope in reversed(tests)
+             for a in reversed(spec.asserts)]
+    tests.clear()
+    external = isinstance(backend, ExternalBackend)
     fallback = backend.external if isinstance(backend, AutoBackend) else None
-    if fallback is None:
-        return [_run_task(task, backend) for task in tasks]
-    refused: list = []
-    results = [_run_task(task, backend.internal, refused) for task in tasks]
+    inline = backend.internal if fallback else backend
+    results: list[Optional[AssertionResult]] = []
+    later: list = []  # (index in results, call) of each call the pool decides
+    while calls:
+        call = calls.pop()
+        result = None if external else _decide(call, inline)
+        if external or (fallback and result.refused):
+            later.append((len(results), call))
+        results.append(result)
 
-    def retry(entry: tuple) -> AssertionResult:
-        _, _, spec, scope = entry
-        return run_test(spec, scope.program, fallback, scope).assertions[0]
+    def decide_later(entry: tuple) -> tuple[int, AssertionResult]:
+        return entry[0], _decide(entry[1], backend if external else fallback)
 
-    for (test, i, _, _), result in zip(refused, _pooled(retry, refused, jobs)):
-        test.wall_ms += result.wall_ms
-        result.wall_ms += test.assertions[i].wall_ms
-        test.assertions[i] = result
-        test.verdict = TestResult.aggregate(test.assertions)
-    return results
+    for i, result in _pooled(decide_later, later, jobs):
+        result.wall_ms += results[i].wall_ms if results[i] else 0
+        results[i] = result
+    done = iter(results)
+    out = []
+    for name, n, program in shapes:
+        mine = list(itertools.islice(done, n))
+        out.append(TestResult(name, mine, TestResult.aggregate(mine),
+                              sum(a.wall_ms for a in mine), program=program))
+    return out
 
 
 def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
-    """Run every test of a unit. Each test's scope is resolved once, and
-    every assertion of every test is one task of `run_tasks`; the
-    assertions of a test share its `oracle.Scope`. The report lists tests
-    and assertions in declaration order, and a test's `wall_ms` is the sum
-    of its assertions'. A test whose scope does not resolve is an error,
-    and so is each of its assertions."""
+    """Run every test of a unit with `run_tests`. Each test's scope is
+    resolved once, and the assertions of a test share its `oracle.Scope`.
+    The report lists tests and assertions in declaration order. A test
+    whose scope does not resolve is an error, and so is each of its
+    assertions."""
     start = time.monotonic()
-    tests: list[TestResult] = []
-    tasks: list[list] = []  # one per assertion: [(the spec cut to it, its test's scope)]
-    owners: list[TestResult] = []  # the test of each task
+    tests: list[Optional[TestResult]] = []  # None where the scope resolves
+    resolved: list[tuple[TestSpec, Scope]] = []
     for spec in unit.suite.tests:
         try:
-            program = resolve_scope(unit.suite, spec)
+            resolved.append((spec, Scope(resolve_scope(unit.suite, spec))))
+            tests.append(None)
         except Exception as exc:
             message = f"scope resolution failed: {exc}"
             results = [_error_result(a, message) for a in spec.asserts]
             tests.append(TestResult(spec.name, results, ERROR, diagnostics=message))
-            continue
-        test = TestResult(spec.name, [], PASS, program=program)
-        tests.append(test)
-        scope = Scope(program)
-        for a in spec.asserts:
-            tasks.append([(replace(spec, asserts=(a,)), scope)])
-            owners.append(test)
-    for test, (result,) in zip(owners, run_tasks(tasks, backend, jobs)):
-        test.assertions.extend(result.assertions)
-    for test in tests:
-        test.wall_ms = sum(a.wall_ms for a in test.assertions)
-        if not test.diagnostics:
-            test.verdict = TestResult.aggregate(test.assertions)
-    return SuiteReport(source=unit.path, tests=tests,
+    decided = iter(run_tests(resolved, backend, jobs))
+    return SuiteReport(source=unit.path, tests=[t or next(decided) for t in tests],
                        total_wall_ms=int((time.monotonic() - start) * 1000))

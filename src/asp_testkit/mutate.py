@@ -21,13 +21,13 @@ import os
 import random
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import combinations, count as naturals
+from itertools import combinations, count as naturals, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .model import Atom, Literal, Program, Rule, UnsafeRuleError
 # `run_test` is not called here, but stays a name of this module, as it is
 # of `engine`: verdictbench/tracing.py wraps both
-from .engine import FAIL, PASS, SuiteReport, TestResult, run_suite, run_tasks, run_test
+from .engine import FAIL, PASS, SuiteReport, TestResult, run_suite, run_test, run_tests
 from .oracle import Scope
 from .parser import ParseFailure, SourceUnit, parse_ground_atom
 from .serialize import serialize_program
@@ -433,8 +433,8 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
     """Run the unit's suite against every mutant. Requires a green baseline:
     when the original program already fails its own tests the analysis is
     refused (baseline_passed=False, no outcomes). Every mutant runs on its
-    transform of each test's scope as the baseline resolved it; its tests
-    are one task of `engine.run_tasks`."""
+    transform of each test's scope as the baseline resolved it; the tests
+    of every mutant are one list of `engine.run_tests`."""
     baseline = run_suite(unit, backend, jobs=jobs)
     report = KillReport(baseline=baseline, baseline_passed=baseline.all_passed())
     if not report.baseline_passed:
@@ -443,12 +443,12 @@ def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,
     # assertions has nothing to decide on a mutant
     scopes = [(spec, test.program) for spec, test in zip(unit.suite.tests, baseline.tests)
               if spec.asserts]
-    tasks = []
+    tests = []
     for mutant in mutants:
         transform = _mutant_transform(unit, mutant)
-        tasks.append([(spec, Scope(transform(program))) for spec, program in scopes])
-    report.outcomes = [_outcome(mutant, tests)
-                       for mutant, tests in zip(mutants, run_tasks(tasks, backend, jobs))]
+        tests.extend((spec, Scope(transform(program))) for spec, program in scopes)
+    decided = iter(run_tests(tests, backend, jobs))
+    report.outcomes = [_outcome(mutant, list(islice(decided, len(scopes)))) for mutant in mutants]
     report.assertion_failures = dict(Counter(label for outcome in report.outcomes
                                              for label in outcome.killed_by))
     return report

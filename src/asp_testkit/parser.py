@@ -494,8 +494,8 @@ class _AnnotationParser:
             at, name = self._at_name("expected '@' to start an annotation, found {found}",
                                      "expected an annotation name after '@', found {found}")
             if name.value not in _ANNOTATIONS:
-                raise _Issue(f"unknown annotation @{name.value} (expected @rule, @block or @test)",
-                             at.offset, "annotation")
+                raise _Issue(f"unknown annotation @{quote(name.value, str)} "
+                             "(expected @rule, @block or @test)", at.offset, "annotation")
             anns.append((name.value, self._attributes(name, *_ANNOTATIONS[name.value]),
                          at.offset))
         return anns
@@ -525,7 +525,7 @@ class _AnnotationParser:
                                    "found {found}", "annotation")
                 key = "constraint" if positional else key_tok.value
                 if key not in types:
-                    raise _Issue(f"unknown attribute {key!r} for @{owner}", key_tok.offset,
+                    raise _Issue(f"unknown attribute {quote(key)} for @{owner}", key_tok.offset,
                                  "annotation")
                 if key in attrs:
                     raise _Issue(f"duplicate attribute {key!r} for @{owner}", key_tok.offset,
@@ -574,7 +574,7 @@ class _AnnotationParser:
                                 "expected an assertion name after '@'")
         cls = ASSERTION_CLASSES.get(name.value)
         if cls is None:
-            raise _Issue(f"unknown assertion @{name.value}", name.offset, "annotation")
+            raise _Issue(f"unknown assertion @{quote(name.value, str)}", name.offset, "annotation")
         types = _ASSERTION_TYPES[name.value]
         attrs = self._attributes(name, types, types, bare=True)
         values = {}
@@ -667,8 +667,9 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
         nonlocal pending_rule
         if pending_rule is not None:
             attrs, offset = pending_rule
+            name = quote(attrs["name"], '"{}"'.format)
             errors.append(index.error(_Issue(
-                f"@rule(name=\"{attrs['name']}\") must be followed by a rule, not {reason}",
+                f"@rule(name={name}) must be followed by a rule, not {reason}",
                 offset, "annotation")))
             pending_rule = None
 
@@ -716,7 +717,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
             (attrs, offset), pending_rule = pending_rule, None
             if attrs["name"] in named:
                 errors.append(index.error(_Issue(
-                    f"duplicate rule name {attrs['name']!r}", offset, "duplicate-name")))
+                    f"duplicate rule name {quote(attrs['name'])}", offset, "duplicate-name")))
             else:
                 named[attrs["name"]] = (stmt, attrs.get("block"), offset)
     flush_pending("the end of the file")
@@ -726,26 +727,26 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
     for bname, rule_names, boffset in block_anns:
         if bname in blocks:
             errors.append(index.error(_Issue(
-                f"duplicate block name {bname!r}", boffset, "duplicate-name")))
+                f"duplicate block name {quote(bname)}", boffset, "duplicate-name")))
             continue
         blocks[bname] = (rule_names, boffset)
     for name in named:
         if name in blocks:
             errors.append(index.error(_Issue(
-                f"{name!r} is used both as a rule name and as a block name",
+                f"{quote(name)} is used both as a rule name and as a block name",
                 named[name][2], "duplicate-name")))
     for bname, (rule_names, boffset) in blocks.items():
         for rname in rule_names:
             if rname not in named:
                 errors.append(index.error(_Issue(
-                    f"block {bname!r} lists unknown rule {rname!r}",
+                    f"block {quote(bname)} lists unknown rule {quote(rname)}",
                     boffset, "dangling-reference")))
             else:
                 claimed = named[rname][1]
                 if claimed is not None and claimed != bname:
                     errors.append(index.error(_Issue(
-                        f"rule {rname!r} is assigned to block {claimed!r} but block "
-                        f"{bname!r} also lists it", boffset, "duplicate-name")))
+                        f"rule {quote(rname)} is assigned to block {quote(claimed)} but block "
+                        f"{quote(bname)} also lists it", boffset, "duplicate-name")))
     for name in named:
         claimed = named[name][1]
         if claimed is not None and claimed not in blocks:
@@ -753,7 +754,7 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
             if claimed in named:
                 # a claimed block named like a rule clashes as a declared one does
                 errors.append(index.error(_Issue(
-                    f"{claimed!r} is used both as a rule name and as a block name",
+                    f"{quote(claimed)} is used both as a rule name and as a block name",
                     named[claimed][2], "duplicate-name")))
 
     final_blocks: dict[str, tuple[str, ...]] = {}
@@ -848,7 +849,7 @@ def merge_units(units: list[SourceUnit]) -> SourceUnit:
     def clash(name: str, path: str, origin: Optional[Span] = None):
         """A name defined again: at the rule's span; a block carries none."""
         line, column = (origin.line, origin.column) if origin else (0, 0)
-        errors.append(ParseError(f"duplicate name {name!r} across the file set (in {path})",
+        errors.append(ParseError(f"duplicate name {quote(name)} across the file set (in {path})",
                                  line, column, "duplicate-name", path))
 
     for unit in units:

@@ -65,7 +65,7 @@ class FormatError(Exception):
     """The solver output does not follow the competition format."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class BackendConfig:
     """How to start an external solver and feed it a program."""
 

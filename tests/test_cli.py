@@ -244,6 +244,22 @@ def test_check_quotes_a_long_token_in_part_with_its_length(tmp_path, monkeypatch
     assert lines and all(len(line) < 200 and f"{length} " in line for line in lines), lines
 
 
+@pytest.mark.parametrize("text", [
+    '%** @test(name = "t", scope = {"r"}, ' + "a" * 3000 + ' = "x", assert = {}) **%',
+    '%** @rule(name = "' + "r" * 3000 + '") **%',            # and no rule after it
+    '%** @rule(name = "r") **%\np.\n%** @test(name = "t", scope = {"' + "s" * 3000
+    + '"}, assert = { @trueInAll(atoms = "p") }) **%',
+    '%** @rule(name = "r") **%\np.\n%** @test(name = "' + "t" * 3000
+    + '", scope = {"r"}, input = "b :- .", assert = {}) **%',  # names the input's source
+], ids=["attribute", "rule", "scope", "test"])
+def test_check_quotes_a_long_name_in_part_with_its_length(tmp_path, monkeypatch, capsys, text):
+    monkeypatch.chdir(tmp_path)  # a short path, so that the line measures the message
+    Path("long.lp").write_text(text + "\n", encoding="utf-8")
+    assert cli.main(["check", "long.lp"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines and all(len(line) < 200 and "3000 characters" in line for line in lines), lines
+
+
 # Pieces of the input and annotation languages that the fuzz below inserts.
 PIECES = ["(", ")", ",", ".", ":-", "not ", "%", "%*", "*%", "%**", "**%", '"', "\\",
           "{", "}", "@", "=", "|", "#count", "#sum", "X", "_", "-", "0", "\n", "\u00b2"]

@@ -579,22 +579,75 @@ def test_one_tests_assertions_run_at_once():
     assert [a.verdict for a in test.assertions] == [a.verdict for a in serial.assertions]
 
 
+class Watching:
+    """The internal engine, noting each scope as its first call starts:
+    `refs` holds one weak reference per scope, in that order, and `alive`
+    the index of each earlier scope still alive at that moment."""
+
+    def __init__(self):
+        self.refs = []
+        self.alive = []
+
+    def run(self, program, cap, optimize=False, scope=None):
+        if not self.refs or self.refs[-1]() is not scope:
+            self.alive.extend(i for i, ref in enumerate(self.refs) if ref() is not None)
+            self.refs.append(weakref.ref(scope))
+        return BACKEND.run(program, cap, optimize, scope)
+
+
 def test_a_suite_frees_each_scope_after_its_test():
     # a scope kept past its test's last assertion keeps its saved ground
     # form alive for the rest of the suite
-    refs = []  # one weak reference per scope, in the order first seen
-    alive = []
-
-    class Watching:
-        def run(self, program, cap, optimize=False, scope=None):
-            if not refs or refs[-1]() is not scope:
-                alive.extend(i for i, ref in enumerate(refs) if ref() is not None)
-                refs.append(weakref.ref(scope))
-            return BACKEND.run(program, cap, optimize, scope)
-
+    watching = Watching()
     unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
-    assert run_suite(unit, Watching(), jobs=1).all_passed()
-    assert len(refs) == 3 and alive == []
+    assert run_suite(unit, watching, jobs=1).all_passed()
+    assert len(watching.refs) == 3 and watching.alive == []
+
+
+def test_a_mutation_analysis_frees_each_scope_after_its_last_call():
+    # every mutant's scopes are made before the first call; each is freed
+    # once its own last call is done, not at the end of the analysis
+    watching = Watching()
+    unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 4, 3)
+    report = mutation_analysis(unit, mutants, watching)
+    assert report.baseline_passed and len(report.outcomes) == 4
+    # the baseline's 3 scopes, then 3 per mutant
+    assert len(watching.refs) == 15 and watching.alive == []
+
+
+def test_one_mutants_solver_calls_run_at_once():
+    # with fewer mutants than --jobs, one mutant's calls fill the pool
+    unit = parse_unit("m.lp", fixture_text("coloring_mutation.lp"))
+    baseline_calls = sum(len(spec.asserts) for spec in unit.suite.tests)
+    lock = threading.Lock()
+    calls = {"started": 0, "in_flight": 0, "most_of_the_mutant": 0}
+
+    class Slow(ExternalBackend):
+        """Answers through the internal engine after a short sleep, with no
+        shared scope."""
+
+        def run(self, program, cap, optimize=False, scope=None):
+            with lock:
+                of_the_mutant = calls["started"] >= baseline_calls
+                calls["started"] += 1
+                calls["in_flight"] += 1
+                if of_the_mutant:
+                    calls["most_of_the_mutant"] = max(calls["most_of_the_mutant"],
+                                                      calls["in_flight"])
+            try:
+                time.sleep(0.05)
+                return BACKEND.run(program, cap, optimize)
+            finally:
+                with lock:
+                    calls["in_flight"] -= 1
+
+    mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 1, 3)
+    report = mutation_analysis(unit, mutants, Slow(stub_config()), jobs=2)
+    serial = mutation_analysis(unit, mutants, BACKEND)
+    assert report.baseline_passed and report.to_json_dict() == serial.to_json_dict()
+    assert calls["started"] == 2 * baseline_calls
+    assert calls["most_of_the_mutant"] >= 2
 
 
 FOUR_ASSERTIONS = fixture_text("coloring.lp").replace(

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from asp_testkit import solver
-from asp_testkit.engine import PASS, run_suite, run_tasks
+from asp_testkit.engine import PASS, run_suite, run_tests
 from asp_testkit.model import ASSERTION_KINDS, Atom, BestModelCost, Program
 from asp_testkit.model import TestSpec as Spec  # not a test class
 from asp_testkit.oracle import Scope, enumerate_answer_sets, ground
@@ -209,9 +210,7 @@ def test_solve_backend_error_on_garbage_with_nonzero_exit():
 
 
 def test_solve_tempfile_mode_records_path():
-    cfg = stub_config("basic")
-    cfg.pass_via = "tempfile"
-    res, run = solve(cfg, "a.\n", max_models=2)
+    res, run = solve(stub_config("basic", pass_via="tempfile"), "a.\n", max_models=2)
     assert run.temp_path is not None
     assert not os.path.exists(run.temp_path)  # cleaned up
     assert res.answer_sets
@@ -224,6 +223,14 @@ def test_backend_config_rejects_an_unknown_pass_via(pass_via):
         BackendConfig("cat", pass_via=pass_via)
     for known in ("stdin", "tempfile"):
         assert BackendConfig("cat", pass_via=known).pass_via == known
+
+
+def test_backend_config_cannot_be_changed_after_its_checks():
+    # an assignment would skip `__post_init__`: pass_via = "file" fed stdin
+    cfg = BackendConfig("cat", model_cap_template="")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.pass_via = "file"
+    assert cfg.pass_via == "stdin"
 
 
 def test_default_backend_config_env(monkeypatch):
@@ -368,8 +375,8 @@ def test_selfhosted_external_verdicts_equal_internal_ones():
 
     def verdicts(backend) -> list[str]:
         # internal calls run one after another, external ones two at a time
-        tasks = [[(Spec("t", ("r",), (assertion,)), Scope(scope))] for scope, assertion in cases]
-        return [test.assertions[0].verdict for (test,) in run_tasks(tasks, backend, jobs=2)]
+        tests = [(Spec("t", ("r",), (assertion,)), Scope(scope)) for scope, assertion in cases]
+        return [test.assertions[0].verdict for test in run_tests(tests, backend, jobs=2)]
 
     internal = verdicts(InternalBackend())
     external = verdicts(ExternalBackend(selfhosted_config()))
