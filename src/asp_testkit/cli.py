@@ -24,10 +24,10 @@ from dataclasses import replace
 
 from . import __version__
 from .parser import NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, read_source
-from .serialize import atom_to_text
-from .solver import REFUSED, SpawnFailure, default_backend_config, select_backend
+from .solver import (REFUSED, SpawnFailure, competition_lines, default_backend_config,
+                     select_backend)
 
-# `engine`, `mutate` and `json` are imported by the commands that use them:
+# `engine` and `mutate` are imported by the commands that use them:
 # `solve` runs once per call of the external backend, and loading them would
 # only add to its start-up.
 
@@ -178,22 +178,14 @@ def cmd_solve(args) -> int:
     cap = args.cap if args.cap else None  # -n 0 requests every model
     optimize = bool(program.weak_constraints) and cap is None
     result, _ = backend.run(program, cap, optimize=optimize)
-    for i, answer in enumerate(result.answer_sets):
-        print("ANSWER")
-        print(" ".join(f"{atom_to_text(a)}." for a in answer.sorted_atoms()))
-        if result.costs is not None:
-            levels = sorted({l for (idx, l) in result.costs if idx == i}, reverse=True)
-            if levels:
-                pairs = " ".join(f"{result.costs[(i, l)]}@{l}" for l in levels)
-                print(f"COST {pairs}")
-    if result.incoherent:
-        print("INCOHERENT")
-        return EXIT_FAILURE
-    if optimize and result.exhausted:
-        print("OPTIMUM FOUND")
-    elif result.exhausted:
-        print("SATISFIABLE")
-    return EXIT_OK
+    for line in competition_lines(result, optimize):
+        print(line)
+    return EXIT_FAILURE if result.incoherent else EXIT_OK
+
+
+def _print_report(report, fmt: str) -> None:
+    """A `SuiteReport` or `KillReport` in the `--format` asked for."""
+    print(report.to_json() if fmt == "json" else "\n".join(report.human_lines()))
 
 
 def cmd_test(args) -> int:
@@ -201,24 +193,15 @@ def cmd_test(args) -> int:
     unit = _parse_all(args.files)
     backend = _make_backend(args)
     report = run_suite(unit, backend, jobs=args.jobs)
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        for line in report.human_lines():
-            print(line)
+    _print_report(report, args.format)
     if report.has_errors():
         return EXIT_ERROR
     return EXIT_OK if report.all_passed() else EXIT_FAILURE
 
 
 def cmd_mutate(args) -> int:
-    from .mutate import (
-        ExhaustedLoci,
-        OPERATOR_KINDS,
-        generate_mutants,
-        mutation_analysis,
-        mutation_base_program,
-    )
+    from .mutate import (ExhaustedLoci, OPERATOR_KINDS, generate_mutants, mutation_analysis,
+                         mutation_base_program)
     unit = _parse_all(args.files)
     backend = _make_backend(args)
     base = mutation_base_program(unit)
@@ -226,34 +209,17 @@ def cmd_mutate(args) -> int:
         print("no named rules to mutate (only @rule-annotated rules are mutation targets)")
         return EXIT_FAILURE
     ops = args.ops if args.ops is not None else list(OPERATOR_KINDS)
-    exhausted = None
     try:
-        mutants = generate_mutants(base, ops, args.count, args.seed,
-                                   ops_per_mutant=args.ops_per_mutant)
+        mutants, exhausted = generate_mutants(base, ops, args.count, args.seed,
+                                              ops_per_mutant=args.ops_per_mutant), None
     except ExhaustedLoci as exc:
-        exhausted = exc
-        mutants = exc.mutants
+        mutants, exhausted = exc.mutants, exc
     report = mutation_analysis(unit, mutants, backend, jobs=args.jobs)
+    report.exhausted = exhausted
+    _print_report(report, args.format)
     if not report.baseline_passed:
-        print("baseline run failed: the original program does not pass its own "
-              "test suite; fix the tests before measuring them")
-        for line in report.baseline.human_lines():
-            print("  " + line)
         return EXIT_ERROR if report.baseline.has_errors() else EXIT_FAILURE
-    if args.format == "json":
-        import json
-        doc = report.to_json_dict()
-        if exhausted is not None:
-            doc["exhausted_loci"] = str(exhausted)
-        print(json.dumps(doc, indent=2))
-    else:
-        for line in report.human_lines():
-            print(line)
-        if exhausted is not None:
-            print(f"note: {exhausted}")
-    if exhausted is not None or not report.all_killed():
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_OK if exhausted is None and report.all_killed() else EXIT_FAILURE
 
 
 def main(argv=None) -> int:

@@ -17,6 +17,7 @@ lists every assertion that failed on it.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 from collections import Counter, namedtuple
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from itertools import combinations, count as naturals, islice
 from typing import Callable, Iterable, Iterator, Optional
 
-from .model import Atom, Literal, Program, Rule, UnsafeRuleError
+from .model import Atom, Literal, Program, Rule, UnsafeRuleError, check_statements
 # `run_test` is not called here, but stays a name of this module, as it is
 # of `engine`: verdictbench/tracing.py wraps both
 from .engine import FAIL, PASS, SuiteReport, TestResult, run_suite, run_test, run_tests
@@ -262,12 +263,14 @@ def apply_op(program: Program, op: MutationOp) -> Program:
     if (op.site, op.slot, op.detail) not in operator.loci(rule, rename_targets):
         raise InapplicableOp(f"no locus {op.describe()}")
     new_rule = operator.edit(rule, op, rename_targets)
-    rules = _splice(program.rules, op.rule_index, () if new_rule is None else (new_rule,))
+    edited = () if new_rule is None else (new_rule,)
     try:
-        return Program(rules, program.weak_constraints)
+        check_statements(edited)  # the other rules passed as parts of `program`
     except UnsafeRuleError as exc:
         raise UnsafeMutant(
             f"{op.kind} at rule {op.rule_index} leaves {sorted(exc.unbound)} unbound") from None
+    return Program.of_checked(_splice(program.rules, op.rule_index, edited),
+                              program.weak_constraints)
 
 
 def _applicable(program: Program, loci: list[MutationOp]) -> Iterator[tuple[MutationOp, Program]]:
@@ -344,12 +347,14 @@ class MutantOutcome:
 
 @dataclass
 class KillReport:
-    """Baseline run and the outcome of every mutant."""
+    """Baseline run and the outcome of every mutant, rendered as text or
+    JSON; `exhausted` says that fewer mutants exist than were requested."""
 
     baseline: SuiteReport
     baseline_passed: bool
     outcomes: list[MutantOutcome] = field(default_factory=list)
     assertion_failures: dict[str, int] = field(default_factory=dict)
+    exhausted: Optional[ExhaustedLoci] = None
 
     def all_killed(self) -> bool:
         return bool(self.outcomes) and all(o.status == "killed" for o in self.outcomes)
@@ -362,7 +367,7 @@ class KillReport:
                 "inconclusive": statuses.count("inconclusive")}
 
     def to_json_dict(self) -> dict:
-        return {
+        doc = {
             "baseline_passed": self.baseline_passed,
             "mutants": [
                 {
@@ -378,8 +383,20 @@ class KillReport:
             "assertion_failures": self.assertion_failures,
             "counts": self.counts,
         }
+        if not self.baseline_passed:
+            doc["baseline"] = self.baseline.to_json_dict()
+        elif self.exhausted is not None:
+            doc["exhausted_loci"] = str(self.exhausted)
+        return doc
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
     def human_lines(self) -> list[str]:
+        if not self.baseline_passed:
+            return ["baseline run failed: the original program does not pass its own "
+                    "test suite; fix the tests before measuring them",
+                    *("  " + line for line in self.baseline.human_lines())]
         lines = ["mutant  status       ops"]
         for o in self.outcomes:
             detail = f"  killed by: {', '.join(o.killed_by)}" if o.killed_by else ""
@@ -387,6 +404,8 @@ class KillReport:
         c = self.counts
         lines.append(f"{c['mutants']} mutant(s): {c['killed']} killed, "
                      f"{c['survived']} survived, {c['inconclusive']} inconclusive")
+        if self.exhausted is not None:
+            lines.append(f"note: {self.exhausted}")
         return lines
 
 
@@ -419,13 +438,12 @@ def _mutant_transform(unit: SourceUnit, mutant: Mutant) -> Callable[[Program], P
 
 
 def _outcome(mutant: Mutant, tests: list[TestResult]) -> MutantOutcome:
-    """Killed when an assertion fails, else inconclusive when one is not
-    decided, else survived."""
-    verdicts = [(f"{test.name}/{a.kind}", a.verdict) for test in tests for a in test.assertions]
-    killed_by = [label for label, verdict in verdicts if verdict == FAIL]
-    status = ("killed" if killed_by else
-              "inconclusive" if any(verdict != PASS for _, verdict in verdicts) else "survived")
-    return MutantOutcome(mutant, status, killed_by, tests)
+    """Killed when the verdict of all the mutant's assertions together is
+    a failure, survived when it is a pass, inconclusive otherwise."""
+    labelled = [(f"{test.name}/{a.kind}", a) for test in tests for a in test.assertions]
+    verdict = TestResult.aggregate([a for _, a in labelled])
+    return MutantOutcome(mutant, {FAIL: "killed", PASS: "survived"}.get(verdict, "inconclusive"),
+                         [label for label, a in labelled if a.verdict == FAIL], tests)
 
 
 def mutation_analysis(unit: SourceUnit, mutants: list[Mutant], backend,

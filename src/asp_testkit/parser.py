@@ -690,6 +690,10 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
                 elif name == "block":
                     block_anns.append((attrs["name"], attrs.get("rules", []), offset))
                 else:
+                    if any(t.name == attrs["name"] for t in tests):
+                        errors.append(index.error(_Issue(
+                            f"duplicate test name {quote(attrs['name'])}", offset,
+                            "duplicate-name")))
                     tests.append(TestSpec(
                         name=attrs["name"], scope=tuple(attrs["scope"]),
                         asserts=tuple(attrs["assert"]),
@@ -774,7 +778,9 @@ def parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[SourceUnit], 
     weaks = tuple(s for s in statements if isinstance(s, WeakConstraint))
     suite = TestSuite(named_rules=named_rules, blocks=final_blocks,
                       tests=tuple(tests), anonymous_rules=anonymous)
-    unit = SourceUnit(path=path, text=text, program=Program(rules, weaks), suite=suite)
+    # _check_safety and the grammar cover every check of `check_statements`
+    unit = SourceUnit(path=path, text=text, program=Program.of_checked(rules, weaks),
+                      suite=suite)
     return unit, []
 
 
@@ -833,8 +839,8 @@ def parse_ground_atom(text: str) -> Atom:
 def merge_units(units: list[SourceUnit]) -> SourceUnit:
     """Combine several parsed files into one unit (shared name universe).
 
-    Rule/block names must be unique across the whole file set; tests from all
-    files run against the merged suite.
+    Rule/block names, and test names, must be unique across the whole file
+    set; tests from all files run against the merged suite.
     """
     if len(units) == 1:
         return units[0]
@@ -847,7 +853,7 @@ def merge_units(units: list[SourceUnit]) -> SourceUnit:
     errors: list[ParseError] = []
 
     def clash(name: str, path: str, origin: Optional[Span] = None):
-        """A name defined again: at the rule's span; a block carries none."""
+        """A name defined again: at its rule's or test's span; a block has none."""
         line, column = (origin.line, origin.column) if origin else (0, 0)
         errors.append(ParseError(f"duplicate name {quote(name)} across the file set (in {path})",
                                  line, column, "duplicate-name", path))
@@ -861,7 +867,10 @@ def merge_units(units: list[SourceUnit]) -> SourceUnit:
             if name in blocks or name in named:
                 clash(name, unit.path)
             blocks[name] = members
-        tests.extend(unit.suite.tests)
+        for spec in unit.suite.tests:
+            if any(t.name == spec.name for t in tests):
+                clash(spec.name, unit.path, spec.origin)
+            tests.append(spec)
         anonymous.extend(unit.suite.anonymous_rules)
         rules.extend(unit.program.rules)
         weaks.extend(unit.program.weak_constraints)
@@ -871,5 +880,5 @@ def merge_units(units: list[SourceUnit]) -> SourceUnit:
                       anonymous_rules=tuple(anonymous))
     path = "+".join(u.path for u in units)
     text = "\n".join(u.text for u in units)
-    return SourceUnit(path=path, text=text, program=Program(tuple(rules), tuple(weaks)),
-                      suite=suite)
+    return SourceUnit(path=path, text=text,
+                      program=Program.of_checked(tuple(rules), tuple(weaks)), suite=suite)

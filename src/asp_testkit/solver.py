@@ -22,6 +22,7 @@ is requested).
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .oracle import (
     optimal_answer_sets,
 )
 from .parser import ParseFailure, parse_ground_atom, quote
-from .serialize import serialize_program
+from .serialize import atom_to_text, serialize_program
 
 SOLVER_ENV_VAR = "ASP_TESTKIT_SOLVER"
 
@@ -84,8 +85,8 @@ class BackendConfig:
 
 @dataclass
 class RawRun:
-    """Verbatim record of one backend invocation, kept for witness reporting
-    and for checking that assertions request bounded model counts."""
+    """Verbatim record of one backend invocation: its command, input,
+    output, exit status and time, and the model count it requested."""
 
     argv: list[str]
     stdin_text: str
@@ -98,25 +99,8 @@ class RawRun:
     temp_path: Optional[str] = None
 
 
-def _split_atom_line(line: str) -> list[str]:
-    """Split a model line into atom strings, honoring parenthesis nesting."""
-    parts: list[str] = []
-    depth = 0
-    current: list[str] = []
-    for ch in line:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        if ch.isspace() and depth == 0:
-            if current:
-                parts.append("".join(current))
-                current = []
-            continue
-        current.append(ch)
-    if current:
-        parts.append("".join(current))
-    return parts
+# one atom of a model line: whitespace inside parentheses does not split it
+_MODEL_ATOM = re.compile(r"(?:[^\s(]|\([^)]*\)?)+")
 
 
 def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
@@ -139,7 +123,7 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
                 model_line = lines[i]
                 i += 1
                 atoms = []
-                for token in _split_atom_line(model_line):
+                for token in _MODEL_ATOM.findall(model_line):
                     token = token.rstrip(".")
                     if not token:
                         continue
@@ -185,6 +169,24 @@ def _parse_output(text: str, killed: bool = False) -> tuple[SolveResult, bool]:
     if costs:
         result.costs = costs
     return result, saw_unknown
+
+
+def competition_lines(result: SolveResult, optimized: bool) -> list[str]:
+    """`result` in the competition format, as `asp-testkit solve` prints
+    it; `optimized` says that the run searched for optimal answer sets, so
+    an exhausted search ends in OPTIMUM FOUND instead of SATISFIABLE."""
+    lines = []
+    for i, answer in enumerate(result.answer_sets):
+        lines += ["ANSWER", " ".join(f"{atom_to_text(a)}." for a in answer.sorted_atoms())]
+        if result.costs is not None:
+            levels = sorted({l for (idx, l) in result.costs if idx == i}, reverse=True)
+            if levels:
+                lines.append("COST " + " ".join(f"{result.costs[(i, l)]}@{l}" for l in levels))
+    if result.incoherent:
+        lines.append("INCOHERENT")
+    elif result.exhausted:
+        lines.append("OPTIMUM FOUND" if optimized else "SATISFIABLE")
+    return lines
 
 
 def parse_competition_output(text: str) -> SolveResult:

@@ -917,6 +917,10 @@ def reference_parse_unit_diagnostics(path: str, text: str) -> tuple[Optional[Sou
                 elif isinstance(ann, _BlockAnn):
                     block_anns.append(ann)
                 else:
+                    if ann.spec.name in {t.name for t in tests}:
+                        errors.append(index.error(_Issue(
+                            f"duplicate test name {ann.spec.name!r}", ann.offset,
+                            "duplicate-name")))
                     tests.append(replace(ann.spec, origin=index.span(path, ann.offset)))
             continue
         span = index.span(path, tok.offset)

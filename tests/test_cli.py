@@ -112,6 +112,23 @@ def test_a_name_clash_across_files_is_reported_where_it_is_defined(tmp_path, com
         f"{c}: duplicate-name: duplicate name 'B' across the file set (in {c})\n")
 
 
+@pytest.mark.parametrize("command", ["check", "test"])
+def test_two_tests_of_one_name_are_a_duplicate_name(tmp_path, command):
+    test = '%** @test(name = "t", scope = {"r"}, assert = {}) **%\n'
+    one = tmp_path / "one.lp"
+    one.write_text('%** @rule(name = "r") **%\np.\n' + test + test, encoding="utf-8")
+    other = tmp_path / "other.lp"
+    other.write_text(test, encoding="utf-8")
+    proc = run_cli(command, str(one))
+    assert (proc.returncode, proc.stdout) == (
+        1, f"{one}:4:5: duplicate-name: duplicate test name 't'\n")
+    one.write_text('%** @rule(name = "r") **%\np.\n' + test, encoding="utf-8")
+    proc = run_cli(command, str(one), str(other))
+    assert (proc.returncode, proc.stdout) == (
+        1, f"{other}:1:5: duplicate-name: duplicate name 't' across the file set "
+           f"(in {other})\n")
+
+
 def test_check_resolves_a_scope_in_another_file(tmp_path):
     rules = tmp_path / "rules.lp"
     rules.write_text('%** @rule(name = "r") **%\np(1).\n', encoding="utf-8")
@@ -541,6 +558,13 @@ def test_mutate_baseline_failure_refused():
     proc = run_cli("mutate", fixture("hamiltonian_bug.lp"), "--count", "2")
     assert proc.returncode == 1
     assert "baseline" in proc.stdout
+    proc = run_cli("mutate", fixture("hamiltonian_bug.lp"), "--count", "2", "--format", "json")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["baseline_passed"] is False and doc["mutants"] == []
+    assert "exhausted_loci" not in doc
+    assert doc["baseline"]["suite"] == fixture("hamiltonian_bug.lp")
+    assert [t["verdict"] for t in doc["baseline"]["tests"]] == ["fail"]
 
 
 def test_mutate_exhausted_loci_partial_table(tmp_path):
@@ -552,6 +576,11 @@ def test_mutate_exhausted_loci_partial_table(tmp_path):
     proc = run_cli("mutate", str(f), "--ops", "deleteRule", "--count", "50")
     assert proc.returncode == 1
     assert "note:" in proc.stdout
+    proc = run_cli("mutate", str(f), "--ops", "deleteRule", "--count", "50", "--format", "json")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["exhausted_loci"] == "only 1 distinct valid mutant(s) exist, 50 requested"
+    assert "baseline" not in doc
 
 
 def test_mutate_json_format():
@@ -671,6 +700,11 @@ def test_mutate_undecided_baseline_exits_two(tmp_path, monkeypatch):
     proc = run_cli("mutate", str(f), "--ops", "deleteRule", "--count", "1")
     assert proc.returncode == 2, proc.stdout + proc.stderr
     assert "baseline run failed" in proc.stdout
+    proc = run_cli("mutate", str(f), "--ops", "deleteRule", "--count", "1", "--format", "json")
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["baseline_passed"] is False
+    assert doc["baseline"]["tests"][0]["verdict"] == "error"
 
 
 def test_test_external_timeout_before_any_output_is_inconclusive(tmp_path):

@@ -18,6 +18,7 @@ from asp_testkit.model import (
     Span,
     TrueInExactly,
     Variable,
+    check_statements,
 )
 from asp_testkit.parser import (
     ParseFailure,
@@ -239,6 +240,16 @@ def test_duplicate_rule_names_rejected():
     _, errors = parse_unit_diagnostics(
         "t.lp", '%** @rule(name = "r") **%\np.\n%** @rule(name = "r") **%\nq.')
     assert any(e.kind == "duplicate-name" for e in errors)
+
+
+def test_duplicate_test_names_rejected_at_the_second_test():
+    text = ('%** @rule(name = "r") **%\np.\n'
+            '%** @test(name = "t", scope = {"r"}, assert = {}) **%\n'
+            '%** @test(name = "u", scope = {"r"}, assert = {})\n'
+            '    @test(name = "t", scope = {"r"}, assert = {}) **%\n')
+    unit, errors = parse_unit_diagnostics("t.lp", text)
+    assert unit is None
+    assert [e.render() for e in errors] == ["5:5: duplicate-name: duplicate test name 't'"]
 
 
 def test_block_rule_conflict_rejected():
@@ -671,6 +682,47 @@ def test_annotation_reader_matches_the_reference():
     assert len(corpus) >= 80 and len(seen) == 4, seen
 
 
+def _program_corpus() -> list:
+    """The corpus texts that parse to a unit with statements, each as its
+    pieces: one token with the blanks and comments after it (an annotation
+    block is one token)."""
+    corpus = []
+    for text in _corpus_texts():
+        unit, _ = parse_unit_diagnostics("t.lp", text)
+        if unit is not None and (unit.program.rules or unit.program.weak_constraints):
+            offsets = [tok.offset for tok in _scan(text)][1:-1]  # without eof
+            corpus.append([text[:offsets[0]]] + [text[a:b] for a, b in
+                                                  zip(offsets, offsets[1:] + [len(text)])])
+    return corpus
+
+
+def test_every_unit_the_parser_accepts_passes_check_statements():
+    """A parsed unit's program is built without checking its statements
+    again (`Program.of_checked`), so the parser's own checks must cover
+    `check_statements`: every unit it accepts passes it, over the corpus
+    texts, 20000 seeded token edits of them and the lexer fuzz's seeded
+    random strings."""
+    corpus = _program_corpus()
+    pool = [piece for pieces in corpus for piece in pieces]
+    rng = random.Random(17)
+    texts = ["".join(pieces) for pieces in corpus]
+    texts += [_token_edits(rng, corpus[n % len(corpus)], pool) for n in range(20000)]
+    lexer_rng = random.Random(21)
+    texts += [_random_lexer_input(lexer_rng) for _ in range(20000)]
+    seen = Counter()
+    for text in texts:
+        unit, errors = parse_unit_diagnostics("t.lp", text)
+        if unit is None:
+            seen["rejected"] += 1
+            continue
+        check_statements(unit.program.rules, unit.program.weak_constraints)
+        seen["rules"] += bool(unit.program.rules)
+        seen["weak constraints"] += bool(unit.program.weak_constraints)
+        seen["negated"] += any(lit.negated for r in unit.program.rules for lit in r.body)
+    # the edits reach rejected and accepted units, with every kind of statement
+    assert len(corpus) >= 150 and min(seen.values()) >= 60, seen
+
+
 def test_recovery_reports_multiple_errors():
     _, errors = parse_unit_diagnostics("t.lp", "p(. \n q(. \n r(X) :- not s(X).")
     assert len(errors) >= 3
@@ -710,10 +762,13 @@ def test_test_origin_is_the_span_of_its_at_sign():
 
 
 def test_merge_rejects_duplicate_names_across_files():
-    a = parse_unit("a.lp", '%** @block(name = "b1") **%\n%** @rule(name = "r1") **%\np(1).')
+    a = parse_unit("a.lp", '%** @block(name = "b1") **%\n%** @rule(name = "r1") **%\np(1).\n'
+                           '%** @test(name = "t1", scope = {"r1"}, assert = {}) **%')
     for annotation, expected in (
             ('@rule(name = "r1")',
              "b.lp:2:1: duplicate-name: duplicate name 'r1' across the file set (in b.lp)"),
+            ('@test(name = "t1", scope = {"r1"}, assert = {})',
+             "b.lp:1:5: duplicate-name: duplicate name 't1' across the file set (in b.lp)"),
             # a block has no span of its own
             ('@block(name = "b1")',
              "b.lp: duplicate-name: duplicate name 'b1' across the file set (in b.lp)")):

@@ -20,6 +20,7 @@ from asp_testkit.solver import (
     FormatError,
     InternalBackend,
     SpawnFailure,
+    competition_lines,
     default_backend_config,
     parse_competition_output,
     select_backend,
@@ -103,6 +104,31 @@ def test_parse_output_cost_and_marker_order(text, message):
     with pytest.raises(FormatError) as exc:
         solver._parse_output(text)
     assert str(exc.value) == message
+
+
+def test_written_output_reads_back_as_the_result_it_was_written_from():
+    """`competition_lines` is `solve`'s writer: over seeded random programs
+    (weak constraints included) solved internally, enumerating all models,
+    at most two, or the optimal ones, its lines read back with the same
+    answer sets in order, costs and incoherence, and an optimising run
+    reads back as exhausted."""
+    rng = random.Random(11)
+    seen = {"costs": 0, "incoherent": 0, "optimized": 0}
+    for _ in range(60):
+        program = random_program(rng)
+        runs = [(None, False), (2, False)] + [(None, True)] * bool(program.weak_constraints)
+        for cap, optimize in runs:
+            want, _ = InternalBackend().run(program, cap, optimize=optimize)
+            got = parse_competition_output("\n".join(competition_lines(want, optimize)) + "\n")
+            assert [a.atoms for a in got.answer_sets] == [a.atoms for a in want.answer_sets]
+            # the format has no way to write an empty cost map apart from none
+            assert (got.costs or None) == (want.costs or None)
+            assert got.incoherent == want.incoherent
+            assert got.exhausted == (optimize or want.incoherent)
+            seen["costs"] += bool(want.costs)
+            seen["incoherent"] += want.incoherent
+            seen["optimized"] += optimize
+    assert min(seen.values()) >= 5, seen
 
 
 def test_parse_answer_without_model_line_is_format_error():
