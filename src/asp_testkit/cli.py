@@ -23,7 +23,8 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .parser import NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, read_source
+from .parser import (NotUTF8, ParseFailure, merge_units, parse_unit_diagnostics, quote,
+                     read_source)
 from .solver import (REFUSED, SpawnFailure, competition_lines, default_backend_config,
                      select_backend)
 
@@ -150,13 +151,18 @@ def cmd_check(args) -> int:
     """Parse and merge the files as `test` does, then resolve every test's
     scope; each failure is reported at its `@test` annotation, labelled
     by its cause: a dangling name or a parse error exits 1, a file that
-    cannot be read exits 2."""
-    from .engine import DanglingReference, resolve_scope
+    cannot be read exits 2. A test whose assertions mention an atom that
+    no head of its scope unifies with (`engine.vacuous_atoms`) gets a
+    `warning:` line at its annotation, and keeps exit 0."""
+    from .engine import DanglingReference, resolve_scope, vacuous_atoms
+    from .oracle import Scope
     unit = _parse_all(args.files)
     status = EXIT_OK
     for spec in unit.suite.tests:
         try:
-            resolve_scope(unit.suite, spec)
+            scope = Scope(resolve_scope(unit.suite, spec))
+            for warning in vacuous_atoms(spec, scope):
+                print(f"{spec.origin}: warning: test {quote(spec.name)}: {warning}")
             continue
         except DanglingReference as exc:
             kind, code, message = "dangling-reference", EXIT_FAILURE, exc
@@ -200,13 +206,13 @@ def cmd_test(args) -> int:
 
 
 def cmd_mutate(args) -> int:
-    from .mutate import (ExhaustedLoci, OPERATOR_KINDS, generate_mutants, mutation_analysis,
-                         mutation_base_program)
+    from .mutate import (ExhaustedLoci, KillReport, OPERATOR_KINDS, generate_mutants,
+                         mutation_analysis, mutation_base_program)
     unit = _parse_all(args.files)
     backend = _make_backend(args)
     base = mutation_base_program(unit)
     if not base.rules:
-        print("no named rules to mutate (only @rule-annotated rules are mutation targets)")
+        _print_report(KillReport.nothing_to_mutate(), args.format)
         return EXIT_FAILURE
     ops = args.ops if args.ops is not None else list(OPERATOR_KINDS)
     try:

@@ -41,6 +41,7 @@ from .model import (
     TrueInAtLeast,
     TrueInAtMost,
     TrueInExactly,
+    Variable,
     WeakConstraint,
     assertion_predicates,
     check_statements,
@@ -113,6 +114,66 @@ def resolve_scope(suite: TestSuite, spec: TestSpec,
         rules.extend(extra.rules)
         weaks.extend(extra.weak_constraints)
     return Program(tuple(rules), tuple(weaks))
+
+
+def _unify(a: Atom, b: Atom) -> bool:
+    """Whether `a` and `b`, their variables renamed apart, have a common
+    ground instance. Terms are constants or variables, so a binding maps
+    a variable to a constant or to another variable."""
+    if a.signature != b.signature:
+        return False
+    binding: dict = {}
+
+    def resolve(term, side: int):
+        t = (side, term.name) if isinstance(term, Variable) else term
+        while t in binding:
+            t = binding[t]
+        return t
+
+    for s, t in zip(a.args, b.args):
+        s, t = resolve(s, 0), resolve(t, 1)
+        if s == t:
+            continue
+        if isinstance(s, tuple):
+            binding[s] = t
+        elif isinstance(t, tuple):
+            binding[t] = s
+        else:
+            return False
+    return True
+
+
+def vacuous_atoms(spec: TestSpec, scope: Scope) -> list[str]:
+    """One warning for each atom of an assertion, and each positive atom of
+    an assertion's constraint body, that unifies with no head of the test's
+    resolved scope (a fact is a rule with a head): no answer set of any
+    tester holds it, so the assertion reads as a check it does not make. An
+    atom whose signature the scope lacks is found by `scope.signatures`
+    alone. An atom that some head unifies with is not flagged even when no
+    ground instance derives it, such as `col(3, red)` without `node(3)`:
+    that can be a deliberate negative test. A head whose arguments are
+    distinct variables unifies with every atom of its signature, so such a
+    signature is settled without unifying."""
+    heads: dict[tuple[str, int], list[Atom]] = {}
+    general = set()
+    for rule in scope.program.rules:
+        for h in rule.head:
+            heads.setdefault(h.signature, []).append(h)
+            if len({t.name for t in h.args if isinstance(t, Variable)}) == len(h.args):
+                general.add(h.signature)
+    found = []
+    for assertion in spec.asserts:
+        constraint = getattr(assertion, "constraint", None)
+        atoms = getattr(assertion, "atoms", ()) if constraint is None else \
+            [lit.payload for lit in constraint.body
+             if isinstance(lit.payload, Atom) and not lit.negated]
+        for a in atoms:
+            if a.signature in general or a.signature in scope.signatures and any(
+                    _unify(a, h) for h in heads.get(a.signature, ())):
+                continue
+            found.append(f"{assertion.kind}: {atom_to_text(a)} unifies with no head "
+                         "or fact of the scope, so no answer set holds it")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +398,8 @@ def evaluate(tp: TesterProgram, result: SolveResult) -> AssertionResult:
 @dataclass
 class TestResult:
     """Verdicts of one test's assertions and the test's own verdict.
-    `run_tests` keeps the test's scope program as `program`."""
+    `run_tests` keeps the test's scope program as `program`, and
+    `run_suite` adds the test's `warnings`."""
 
     name: str
     assertions: list[AssertionResult]
@@ -345,6 +407,7 @@ class TestResult:
     wall_ms: int = 0
     diagnostics: str = ""  # why the test as a whole is an error
     program: Optional[Program] = field(default=None, repr=False)
+    warnings: list[str] = field(default_factory=list)  # see `vacuous_atoms`
 
     @staticmethod
     def aggregate(results: list[AssertionResult]) -> str:
@@ -405,6 +468,7 @@ class SuiteReport:
                         for a in t.assertions
                     ],
                     **({"diagnostics": t.diagnostics} if t.diagnostics else {}),
+                    **({"warnings": t.warnings} if t.warnings else {}),
                 }
                 for t in self.tests
             ],
@@ -427,6 +491,7 @@ class SuiteReport:
                 if a.verdict in (ERROR, INCONCLUSIVE) and a.diagnostics:
                     entry += f"  [{a.diagnostics}]"
                 lines.append(entry)
+            lines += [f"  note: {w}" for w in t.warnings]
         c = self.counts
         if not self.tests:
             lines.append("0 tests found")
@@ -543,7 +608,8 @@ def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
     resolved once, and the assertions of a test share its `oracle.Scope`.
     The report lists tests and assertions in declaration order. A test
     whose scope does not resolve is an error, and so is each of its
-    assertions."""
+    assertions. Each resolved test carries its `vacuous_atoms` warnings,
+    found once per test, before any of its calls."""
     start = time.monotonic()
     tests: list[Optional[TestResult]] = []  # None where the scope resolves
     resolved: list[tuple[TestSpec, Scope]] = []
@@ -555,6 +621,10 @@ def run_suite(unit: SourceUnit, backend, jobs: int = 1) -> SuiteReport:
             message = f"scope resolution failed: {exc}"
             results = [_error_result(a, message) for a in spec.asserts]
             tests.append(TestResult(spec.name, results, ERROR, diagnostics=message))
-    decided = iter(run_tests(resolved, backend, jobs))
+    warnings = [vacuous_atoms(spec, scope) for spec, scope in resolved]
+    decided = run_tests(resolved, backend, jobs)
+    for result, found in zip(decided, warnings):
+        result.warnings = found
+    decided = iter(decided)
     return SuiteReport(source=unit.path, tests=[t or next(decided) for t in tests],
                        total_wall_ms=int((time.monotonic() - start) * 1000))

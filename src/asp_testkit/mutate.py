@@ -348,13 +348,22 @@ class MutantOutcome:
 @dataclass
 class KillReport:
     """Baseline run and the outcome of every mutant, rendered as text or
-    JSON; `exhausted` says that fewer mutants exist than were requested."""
+    JSON; `exhausted` says that fewer mutants exist than were requested.
+    A unit without named rules has nothing to mutate: its report
+    (`nothing_to_mutate`) has no baseline run, `baseline_passed` None, and
+    says why in both formats."""
 
-    baseline: SuiteReport
-    baseline_passed: bool
+    baseline: Optional[SuiteReport]
+    baseline_passed: Optional[bool]
     outcomes: list[MutantOutcome] = field(default_factory=list)
     assertion_failures: dict[str, int] = field(default_factory=dict)
     exhausted: Optional[ExhaustedLoci] = None
+    refusal: str = ""
+
+    @classmethod
+    def nothing_to_mutate(cls) -> KillReport:
+        return cls(baseline=None, baseline_passed=None, refusal="no named rules to mutate "
+                   "(only @rule-annotated rules are mutation targets)")
 
     def all_killed(self) -> bool:
         return bool(self.outcomes) and all(o.status == "killed" for o in self.outcomes)
@@ -383,7 +392,9 @@ class KillReport:
             "assertion_failures": self.assertion_failures,
             "counts": self.counts,
         }
-        if not self.baseline_passed:
+        if self.refusal:
+            doc["refusal"] = self.refusal
+        elif not self.baseline_passed:
             doc["baseline"] = self.baseline.to_json_dict()
         elif self.exhausted is not None:
             doc["exhausted_loci"] = str(self.exhausted)
@@ -393,6 +404,8 @@ class KillReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
     def human_lines(self) -> list[str]:
+        if self.refusal:
+            return [self.refusal]
         if not self.baseline_passed:
             return ["baseline run failed: the original program does not pass its own "
                     "test suite; fix the tests before measuring them",

@@ -11,13 +11,23 @@ negation and aggregates ignored: a round matches each statement only in the
 ways that use at least one atom derived in the round before. Safety puts
 every global variable in a positive body atom, so no variable ranges over
 the whole Herbrand universe, and every instance whose positive body can hold
-is found exactly once. A statement without positive body atoms therefore
-has no variable: it is its own one instance, taken in the first round with
-no join. The instances are emitted statement by statement in program order
-(rules, then weak constraints), each statement's in the order the join finds
-them. A disjunctive head's atoms enter the index in `Atom.sort_key` order,
-so the order of the instances does not depend on the hash seed.
-MAX_INSTANTIATIONS bounds the instances emitted.
+is found exactly once. Each statement object is compiled once, on its first
+use, and its compiled form (`_Join`) is kept on the statement itself, so
+every scope fill and tester that holds the statement shares it. The form
+numbers the statement's variables into slots, and a binding is one list
+overwritten in place. Each of its join plans is a list of steps whose index
+lookup key and per-argument operations are fixed when the plan is compiled.
+Heads, negative bodies and #count aggregates are built from templates over
+the binding, and a positive body is the atoms the join matched. Ground
+comparisons are decided when the statement is compiled. A statement without
+positive body atoms has no variable: it is not compiled and gets no join,
+and its one instance is read off the statement in the first round, so the
+many such rules a tester adds leave nothing behind. The
+instances are emitted statement by statement in program order (rules, then
+weak constraints), each statement's in the order the join finds them. A
+one-atom head enters the index as it is, and a disjunctive head's atoms in
+`Atom.sort_key` order, so the order of the instances does not depend on the
+hash seed. MAX_INSTANTIATIONS bounds the instances emitted.
 
 A test's assertions are decided by tester programs that each extend the
 test's scope program P by a few rules. The test hands P to `ground` with
@@ -89,7 +99,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import is_
+from operator import is_, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .model import (
@@ -208,39 +218,13 @@ class SolveResult:
 # Stage 1: instantiation by joining positive bodies
 # ---------------------------------------------------------------------------
 
-def _substitute_term(term: Term, subst: dict[str, Term]) -> Term:
-    if isinstance(term, Variable):
-        return subst.get(term.name, term)
-    return term
-
-
-def _substitute_atom(atom: Atom, subst: dict[str, Term]) -> Atom:
-    return Atom(atom.predicate, tuple(_substitute_term(t, subst) for t in atom.args))
-
-
-def _match(pattern: Atom, atom: Atom, subst: dict[str, Term]) -> Optional[dict[str, Term]]:
-    """`subst` extended so that `pattern` becomes the ground `atom` of the
-    same signature, or None when they clash. `subst` itself is not changed."""
-    out = subst
-    for p, a in zip(pattern.args, atom.args):
-        if isinstance(p, Variable):
-            bound = out.get(p.name)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[p.name] = a
-            elif bound != a:
-                return None
-        elif p != a:
-            return None
-    return out
-
-
 class _AtomIndex:
     """The atoms derived so far. Each atom is stamped with its position in
     derivation order and listed, in that order, under its signature and under
-    every (signature, position, argument) it has. A lookup returns the atoms
-    stamped in [lo, hi) that agree with a pattern's first bound argument."""
+    every (signature, position, argument) it has. Those are the keys that
+    plan steps look up, each step's fixed when its plan is compiled
+    (`_Step`), so a lookup reads no pattern and no binding: it returns the
+    atoms listed under one key that are stamped in [lo, hi)."""
 
     def __init__(self):
         self.atoms: set[Atom] = set()
@@ -250,26 +234,17 @@ class _AtomIndex:
         return len(self.atoms)
 
     def add(self, atom: Atom) -> None:
-        if atom in self.atoms:
-            return
         stamp = len(self.atoms)
         self.atoms.add(atom)
+        if len(self.atoms) == stamp:  # derived before
+            return
         sig = atom.signature
         for key in [sig] + [(sig, i, t) for i, t in enumerate(atom.args)]:
             stamps, atoms = self._lists.setdefault(key, ([], []))
             stamps.append(stamp)
             atoms.append(atom)
 
-    def lookup(self, pattern: Atom, subst: dict[str, Term], lo: int, hi: int) -> list[Atom]:
-        sig = pattern.signature
-        key = sig
-        for i, t in enumerate(pattern.args):
-            if isinstance(t, Variable):
-                t = subst.get(t.name)
-                if t is None:
-                    continue
-            key = (sig, i, t)
-            break
+    def lookup(self, key: tuple, lo: int, hi: int) -> list[Atom]:
         entry = self._lists.get(key)
         if entry is None:
             return []
@@ -277,134 +252,311 @@ class _AtomIndex:
         return atoms[bisect_left(stamps, lo):bisect_left(stamps, hi)]
 
 
-def _holds(c: Comparison, subst: dict[str, Term]) -> bool:
-    return compare_terms(c.op, _substitute_term(c.left, subst),
-                         _substitute_term(c.right, subst))
+class _Slots:
+    """A numbering of a statement's global variables, in order of first
+    occurrence, into the slots of a binding list, followed by one slot for
+    each other term that a template or comparison reads: a constant, or a
+    variable local to a #count. `binding()` is a fresh list with the
+    variable slots empty and the others filled."""
+
+    def __init__(self, variables: Iterable[str]):
+        self.slot = {name: i for i, name in enumerate(dict.fromkeys(variables))}
+        self._fixed: dict[Term, int] = {}
+
+    def ref(self, term: Term) -> int:
+        if isinstance(term, Variable) and term.name in self.slot:
+            return self.slot[term.name]
+        return self._fixed.setdefault(term, len(self.slot) + len(self._fixed))
+
+    def binding(self) -> list:
+        return [None] * len(self.slot) + list(self._fixed)
+
+    def template(self, atom: Atom):
+        """`atom` under a binding, built by a function of the binding list;
+        None when `atom` has no global variable, so that it is its own
+        instance."""
+        if not any(isinstance(t, Variable) and t.name in self.slot for t in atom.args):
+            return None
+        predicate, refs = atom.predicate, [self.ref(t) for t in atom.args]
+        if len(refs) == 1:
+            only = refs[0]
+            return lambda b: Atom(predicate, (b[only],))
+        args = itemgetter(*refs)
+        return lambda b: Atom(predicate, args(b))
+
+    def tuple_of(self, terms: Sequence[Term]):
+        """The function of a binding list that gives `terms` under it."""
+        refs = [self.ref(t) for t in terms]
+        if len(refs) == 1:
+            only = refs[0]
+            return lambda b: (b[only],)
+        return itemgetter(*refs) if refs else lambda b: ()
+
+    def atom_set(self, atoms: Sequence[Atom]):
+        """The function of a binding list that gives the frozenset of
+        `atoms` under it; the atoms without a global variable are kept as
+        they are."""
+        templates = [(a, self.template(a)) for a in atoms]
+        fixed = [a for a, t in templates if t is None]
+        built = [t for _, t in templates if t is not None]
+        if not built:
+            constant = frozenset(fixed)
+            return lambda b: constant
+        if len(built) == 1 and not fixed:
+            only = built[0]
+            return lambda b: frozenset((only(b),))
+        return lambda b: frozenset([*fixed, *(t(b) for t in built)])
+
+    def aggregates(self, aggregates: Sequence[CountAggregate]):
+        """The function of a binding list that gives the tuple of the
+        #count `aggregates` under it; a variable local to one survives."""
+        if not aggregates:
+            return lambda b: ()
+        parts = [(self.tuple_of(a.terms),
+                  self.template(a.condition) or (lambda b, c=a.condition: c),
+                  a.guard_op, self.ref(a.guard)) for a in aggregates]
+        return lambda b: tuple(CountAggregate(terms(b), cond(b), op, b[guard])
+                               for terms, cond, op, guard in parts)
+
+
+class _Step:
+    """One positive body atom `j` of a plan, with what matching it against
+    a ground atom does, argument by argument: `consts` compare an argument
+    with a constant, `binds` bind a slot of the binding list to it, and
+    `equals` compare it with a slot bound before. `key` is the index key it
+    is looked up by, fixed when the plan is compiled: the first argument
+    that is a constant or a variable an earlier step binds gives it, built
+    as (key, at, binding[slot]) when `slot` is that variable's slot, and
+    the signature alone when there is none. The index lists only atoms
+    that agree with the key, so that argument is not compared again. Built
+    without `keyed`, the step compares every argument. `checks` are the
+    comparisons, (op, slot, slot), that this step's binds make decidable."""
+
+    __slots__ = ("j", "key", "at", "slot", "consts", "binds", "equals", "checks")
+
+    def __init__(self, j: int, atom: Atom, slot: dict[str, int], bound: set[str],
+                 keyed: bool = True):
+        self.j = j
+        self.key, self.at, self.slot = atom.signature, None, None
+        self.consts, self.binds, self.equals, self.checks = [], [], [], []
+        seen = set(bound)
+        for i, t in enumerate(atom.args):
+            known = not isinstance(t, Variable) or t.name in bound
+            if keyed and known and self.at is None:
+                self.at = i
+                if isinstance(t, Variable):
+                    self.slot = slot[t.name]
+                else:
+                    self.key = (self.key, i, t)
+            elif not isinstance(t, Variable):
+                self.consts.append((i, t))
+            elif t.name in seen:
+                self.equals.append((i, slot[t.name]))
+            else:
+                seen.add(t.name)
+                self.binds.append((i, slot[t.name]))
+
+
+def _fits(step: _Step, args: tuple[Term, ...], b: list) -> bool:
+    """Whether the ground `args` match `step`'s atom under the binding list
+    `b`, whose slots of this step it binds, and satisfy its checks. The one
+    matcher: of the join, and of each #count's condition."""
+    for i, t in step.consts:
+        if args[i] != t:
+            return False
+    for i, s in step.binds:
+        b[s] = args[i]
+    for i, s in step.equals:
+        if args[i] != b[s]:
+            return False
+    for op, left, right in step.checks:
+        if not compare_terms(op, b[left], b[right]):
+            return False
+    return True
+
+
+class _OverBudget(Exception):
+    """A round emitted more instances than the room it was given."""
 
 
 class _Join:
-    """One rule or weak constraint prepared for instantiation.
+    """A rule or weak constraint with a positive body atom, compiled for
+    instantiation once per statement object (`_join_of`).
 
     Safety puts every global variable in a positive body atom, so the ground
     instances whose positive body consists of derived atoms are exactly the
     ways of matching those atoms, in turn, against the index, and they are
-    emitted in the order the join finds them. A comparison is tested as soon
-    as the atoms matched so far bind its variables.
+    emitted in the order the join finds them. The variables are numbered
+    into slots (`_Slots`), and a binding is one list, overwritten in place
+    as the join goes deeper. Plan i matches the positive atoms with atom i
+    first and then the others in body order, each a `_Step` whose key and
+    argument operations are fixed when the plan is compiled, and which
+    tests each comparison as soon as its variables are bound. Plan 0 is
+    compiled on the first round that joins, any other plan on the first
+    round that needs it. An instance's head, negative body and #count
+    aggregates are built from templates over the binding list, and its
+    positive body is the atoms matched. Ground comparisons are decided
+    here, once: a statement with one that fails has no instance and no
+    plan.
 
-    A statement without positive body atoms therefore has no global variable
-    either, such as a fact, `__tk_miss_0 :- not a.` or `:- not a.`: it is
-    its own one instance. `own` holds that instance, built once from the
-    statement's atoms, with no plan and no substitution; it is None for
-    every other statement."""
+    The form holds nothing of one fill and no reference to its statement,
+    so every fill and tester that holds the statement shares it, and it is
+    freed with the statement. Attaching it to the shared frozen statement,
+    and compiling a plan, are lazy and idempotent: two threads that compile
+    one statement or plan build equal forms, and either may be kept."""
+
+    __slots__ = ("weight", "plans", "positive", "slot", "comparisons", "binding",
+                 "head", "neg", "aggregates")
 
     def __init__(self, statement: Rule | WeakConstraint):
-        self.statement = statement
-        self.head = statement.head
-        self.weight = ((statement.cost, statement.level)
-                       if isinstance(statement, WeakConstraint) else None)
-        self.positive, negative, comparisons, aggregates = [], [], [], []
+        self.weight = _weight(statement)
+        self.plans: Sequence[Optional[list[_Step]]] = ()
+        positive, negative, comparisons, aggregates = [], [], [], []
         for lit in statement.body:
             p = lit.payload
             if isinstance(p, Atom):
-                (negative if lit.negated else self.positive).append(p)
+                (negative if lit.negated else positive).append(p)
             elif isinstance(p, Comparison):
                 comparisons.append(p)
             else:
                 aggregates.append(p)
-        # ground comparisons decide the statement before any matching
-        self.ground_checks = [c for c in comparisons if not any(c.variables())]
-        self.own = None
-        if not self.positive:
-            self.own = (frozenset(self.head), frozenset(), frozenset(negative),
-                        tuple(aggregates), self.weight)
+        if not all(compare_terms(c.op, c.left, c.right)
+                   for c in comparisons if not any(c.variables())):
             return
-        # plans[i]: the positive atoms with atom i first, each paired with the
-        # comparisons whose last unbound variable it binds
-        self.plans = []
-        for i in range(len(self.positive)):
-            bound: set[str] = set()
-            pending = [c for c in comparisons if any(c.variables())]
-            steps = []
-            for j in [i] + [j for j in range(len(self.positive)) if j != i]:
-                bound.update(self.positive[j].variables())
-                steps.append((j, [c for c in pending if set(c.variables()) <= bound]))
-                pending = [c for c in pending if not set(c.variables()) <= bound]
-            self.plans.append(steps)
+        slots = _Slots(v for a in positive for v in a.variables())
+        self.positive = positive
+        self.slot = slots.slot
+        self.head = slots.atom_set(statement.head)
+        self.neg = slots.atom_set(negative)
+        self.aggregates = slots.aggregates(aggregates)
+        self.comparisons = [(set(c.variables()), (c.op, slots.ref(c.left), slots.ref(c.right)))
+                            for c in comparisons if any(c.variables())]
+        self.binding = slots.binding()
+        self.plans = [None] * len(positive)
 
-    def bindings(self, index: _AtomIndex, lo: int, hi: int):
-        """The assignments of one semi-naive round: the index holds the atoms
-        stamped below `hi`, and those from `lo` on are new this round. Every
-        assignment matches at least one new atom, and each is yielded in
-        exactly one round: plan i takes atom i from the new ones, the atoms
-        before it from the old ones and those after it from all of them. A
-        statement without positive atoms has one assignment, in the first
-        round. When every atom is new (`lo == 0`), plan 0 alone yields them
-        all: the atoms before atom i > 0 would come from an empty window."""
-        if not all(_holds(c, {}) for c in self.ground_checks):
-            return
-        if not self.positive:
-            if hi == 0:
-                yield {}
-            return
-        for i, steps in enumerate(self.plans if lo else self.plans[:1]):
-            windows = [(0, lo) if j < i else (lo, hi) if j == i else (0, hi)
-                       for j, _ in steps]
-            yield from self._extend(index, steps, windows, 0, {})
+    def _plan(self, i: int) -> list[_Step]:
+        """Plan i, compiled and kept."""
+        bound: set[str] = set()
+        pending = self.comparisons
+        steps = []
+        for j in [i] + [j for j in range(len(self.positive)) if j != i]:
+            atom = self.positive[j]
+            step = _Step(j, atom, self.slot, bound)
+            bound.update(atom.variables())
+            step.checks = [check for names, check in pending if names <= bound]
+            pending = [(names, check) for names, check in pending if not names <= bound]
+            steps.append(step)
+        self.plans[i] = steps
+        return steps
 
-    def _extend(self, index, steps, windows, depth, subst):
-        if depth == len(steps):
-            yield subst
-            return
-        j, checks = steps[depth]
-        pattern = self.positive[j]
-        lo, hi = windows[depth]
-        for atom in index.lookup(pattern, subst, lo, hi):
-            extended = _match(pattern, atom, subst)
-            if extended is not None and all(_holds(c, extended) for c in checks):
-                yield from self._extend(index, steps, windows, depth + 1, extended)
+    def round(self, index: _AtomIndex, lo: int, hi: int, room: int) -> list[tuple]:
+        """The instances of one semi-naive round, as (head, pos, neg,
+        aggregates, weight): the index holds the atoms stamped below `hi`,
+        and those from `lo` on are new this round. Every instance matches
+        at least one new atom, and each is found in exactly one round: plan
+        i takes atom i from the new ones, the atoms before it from the old
+        ones and those after it from all of them. When every atom is new
+        (`lo == 0`), plan 0 alone finds them all: the atoms before atom
+        i > 0 would come from an empty window. Raises _OverBudget past
+        `room` instances."""
+        out: list[tuple] = []
+        if not self.plans:
+            return out
+        b = self.binding[:]
+        matched = [None] * len(self.positive)
+        for i in range(len(self.plans) if lo else 1):
+            steps = self.plans[i] or self._plan(i)
+            windows = [(0, lo) if s.j < i else (lo, hi) if s.j == i else (0, hi)
+                       for s in steps]
+            self._join(index, steps, windows, 0, b, matched, out, room)
+        return out
 
-    def instance(self, subst: dict[str, Term]) -> tuple:
-        """(head, pos, neg, aggregates, weight) under `subst`: frozensets of
-        ground atoms, and the body's #count aggregates with global variables
-        substituted (brace-local names survive)."""
-        pos: list[Atom] = []
-        neg: list[Atom] = []
-        aggs: list[CountAggregate] = []
-        for lit in self.statement.body:
-            p = lit.payload
-            if isinstance(p, Atom):
-                (neg if lit.negated else pos).append(_substitute_atom(p, subst))
-            elif isinstance(p, CountAggregate):
-                aggs.append(CountAggregate(
-                    tuple(_substitute_term(t, subst) for t in p.terms),
-                    _substitute_atom(p.condition, subst),
-                    p.guard_op,
-                    _substitute_term(p.guard, subst),
-                ))
-        return (frozenset(_substitute_atom(a, subst) for a in self.head),
-                frozenset(pos), frozenset(neg), tuple(aggs), self.weight)
-
-    def budget_exceeded(self, universe_size: int) -> CapacityExceeded:
-        s = self.statement
-        text = (rule_to_text if self.weight is None else weak_constraint_to_text)(s)
-        where = f" at {s.origin}" if s.origin else ""
-        return CapacityExceeded(
-            f"instantiation budget exceeded ({MAX_INSTANTIATIONS} ground "
-            f"instances) grounding `{text}`{where} over a universe of "
-            f"{universe_size} constants", rules=MAX_INSTANTIATIONS)
+    def _join(self, index, steps, windows, depth, b, matched, out, room):
+        """Match the steps from `depth` on, each from its window of the
+        index, and emit an instance into `out` for each full match."""
+        step = steps[depth]
+        key = step.key if step.slot is None else (step.key, step.at, b[step.slot])
+        last = depth + 1 == len(steps)
+        for atom in index.lookup(key, *windows[depth]):
+            if not _fits(step, atom.args, b):
+                continue
+            matched[depth] = atom
+            if not last:
+                self._join(index, steps, windows, depth + 1, b, matched, out, room)
+                continue
+            out.append((self.head(b), frozenset(matched), self.neg(b),
+                        self.aggregates(b), self.weight))
+            if len(out) > room:
+                raise _OverBudget
 
 
-def _emit(join: _Join, bindings, emitted: int, universe_size: int) -> tuple[list[tuple], int]:
-    """`join`'s instance for each binding, in the order the join finds
-    them, and `emitted` plus their number, which MAX_INSTANTIATIONS bounds;
-    a statement that is its own instance counts once."""
-    out = []
-    for subst in bindings:
-        emitted += 1
-        if emitted > MAX_INSTANTIATIONS:
-            raise join.budget_exceeded(universe_size)
-        out.append(join.own or join.instance(subst))
-    return out, emitted
+def _weight(statement: Rule | WeakConstraint) -> Optional[tuple[int, int]]:
+    return (statement.cost, statement.level) if isinstance(statement, WeakConstraint) else None
+
+
+def _join_of(statement: Rule | WeakConstraint) -> Optional[_Join]:
+    """The compiled form of `statement`, compiled on its first use and kept
+    on the statement object itself, so that it lives exactly as long as
+    the statement. Two equal statements on different lines keep a form
+    each, so a budget error names its own statement's origin. A statement
+    without a positive body atom has no join: None, and nothing is kept on
+    it, so that the many such rules a tester adds and uses once leave
+    nothing behind."""
+    join = statement.__dict__.get("_join")
+    if join is None:
+        if not any(isinstance(lit.payload, Atom) and not lit.negated for lit in statement.body):
+            return None
+        join = _Join(statement)
+        object.__setattr__(statement, "_join", join)
+    return join
+
+
+def _own_instance(statement: Rule | WeakConstraint) -> Optional[tuple]:
+    """The one instance of a statement without a positive body atom, read
+    off the statement: safety leaves it no global variable, as in a fact,
+    `__tk_miss_0 :- not a.` or `:- not a, 1 < 2.`. None when one of its
+    comparisons, all ground, fails."""
+    negative, aggregates = [], []
+    for lit in statement.body:
+        p = lit.payload
+        if isinstance(p, Comparison):
+            if not compare_terms(p.op, p.left, p.right):
+                return None
+        else:
+            (negative if isinstance(p, Atom) else aggregates).append(p)
+    return (frozenset(statement.head), frozenset(), frozenset(negative),
+            tuple(aggregates), _weight(statement))
+
+
+def _budget_exceeded(statement: Rule | WeakConstraint, universe_size: int) -> CapacityExceeded:
+    text = (weak_constraint_to_text if isinstance(statement, WeakConstraint)
+            else rule_to_text)(statement)
+    where = f" at {statement.origin}" if statement.origin else ""
+    return CapacityExceeded(
+        f"instantiation budget exceeded ({MAX_INSTANTIATIONS} ground "
+        f"instances) grounding `{text}`{where} over a universe of "
+        f"{universe_size} constants", rules=MAX_INSTANTIATIONS)
+
+
+def _instances(statement, index: _AtomIndex, lo: int, hi: int, emitted: int,
+               universe_size: int) -> list[tuple]:
+    """`statement`'s instances in the round of `index` between `lo` and
+    `hi` (`_Join.round`), when `emitted` instances came before them. A
+    statement without a join has its one instance (`_own_instance`) in
+    whichever round asks, and is asked once. MAX_INSTANTIATIONS bounds the
+    emitted count, and a statement past it is named by its text and
+    origin."""
+    room = MAX_INSTANTIATIONS - emitted
+    join = _join_of(statement)
+    try:
+        if join is not None:
+            return join.round(index, lo, hi, room)
+        own = _own_instance(statement)
+        if own is not None and room < 1:
+            raise _OverBudget
+        return [] if own is None else [own]
+    except _OverBudget:
+        raise _budget_exceeded(statement, universe_size) from None
 
 
 def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomIndex, int]:
@@ -412,33 +564,36 @@ def _instantiate(statements, universe_size: int) -> tuple[list[tuple], _AtomInde
     positive body lies in the least fixpoint of the heads with negation and
     aggregates ignored: the atoms that are possible at all. Semi-naive rounds
     reach that fixpoint; a round joins a statement only against the atoms
-    derived in the round before. Statements keep their order, and each one's
-    instances come in the order the join finds them. A head's atoms enter
-    the index in `Atom.sort_key` order: frozenset order would make the
-    stamps, and so the order of later rounds, depend on the hash seed.
+    derived in the round before, and a statement without a join is dropped
+    after the first. Statements keep their order, and each one's instances
+    come in the order the join finds them. A one-atom head enters the index
+    as it is; a disjunctive head's atoms enter it in `Atom.sort_key` order:
+    frozenset order would make the stamps, and so the order of later
+    rounds, depend on the hash seed.
 
     Returns (instances, index, emitted): with the instances, the index of
     the fixpoint and the emitted count, so that a scope program
     instantiated once can be extended by each of its testers
     (`_ground_extension`)."""
-    joins = [_Join(s) for s in statements]
-    found: list[list[tuple]] = [[] for _ in joins]  # per statement
+    found: list[list[tuple]] = [[] for _ in statements]  # per statement
     index = _AtomIndex()
     emitted = 0
     lo = hi = 0
-    rounds = list(zip(joins, found))
+    rounds = list(zip(statements, found))
     while True:
-        for join, out in rounds:
-            new, emitted = _emit(join, join.bindings(index, lo, hi), emitted, universe_size)
+        for statement, out in rounds:
+            new = _instances(statement, index, lo, hi, emitted, universe_size)
+            emitted += len(new)
             out += new
-            for inst in new:
-                for a in sorted(inst[0], key=Atom.sort_key):
+            for head, *_ in new:
+                for a in head if len(head) < 2 else sorted(head, key=Atom.sort_key):
                     index.add(a)
         if len(index) == hi:
             break
         lo, hi = hi, len(index)
-        # a statement that is its own instance had it in the first round
-        rounds = [(join, out) for join, out in rounds if join.own is None]
+        # a statement without a join had its one instance in the first round
+        rounds = [(statement, out) for statement, out in rounds
+                  if (join := _join_of(statement)) is not None and join.plans]
     return [inst for out in found for inst in out], index, emitted
 
 
@@ -719,13 +874,16 @@ def _ground_statements(stmts, id_of, certain, by_signature) -> list[_GroundState
     def build_aggregate(agg: CountAggregate) -> _GroundAggregate:
         # aggregate safety puts every term variable in the condition, so the
         # possible atoms the condition matches give every countable tuple
+        slots = _Slots(agg.condition.variables())
+        step = _Step(0, agg.condition, slots.slot, set(), keyed=False)
+        terms = slots.tuple_of(agg.terms)
+        b = slots.binding()
         always: set[tuple] = set()
         conditional: dict[tuple, int] = {}
         for cond in by_signature.get(agg.condition.signature, ()):
-            subst = _match(agg.condition, cond, {})
-            if subst is None:
+            if not _fits(step, cond.args, b):
                 continue
-            value = tuple(_substitute_term(t, subst) for t in agg.terms)
+            value = terms(b)
             if cond in certain:
                 always.add(value)
             else:
@@ -909,11 +1067,9 @@ def _ground_extension(scope: Scope, added: tuple[Rule, ...]) -> GroundProgram:
                 else _universe(scope.constants | extra))
     emitted = saved.emitted
     instances = []
-    for join in map(_Join, added):
-        # a statement that is its own instance has its one binding in the
-        # round where the index is empty
-        hi = len(saved.index) if join.own is None else 0
-        new, emitted = _emit(join, join.bindings(saved.index, 0, hi), emitted, len(universe))
+    for rule in added:
+        new = _instances(rule, saved.index, 0, len(saved.index), emitted, len(universe))
+        emitted += len(new)
         instances += new
     stmts, possible, certain, incoherent = _simplify(instances, saved.certain, saved.possible)
     # only added atoms depend on an added head, so P's statements cannot

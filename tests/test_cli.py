@@ -36,6 +36,34 @@ def test_check_valid_file_exits_zero():
     assert proc.returncode == 0
 
 
+VACUOUS_TEST = """%** @rule(name = "color") **%
+col(X, red) | col(X, blue) :- node(X).
+%** @test(name = "vacuous", scope = {"color"}, input = "node(1). node(2).",
+      assert = { @trueInAtMost(number = 0, atoms = "colr(1, red)"),
+                 @constraintForAll(":- col(X, red), col(X, gren)."),
+                 @constraintInExactly(number = 4, constraint = ":- colour(X, red).") }) **%
+"""
+
+
+def test_check_warns_about_atoms_no_head_unifies_with_and_exits_zero(tmp_path):
+    f = tmp_path / "vacuous.lp"
+    f.write_text(VACUOUS_TEST, encoding="utf-8")
+    proc = run_cli("check", str(f))
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 4 and lines[-1] == "1 file(s) OK"
+    for line, atom in zip(lines, ("colr(1,red)", "col(X,gren)", "colour(X,red)")):
+        assert line.startswith(f"{f}:3:5: warning: test 'vacuous': ")
+        assert f": {atom} unifies with no head or fact of the scope" in line
+    # `test` keeps its verdicts and exit code, with one note per warning
+    proc = run_cli("test", str(f))
+    assert proc.returncode == 0
+    assert proc.stdout.count("  note: ") == 3 and proc.stdout.count("[pass]") == 3
+    proc = run_cli("test", str(f), "--format", "json")
+    assert proc.returncode == 0
+    assert len(json.loads(proc.stdout)["tests"][0]["warnings"]) == 3
+
+
 def test_check_unsafe_rule_exits_one(tmp_path):
     bad = tmp_path / "bad.lp"
     bad.write_text("p(X) :- not q(X).\n", encoding="utf-8")
@@ -565,6 +593,21 @@ def test_mutate_baseline_failure_refused():
     assert "exhausted_loci" not in doc
     assert doc["baseline"]["suite"] == fixture("hamiltonian_bug.lp")
     assert [t["verdict"] for t in doc["baseline"]["tests"]] == ["fail"]
+
+
+def test_mutate_without_named_rules_is_one_report_in_either_format(tmp_path):
+    f = tmp_path / "only_p.lp"
+    f.write_text("p.\n", encoding="utf-8")
+    proc = run_cli("mutate", str(f))
+    assert proc.returncode == 1
+    assert proc.stdout == ("no named rules to mutate (only @rule-annotated rules "
+                           "are mutation targets)\n")
+    proc = run_cli("mutate", str(f), "--format", "json")
+    assert proc.returncode == 1
+    doc = json.loads(proc.stdout)
+    assert doc["baseline_passed"] is None and doc["mutants"] == []
+    assert doc["counts"]["mutants"] == 0
+    assert doc["refusal"].startswith("no named rules to mutate")
 
 
 def test_mutate_exhausted_loci_partial_table(tmp_path):

@@ -25,6 +25,7 @@ from asp_testkit.engine import (
     resolve_scope,
     run_suite,
     run_test,
+    vacuous_atoms,
 )
 from asp_testkit.model import (
     ASSERTION_CLASSES,
@@ -861,3 +862,78 @@ def test_tester_verdicts_match_direct_semantics_on_non_ground_programs():
                 assert got.verdict == FAIL and got.witness in answer_sets, (program, assertion)
                 witnesses += 1
     assert checked >= 2000 and witnesses >= 300, (checked, witnesses)
+
+
+# ---------------------------------------------------------------------------
+# Atoms no head of the scope unifies with
+# ---------------------------------------------------------------------------
+
+VACUOUS = """%** @rule(name = "color") **%
+col(X, red) | col(X, blue) :- node(X).
+%** @test(name = "vacuous", scope = {"color"}, input = "node(1). node(2).",
+      assert = { @trueInAtMost(number = 0, atoms = "colr(1, red)"),
+                 @constraintForAll(":- col(X, red), col(X, gren)."),
+                 @constraintInExactly(number = 4, constraint = ":- colour(X, red).") }) **%
+%** @test(name = "negative", scope = {"color"}, input = "node(1). node(2).",
+      assert = { @trueInExactly(number = 0, atoms = "col(3, red)") }) **%
+"""
+
+VACUOUS_WARNINGS = [
+    "trueInAtMost: colr(1,red) unifies with no head or fact of the scope, "
+    "so no answer set holds it",
+    "constraintForAll: col(X,gren) unifies with no head or fact of the scope, "
+    "so no answer set holds it",
+    "constraintInExactly: colour(X,red) unifies with no head or fact of the scope, "
+    "so no answer set holds it",
+]
+
+
+def test_assertion_atoms_no_head_unifies_with_are_warned_and_keep_their_verdicts():
+    # all three assertions pass however the scope is written; col(3, red)
+    # unifies with a head that no ground instance derives, and is a
+    # deliberate negative test
+    report = run_suite(parse_unit("vacuous.lp", VACUOUS), InternalBackend())
+    vacuous, negative = report.tests
+    assert [a.verdict for a in vacuous.assertions] == [PASS] * 3
+    assert vacuous.warnings == VACUOUS_WARNINGS
+    assert negative.verdict == PASS and negative.warnings == []
+    doc = report.to_json_dict()
+    assert doc["tests"][0]["warnings"] == VACUOUS_WARNINGS
+    assert "warnings" not in doc["tests"][1]
+    lines = report.human_lines()
+    # after the test's assertions, before the next test
+    assert lines[4:7] == [f"  note: {w}" for w in VACUOUS_WARNINGS]
+    assert lines[7].startswith("test negative: pass")
+
+
+@pytest.mark.parametrize("rule, facts, assertion, warned", [
+    # a repeated head variable unifies only with equal arguments
+    ("p(X,X) :- d(X).", "d(1).", '@trueInAll(atoms = "p(1,2)")', ["p(1,2)"]),
+    ("p(X,X) :- d(X).", "d(1).", '@trueInAll(atoms = "p(2,2)")', []),
+    ("p(X,X) :- d(X).", "d(1).", '@constraintForAll(":- p(X,Y), d(Y).")', []),
+    # an assertion's repeated variable joins two head arguments
+    ("p(1,Y) :- d(Y).", "d(1).", '@constraintForAll(":- p(X,X).")', []),
+    ("p(1,2).", "", '@constraintForAll(":- p(X,X).")', ["p(X,X)"]),
+    # the rule's body atom q has no head, and the input's fact is one
+    ("p(X) :- q(X).", "", '@constraintInAtLeast(number = 1, constraint = ":- q(1).")',
+     ["q(1)"]),
+    ("p(X) :- q(X).", "q(2).", '@trueInAll(atoms = "q(1). q(2). p(1)")', ["q(1)"]),
+    # a negated constraint atom is not checked
+    ("p(1).", "", '@constraintForAll(":- p(1), not q(1).")', []),
+])
+def test_vacuous_atoms_unify_with_the_scopes_heads(rule, facts, assertion, warned):
+    text = (f'%** @rule(name = "r") **%\n{rule}\n'
+            f'%** @test(name = "t", scope = {{"r"}}, input = "{facts}", '
+            f'assert = {{ {assertion} }}) **%\n')
+    unit = parse_unit("u.lp", text)
+    spec = unit.suite.tests[0]
+    found = vacuous_atoms(spec, oracle.Scope(resolve_scope(unit.suite, spec)))
+    assert [w.split(": ", 1)[1].split(" ", 1)[0] for w in found] == warned
+
+
+def test_no_shipped_fixture_warns():
+    for path in sorted(FIXTURES.glob("*.lp")):
+        unit = parse_unit(str(path), path.read_text(encoding="utf-8"))
+        for spec in unit.suite.tests:
+            scope = oracle.Scope(resolve_scope(unit.suite, spec))
+            assert vacuous_atoms(spec, scope) == [], (path.name, spec.name)

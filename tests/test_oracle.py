@@ -1,9 +1,11 @@
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
 import traceback
+import weakref
 from collections import Counter
 from operator import is_
 from pathlib import Path
@@ -20,11 +22,13 @@ from asp_testkit.model import (
     ConstraintForAll,
     ConstraintInAtLeast,
     Integer,
+    Literal,
     NoAnswerSet,
     Program,
     Rule,
     TrueInAll,
     TrueInAtLeast,
+    UnsafeRuleError,
     WeakConstraint,
     herbrand_universe,
     term_key,
@@ -46,6 +50,7 @@ from asp_testkit.oracle import (
     reduct,
 )
 from asp_testkit.parser import parse_unit
+from asp_testkit.solver import InternalBackend
 from helpers import (
     FIXTURES,
     atom,
@@ -115,8 +120,14 @@ def test_instantiate_evaluates_comparisons():
 
 def test_instantiation_budget_names_the_statement_and_universe(monkeypatch):
     monkeypatch.setattr(oracle, "MAX_INSTANTIATIONS", 10)
+    # an equal rule on another line, compiled first, lends big.lp's rule
+    # neither its form nor its origin
+    small = parse_unit("small.lp", "p(X,Y) :- d(X), d(Y).\nd(1).").program
+    big = parse_unit("big.lp", "d(1). d(2). d(3).\np(X,Y) :- d(X), d(Y).").program
+    assert small.rules[0] == big.rules[3] and small.rules[0] is not big.rules[3]
+    assert len(ground(small).atoms) == 2
     with pytest.raises(CapacityExceeded) as exc:
-        ground(parse_unit("big.lp", "d(1). d(2). d(3).\np(X,Y) :- d(X), d(Y).").program)
+        ground(big)
     message = str(exc.value)
     assert "instantiation budget exceeded (10 ground instances)" in message
     assert "`p(X,Y) :- d(X), d(Y).` at big.lp:2:1" in message
@@ -213,13 +224,117 @@ def fixture_testers():
         yield tester
 
 
+CONSTANT_KEYS = """d(1). d(2). d(c). e(1,1). e(1,2). e(2,2). e(c,1). e(c,c).
+s(X) :- e(X,X).
+t(Y) :- e(1,Y), d(Y).
+u(X,Y) :- e(X,Y), e(Y,X), X != Y.
+v(X) :- d(X), e(c,X), not s(X).
+w(X) :- e(X,X), e(c,X), d(X).
+x :- e(2,2).
+n :- e(1,c).
+y(X) | z(X) :- e(c,X), s(X)."""
+
+
+def with_constant_first_argument(p: Program, rng: random.Random) -> Program:
+    """`p` with the first argument of one positive body atom, a variable,
+    replaced by a constant of its universe; `p` itself when that leaves
+    the statement unsafe or no such atom exists."""
+    universe = sorted(herbrand_universe(p), key=term_key)
+    loci = [(i, k) for i, r in enumerate(p.rules) for k, l in enumerate(r.body)
+            if isinstance(l.payload, Atom) and not l.negated and l.payload.args
+            and not l.payload.is_ground()]
+    if not loci:
+        return p
+    i, k = rng.choice(loci)
+    rule = p.rules[i]
+    lit = rule.body[k]
+    bound = Atom(lit.payload.predicate, (rng.choice(universe), *lit.payload.args[1:]))
+    body = rule.body[:k] + (Literal(bound),) + rule.body[k + 1:]
+    try:
+        return Program(p.rules[:i] + (Rule(rule.head, body),) + p.rules[i + 1:],
+                       p.weak_constraints)
+    except UnsafeRuleError:
+        return p
+
+
 def test_join_matches_product_instantiation():
     rng = random.Random(8)
     programs = [random_join_program(rng) for _ in range(500)]
     testers = list(fixture_testers())
     assert len(testers) > 20
-    for p in programs + testers:
+    # a constant first argument is a plan step's lookup key
+    rng = random.Random(31)
+    keyed = [(p, with_constant_first_argument(p, rng))
+             for p in (random_join_program(rng) for _ in range(300))]
+    keyed = [q for p, q in keyed if q is not p]
+    assert len(keyed) > 150
+    for p in programs + testers + keyed + [program(CONSTANT_KEYS)]:
         assert_join_matches_product(p)
+
+
+def test_plan_steps_key_by_constants_and_compare_repeated_variables():
+    # a constant first argument is the lookup key; a variable repeated in
+    # one atom binds at its first place and is compared at the next
+    joins = {r.head[0].predicate: oracle._join_of(r)
+             for r in program(CONSTANT_KEYS).rules if r.body}
+    t, s, w = (joins[name]._plan(0)[0] for name in "tsw")
+    assert t.key == (("e", 2), 0, Integer(1)) and t.binds == [(1, 0)]
+    assert s.key == ("e", 2) and s.binds == [(0, 0)] and s.equals == [(1, 0)]
+    # w's second atom is keyed by its constant, and X, bound before it, is compared
+    second = joins["w"]._plan(0)[1]
+    assert second.key == (("e", 2), 0, Constant("c")) and second.equals == [(1, 0)]
+    # a constant after the key is compared
+    n = joins["n"]._plan(0)[0]
+    assert n.key == (("e", 2), 0, Integer(1)) and n.consts == [(1, Constant("c"))]
+
+
+def test_each_statement_object_is_compiled_once(monkeypatch):
+    # one mutate --count 8 analysis of each mutation fixture: every scope
+    # fill and tester shares the forms of the statements it holds, and a
+    # statement without a positive body atom is never compiled
+    compiled, asked = [], []  # both keep their statements, so ids stay unique
+
+    class Counted(oracle._Join):
+        __slots__ = ()
+
+        def __init__(self, statement):
+            compiled.append(statement)
+            super().__init__(statement)
+
+    instances = oracle._instances
+
+    def spy(statement, *args):
+        asked.append(statement)
+        return instances(statement, *args)
+
+    monkeypatch.setattr(oracle, "_Join", Counted)
+    monkeypatch.setattr(oracle, "_instances", spy)
+    for name in ("coloring_mutation.lp", "hamiltonian_mutation.lp"):
+        unit = parse_unit(name, fixture_text(name))
+        mutants = generate_mutants(mutation_base_program(unit), OPERATOR_KINDS, 8, 19)
+        report = mutate.mutation_analysis(unit, mutants, InternalBackend())
+        assert report.baseline_passed and len(report.outcomes) == 8
+    joined = {id(s) for s in asked
+              if any(isinstance(l.payload, Atom) and not l.negated for l in s.body)}
+    assert sorted(map(id, compiled)) == sorted(joined)
+    # a scope rule is asked for by many fills and testers
+    assert max(Counter(map(id, asked)).values()) > 8
+
+
+def test_a_compiled_form_dies_with_its_statement():
+    p = program("q(1). q(2). p(X) :- q(X). r :- not p(3).")
+    assert len(ground(p).atoms) == 5
+    # only the statement with a positive body atom is compiled
+    assert ["_join" in vars(r) for r in p.rules] == [False, False, True, False]
+    rules = [weakref.ref(r) for r in p.rules]
+    # with the cycle collector off, a form that held its statement would
+    # keep it alive
+    gc.disable()
+    try:
+        del p
+        assert [r() for r in rules] == [None] * 4
+    finally:
+        gc.enable()
 
 
 def test_ground_rules_keep_each_statements_instances_together_in_program_order():
@@ -533,17 +648,20 @@ def test_scope_path_simplifies_the_whole_tester_when_the_scope_does_not_split_it
 
 
 def test_a_round_with_every_atom_new_joins_by_the_first_plan_only(monkeypatch):
-    # with lo == 0, plan 1 would look q up and then p in the empty window [0, 0)
-    join = oracle._Join(program("r(X,Z) :- p(X,Y), q(Y,Z).").rules[0])
+    # with lo == 0, plan 1 would look q up and then p in the empty window
+    # [0, 0); plan 0 looks p up by its signature, then q by Y's value
+    join = oracle._join_of(program("r(X,Z) :- p(X,Y), q(Y,Z).").rules[0])
     index = oracle._AtomIndex()
     for a in (atom("p", 1, 2), atom("p", 2, 3), atom("q", 2, 4), atom("q", 3, 5)):
         index.add(a)
-    lookups = []
+    keys = []
     lookup = index.lookup
-    monkeypatch.setattr(index, "lookup", lambda pattern, *args: lookups.append(pattern.predicate)
-                        or lookup(pattern, *args))
-    assert [s["Z"] for s in join.bindings(index, 0, len(index))] == [Integer(4), Integer(5)]
-    assert lookups == ["p", "q", "q"]
+    monkeypatch.setattr(index, "lookup", lambda key, *args: keys.append(key)
+                        or lookup(key, *args))
+    instances = join.round(index, 0, len(index), room=10)
+    assert [head for head, *_ in instances] == [{atom("r", 1, 4)}, {atom("r", 2, 5)}]
+    assert keys == [("p", 2), (("q", 2), 0, Integer(2)), (("q", 2), 0, Integer(3))]
+    assert join.plans[1] is None  # never compiled
 
 
 def test_ground_coloring_counts():
